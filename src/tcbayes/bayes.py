@@ -23,16 +23,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .porous_flow import (
+    DEFAULT_N_STEPS,
+    DEFAULT_SINGULAR_EPS,
     ModelParams,
     NonFiniteStateError,
     SingularDenominatorError,
     forward_pressure_at_mean,
+    interface_state_batch,
 )
 
 _FORWARD_FAILURES = (SingularDenominatorError, NonFiniteStateError)
 
 DEFAULT_UNIFORM_FLOOR = 1e-300
 DEFAULT_FD_STEP = 1e-3
+TABLE_NODES = 64
+TABLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -191,13 +196,118 @@ def generate_observations(
     return ObservationSet((group,), provenance=provenance)
 
 
+class ChebyshevTable:
+    """Chebyshev interpolant of a smooth scalar function on [lo, hi].
+
+    Built from the values at the n first-kind nodes (``chebyshev_nodes``)
+    with the cosine sum c_j = (2/n) sum_k f_k cos(j*pi*(k+1/2)/n), c_0
+    halved; evaluated by the Clenshaw recurrence on plain floats.
+    ``max_rel_error`` is the error measured when the table was built.
+    """
+
+    def __init__(self, lo: float, hi: float, node_values):
+        values = np.asarray(node_values, dtype=float)
+        n = values.size
+        angles = np.pi * np.outer(np.arange(n), np.arange(n) + 0.5) / n
+        coeffs = (2.0 / n) * (np.cos(angles) @ values)
+        coeffs[0] *= 0.5
+        self.lo, self.hi = float(lo), float(hi)
+        self.n_nodes = n
+        self.max_rel_error = math.nan
+        self._center = 0.5 * (self.lo + self.hi)
+        self._scale = 2.0 / (self.hi - self.lo)
+        self._c0 = float(coeffs[0])
+        self._tail = tuple(float(c) for c in coeffs[:0:-1])  # c_{n-1}, ..., c_1
+
+    def __call__(self, theta: float) -> float:
+        t = (theta - self._center) * self._scale
+        t2 = t + t
+        b1 = b2 = 0.0
+        for c in self._tail:
+            b1, b2 = c + t2 * b1 - b2, b1
+        return self._c0 + t * b1 - b2
+
+
+def chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
+    """First-kind Chebyshev points cos(pi*(k+1/2)/n) mapped onto [lo, hi]."""
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * (np.arange(n) + 0.5) / n)
+
+
+def build_pressure_table(
+    params: ModelParams,
+    point: tuple[float, float],
+    theta_range: tuple[float, float],
+) -> ChebyshevTable | None:
+    """Chebyshev table of F(theta) at one evaluation point, or None.
+
+    One batched march covers the TABLE_NODES nodes, the midpoints between
+    them and the two range ends. The table is kept only if no march fails
+    and it matches the march at every midpoint and end to relative error
+    TABLE_TOL; otherwise None tells the caller to keep the direct march.
+    """
+    lo, hi = theta_range
+    if not 0.0 < lo < hi:
+        return None
+    nodes = chebyshev_nodes(lo, hi, TABLE_NODES)
+    checks = np.concatenate([0.5 * (nodes[:-1] + nodes[1:]), [lo, hi]])
+    q, phi = point
+    try:
+        tf, _, rho = interface_state_batch(params, q, phi, np.concatenate([nodes, checks]))
+    except (ValueError, *_FORWARD_FAILURES):
+        return None
+    pressure = tf * rho
+    table = ChebyshevTable(lo, hi, pressure[:TABLE_NODES])
+    direct = pressure[TABLE_NODES:]
+    approx = np.array([table(float(t)) for t in checks])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        error = float(np.max(np.abs(approx - direct) / np.abs(direct)))
+    if not error <= TABLE_TOL:
+        return None
+    table.max_rel_error = error
+    return table
+
+
+class TabulatedForward:
+    """Forward map that serves F(theta) from per-point Chebyshev tables.
+
+    Called like ``forward_pressure_at_mean``. A call at an evaluation point
+    without a table, outside the table's range, with other model parameters
+    or with non-default march settings goes to the direct march, so its
+    failures still raise.
+    """
+
+    def __init__(self, params: ModelParams, tables: dict):
+        self.params = params
+        self.tables = tables
+
+    def __call__(
+        self,
+        params: ModelParams,
+        xi_mean: tuple[float, float],
+        re: float,
+        n_steps: int = DEFAULT_N_STEPS,
+        singular_eps: float = DEFAULT_SINGULAR_EPS,
+    ) -> float:
+        table = self.tables.get(xi_mean)
+        if (
+            table is not None
+            and table.lo <= re <= table.hi
+            and n_steps == DEFAULT_N_STEPS
+            and singular_eps == DEFAULT_SINGULAR_EPS
+            and (params is self.params or params == self.params)
+        ):
+            return table(re)
+        return forward_pressure_at_mean(params, xi_mean, re, n_steps, singular_eps)
+
+
 def _group_log_likelihood(
     group: ObservationGroup,
     theta: float,
     params: ModelParams,
     classic_iid: bool,
+    forward,
 ) -> float:
-    pressure = forward_pressure_at_mean(params, group.evaluation_point(params), theta)
+    pressure = forward(params, group.evaluation_point(params), theta)
     residual_sq = float(np.sum((group.values - pressure) ** 2))
     n = group.values.size
     sigma = group.noise_std
@@ -211,14 +321,21 @@ def log_likelihood(
     theta: float,
     params: ModelParams,
     classic_iid: bool = False,
+    forward=None,
 ) -> float:
-    """Sum of per-group tempered Gaussian log likelihoods; -inf on forward failure."""
+    """Sum of per-group tempered Gaussian log likelihoods; -inf on forward failure.
+
+    ``forward`` maps (params, evaluation point, theta) to the pressure; the
+    default is the direct march ``forward_pressure_at_mean``.
+    """
     if not theta > 0.0:  # also rejects NaN from diverged trajectories
         return -math.inf
+    if forward is None:
+        forward = forward_pressure_at_mean
     total = 0.0
     for group in obs.groups:
         try:
-            total += _group_log_likelihood(group, theta, params, classic_iid)
+            total += _group_log_likelihood(group, theta, params, classic_iid, forward)
         except _FORWARD_FAILURES:
             return -math.inf
     return total
@@ -239,10 +356,11 @@ def log_unconstrained_posterior(
     prior: PriorSpec,
     params: ModelParams,
     classic_iid: bool = False,
+    forward=None,
 ) -> float:
     """Unnormalized log posterior without the feasibility indicator."""
     lp = log_prior(theta, prior)
-    ll = log_likelihood(obs, theta, params, classic_iid=classic_iid)
+    ll = log_likelihood(obs, theta, params, classic_iid=classic_iid, forward=forward)
     return lp + ll
 
 
@@ -253,6 +371,7 @@ def grad_log_posterior(
     params: ModelParams,
     fd_step: float = DEFAULT_FD_STEP,
     classic_iid: bool = False,
+    forward=None,
 ) -> float:
     """d/dtheta of the unconstrained log posterior.
 
@@ -260,10 +379,13 @@ def grad_log_posterior(
     dF/dtheta is numerical, via the one-sided difference (F(theta+h)-F(theta))/h
     computed per group at that group's evaluation point. Outside the physical
     domain (theta <= 0) or on forward failure the gradient is NaN, which a
-    trajectory-based sampler treats as a divergence.
+    trajectory-based sampler treats as a divergence. ``forward`` is the
+    forward map, as in ``log_likelihood``.
     """
     if not theta > 0.0:
         return math.nan
+    if forward is None:
+        forward = forward_pressure_at_mean
     if prior.kind == "gaussian":
         grad = -(theta - prior.mean) / prior.std**2
     else:
@@ -271,8 +393,8 @@ def grad_log_posterior(
     try:
         for group in obs.groups:
             point = group.evaluation_point(params)
-            pressure = forward_pressure_at_mean(params, point, theta)
-            pressure_h = forward_pressure_at_mean(params, point, theta + fd_step)
+            pressure = forward(params, point, theta)
+            pressure_h = forward(params, point, theta + fd_step)
             dpressure = (pressure_h - pressure) / fd_step
             residual_sum = float(np.sum(group.values - pressure))
             n = group.values.size

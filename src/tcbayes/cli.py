@@ -38,16 +38,12 @@ from .diagnostics import (
 )
 from .gpc import SurrogateCache, build_strip_surrogate
 from .porous_flow import integrate_strip
-from .samplers import MarkovChain, ParticleHistory
+from .samplers import InfeasibleStartError, MarkovChain, ParticleHistory
 from .scenario import ConfigError, Scenario, ScenarioConfig
 
 CACHE_ENV = "TCBAYES_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".tcbayes-cache"
 PACKAGED_SCENARIOS = ("model1", "model2", "model3")
-
-
-class InfeasibleStartError(RuntimeError):
-    """Chain started outside the feasible set; carries the scanned boundary."""
 
 
 def packaged_config_text(name: str) -> str:
@@ -275,6 +271,7 @@ def _provenance(scenario: Scenario, command: str, jobs: int, artifacts: dict) ->
         "oracle_mode": cfg.oracle_mode,
         "theta_range": list(cfg.theta_range()),
         "feasible_intervals": [[float(a), float(b)] for a, b in scenario.intervals()],
+        "forward_tables": scenario.forward_tables(),
         "jobs": jobs,
         "versions": _versions(),
         "artifacts": {
@@ -407,9 +404,7 @@ def run_scenario(
 def _run_chains(scenario: Scenario, jobs: int):
     try:
         return scenario.run_all_chains(jobs=jobs)
-    except ValueError as exc:
-        if "scan_feasible_boundary" not in str(exc):
-            raise
+    except InfeasibleStartError as exc:
         intervals = ", ".join(f"[{a:.1f}, {b:.1f}]" for a, b in scenario.intervals())
         raise InfeasibleStartError(
             f"{exc} (scanned feasible interval(s): {intervals or 'none'}; "
@@ -507,8 +502,6 @@ def _cmd_scan_feasible(args) -> int:
 
 def _cmd_sample(args) -> int:
     config = _apply_overrides(resolve_config(args.config), args)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
     scenario = Scenario(config)
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
@@ -631,8 +624,6 @@ def _compare_row(scenario: Scenario, result, checkpoint: int, reference) -> tupl
 
 def _cmd_compare(args) -> int:
     config = _apply_overrides(resolve_config(args.config), args)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
     requested = [s.strip() for s in args.samplers.split(",") if s.strip()]
     if not requested:
         raise ConfigError("--samplers must name at least one sampler")

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "InfeasibleStartError",
     "MarkovChain",
     "ParticleHistory",
     "run_crw",
@@ -37,6 +38,10 @@ __all__ = [
     "postprocess_feasible",
     "interval_projection",
 ]
+
+
+class InfeasibleStartError(ValueError):
+    """A hard-constrained chain was asked to start outside the feasible set."""
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,7 @@ def run_crw(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if not feasibility_oracle(theta_init):
-        raise ValueError(
+        raise InfeasibleStartError(
             "theta_init is infeasible; run scan_feasible_boundary to locate "
             "the feasible set and pick a starting point inside it"
         )

@@ -31,6 +31,8 @@ import numpy as np
 from .bayes import (
     ObservationSet,
     PriorSpec,
+    TabulatedForward,
+    build_pressure_table,
     feasible_direction,
     generate_observations,
     grad_log_posterior,
@@ -74,6 +76,9 @@ from .samplers import (
 
 class ConfigError(ValueError):
     """Raised when a scenario configuration fails schema or semantic checks."""
+
+
+_MAX_REDRAWS = 100
 
 
 def _strip_notes(obj):
@@ -443,6 +448,7 @@ class Scenario:
         self._scan: FeasibilityScan | None = None
         self._observations: ObservationSet | None = None
         self._reference: ReferenceDensity | None = None
+        self._forward: TabulatedForward | None = None
 
     def with_sampler(self, sampler: dict) -> "Scenario":
         """Clone with a different sampler block, sharing the built caches."""
@@ -451,6 +457,7 @@ class Scenario:
         clone._scan = self._scan
         clone._observations = self._observations
         clone._reference = self._reference
+        clone._forward = self._forward
         return clone
 
     # constraint side ------------------------------------------------------
@@ -570,16 +577,56 @@ class Scenario:
         self._observations = merged
         return merged
 
+    def forward_map(self) -> TabulatedForward:
+        """Forward map of the posterior: one Chebyshev table of F per group.
+
+        Built on first use, over ``theta_range()``; a group whose table fails
+        its build check keeps the direct march.
+        """
+        if self._forward is None:
+            cfg = self.config
+            tables = {}
+            for group in self.observations().groups:
+                point = group.evaluation_point(cfg.params)
+                if point not in tables:
+                    tables[point] = build_pressure_table(cfg.params, point, cfg.theta_range())
+            built = {point: table for point, table in tables.items() if table is not None}
+            self._forward = TabulatedForward(cfg.params, built)
+        return self._forward
+
+    def forward_tables(self) -> dict:
+        """Per group label: the table's node count and build error, or "direct"."""
+        tables = self.forward_map().tables
+        out = {}
+        for group in self.observations().groups:
+            table = tables.get(group.evaluation_point(self.config.params))
+            out[group.label] = (
+                "direct"
+                if table is None
+                else {"nodes": table.n_nodes, "max_rel_error": table.max_rel_error}
+            )
+        return out
+
     def log_posterior(self, theta: float) -> float:
         cfg = self.config
         return log_unconstrained_posterior(
-            float(theta), self.observations(), cfg.prior, cfg.params, classic_iid=cfg.classic_iid
+            float(theta),
+            self.observations(),
+            cfg.prior,
+            cfg.params,
+            classic_iid=cfg.classic_iid,
+            forward=self.forward_map(),
         )
 
     def grad_log_posterior(self, theta: float) -> float:
         cfg = self.config
         return grad_log_posterior(
-            float(theta), self.observations(), cfg.prior, cfg.params, classic_iid=cfg.classic_iid
+            float(theta),
+            self.observations(),
+            cfg.prior,
+            cfg.params,
+            classic_iid=cfg.classic_iid,
+            forward=self.forward_map(),
         )
 
     def penalized_grad(self, delta: float):
@@ -611,11 +658,27 @@ class Scenario:
         return batched
 
     def initial_particles(self, n: int, seed: int) -> np.ndarray:
+        """n prior draws with theta > 0; non-positive draws are redrawn.
+
+        A particle at theta <= 0 has a NaN gradient, which the Stein kernel
+        would spread to every particle. Redraws come from the same generator
+        after the first n draws, so a seed without such a draw is unchanged.
+        """
         prior = self.config.prior
         rng = np.random.default_rng(seed)
-        if prior.kind == "gaussian":
-            return prior.mean + prior.std * rng.standard_normal(n)
-        return rng.uniform(prior.low, prior.high, n)
+
+        def draw(k: int) -> np.ndarray:
+            if prior.kind == "gaussian":
+                return prior.mean + prior.std * rng.standard_normal(k)
+            return rng.uniform(prior.low, prior.high, k)
+
+        particles = draw(n)
+        for _ in range(_MAX_REDRAWS):
+            bad = ~(particles > 0.0)
+            if not bad.any():
+                return particles
+            particles[bad] = draw(int(bad.sum()))
+        raise ConfigError("the prior puts too little mass on theta > 0 to draw particles")
 
     def reference(self) -> ReferenceDensity:
         if self._reference is None:
@@ -699,6 +762,7 @@ class Scenario:
         # warm the lazy caches once so worker threads only read shared state
         self.observations()
         self.feasibility()
+        self.forward_map()
         with ThreadPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
             return list(pool.map(self.run_chain, seeds))
 

@@ -8,6 +8,7 @@ import pytest
 
 from tcbayes.diagnostics import chain_histogram, reference_posterior, relative_l2_error
 from tcbayes.samplers import (
+    InfeasibleStartError,
     MarkovChain,
     ParticleHistory,
     interval_projection,
@@ -41,6 +42,12 @@ def test_crw_infeasible_proposal_repeats_sample():
 
 def test_crw_infeasible_init_raises_with_hint():
     with pytest.raises(ValueError, match="scan_feasible_boundary"):
+        run_crw(STD_NORMAL_LOGPOST, lambda t: t >= 0.5, 1.0, 10, 0.0, seed=0)
+
+
+def test_crw_infeasible_init_raises_typed_error():
+    assert issubclass(InfeasibleStartError, ValueError)
+    with pytest.raises(InfeasibleStartError):
         run_crw(STD_NORMAL_LOGPOST, lambda t: t >= 0.5, 1.0, 10, 0.0, seed=0)
 
 
