@@ -1,15 +1,26 @@
 """Probabilistic feasibility of a parameter value through cheap surrogates.
 
-The constraint P(f2(xi; theta) <= beta) >= alpha is estimated by plain Monte
-Carlo over a chaos surrogate of f2 built at the given theta. Every
-probability call redraws the same seeded germ sample, so probabilities are
-deterministic and smooth in theta (common random numbers), which keeps the
-bisection on the feasible boundary well behaved.
+The constraint P(f2(xi; theta) <= beta) >= alpha is evaluated on a chaos
+surrogate of f2 built at the given theta, in one of two ways.
+
+* Shared germ (model 2): the interface field at every z node is a degree-K
+  polynomial in one standard normal xi, so {xi : f2 <= beta} is a union of
+  intervals whose ends are real roots of p_z(xi) = beta. The roots of all
+  nodes come from one batched companion-matrix eigenvalue call; each segment
+  between consecutive roots is classified by evaluating the field at its
+  midpoint, and P is the sum of the normal masses of the satisfied segments.
+  There is no sampling noise and ``n_prob_samples`` is not used.
+* Otherwise (the 2-D strip germ of model 1, the independent per-strip germs
+  of model 3): plain Monte Carlo over ``n_prob_samples`` seeded germ draws.
+  Every probability uses the same draws, so probabilities are deterministic
+  and smooth in theta (common random numbers), which keeps the bisection on
+  the feasible boundary well behaved; the oracle draws them once.
 """
 from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +46,13 @@ logger = logging.getLogger(__name__)
 BUILD_FAILURES = (SingularDenominatorError, NonFiniteStateError)
 DEFAULT_CACHE_QUANTUM = 1e-6
 _EVAL_CHUNK = 8192
+# Phi(-40) and 1 - Phi(40) are 0 in double precision, so [-40, 40] carries all the mass
+_XI_CUT = 40.0
+# leading power coefficients this small against the polynomial's scale on
+# [-_XI_CUT, _XI_CUT] are dropped: their term is below roundoff there
+_LEAD_RTOL = 1e-15
+# imaginary parts (in xi) up to this are taken as roundoff on near-multiple real roots
+_IMAG_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -59,6 +77,8 @@ class F2Surrogate:
     Subclasses provide ``germ`` and ``f2_values``; ``probability`` is the
     fraction of draws satisfying f2 <= beta and may be overridden when the
     constraint aggregates differently (pointwise-per-z mode).
+    ``exact_probability`` returns P(f2 <= beta) without sampling where the
+    surrogate admits it, and None otherwise.
     """
 
     germ: GermSpec
@@ -68,6 +88,9 @@ class F2Surrogate:
 
     def probability(self, xi: np.ndarray, beta: float) -> float:
         return float(np.mean(self.f2_values(xi) <= beta))
+
+    def exact_probability(self, beta: float) -> float | None:
+        return None
 
 
 class StripExitConstraint(F2Surrogate):
@@ -93,7 +116,8 @@ class InterfaceMaxConstraint(F2Surrogate):
 
     With ``pointwise=True`` the probability is instead the worst per-node
     satisfaction fraction min_z P(T(z) <= beta), the per-z reading of the
-    constraint.
+    constraint. A shared germ has an exact probability (see the module
+    docstring); ``probability`` stays the Monte Carlo estimate on given draws.
     """
 
     def __init__(self, isurr: InterfaceSurrogate, pointwise: bool = False):
@@ -127,16 +151,93 @@ class InterfaceMaxConstraint(F2Surrogate):
             satisfied += np.count_nonzero(fields <= beta, axis=0)
         return float(satisfied.min() / n)
 
+    def segments(self, beta: float) -> tuple[np.ndarray, np.ndarray]:
+        """Segment edges on [-40, 40] and, per segment and z node, T <= beta.
+
+        Shared germ only. The edges are the real roots of the per-node
+        polynomials p_z(xi) - beta, so the field does not cross beta inside a
+        segment and its midpoint decides the whole segment. A spurious root
+        only splits a segment; it cannot flip a verdict.
+        """
+        isurr = self.isurr
+        if not isurr.shared:
+            raise ValueError("root segments need a shared germ")
+        stacked = np.vstack([isurr.base_field, isurr.mode_fields[: isurr.order]])
+        power = (_herme_to_power(isurr.order) @ stacked).T  # (n_z, K+1), ascending
+        power[:, 0] -= beta
+        edges = np.concatenate([[-_XI_CUT], np.unique(_root_breakpoints(power)), [_XI_CUT]])
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        return edges, evaluate_interface_batch(isurr, mids) <= beta
+
+    def exact_probability(self, beta: float) -> float | None:
+        if not self.isurr.shared:
+            return None
+        edges, satisfied = self.segments(beta)
+        mass = np.diff(_normal_cdf(edges))
+        per_segment = satisfied if self.pointwise else satisfied.all(axis=1)
+        return float(min(1.0, np.min(mass @ per_segment)))
+
+
+def _herme_to_power(order: int) -> np.ndarray:
+    """(K+1, K+1) matrix whose column k holds He_k in the ascending power basis."""
+    out = np.zeros((order + 1, order + 1))
+    for k in range(order + 1):
+        poly = np.polynomial.hermite_e.herme2poly(np.eye(order + 1)[k])
+        out[: poly.shape[0], k] = poly
+    return out
+
+
+def _root_breakpoints(power: np.ndarray) -> np.ndarray:
+    """Near-real roots in (-40, 40) of every row's polynomial, all rows at once.
+
+    ``power`` holds ascending power-basis coefficients, one polynomial per
+    row. Roots are found in t = xi / 40, where a row's degree is its highest
+    coefficient that is not negligible on |t| <= 1 (exact zeros included),
+    as the eigenvalues of stacked companion matrices, one stack per degree.
+    A root a + bi with small |b| gives the breakpoint a + b, so a computed
+    conjugate pair brackets a near-double real root from both sides.
+    """
+    scaled = power * _XI_CUT ** np.arange(power.shape[1])
+    mag = np.abs(scaled)
+    significant = mag > _LEAD_RTOL * mag.max(axis=1, keepdims=True)
+    degree = np.where(
+        significant.any(axis=1), power.shape[1] - 1 - np.argmax(significant[:, ::-1], axis=1), 0
+    )
+    roots = [np.zeros(0, dtype=complex)]
+    for d in np.unique(degree[degree > 0]):
+        rows = scaled[degree == d, : d + 1]
+        companion = np.zeros((rows.shape[0], d, d))
+        companion[:, 0, :] = -rows[:, d - 1 :: -1] / rows[:, d : d + 1]
+        companion[:, 1:, :-1] += np.eye(d - 1)
+        roots.append(np.linalg.eigvals(companion).ravel())
+    xi = _XI_CUT * np.concatenate(roots)
+    xi = xi[np.isfinite(xi) & (np.abs(xi.imag) <= _IMAG_TOL)]
+    breaks = xi.real + xi.imag
+    return breaks[np.abs(breaks) < _XI_CUT]
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+
 
 def _germ_draws(germ: GermSpec, spec: ChanceConstraintSpec) -> np.ndarray:
     rng = np.random.default_rng(spec.seed)
     return rng.standard_normal((spec.n_prob_samples, germ.dim))
 
 
-def satisfaction_probability(surrogate_f2: F2Surrogate, spec: ChanceConstraintSpec) -> float:
-    """Fraction of seeded germ draws with f2 <= beta; deterministic per spec."""
-    xi = _germ_draws(surrogate_f2.germ, spec)
-    return surrogate_f2.probability(xi, spec.beta)
+def satisfaction_probability(
+    surrogate_f2: F2Surrogate, spec: ChanceConstraintSpec, draws=_germ_draws
+) -> float:
+    """P(f2 <= beta), deterministic per spec.
+
+    Exact where the surrogate admits it; otherwise the fraction of the germ
+    draws ``draws(germ, spec)`` (by default a fresh seeded sample) with
+    f2 <= beta.
+    """
+    exact = surrogate_f2.exact_probability(spec.beta)
+    if exact is not None:
+        return exact
+    return surrogate_f2.probability(draws(surrogate_f2.germ, spec), spec.beta)
 
 
 def is_feasible(theta: float, spec: ChanceConstraintSpec, surrogate_factory) -> bool:
@@ -155,7 +256,8 @@ class ChanceConstraintOracle:
     Repeated chain visits to (nearly) the same theta reuse the cached
     probability; cache keys quantize theta so entries for equal keys are
     identical by determinism, making concurrent last-writer-wins insertion
-    harmless. Build failures are cached as NaN (infeasible) and counted.
+    harmless. Build failures are cached as NaN (infeasible) and counted. The
+    seeded germ sample of the Monte Carlo path is drawn once, on first use.
     """
 
     def __init__(
@@ -168,8 +270,17 @@ class ChanceConstraintOracle:
         self.surrogate_factory = surrogate_factory
         self.cache_quantum = cache_quantum
         self._probabilities: dict[int, float] = {}
+        self._draws: dict[int, np.ndarray] = {}
         self.build_failures = 0
         self.evaluations = 0
+
+    def _germ_draws(self, germ: GermSpec, spec: ChanceConstraintSpec) -> np.ndarray:
+        xi = self._draws.get(germ.dim)
+        if xi is None:
+            xi = _germ_draws(germ, spec)
+            xi.flags.writeable = False
+            self._draws[germ.dim] = xi
+        return xi
 
     def _key(self, theta: float) -> int:
         return int(round(theta / self.cache_quantum))
@@ -182,7 +293,7 @@ class ChanceConstraintOracle:
         self.evaluations += 1
         try:
             surrogate = self.surrogate_factory(theta)
-            prob = satisfaction_probability(surrogate, self.spec)
+            prob = satisfaction_probability(surrogate, self.spec, self._germ_draws)
         except BUILD_FAILURES as exc:
             self.build_failures += 1
             logger.warning(

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import (
+    CheckpointError,
     Histogram,
     ReferenceDensity,
     chain_histogram,
@@ -549,9 +550,7 @@ def _cmd_diagnose(args) -> int:
                 burn_in=burn,
                 confidence=config.diagnostics.confidence,
             )
-        except ValueError as exc:
-            if "checkpoint" not in str(exc):
-                raise
+        except CheckpointError as exc:
             # config checkpoints do not fit the loaded run: a usage error
             raise ConfigError(f"{exc} (chains have {min(len(r) for r in runs)} samples)")
     elif len(runs) == 1 and isinstance(runs[0], ParticleHistory):

@@ -14,6 +14,10 @@ DEFAULT_BURN_IN = 0.1
 DEFAULT_CONFIDENCE = 0.95
 
 
+class CheckpointError(ValueError):
+    """Requested sample-count checkpoints do not fit the chains."""
+
+
 @dataclass(frozen=True)
 class ReferenceDensity:
     """Normalized density on a grid, used as ground truth for histograms."""
@@ -167,9 +171,9 @@ def brooks_gelman_ratio(
         checkpoints = [n_min]
     checkpoints = [int(n) for n in checkpoints]
     if any(n < 1 or n > n_min for n in checkpoints):
-        raise ValueError("checkpoints must lie in [1, shortest chain length]")
+        raise CheckpointError("checkpoints must lie in [1, shortest chain length]")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
-        raise ValueError("checkpoints must be increasing")
+        raise CheckpointError("checkpoints must be increasing")
     pooled = _interval_width(np.concatenate(arrays), confidence)
     if pooled == 0.0:
         raise ValueError("pooled interval has zero width")
@@ -193,7 +197,7 @@ def l2_error_series(
     for n in checkpoints:
         n = int(n)
         if n < 1 or n > len(chain):
-            raise ValueError("checkpoint exceeds chain length")
+            raise CheckpointError("checkpoint exceeds chain length")
         hist = chain_histogram(chain.samples[:n], n_bins, value_range, burn_in)
         err = relative_l2_error(hist, reference)
         series.append((n, err, float(chain.cumulative_seconds[n - 1])))

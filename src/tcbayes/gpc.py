@@ -2,8 +2,9 @@
 
 Probabilists' Hermite basis in standardized Gaussian germ variables,
 Gauss-Hermite quadrature, and a Galerkin coefficient system for the two
-strip temperatures marched with the same explicit Euler scheme as the
-deterministic model. The density closure is integrated per collocation
+strip temperatures marched with the same explicit Euler scheme and
+right-hand-side coefficients (``porous_flow._rhs``) as the deterministic
+model. The density closure is integrated per collocation
 node (collocation in rho, Galerkin in the temperatures).
 """
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .porous_flow import (
     ModelParams,
     NonFiniteStateError,
     SingularDenominatorError,
+    _rhs,
 )
 
 __all__ = [
@@ -292,14 +294,7 @@ def build_strip_surrogate(
     cts[0] = params.solid_temp
     rho = np.full(q_nodes.shape[0], params.reservoir_pressure / params.coolant_temp)
 
-    solid_cap = (1.0 - phi_nodes) * params.kappa_solid
-    a_fluid = params.nusselt / (params.prandtl * re)
-    a_solid = params.kappa_fluid / solid_cap * re * params.prandtl
-    source = q_nodes / solid_cap
-    darcy = params.length**2 / (re * params.permeability_darcy)
-    forch = params.length / params.forchheimer
-    t_hg = params.hot_gas_temp
-    phi_inv2 = phi_nodes**-2
+    a_fluid, a_solid, source, darcy, forch, t_hg, phi_inv2 = _rhs(params, q_nodes, phi_nodes, re)
     dx = 1.0 / n_steps
 
     coeff_tf = np.empty((n_coeff, n_steps + 1))
@@ -373,15 +368,9 @@ def build_strip_surrogate_batch(
     project = (design * weights[:, None]).T / norms2[:, None]  # (C, M)
 
     q_nodes = q_means[:, None] + q_stds[:, None] * xi[None, :]  # (B, M)
-    phi = porosities[:, None]
-    solid_cap = (1.0 - phi) * params.kappa_solid
-    a_fluid = params.nusselt / (params.prandtl * re)
-    a_solid = params.kappa_fluid / solid_cap * re * params.prandtl
-    source = q_nodes / solid_cap
-    darcy = params.length**2 / (re * params.permeability_darcy)
-    forch = params.length / params.forchheimer
-    t_hg = params.hot_gas_temp
-    phi_inv2 = phi**-2
+    a_fluid, a_solid, source, darcy, forch, t_hg, phi_inv2 = _rhs(
+        params, q_nodes, porosities[:, None], re
+    )
     dx = 1.0 / n_steps
 
     n_coeff = order + 1

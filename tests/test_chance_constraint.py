@@ -1,9 +1,14 @@
 """Chance-constraint probability estimation, feasibility, boundary scan."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tcbayes import chance_constraint
 from tcbayes.chance_constraint import (
     ChanceConstraintOracle,
     ChanceConstraintSpec,
@@ -15,7 +20,12 @@ from tcbayes.chance_constraint import (
     scan_feasible_boundary,
 )
 from tcbayes.gpc import GermSpec, GermVariable, build_strip_surrogate
-from tcbayes.heat_interface import InterfaceGeometry, assemble_interface_from_coeffs
+from tcbayes.heat_interface import (
+    InterfaceGeometry,
+    InterfaceSurrogate,
+    assemble_interface_from_coeffs,
+    evaluate_interface_batch,
+)
 from tcbayes.porous_flow import ModelParams, SingularDenominatorError, interface_state_batch
 
 UNIT_GERM = GermSpec((GermVariable("q", 0.0, 1.0),))
@@ -185,9 +195,178 @@ def test_interface_constraint_modes():
     pointwise = satisfaction_probability(InterfaceMaxConstraint(isurr, pointwise=True), spec)
     # every per-node satisfaction fraction dominates the joint all-z fraction
     assert pointwise >= max_mode
-    # oracle agreement for the max mode on a direct evaluation
+    # Monte Carlo agreement for the max mode on a direct evaluation
     xi = np.random.default_rng(13).standard_normal((4000, 1))
-    from tcbayes.heat_interface import evaluate_interface_batch
-
     direct = float(np.mean(evaluate_interface_batch(isurr, xi[:, 0]).max(axis=1) <= spec.beta))
-    assert max_mode == direct
+    assert InterfaceMaxConstraint(isurr).probability(xi, spec.beta) == direct
+    # the exact shared-germ probability agrees with that estimate
+    assert abs(max_mode - direct) <= 4.0 * _std_error(max_mode, 4000) + 1.0 / 4000
+
+
+# ---------------------------------------------------------------------------
+# exact shared-germ probability
+# ---------------------------------------------------------------------------
+
+
+def _std_error(p: float, n: int) -> float:
+    return math.sqrt(p * (1.0 - p) / n)
+
+
+# coefficients on a 1/8 grid: no field is flat to within roundoff of beta
+_coef = st.integers(-24, 24).map(lambda k: k / 8.0)
+_beta = st.floats(-4.0, 4.0, allow_subnormal=False)
+
+
+@st.composite
+def _shared_fields(draw, max_order: int = 4) -> InterfaceSurrogate:
+    """Random shared-germ surrogates; some nodes have zero modes or a zero top mode."""
+    order = draw(st.integers(0, max_order))
+    n_z = draw(st.integers(1, 6))
+    base = np.array(draw(st.lists(_coef, min_size=n_z, max_size=n_z)))
+    modes = np.array(draw(st.lists(_coef, min_size=order * n_z, max_size=order * n_z)))
+    modes = modes.reshape(order, n_z)
+    if order > 0:
+        flat = np.array(draw(st.lists(st.booleans(), min_size=n_z, max_size=n_z)))
+        no_top = np.array(draw(st.lists(st.booleans(), min_size=n_z, max_size=n_z)))
+        modes[:, flat] = 0.0
+        modes[-1, no_top] = 0.0
+    return InterfaceSurrogate(
+        order=order,
+        germ=UNIT_GERM,
+        shared=True,
+        z_grid=np.linspace(0.0, 1.0, n_z),
+        time=1.0,
+        base_field=base,
+        mode_fields=modes,
+    )
+
+
+_DRAWS = np.random.default_rng(2024).standard_normal((100_000, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shared_fields(), _beta, st.booleans())
+def test_root_segments_reproduce_monte_carlo_on_the_draws(isurr, beta, pointwise):
+    f2 = InterfaceMaxConstraint(isurr, pointwise)
+    xi = _DRAWS[:20_000]
+    edges, satisfied = f2.segments(beta)
+    assert edges[0] == -40.0 and edges[-1] == 40.0 and np.all(np.diff(edges) >= 0.0)
+    ok = satisfied[np.searchsorted(edges, xi[:, 0]) - 1]
+    from_segments = ok.mean(axis=0).min() if pointwise else ok.all(axis=1).mean()
+    assert float(from_segments) == f2.probability(xi, beta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_shared_fields(), _beta, st.booleans())
+def test_exact_probability_within_monte_carlo_error(isurr, beta, pointwise):
+    f2 = InterfaceMaxConstraint(isurr, pointwise)
+    exact = f2.exact_probability(beta)
+    mc = f2.probability(_DRAWS, beta)
+    n = _DRAWS.shape[0]
+    assert 0.0 <= exact <= 1.0
+    assert abs(exact - mc) <= 4.0 * _std_error(exact, n) + 1.0 / n
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shared_fields(), _beta, _beta)
+def test_exact_probability_monotone_in_beta_and_pointwise_dominates(isurr, b1, b2):
+    lo, hi = sorted((b1, b2))
+    for pointwise in (False, True):
+        f2 = InterfaceMaxConstraint(isurr, pointwise)
+        # 1e-12 absorbs roundoff in roots that move by less than that
+        assert f2.exact_probability(lo) <= f2.exact_probability(hi) + 1e-12
+    max_mode = InterfaceMaxConstraint(isurr).exact_probability(lo)
+    assert InterfaceMaxConstraint(isurr, pointwise=True).exact_probability(lo) >= max_mode - 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(_shared_fields(max_order=0), _shared_fields(), _beta)
+def test_constant_fields_give_zero_or_one(order_zero, other, beta):
+    # an order-0 surrogate, and the same base with every mode zeroed
+    flat = InterfaceSurrogate(
+        order=other.order,
+        germ=UNIT_GERM,
+        shared=True,
+        z_grid=other.z_grid,
+        time=1.0,
+        base_field=other.base_field,
+        mode_fields=np.zeros_like(other.mode_fields),
+    )
+    for isurr in (order_zero, flat):
+        expected = float(np.all(isurr.base_field <= beta))
+        for pointwise in (False, True):
+            assert InterfaceMaxConstraint(isurr, pointwise).exact_probability(beta) == expected
+
+
+def test_exact_path_draws_no_germ_sample(monkeypatch):
+    rng = np.random.default_rng(5)
+    geo = InterfaceGeometry()
+    coeffs = np.column_stack([rng.uniform(330, 360, 60), rng.normal(0, 2, 60), rng.normal(0, 0.5, 60)])
+    isurr = assemble_interface_from_coeffs(geo, coeffs, UNIT_GERM, True, 1e-3, 1.0, 400)
+
+    def no_draws(*args):
+        raise AssertionError("the shared-germ path must not draw")
+
+    rows = []
+
+    def counted(surrogate, xi):
+        rows.append(len(xi))
+        return evaluate_interface_batch(surrogate, xi)
+
+    monkeypatch.setattr(chance_constraint, "_germ_draws", no_draws)
+    monkeypatch.setattr(chance_constraint, "evaluate_interface_batch", counted)
+    spec = ChanceConstraintSpec(beta=405.0, alpha=0.5, n_prob_samples=100_000)
+    prob = ChanceConstraintOracle(spec, lambda theta: InterfaceMaxConstraint(isurr)).probability(1.0)
+    assert 0.0 <= prob <= 1.0
+    # one evaluation row per segment, and at most order * n_z roots
+    assert len(rows) == 1 and rows[0] <= 2 * 400 + 1
+
+
+# ---------------------------------------------------------------------------
+# the oracle reuses one seeded germ sample on the Monte Carlo path
+# ---------------------------------------------------------------------------
+
+
+class _PairF2(F2Surrogate):
+    """f2 = theta + xi_0 * xi_1 on a two-variable germ."""
+
+    def __init__(self, theta: float):
+        self.germ = GermSpec((GermVariable("q", 0.0, 1.0), GermVariable("phi", 0.0, 1.0)))
+        self.theta = theta
+
+    def f2_values(self, xi):
+        return self.theta + xi[:, 0] * xi[:, 1]
+
+
+def _independent_surrogate(theta: float) -> InterfaceMaxConstraint:
+    geo = InterfaceGeometry(n_strips=4)
+    germ = GermSpec(tuple(GermVariable(f"q{s}", 450.0, 10.0) for s in range(4)))
+    rng = np.random.default_rng(3)
+    coeffs = np.column_stack([theta + rng.uniform(0, 5, 4), rng.normal(0, 2, 4), rng.normal(0, 0.5, 4)])
+    return InterfaceMaxConstraint(
+        assemble_interface_from_coeffs(geo, coeffs, germ, False, 1e-3, 1.0, 120)
+    )
+
+
+@pytest.mark.parametrize(
+    "factory, thetas, beta",
+    [
+        (_PairF2, (-0.5, 0.0, 0.3, 1.2), 0.1),
+        (_independent_surrogate, (385.0, 392.0, 398.0), 401.0),
+    ],
+)
+def test_oracle_reuses_draws_bit_identically(monkeypatch, factory, thetas, beta):
+    spec = ChanceConstraintSpec(beta=beta, alpha=0.5, n_prob_samples=3000, seed=9)
+    expected = [satisfaction_probability(factory(t), spec) for t in thetas]
+    draws = {"n": 0}
+    original = chance_constraint._germ_draws
+
+    def counted(germ, spec):
+        draws["n"] += 1
+        return original(germ, spec)
+
+    monkeypatch.setattr(chance_constraint, "_germ_draws", counted)
+    oracle = ChanceConstraintOracle(spec, factory)
+    assert [oracle.probability(t) for t in thetas] == expected
+    assert draws["n"] == 1
+    assert len(set(expected)) > 1

@@ -235,6 +235,35 @@ def test_diagnose_checkpoints_must_fit_run(tiny_model1_dict, write_config, tmp_p
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_diagnose_chain_checkpoints_must_fit_run(tiny_model1_dict, write_config, tmp_path, capsys):
+    path = write_config(tiny_model1_dict)
+    sample_dir = str(tmp_path / "sample")
+    assert main(["sample", "--config", path, "--output", sample_dir]) == 0
+    chain_path = os.path.join(sample_dir, "chain.csv")
+    tiny_model1_dict["diagnostics"]["checkpoints"] = [100, 400]  # the chain has 300 samples
+    path = write_config(tiny_model1_dict, "long.json")
+    rc = main(["diagnose", "--config", path, "--chains", chain_path, "--output", str(tmp_path)])
+    assert rc == 2
+    assert "300 samples" in capsys.readouterr().err
+
+
+def test_diagnose_other_checkpoint_text_is_not_usage_error(
+    tiny_model1_dict, write_config, tmp_path, monkeypatch, capsys
+):
+    path = write_config(tiny_model1_dict)
+    sample_dir = str(tmp_path / "sample")
+    assert main(["sample", "--config", path, "--output", sample_dir]) == 0
+
+    def broken(*args, **kwargs):
+        raise ValueError("corrupt checkpoint store")
+
+    monkeypatch.setattr("tcbayes.cli.diagnostics_summary", broken)
+    chain_path = os.path.join(sample_dir, "chain.csv")
+    rc = main(["diagnose", "--config", path, "--chains", chain_path, "--output", str(tmp_path)])
+    assert rc == 1
+    assert "ValueError: corrupt checkpoint store" in capsys.readouterr().err
+
+
 def test_load_chain_csv_roundtrip(tiny_model1_dict, write_config, tmp_path):
     path = write_config(tiny_model1_dict)
     out = str(tmp_path / "out")

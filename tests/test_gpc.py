@@ -187,6 +187,19 @@ def test_batch_build_matches_single_univariate():
         np.testing.assert_allclose(cts[b], s.coeff_t_solid[:, -1], rtol=1e-12, atol=1e-12)
 
 
+def test_order_zero_batch_build_is_the_deterministic_march():
+    # one collocation node at the mean: the Galerkin march reduces to the strip march
+    q_means = np.array([Q0, 0.7 * Q0, 1.3 * Q0])
+    porosities = np.array([0.111, 0.4, 0.25])
+    for re in (350.0, 540.0, 900.0):
+        ctf, cts = build_strip_surrogate_batch(
+            PARAMS, q_means, np.full(3, SIGMA_Q), porosities, re, order=0, n_quad=1
+        )
+        tf, ts, _ = interface_state_batch(PARAMS, q_means, porosities, re)
+        np.testing.assert_allclose(ctf[:, 0], tf, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(cts[:, 0], ts, rtol=1e-12, atol=0.0)
+
+
 def test_quadrature_too_coarse_rejected():
     with pytest.raises(ValueError):
         build_strip_surrogate(PARAMS, two_variable_germ(), 540.0, order=3, n_quad=3)
