@@ -37,7 +37,6 @@ __all__ = [
     "ChanceConstraintOracle",
     "FeasibilityScan",
     "satisfaction_probability",
-    "is_feasible",
     "scan_feasible_boundary",
 ]
 
@@ -238,16 +237,6 @@ def satisfaction_probability(
     if exact is not None:
         return exact
     return surrogate_f2.probability(draws(surrogate_f2.germ, spec), spec.beta)
-
-
-def is_feasible(theta: float, spec: ChanceConstraintSpec, surrogate_factory) -> bool:
-    """Whether P(f2 <= beta) >= alpha at theta; build failures mean infeasible."""
-    try:
-        surrogate = surrogate_factory(theta)
-    except BUILD_FAILURES as exc:
-        logger.warning("surrogate build failed at theta=%s (%s); treating as infeasible", theta, exc)
-        return False
-    return satisfaction_probability(surrogate, spec) >= spec.alpha
 
 
 class ChanceConstraintOracle:

@@ -4,7 +4,8 @@ Subcommands
 -----------
 run               full pipeline: data, scan, chains, diagnostics, artifacts
 simulate-forward  integrate one strip and write the trajectory CSV
-build-surrogate   build (and cache) the surrogate at one Reynolds number
+build-surrogate   build the surrogate at one Reynolds number (model 1: cached on
+                  disk; models 2-3: print build time and P(f2 <= T_max))
 scan-feasible     locate the feasible Reynolds set and write the scan CSV
 sample            run the configured sampler(s) and write chain CSVs
 diagnose          recompute L2/Brooks-Gelman series from existing chain CSVs
@@ -28,13 +29,14 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
+from .chance_constraint import satisfaction_probability
 from .diagnostics import (
     CheckpointError,
-    Histogram,
     ReferenceDensity,
     chain_histogram,
     default_checkpoints,
     diagnostics_summary,
+    l2_error_series,
     relative_l2_error,
 )
 from .gpc import SurrogateCache, build_strip_surrogate
@@ -168,11 +170,15 @@ def _membership(intervals):
     return member
 
 
-def _prefix_histogram(samples: np.ndarray, burn_in: float, n_bins, value_range) -> Histogram:
-    drop = int(burn_in * samples.size)
-    kept = samples[drop:]
-    heights, edges = np.histogram(kept, bins=n_bins, range=value_range, density=True)
-    return Histogram(edges, heights)
+def _generation_prefix(history: ParticleHistory, n: int) -> tuple[int, np.ndarray]:
+    """Generations that hold about n particle samples, and their particles."""
+    gen = max(1, int(round(n / history.n_particles)))
+    if gen > history.n_generations:
+        raise ConfigError(
+            f"checkpoint {n} exceeds {history.n_particles * history.n_generations} "
+            "recorded particle samples"
+        )
+    return gen, history.generations[1 : gen + 1].ravel()
 
 
 def particle_diagnostics(
@@ -192,14 +198,11 @@ def particle_diagnostics(
     gen_seconds = history.config_snapshot.get("generation_seconds")
     l2_series = []
     for n in checkpoints:
-        gen = max(1, int(round(n / n_particles)))
-        if gen > history.n_generations:
-            raise ConfigError(f"checkpoint {n} exceeds {total} recorded particle samples")
-        prefix = history.generations[1 : gen + 1].ravel()
+        gen, prefix = _generation_prefix(history, n)
         error = None
         if reference is not None:
             error = relative_l2_error(
-                _prefix_histogram(prefix, burn_in, n_bins, value_range), reference
+                chain_histogram(prefix, n_bins, value_range, burn_in), reference
             )
         cpu = gen_seconds[gen - 1] if gen_seconds is not None else None
         l2_series.append((gen * n_particles, error, cpu))
@@ -333,11 +336,9 @@ def run_scenario(
 
     Returns a dict mapping artifact names to paths.
     """
-    config = resolve_config(config_path)
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
-    if output_dir is not None:
-        config = dataclasses.replace(config, output_dir=output_dir)
+    config = _apply_overrides(
+        resolve_config(config_path), argparse.Namespace(seed=seed, output=output_dir)
+    )
     scenario = Scenario(config)
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
@@ -449,37 +450,26 @@ def _cmd_build_surrogate(args) -> int:
     config = _apply_overrides(resolve_config(args.config), args)
     scenario = Scenario(config)
     theta = args.theta if args.theta is not None else scenario.theta_init()
-    cache_dir = args.output or os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
     started = time.perf_counter()
-    if config.model == 1:
-        cache = SurrogateCache(cache_dir)
-        key = SurrogateCache.key(
+    if config.model != 1:
+        # an interface build is a strip march plus one matmul: report it, cache nothing
+        surrogate = scenario.surrogate_factory()(theta)
+        built = time.perf_counter() - started
+        prob = satisfaction_probability(surrogate, config.constraint)
+        print(f"interface surrogate at Re={theta:g} built in {built:.3f}s")
+        print(f"P(f2 <= T_max={config.constraint.beta:g}) = {prob:.6f}")
+        return 0
+    cache = SurrogateCache(args.output or os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR))
+    key = SurrogateCache.key(
+        config.params, config.germ, theta, config.order, config.n_quad, config.n_steps
+    )
+    cache.load_or_build(
+        key,
+        lambda: build_strip_surrogate(
             config.params, config.germ, theta, config.order, config.n_quad, config.n_steps
-        )
-        cache.load_or_build(
-            key,
-            lambda: build_strip_surrogate(
-                config.params, config.germ, theta, config.order, config.n_quad, config.n_steps
-            ),
-        )
-        path = cache.path_for(key)
-    else:
-        isurr = scenario.interface_surrogate(theta)
-        key = SurrogateCache.key(
-            config.params, config.germ, theta, config.order, config.n_quad, config.n_steps
-        )
-        os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir, f"interface_{key}.npz")
-        np.savez(
-            path,
-            z_grid=isurr.z_grid,
-            base_field=isurr.base_field,
-            mode_fields=isurr.mode_fields,
-            time=isurr.time,
-            order=isurr.order,
-            shared=isurr.shared,
-            germ=json.dumps(config.germ.to_json()),
-        )
+        ),
+    )
+    path = cache.path_for(key)
     print(f"surrogate: {path} (built or reused in {time.perf_counter() - started:.2f}s)")
     return 0
 
@@ -601,21 +591,13 @@ def _compare_row(scenario: Scenario, result, checkpoint: int, reference) -> tupl
     n_bins = cfg.diagnostics.n_bins
     value_range = cfg.theta_range()
     if isinstance(result, MarkovChain):
-        if checkpoint > len(result):
-            raise ConfigError(
-                f"checkpoint {checkpoint} exceeds the {len(result)}-sample chain"
-            )
-        hist = _prefix_histogram(result.samples[:checkpoint], burn, n_bins, value_range)
-        cpu = float(result.cumulative_seconds[checkpoint - 1])
-        return (checkpoint, relative_l2_error(hist, reference), cpu)
-    gen = max(1, int(round(checkpoint / result.n_particles)))
-    if gen > result.n_generations:
-        raise ConfigError(
-            f"checkpoint {checkpoint} exceeds {result.n_particles * result.n_generations} "
-            "recorded particle samples"
-        )
-    prefix = result.generations[1 : gen + 1].ravel()
-    hist = _prefix_histogram(prefix, burn, n_bins, value_range)
+        try:
+            (row,) = l2_error_series(result, reference, [checkpoint], n_bins, value_range, burn)
+        except CheckpointError as exc:
+            raise ConfigError(f"{exc} (checkpoint {checkpoint}, {len(result)}-sample chain)")
+        return row
+    gen, prefix = _generation_prefix(result, checkpoint)
+    hist = chain_histogram(prefix, n_bins, value_range, burn)
     seconds = result.config_snapshot.get("generation_seconds")
     cpu = float(seconds[gen - 1]) if seconds is not None else None
     return (checkpoint, relative_l2_error(hist, reference), cpu)
@@ -692,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, help="heat flux (default: scenario flux)")
     p.add_argument("--phi", type=float, help="porosity (default: model porosity)")
 
-    p = add("build-surrogate", _cmd_build_surrogate, "build and cache a surrogate", seed=False)
+    p = add("build-surrogate", _cmd_build_surrogate, "build one surrogate", seed=False)
     p.add_argument("--theta", type=float, help="Reynolds number (default: sampler start)")
 
     add("scan-feasible", _cmd_scan_feasible, "scan the feasible Reynolds set", seed=False)

@@ -4,12 +4,19 @@ The interface coordinate z in [0, 1] carries solid walls outside a porous
 window (d1, d2); the window is tiled by pore footprints that take the strip
 exit temperatures. The field then relaxes under the linear heat equation
 with zero-flux boundaries, marched by the explicit central scheme with a
-mirror-ghost Neumann closure. For chaos-expanded strip temperatures every
-coefficient field diffuses independently (linearity), which is how the
-models with random heat flux propagate uncertainty to the constraint time.
+mirror-ghost Neumann closure.
+
+Diffusion is linear and does not depend on the strip values, so for one
+(geometry, diffusivity, time, grid, cfl) the wall field and one unit field
+per strip footprint are diffused once, through the eigenbasis of the
+marching operator, and cached. Every chaos coefficient field of the
+interface (models with random heat flux) is then a weighted sum of those
+footprint responses, one matrix product per set of strip coefficients.
+``diffuse_field`` marches a single field step by step.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,7 +174,7 @@ def _spectral_propagate(rows: np.ndarray, r: float, n_full: int, r_rem: float) -
     The mirror-ghost update matrix has eigenvectors cos(k*pi*i/(n-1)) with
     per-step factors 1 + r*mu_k, mu_k = -2(1 - cos(k*pi/(n-1))). Diagonalizing
     replaces n_full sweeps with one change of basis; results agree with the
-    sweeps to roundoff. Used for long marches of large coefficient stacks.
+    sweeps to roundoff.
     """
     n = rows.shape[1]
     i = np.arange(n)
@@ -176,12 +183,6 @@ def _spectral_propagate(rows: np.ndarray, r: float, n_full: int, r_rem: float) -
     growth = (1.0 + r * mu) ** n_full * (1.0 + r_rem * mu)
     coeffs = np.linalg.solve(basis, rows.T)
     return (basis @ (growth[:, None] * coeffs)).T
-
-
-def _diffuse_stack(rows: np.ndarray, r: float, n_full: int, r_rem: float) -> np.ndarray:
-    if n_full * rows.size > 4e7:
-        return _spectral_propagate(rows, r, n_full, r_rem)
-    return _diffuse_rows(rows, r, n_full, r_rem)
 
 
 def _march_plan(z_grid: np.ndarray, lam: float, elapsed: float, cfl: float):
@@ -208,6 +209,31 @@ def diffuse_field(
     n_full, r_rem = _march_plan(field.z_grid, lam, t_end - field.time, cfl)
     values = _diffuse_rows(field.values[None, :], cfl, n_full, r_rem)[0]
     return InterfaceField(z_grid=field.z_grid.copy(), values=values, time=t_end)
+
+
+@functools.lru_cache(maxsize=32)
+def _footprint_response(
+    geometry: InterfaceGeometry, lam: float, t_end: float, n_z: int, cfl: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid, diffused wall field and diffused unit footprint fields at t_end.
+
+    Returns read-only ``(z, wall, unit)``: ``wall`` has shape (n_z,) and
+    starts at the wall temperature off the footprints and 0 on them; row s
+    of ``unit``, shape (n_strips, n_z), starts as the indicator of strip s's
+    footprint. The initial rows sum to the assembled initial field for any
+    strip values, so diffusion, being linear, carries that sum to t_end.
+    """
+    initial = assemble_initial_field(geometry, np.zeros(geometry.n_strips), n_z)
+    z = initial.z_grid
+    rows = np.zeros((1 + geometry.n_strips, n_z))
+    rows[0] = initial.values
+    idx, covered = _footprint_index(geometry, z)
+    rows[1 + idx[covered], np.flatnonzero(covered)] = 1.0
+    if t_end > 0.0:
+        rows = _spectral_propagate(rows, cfl, *_march_plan(z, lam, t_end, cfl))
+    for array in (z, rows):
+        array.flags.writeable = False
+    return z, rows[0], rows[1:]
 
 
 @dataclass(frozen=True)
@@ -247,53 +273,33 @@ def assemble_interface_from_coeffs(
     n_z: int = DEFAULT_N_Z,
     cfl: float = DEFAULT_CFL,
 ) -> InterfaceSurrogate:
-    """Diffuse the coefficient stack built from per-strip expansions.
+    """Interface chaos fields at t_end from per-strip expansions.
 
     ``coeffs`` has shape (n_strips, order+1): the interface-exit expansion of
-    each strip's fluid temperature. All coefficient fields are diffused in
-    one vectorized march.
+    each strip's fluid temperature. Each coefficient field is the matching
+    weighted sum of the cached footprint responses.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 2 or coeffs.shape[0] != geometry.n_strips:
         raise ValueError("coeffs must have shape (n_strips, order+1)")
     if t_end < 0.0:
         raise ValueError("t_end must be >= 0")
-    order = coeffs.shape[1] - 1
-
-    base0 = assemble_initial_field(geometry, coeffs[:, 0], n_z)
-    z = base0.z_grid
-    idx, covered = _footprint_index(geometry, z)
-    rows = np.zeros((1 + (order if shared else geometry.n_strips * order), n_z))
-    rows[0] = base0.values
+    if not shared and germ.dim != geometry.n_strips:
+        raise ValueError("independent germ must have one variable per strip")
+    z, wall, unit = _footprint_response(geometry, lam, t_end, n_z, cfl)
     if shared:
         # one field per mode: all strips share the germ variable
-        for k in range(1, order + 1):
-            rows[k, covered] = coeffs[idx[covered], k]
+        modes = coeffs[:, 1:].T @ unit
     else:
-        if germ.dim != geometry.n_strips:
-            raise ValueError("independent germ must have one variable per strip")
-        # one field per (strip, mode): nonzero only on that strip's footprint
-        for k in range(1, order + 1):
-            rows[1 + idx[covered] * order + (k - 1), covered] = coeffs[idx[covered], k]
-
-    n_full, r_rem = _march_plan(z, lam, t_end, cfl) if t_end > 0 else (0, 0.0)
-    diffused = _diffuse_stack(rows, cfl, n_full, r_rem)
-    base = diffused[0]
-    if shared:
-        modes = diffused[1:].reshape(order, n_z) if order > 0 else np.zeros((0, n_z))
-    else:
-        modes = (
-            diffused[1:].reshape(geometry.n_strips, order, n_z)
-            if order > 0
-            else np.zeros((geometry.n_strips, 0, n_z))
-        )
+        # one field per (strip, mode): that strip's footprint response
+        modes = coeffs[:, 1:, None] * unit[:, None, :]
     return InterfaceSurrogate(
-        order=order,
+        order=coeffs.shape[1] - 1,
         germ=germ,
         shared=shared,
         z_grid=z,
         time=t_end,
-        base_field=base,
+        base_field=wall + coeffs[:, 0] @ unit,
         mode_fields=modes,
     )
 

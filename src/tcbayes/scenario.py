@@ -480,37 +480,8 @@ class Scenario:
 
             return factory
 
-        geometry = cfg.geometry
-        porosities = geometry.strip_porosities()
-        if cfg.model == 2:
-            qvar = cfg.germ.variables[0]
-            distinct, inverse = np.unique(porosities, return_inverse=True)
-            q_means = np.full(distinct.size, qvar.mean)
-            q_stds = np.full(distinct.size, qvar.std)
-
-            def factory(theta: float) -> InterfaceMaxConstraint:
-                coeffs, _ = build_strip_surrogate_batch(
-                    cfg.params, q_means, q_stds, distinct, float(theta),
-                    cfg.order, cfg.n_quad, cfg.n_steps,
-                )
-                isurr = assemble_interface_from_coeffs(
-                    geometry, coeffs[inverse], cfg.germ, True,
-                    geometry.diffusivity, geometry.t_constraint, cfg.n_z, cfg.cfl,
-                )
-                return InterfaceMaxConstraint(isurr, cfg.pointwise)
-
-            return factory
-
         def factory(theta: float) -> InterfaceMaxConstraint:
-            coeffs, _ = build_strip_surrogate_batch(
-                cfg.params, cfg.strip_means, cfg.strip_stds, porosities, float(theta),
-                cfg.order, cfg.n_quad, cfg.n_steps,
-            )
-            isurr = assemble_interface_from_coeffs(
-                geometry, coeffs, cfg.germ, False,
-                geometry.diffusivity, geometry.t_constraint, cfg.n_z, cfg.cfl,
-            )
-            return InterfaceMaxConstraint(isurr, cfg.pointwise)
+            return InterfaceMaxConstraint(self.interface_surrogate(theta), cfg.pointwise)
 
         return factory
 
@@ -781,25 +752,18 @@ class Scenario:
             qvar = cfg.germ.variables[0]
             distinct, inverse = np.unique(porosities, return_inverse=True)
             coeffs, _ = build_strip_surrogate_batch(
-                cfg.params,
-                np.full(distinct.size, qvar.mean),
-                np.full(distinct.size, qvar.std),
-                distinct,
-                float(theta),
-                cfg.order,
-                cfg.n_quad,
-                cfg.n_steps,
+                cfg.params, np.full(distinct.size, qvar.mean), np.full(distinct.size, qvar.std),
+                distinct, float(theta), cfg.order, cfg.n_quad, cfg.n_steps,
             )
             coeffs = coeffs[inverse]
-            shared = True
         else:
             coeffs, _ = build_strip_surrogate_batch(
                 cfg.params, cfg.strip_means, cfg.strip_stds, porosities, float(theta),
                 cfg.order, cfg.n_quad, cfg.n_steps,
             )
-            shared = False
+        # model 2 strips share one germ variable, model 3 strips own one each
         return assemble_interface_from_coeffs(
-            geometry, coeffs, cfg.germ, shared,
+            geometry, coeffs, cfg.germ, cfg.model == 2,
             geometry.diffusivity, t_end, cfg.n_z, cfg.cfl,
         )
 

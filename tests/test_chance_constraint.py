@@ -15,7 +15,6 @@ from tcbayes.chance_constraint import (
     F2Surrogate,
     InterfaceMaxConstraint,
     StripExitConstraint,
-    is_feasible,
     satisfaction_probability,
     scan_feasible_boundary,
 )
@@ -55,7 +54,7 @@ def test_constant_surrogate_probabilities():
     spec = ChanceConstraintSpec(beta=380.0, alpha=0.95, n_prob_samples=100)
     assert satisfaction_probability(_ConstF2(379.0), spec) == 1.0
     assert satisfaction_probability(_ConstF2(381.0), spec) == 0.0
-    assert is_feasible(0.0, spec, lambda theta: _ConstF2(379.0))
+    assert ChanceConstraintOracle(spec, lambda theta: _ConstF2(379.0))(0.0)
 
 
 def test_symmetric_law_median():
@@ -67,7 +66,7 @@ def test_symmetric_law_median():
 def test_strict_threshold_comparison():
     spec = ChanceConstraintSpec(beta=0.0, alpha=0.95, n_prob_samples=1000, seed=1)
     # probability just below alpha is infeasible
-    assert not is_feasible(0.0, spec, lambda theta: _ConstF2(1.0))
+    assert not ChanceConstraintOracle(spec, lambda theta: _ConstF2(1.0))(0.0)
 
 
 def test_seed_determinism_and_repeatability():
@@ -85,8 +84,8 @@ def test_monotonicity_in_alpha():
     for a1, a2 in [(0.5, 0.6), (0.6, 0.9), (0.9, 0.95)]:
         spec1 = ChanceConstraintSpec(beta=0.0, alpha=a1, n_prob_samples=20_000, seed=3)
         spec2 = ChanceConstraintSpec(beta=0.0, alpha=a2, n_prob_samples=20_000, seed=3)
-        if is_feasible(theta, spec2, factory):
-            assert is_feasible(theta, spec1, factory)
+        if ChanceConstraintOracle(spec2, factory)(theta):
+            assert ChanceConstraintOracle(spec1, factory)(theta)
 
 
 def test_spec_validation():
@@ -103,7 +102,7 @@ def test_build_failure_marks_infeasible(caplog):
         raise SingularDenominatorError("synthetic failure")
 
     with caplog.at_level("WARNING"):
-        assert not is_feasible(1.0, spec, exploding_factory)
+        assert not ChanceConstraintOracle(spec, exploding_factory)(1.0)
     assert "infeasible" in caplog.text
 
     oracle = ChanceConstraintOracle(spec, exploding_factory)

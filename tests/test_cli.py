@@ -388,6 +388,21 @@ def test_build_surrogate_uses_cache_dir(tiny_model1_dict, write_config, tmp_path
     assert list(cache.glob("*.npz")) == files
 
 
+def test_build_surrogate_interface_prints_probability(
+    tiny_model2_dict, write_config, tmp_path, monkeypatch, capsys
+):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("TCBAYES_CACHE_DIR", str(cache))
+    path = write_config(tiny_model2_dict)
+    out = tmp_path / "out"
+    assert main(["build-surrogate", "--config", path, "--output", str(out), "--theta", "700"]) == 0
+    text = capsys.readouterr().out
+    assert "built in" in text
+    prob = float(text.split("P(f2 <= T_max=420) = ")[1].split()[0])
+    assert 0.0 <= prob <= 1.0
+    assert not list(tmp_path.rglob("*.npz"))
+
+
 def test_scan_feasible_prints_intervals(tiny_model1_dict, write_config, tmp_path, capsys):
     path = write_config(tiny_model1_dict)
     out = str(tmp_path / "out")

@@ -1,14 +1,20 @@
 """Interface assembly, Neumann diffusion, and coefficient-field propagation."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcbayes.gpc import GermSpec, GermVariable, StripSurrogate, hermite_design
 from tcbayes.heat_interface import (
     InterfaceField,
     InterfaceGeometry,
     _diffuse_rows,
+    _footprint_index,
+    _footprint_response,
     _march_plan,
     _spectral_propagate,
     assemble_initial_field,
@@ -131,6 +137,25 @@ def test_trapezoid_mean_conserved_and_max_principle():
     assert g.values.min() >= f.values.min() - 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False), min_size=3, max_size=80
+    ),
+    lam=st.floats(1e-4, 1e-2),
+    t_end=st.floats(0.0, 2.0),
+    cfl=st.floats(0.05, 0.5),
+)
+def test_diffuse_field_max_principle_and_mean(values, lam, t_end, cfl):
+    values = np.array(values)
+    f = InterfaceField(np.linspace(0.0, 1.0, values.size), values, 0.0)
+    g = diffuse_field(f, lam, t_end, cfl)
+    scale = 1.0 + np.max(np.abs(values))
+    assert g.values.max() <= values.max() + 1e-12 * scale
+    assert g.values.min() >= values.min() - 1e-12 * scale
+    assert abs(trapezoid_mean(g.values) - trapezoid_mean(values)) <= 1e-10 * scale
+
+
 def test_diffusion_linearity_commute():
     rng = np.random.default_rng(29)
     z = np.linspace(0.0, 1.0, 150)
@@ -164,6 +189,91 @@ def test_spectral_path_matches_marching():
     marched = _diffuse_rows(rows, 0.4, n_full, r_rem)
     spectral = _spectral_propagate(rows, 0.4, n_full, r_rem)
     assert np.max(np.abs(marched - spectral)) <= 1e-9
+
+
+def _parent_rows(geo, coeffs, shared, n_z):
+    """Coefficient fields stacked row by row before diffusion, one per mode
+    (shared) or per (strip, mode) (independent), base row first."""
+    order = coeffs.shape[1] - 1
+    idx, covered = _footprint_index(geo, np.linspace(0.0, 1.0, n_z))
+    rows = np.zeros((1 + (order if shared else geo.n_strips * order), n_z))
+    rows[0] = assemble_initial_field(geo, coeffs[:, 0], n_z).values
+    for k in range(1, order + 1):
+        if shared:
+            rows[k, covered] = coeffs[idx[covered], k]
+        else:
+            rows[1 + idx[covered] * order + (k - 1), covered] = coeffs[idx[covered], k]
+    return rows
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("order", [0, 3])
+def test_response_assembly_matches_stacked_spectral(shared, order):
+    # the shipped long march: n_z 600, lam 0.005, t 20, cfl 0.4 (89 700 steps)
+    geo = InterfaceGeometry(wall_temp=410.0)
+    surrogates = synthetic_surrogates(order, shared)
+    coeffs = np.stack([s.coeff_t_fluid[:, -1] for s in surrogates])
+    isurr = build_interface_surrogate(geo, surrogates, 0.005, 20.0, 600, 0.4)
+    rows = _parent_rows(geo, coeffs, shared, 600)
+    n_full, r_rem = _march_plan(isurr.z_grid, 0.005, 20.0, 0.4)
+    expected = _spectral_propagate(rows, 0.4, n_full, r_rem)
+    assert np.max(np.abs(isurr.base_field - expected[0])) <= 1e-10
+    modes = isurr.mode_fields.reshape(-1, 600)
+    assert modes.shape == expected[1:].shape
+    assert np.max(np.abs(modes - expected[1:]), initial=0.0) <= 1e-10
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_response_at_time_zero_is_the_initial_field(shared):
+    geo = InterfaceGeometry()
+    surrogates = synthetic_surrogates(3, shared)
+    coeffs = np.stack([s.coeff_t_fluid[:, -1] for s in surrogates])
+    isurr = build_interface_surrogate(geo, surrogates, 1e-3, 0.0, 600)
+    initial = assemble_initial_field(geo, coeffs[:, 0], 600)
+    np.testing.assert_array_equal(isurr.base_field, initial.values)
+    np.testing.assert_array_equal(isurr.z_grid, initial.z_grid)
+    rows = _parent_rows(geo, coeffs, shared, 600)
+    np.testing.assert_array_equal(isurr.mode_fields.reshape(-1, 600), rows[1:])
+
+
+def test_footprint_response_partition_of_unity():
+    geo = InterfaceGeometry(wall_temp=410.0)
+    for t_end in (0.0, 1.0, 20.0):
+        _, wall, unit = _footprint_response(geo, 0.005, t_end, 600, 0.4)
+        assert np.max(np.abs(wall / geo.wall_temp + unit.sum(axis=0) - 1.0)) <= 1e-12
+
+
+def test_footprint_response_is_cached_read_only():
+    geo = InterfaceGeometry()
+    first = _footprint_response(geo, 1e-3, 1.0, 300, 0.4)
+    assert _footprint_response(geo, 1e-3, 1.0, 300, 0.4) is first
+    for array in first:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_footprint_response_keys_on_every_input():
+    geo = InterfaceGeometry()
+    args = dict(geometry=geo, lam=1e-3, t_end=1.0, n_z=300, cfl=0.4)
+    _, wall, unit = _footprint_response(**args)
+    changed = [
+        dict(geometry=dataclasses.replace(geo, wall_temp=390.0)),
+        dict(geometry=dataclasses.replace(geo, d1=0.2, d2=0.8, delta_z=None)),
+        dict(lam=2e-3),
+        dict(t_end=0.5),
+        dict(n_z=301),
+        dict(cfl=0.3),
+    ]
+    for change in changed:
+        _, other_wall, other_unit = _footprint_response(**{**args, **change})
+        same = (
+            other_wall.shape == wall.shape
+            and other_unit.shape == unit.shape
+            and np.array_equal(other_wall, wall)
+            and np.array_equal(other_unit, unit)
+        )
+        assert not same, change
 
 
 def test_degenerate_germ_interface_collapse():
