@@ -243,10 +243,9 @@ class ChanceConstraintOracle:
     """Callable feasibility oracle with a quantized per-theta probability cache.
 
     Repeated chain visits to (nearly) the same theta reuse the cached
-    probability; cache keys quantize theta so entries for equal keys are
-    identical by determinism, making concurrent last-writer-wins insertion
-    harmless. Build failures are cached as NaN (infeasible) and counted. The
-    seeded germ sample of the Monte Carlo path is drawn once, on first use.
+    probability; cache keys quantize theta. Build failures are cached as
+    NaN (infeasible) and counted. The seeded germ sample of the Monte Carlo
+    path is drawn once, on first use.
     """
 
     def __init__(

@@ -4,8 +4,8 @@ Subcommands
 -----------
 run               full pipeline: data, scan, chains, diagnostics, artifacts
 simulate-forward  integrate one strip and write the trajectory CSV
-build-surrogate   build the surrogate at one Reynolds number (model 1: cached on
-                  disk; models 2-3: print build time and P(f2 <= T_max))
+build-surrogate   build the surrogate at one Reynolds number and print the build
+                  time and P(f2 <= T_max)
 scan-feasible     locate the feasible Reynolds set and write the scan CSV
 sample            run the configured sampler(s) and write chain CSVs
 diagnose          recompute L2/Brooks-Gelman series from existing chain CSVs
@@ -39,13 +39,10 @@ from .diagnostics import (
     l2_error_series,
     relative_l2_error,
 )
-from .gpc import SurrogateCache, build_strip_surrogate
 from .porous_flow import integrate_strip
 from .samplers import InfeasibleStartError, MarkovChain, ParticleHistory
 from .scenario import ConfigError, Scenario, ScenarioConfig
 
-CACHE_ENV = "TCBAYES_CACHE_DIR"
-DEFAULT_CACHE_DIR = ".tcbayes-cache"
 PACKAGED_SCENARIOS = ("model1", "model2", "model3")
 
 
@@ -263,7 +260,7 @@ def _point_estimate(result, burn_in: float) -> float:
     return float(result.flatten(burn_in).mean())
 
 
-def _provenance(scenario: Scenario, command: str, jobs: int, artifacts: dict) -> dict:
+def _provenance(scenario: Scenario, command: str, artifacts: dict) -> dict:
     cfg = scenario.config
     return {
         "command": command,
@@ -276,7 +273,6 @@ def _provenance(scenario: Scenario, command: str, jobs: int, artifacts: dict) ->
         "theta_range": list(cfg.theta_range()),
         "feasible_intervals": [[float(a), float(b)] for a, b in scenario.intervals()],
         "forward_tables": scenario.forward_tables(),
-        "jobs": jobs,
         "versions": _versions(),
         "artifacts": {
             k: [os.path.basename(p) for p in v] if isinstance(v, list) else os.path.basename(v)
@@ -328,7 +324,6 @@ def _render_plots(out_dir: str, artifacts: dict) -> None:
 def run_scenario(
     config_path: str,
     seed: int | None = None,
-    jobs: int = 1,
     output_dir: str | None = None,
     plots: bool = False,
 ) -> dict:
@@ -356,7 +351,7 @@ def run_scenario(
     if not scan.intervals:
         raise RuntimeError("feasibility scan found no feasible Reynolds interval")
 
-    results = _run_chains(scenario, jobs)
+    results = _run_chains(scenario)
     if isinstance(results[0], MarkovChain):
         if len(results) == 1:
             paths = [os.path.join(out, "chain.csv")]
@@ -398,14 +393,14 @@ def run_scenario(
     if plots:
         _render_plots(out, artifacts)
 
-    _write_json(_provenance(scenario, "run", jobs, artifacts), os.path.join(out, "provenance.json"))
+    _write_json(_provenance(scenario, "run", artifacts), os.path.join(out, "provenance.json"))
     artifacts["provenance"] = os.path.join(out, "provenance.json")
     return artifacts
 
 
-def _run_chains(scenario: Scenario, jobs: int):
+def _run_chains(scenario: Scenario):
     try:
-        return scenario.run_all_chains(jobs=jobs)
+        return scenario.run_all_chains()
     except InfeasibleStartError as exc:
         intervals = ", ".join(f"[{a:.1f}, {b:.1f}]" for a, b in scenario.intervals())
         raise InfeasibleStartError(
@@ -419,7 +414,7 @@ def _run_chains(scenario: Scenario, jobs: int):
 
 def _cmd_run(args) -> int:
     artifacts = run_scenario(
-        args.config, seed=args.seed, jobs=args.jobs, output_dir=args.output, plots=args.plots
+        args.config, seed=args.seed, output_dir=args.output, plots=args.plots
     )
     for name, path in sorted(artifacts.items()):
         print(f"{name}: {path}")
@@ -451,26 +446,11 @@ def _cmd_build_surrogate(args) -> int:
     scenario = Scenario(config)
     theta = args.theta if args.theta is not None else scenario.theta_init()
     started = time.perf_counter()
-    if config.model != 1:
-        # an interface build is a strip march plus one matmul: report it, cache nothing
-        surrogate = scenario.surrogate_factory()(theta)
-        built = time.perf_counter() - started
-        prob = satisfaction_probability(surrogate, config.constraint)
-        print(f"interface surrogate at Re={theta:g} built in {built:.3f}s")
-        print(f"P(f2 <= T_max={config.constraint.beta:g}) = {prob:.6f}")
-        return 0
-    cache = SurrogateCache(args.output or os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR))
-    key = SurrogateCache.key(
-        config.params, config.germ, theta, config.order, config.n_quad, config.n_steps
-    )
-    cache.load_or_build(
-        key,
-        lambda: build_strip_surrogate(
-            config.params, config.germ, theta, config.order, config.n_quad, config.n_steps
-        ),
-    )
-    path = cache.path_for(key)
-    print(f"surrogate: {path} (built or reused in {time.perf_counter() - started:.2f}s)")
+    surrogate = scenario.surrogate_factory()(theta)
+    built = time.perf_counter() - started
+    prob = satisfaction_probability(surrogate, config.constraint)
+    print(f"surrogate at Re={theta:g} built in {built:.3f}s")
+    print(f"P(f2 <= T_max={config.constraint.beta:g}) = {prob:.6f}")
     return 0
 
 
@@ -496,7 +476,7 @@ def _cmd_sample(args) -> int:
     scenario = Scenario(config)
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
-    results = _run_chains(scenario, args.jobs)
+    results = _run_chains(scenario)
     artifacts: dict[str, str] = {}
     if isinstance(results[0], MarkovChain):
         for i, result in enumerate(results):
@@ -517,7 +497,7 @@ def _cmd_sample(args) -> int:
             f"{results[0].n_generations} generations"
         )
     _write_json(
-        _provenance(scenario, "sample", args.jobs, artifacts),
+        _provenance(scenario, "sample", artifacts),
         os.path.join(out, "provenance.json"),
     )
     return 0
@@ -655,18 +635,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tcbayes {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, seed=True, jobs=False):
+    def add(name, handler, help_text, seed=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="config path or shipped scenario name")
         p.add_argument("--output", help="output directory (overrides config output_dir)")
         if seed:
             p.add_argument("--seed", type=int, help="master seed (overrides config seed)")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1, help="concurrent chains")
         p.set_defaults(handler=handler)
         return p
 
-    p = add("run", _cmd_run, "full pipeline with all artifacts", jobs=True)
+    p = add("run", _cmd_run, "full pipeline with all artifacts")
     p.add_argument("--plots", action="store_true", help="also render SVG plots")
 
     p = add("simulate-forward", _cmd_simulate_forward, "integrate one strip", seed=False)
@@ -678,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, help="Reynolds number (default: sampler start)")
 
     add("scan-feasible", _cmd_scan_feasible, "scan the feasible Reynolds set", seed=False)
-    add("sample", _cmd_sample, "run the configured sampler", jobs=True)
+    add("sample", _cmd_sample, "run the configured sampler")
 
     p = add("diagnose", _cmd_diagnose, "recompute diagnostics from chain CSVs", seed=False)
     p.add_argument("--chains", nargs="+", required=True, help="chain or particle CSV paths")

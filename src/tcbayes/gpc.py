@@ -5,15 +5,15 @@ Gauss-Hermite quadrature, and a Galerkin coefficient system for the two
 strip temperatures marched with the same explicit Euler scheme and
 right-hand-side coefficients (``porous_flow._rhs``) as the deterministic
 model. The density closure is integrated per collocation
-node (collocation in rho, Galerkin in the temperatures).
+node (collocation in rho, Galerkin in the temperatures). One march,
+``_galerkin_march``, serves both builders: ``build_strip_surrogate`` keeps
+the full x history of one strip, ``build_strip_surrogate_batch`` the exit
+coefficients of many strips with univariate heat-flux germs.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +40,6 @@ __all__ = [
     "build_strip_surrogate_batch",
     "evaluate_surrogate",
     "surrogate_moments",
-    "save_surrogate",
-    "load_surrogate",
-    "SurrogateCache",
 ]
 
 DEFAULT_ORDER = 3
@@ -153,20 +150,6 @@ class GermSpec:
                 xi.append((np.asarray(values[v.name], dtype=float) - v.mean) / v.std)
         return np.stack(np.broadcast_arrays(*xi), axis=-1)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {"name": v.name, "mean": v.mean, "std": v.std, "distribution": v.distribution}
-                for v in self.variables
-            ]
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "GermSpec":
-        return GermSpec(
-            tuple(GermVariable(**entry) for entry in json.loads(text))
-        )
-
 
 @dataclass(frozen=True)
 class StripSurrogate:
@@ -261,48 +244,40 @@ def _physical_nodes(
     return q, phi
 
 
-def build_strip_surrogate(
+def _galerkin_march(
     params: ModelParams,
-    germ: GermSpec,
+    q_nodes: np.ndarray,
+    phi_nodes: np.ndarray,
     re: float,
-    order: int = DEFAULT_ORDER,
-    n_quad: int = DEFAULT_N_QUAD,
-    n_steps: int = DEFAULT_N_STEPS,
-    singular_eps: float = DEFAULT_SINGULAR_EPS,
-) -> StripSurrogate:
-    """March the Galerkin coefficient system for one strip at fixed re.
+    design: np.ndarray,
+    project: np.ndarray,
+    n_steps: int,
+    singular_eps: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """March the Galerkin coefficient system of a batch of strips at fixed re.
 
+    ``q_nodes`` and ``phi_nodes`` broadcast to (B, M) collocation values.
     At every Euler step the truncated temperature expansions are
-    reconstructed at the Gauss-Hermite collocation nodes, the physical
+    reconstructed at the nodes with ``design`` (M, C), the physical
     right-hand sides are evaluated there, and the results are projected back
-    onto each basis polynomial (divided by its squared norm). The density is
-    advanced per node alongside.
+    onto the basis with ``project`` (C, M). The density is advanced per node
+    alongside. Returns the (n_steps+1, B, C) histories of the fluid and solid
+    temperature coefficients.
     """
-    if re <= 0.0:
-        raise ValueError(f"re must be positive, got {re}")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    proj = _Projection(germ, order, n_quad)
-    q_nodes, phi_nodes = _physical_nodes(params, germ, proj.xi_nodes)
-    if np.any(phi_nodes <= 0.0) or np.any(phi_nodes >= 1.0):
-        raise ValueError("porosity leaves (0, 1) at a collocation node; shrink its std")
-
-    n_coeff = len(proj.multi_indices)
-    ctf = np.zeros(n_coeff)
-    cts = np.zeros(n_coeff)
-    ctf[0] = params.coolant_temp
-    cts[0] = params.solid_temp
-    rho = np.full(q_nodes.shape[0], params.reservoir_pressure / params.coolant_temp)
-
+    q_nodes, phi_nodes = np.broadcast_arrays(np.atleast_2d(q_nodes), np.atleast_2d(phi_nodes))
     a_fluid, a_solid, source, darcy, forch, t_hg, phi_inv2 = _rhs(params, q_nodes, phi_nodes, re)
     dx = 1.0 / n_steps
 
-    coeff_tf = np.empty((n_coeff, n_steps + 1))
-    coeff_ts = np.empty((n_coeff, n_steps + 1))
-    coeff_tf[:, 0] = ctf
-    coeff_ts[:, 0] = cts
+    shape = (n_steps + 1, q_nodes.shape[0], design.shape[1])
+    coeff_tf = np.zeros(shape)
+    coeff_ts = np.zeros(shape)
+    coeff_tf[0, :, 0] = params.coolant_temp
+    coeff_ts[0, :, 0] = params.solid_temp
+    ctf, cts = coeff_tf[0], coeff_ts[0]
+    rho = np.full(q_nodes.shape, params.reservoir_pressure / params.coolant_temp)
 
-    design_t = proj.design.T  # (C, M) layout for fast reconstruction
+    design_t = design.T
+    project_t = project.T
     for i in range(n_steps):
         tf = ctf @ design_t
         ts = cts @ design_t
@@ -313,22 +288,45 @@ def build_strip_surrogate(
                 f"density denominator below epsilon at x={i * dx:.6f}"
             )
         growth = (a_fluid * rho * rho * diff + darcy + forch) / denom
-        ctf = ctf + dx * (proj.project @ (a_fluid * diff))
-        cts = cts + dx * (proj.project @ (a_solid * (tf - t_hg) + source))
+        ctf = coeff_tf[i + 1] = ctf + dx * ((a_fluid * diff) @ project_t)
+        cts = coeff_ts[i + 1] = cts + dx * ((a_solid * (tf - t_hg) + source) @ project_t)
         rho = rho + dx * growth * rho
-        coeff_tf[:, i + 1] = ctf
-        coeff_ts[:, i + 1] = cts
     if not (np.all(np.isfinite(ctf)) and np.all(np.isfinite(cts)) and np.all(np.isfinite(rho))):
         raise NonFiniteStateError("non-finite coefficient state during surrogate build")
+    return coeff_tf, coeff_ts
 
+
+def build_strip_surrogate(
+    params: ModelParams,
+    germ: GermSpec,
+    re: float,
+    order: int = DEFAULT_ORDER,
+    n_quad: int = DEFAULT_N_QUAD,
+    n_steps: int = DEFAULT_N_STEPS,
+    singular_eps: float = DEFAULT_SINGULAR_EPS,
+) -> StripSurrogate:
+    """March the Galerkin coefficient system for one strip at fixed re and
+    keep the coefficients at every x node."""
+    if re <= 0.0:
+        raise ValueError(f"re must be positive, got {re}")
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    proj = _Projection(germ, order, n_quad)
+    q_nodes, phi_nodes = _physical_nodes(params, germ, proj.xi_nodes)
+    if np.any(phi_nodes <= 0.0) or np.any(phi_nodes >= 1.0):
+        raise ValueError("porosity leaves (0, 1) at a collocation node; shrink its std")
+
+    coeff_tf, coeff_ts = _galerkin_march(
+        params, q_nodes, phi_nodes, re, proj.design, proj.project, n_steps, singular_eps
+    )
     shape = (order + 1,) * germ.dim + (n_steps + 1,)
     return StripSurrogate(
         order=order,
         germ=germ,
         re=re,
         x_grid=np.linspace(0.0, 1.0, n_steps + 1),
-        coeff_t_fluid=coeff_tf.reshape(shape),
-        coeff_t_solid=coeff_ts.reshape(shape),
+        coeff_t_fluid=coeff_tf[:, 0].T.reshape(shape),
+        coeff_t_solid=coeff_ts[:, 0].T.reshape(shape),
     )
 
 
@@ -362,40 +360,13 @@ def build_strip_surrogate_batch(
     if np.any(porosities <= 0.0) or np.any(porosities >= 1.0):
         raise ValueError("porosities must lie in (0, 1)")
 
-    xi, weights = gauss_hermite_rule(n_quad)
-    design = hermite_design(order, xi)  # (M, C)
-    norms2 = hermite_norms_squared(order)
-    project = (design * weights[:, None]).T / norms2[:, None]  # (C, M)
-
-    q_nodes = q_means[:, None] + q_stds[:, None] * xi[None, :]  # (B, M)
-    a_fluid, a_solid, source, darcy, forch, t_hg, phi_inv2 = _rhs(
-        params, q_nodes, porosities[:, None], re
+    proj = _Projection(GermSpec((GermVariable("q", 0.0, 1.0),)), order, n_quad)
+    q_nodes = q_means[:, None] + q_stds[:, None] * proj.xi_nodes[None, :, 0]  # (B, M)
+    coeff_tf, coeff_ts = _galerkin_march(
+        params, q_nodes, porosities[:, None], re, proj.design, proj.project, n_steps, singular_eps
     )
-    dx = 1.0 / n_steps
-
-    n_coeff = order + 1
-    ctf = np.zeros((n_strips, n_coeff))
-    cts = np.zeros((n_strips, n_coeff))
-    ctf[:, 0] = params.coolant_temp
-    cts[:, 0] = params.solid_temp
-    rho = np.full((n_strips, design.shape[0]), params.reservoir_pressure / params.coolant_temp)
-
-    design_t = design.T
-    project_t = project.T
-    for _ in range(n_steps):
-        tf = ctf @ design_t
-        ts = cts @ design_t
-        diff = ts - tf
-        denom = phi_inv2 - rho * rho * tf
-        if np.any(np.abs(denom) < singular_eps):
-            raise SingularDenominatorError("density denominator below epsilon in batch build")
-        growth = (a_fluid * rho * rho * diff + darcy + forch) / denom
-        ctf = ctf + dx * ((a_fluid * diff) @ project_t)
-        cts = cts + dx * ((a_solid * (tf - t_hg) + source) @ project_t)
-        rho = rho + dx * growth * rho
-    if not (np.all(np.isfinite(ctf)) and np.all(np.isfinite(cts))):
-        raise NonFiniteStateError("non-finite coefficient state in batch build")
-    return ctf, cts
+    # copies, so a held result does not pin the whole history
+    return coeff_tf[-1].copy(), coeff_ts[-1].copy()
 
 
 def evaluate_surrogate(s: StripSurrogate, x_index: int, q, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -441,68 +412,3 @@ def surrogate_moments(
     mean = float(flat[0])
     var = float(np.sum(flat[1:] ** 2 * norms2[1:]))
     return mean, var
-
-
-def save_surrogate(s: StripSurrogate, path: str) -> None:
-    np.savez_compressed(
-        path,
-        order=s.order,
-        re=s.re,
-        x_grid=s.x_grid,
-        coeff_t_fluid=s.coeff_t_fluid,
-        coeff_t_solid=s.coeff_t_solid,
-        germ_json=np.array(s.germ.to_json()),
-    )
-
-
-def load_surrogate(path: str) -> StripSurrogate:
-    with np.load(path, allow_pickle=False) as data:
-        return StripSurrogate(
-            order=int(data["order"]),
-            germ=GermSpec.from_json(str(data["germ_json"])),
-            re=float(data["re"]),
-            x_grid=data["x_grid"],
-            coeff_t_fluid=data["coeff_t_fluid"],
-            coeff_t_solid=data["coeff_t_solid"],
-        )
-
-
-class SurrogateCache:
-    """Directory cache of built surrogates keyed by the full build signature."""
-
-    def __init__(self, cache_dir: str):
-        self.cache_dir = cache_dir
-        os.makedirs(cache_dir, exist_ok=True)
-
-    @staticmethod
-    def key(
-        params: ModelParams,
-        germ: GermSpec,
-        re: float,
-        order: int,
-        n_quad: int,
-        n_steps: int,
-    ) -> str:
-        payload = json.dumps(
-            {
-                "params": params.__dict__,
-                "germ": germ.to_json(),
-                "re": round(re, 9),
-                "order": order,
-                "n_quad": n_quad,
-                "n_steps": n_steps,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:24]
-
-    def path_for(self, key: str) -> str:
-        return os.path.join(self.cache_dir, f"surrogate_{key}.npz")
-
-    def load_or_build(self, key: str, builder) -> StripSurrogate:
-        path = self.path_for(key)
-        if os.path.exists(path):
-            return load_surrogate(path)
-        s = builder()
-        save_surrogate(s, path)
-        return s

@@ -724,18 +724,8 @@ class Scenario:
         n_chains = int(self.config.sampler["n_chains"])
         return [self.config.seed + i for i in range(n_chains)]
 
-    def run_all_chains(self, jobs: int = 1):
-        seeds = self.chain_seeds()
-        if jobs <= 1 or len(seeds) == 1:
-            return [self.run_chain(s) for s in seeds]
-        from concurrent.futures import ThreadPoolExecutor
-
-        # warm the lazy caches once so worker threads only read shared state
-        self.observations()
-        self.feasibility()
-        self.forward_map()
-        with ThreadPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
-            return list(pool.map(self.run_chain, seeds))
+    def run_all_chains(self):
+        return [self.run_chain(s) for s in self.chain_seeds()]
 
     # interface snapshots ---------------------------------------------------
 

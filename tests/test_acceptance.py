@@ -83,7 +83,7 @@ def model1_chain(model1):
 def model2_state():
     scenario = Scenario(resolve_config("model2"))
     started = time.perf_counter()
-    chains = scenario.run_all_chains(jobs=2)
+    chains = scenario.run_all_chains()
     return {
         "scenario": scenario,
         "chains": chains,

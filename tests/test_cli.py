@@ -6,6 +6,7 @@ import csv
 import importlib.util
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ def test_run_model2_writes_fields_and_bg(tiny_model2_dict, write_config, tmp_pat
     tiny_model2_dict["sampler"]["n_chains"] = 2
     path = write_config(tiny_model2_dict)
     out = str(tmp_path / "out")
-    assert main(["run", "--config", path, "--output", out, "--jobs", "2"]) == 0
+    assert main(["run", "--config", path, "--output", out]) == 0
 
     for name in ("chain_00.csv", "chain_01.csv", "field_initial.csv", "field_constraint.csv"):
         assert os.path.exists(os.path.join(out, name)), name
@@ -376,23 +377,24 @@ def test_simulate_forward(tiny_model1_dict, write_config, tmp_path, capsys):
     assert float(last[1]) * float(last[3]) == pytest.approx(expected, rel=1e-12)
 
 
-def test_build_surrogate_uses_cache_dir(tiny_model1_dict, write_config, tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("TCBAYES_CACHE_DIR", str(cache))
+def test_build_surrogate_strip_prints_probability(
+    tiny_model1_dict, write_config, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
     path = write_config(tiny_model1_dict)
-    assert main(["build-surrogate", "--config", path, "--theta", "700"]) == 0
-    files = list(cache.glob("*.npz"))
-    assert len(files) == 1
-    # second invocation reuses the cached file
-    assert main(["build-surrogate", "--config", path, "--theta", "700"]) == 0
-    assert list(cache.glob("*.npz")) == files
+    out = tmp_path / "out"
+    assert main(["build-surrogate", "--config", path, "--output", str(out), "--theta", "700"]) == 0
+    text = capsys.readouterr().out
+    assert "built in" in text
+    match = re.search(r"P\(f2 <= T_max=[^)]*\) = (\S+)", text)
+    assert match, text
+    assert 0.0 <= float(match.group(1)) <= 1.0
+    assert not list(tmp_path.rglob("*.npz"))
 
 
 def test_build_surrogate_interface_prints_probability(
-    tiny_model2_dict, write_config, tmp_path, monkeypatch, capsys
+    tiny_model2_dict, write_config, tmp_path, capsys
 ):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("TCBAYES_CACHE_DIR", str(cache))
     path = write_config(tiny_model2_dict)
     out = tmp_path / "out"
     assert main(["build-surrogate", "--config", path, "--output", str(out), "--theta", "700"]) == 0

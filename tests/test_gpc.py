@@ -2,15 +2,23 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tcbayes.porous_flow import ModelParams, integrate_strip, interface_state_batch
+from tcbayes.porous_flow import (
+    ModelParams,
+    SingularDenominatorError,
+    integrate_strip,
+    interface_state_batch,
+)
 from tcbayes.gpc import (
     GermSpec,
     GermVariable,
-    SurrogateCache,
+    _Projection,
     build_strip_surrogate,
     build_strip_surrogate_batch,
     evaluate_surrogate,
@@ -19,8 +27,6 @@ from tcbayes.gpc import (
     hermite_design,
     hermite_norms_squared,
     inner_product,
-    load_surrogate,
-    save_surrogate,
     surrogate_moments,
 )
 
@@ -178,13 +184,18 @@ def test_batch_build_matches_single_univariate():
     porosities = np.array([0.111, 0.4])
     ctf, cts = build_strip_surrogate_batch(PARAMS, q_means, q_stds, porosities, 540.0)
     for b in range(2):
-        from dataclasses import replace
-
         params_b = replace(PARAMS, porosity=porosities[b])
         germ = GermSpec((GermVariable("q", q_means[b], q_stds[b]),))
         s = build_strip_surrogate(params_b, germ, 540.0)
         np.testing.assert_allclose(ctf[b], s.coeff_t_fluid[:, -1], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(cts[b], s.coeff_t_solid[:, -1], rtol=1e-12, atol=1e-12)
+    # a one-row batch is the same march as the single build, bit for bit
+    for q, phi, re in ((Q0, 0.111, 540.0), (1.2 * Q0, 0.4, 800.0), (0.8 * Q0, 0.25, 380.0)):
+        ctf1, cts1 = build_strip_surrogate_batch(PARAMS, [q], [SIGMA_Q], [phi], re)
+        germ = GermSpec((GermVariable("q", q, SIGMA_Q),))
+        s = build_strip_surrogate(replace(PARAMS, porosity=phi), germ, re)
+        np.testing.assert_array_equal(ctf1[0], s.coeff_t_fluid[:, -1])
+        np.testing.assert_array_equal(cts1[0], s.coeff_t_solid[:, -1])
 
 
 def test_order_zero_batch_build_is_the_deterministic_march():
@@ -205,28 +216,26 @@ def test_quadrature_too_coarse_rejected():
         build_strip_surrogate(PARAMS, two_variable_germ(), 540.0, order=3, n_quad=3)
 
 
-def test_save_load_roundtrip(tmp_path):
-    s = build_strip_surrogate(PARAMS, two_variable_germ(), 540.0, n_steps=100)
-    path = str(tmp_path / "s.npz")
-    save_surrogate(s, path)
-    loaded = load_surrogate(path)
-    assert loaded.order == s.order
-    assert loaded.re == s.re
-    assert loaded.germ == s.germ
-    np.testing.assert_array_equal(loaded.coeff_t_fluid, s.coeff_t_fluid)
-    np.testing.assert_array_equal(loaded.coeff_t_solid, s.coeff_t_solid)
+def test_singular_guard_raises_from_both_builders():
+    # an epsilon above any denominator trips the guard on the first step
+    with pytest.raises(SingularDenominatorError):
+        build_strip_surrogate(PARAMS, two_variable_germ(), 540.0, singular_eps=1e300)
+    with pytest.raises(SingularDenominatorError):
+        build_strip_surrogate_batch(
+            PARAMS, [Q0], [SIGMA_Q], [PARAMS.porosity], 540.0, singular_eps=1e300
+        )
 
 
-def test_cache_builds_once(tmp_path):
-    cache = SurrogateCache(str(tmp_path))
-    calls = {"n": 0}
-
-    def builder():
-        calls["n"] += 1
-        return build_strip_surrogate(PARAMS, two_variable_germ(), 540.0, n_steps=100)
-
-    key = SurrogateCache.key(PARAMS, two_variable_germ(), 540.0, 3, 6, 100)
-    first = cache.load_or_build(key, builder)
-    second = cache.load_or_build(key, builder)
-    assert calls["n"] == 1
-    np.testing.assert_array_equal(first.coeff_t_fluid, second.coeff_t_fluid)
+@settings(max_examples=80, deadline=None)
+@given(
+    stds=st.lists(st.one_of(st.just(0.0), st.floats(0.01, 100.0)), min_size=1, max_size=2),
+    order=st.integers(0, 4),
+    extra_nodes=st.integers(0, 4),
+)
+def test_projection_is_idempotent(stds, order, extra_nodes):
+    # reconstruct-then-project is a projector whenever the rule resolves the order
+    germ = GermSpec(tuple(GermVariable(f"v{d}", 1.0, std) for d, std in enumerate(stds)))
+    proj = _Projection(germ, order, order + 1 + extra_nodes)
+    p = proj.design @ proj.project
+    scale = np.max(np.abs(p))
+    np.testing.assert_allclose(p @ p, p, rtol=0.0, atol=1e-12 * scale)
