@@ -201,8 +201,8 @@ def particle_diagnostics(
             error = relative_l2_error(
                 chain_histogram(prefix, n_bins, value_range, burn_in), reference
             )
-        cpu = gen_seconds[gen - 1] if gen_seconds is not None else None
-        l2_series.append((gen * n_particles, error, cpu))
+        wall = gen_seconds[gen - 1] if gen_seconds is not None else None
+        l2_series.append((gen * n_particles, error, wall))
     recorded = history.generations[1:].ravel()
     feasible = _membership(intervals)(recorded)
     return {
@@ -245,7 +245,7 @@ def _write_diagnostics(payload: dict, out_dir: str, artifacts: dict) -> None:
     artifacts["diagnostics"] = path
     if payload.get("l2_series"):
         l2_path = os.path.join(out_dir, "l2_series.csv")
-        _write_rows(l2_path, "n_samples,l2_error,cpu_seconds", payload["l2_series"])
+        _write_rows(l2_path, "n_samples,l2_error,wall_seconds", payload["l2_series"])
         artifacts["l2_series"] = l2_path
     if payload.get("bg_series"):
         bg_path = os.path.join(out_dir, "bg_series.csv")
@@ -273,6 +273,7 @@ def _provenance(scenario: Scenario, command: str, artifacts: dict) -> dict:
         "theta_range": list(cfg.theta_range()),
         "feasible_intervals": [[float(a), float(b)] for a, b in scenario.intervals()],
         "forward_tables": scenario.forward_tables(),
+        "oracle": scenario.oracle().counters(),
         "versions": _versions(),
         "artifacts": {
             k: [os.path.basename(p) for p in v] if isinstance(v, list) else os.path.basename(v)
@@ -579,8 +580,8 @@ def _compare_row(scenario: Scenario, result, checkpoint: int, reference) -> tupl
     gen, prefix = _generation_prefix(result, checkpoint)
     hist = chain_histogram(prefix, n_bins, value_range, burn)
     seconds = result.config_snapshot.get("generation_seconds")
-    cpu = float(seconds[gen - 1]) if seconds is not None else None
-    return (checkpoint, relative_l2_error(hist, reference), cpu)
+    wall = float(seconds[gen - 1]) if seconds is not None else None
+    return (checkpoint, relative_l2_error(hist, reference), wall)
 
 
 def _cmd_compare(args) -> int:
@@ -606,21 +607,21 @@ def _cmd_compare(args) -> int:
         runner = base.with_sampler(blocks[kind])
         result = runner.run_chain(config.seed)
         for checkpoint in checkpoints:
-            n, err, cpu = _compare_row(runner, result, checkpoint, reference)
-            rows.append((kind, n, err, cpu))
+            n, err, wall = _compare_row(runner, result, checkpoint, reference)
+            rows.append((kind, n, err, wall))
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "compare.csv")
     with open(path, "w") as fh:
-        fh.write("sampler,n_samples,l2_error,cpu_seconds\n")
-        for kind, n, err, cpu in rows:
-            cpu_text = "" if cpu is None else repr(float(cpu))
-            fh.write(f"{kind},{n},{float(err)!r},{cpu_text}\n")
+        fh.write("sampler,n_samples,l2_error,wall_seconds\n")
+        for kind, n, err, wall in rows:
+            wall_text = "" if wall is None else repr(float(wall))
+            fh.write(f"{kind},{n},{float(err)!r},{wall_text}\n")
     print(f"compare: {path}")
-    print(f"{'sampler':<16}{'n_samples':>10}{'l2_error':>12}{'cpu_s':>10}")
-    for kind, n, err, cpu in rows:
-        cpu_text = "-" if cpu is None else f"{cpu:.2f}"
-        print(f"{kind:<16}{n:>10}{err:>12.4f}{cpu_text:>10}")
+    print(f"{'sampler':<16}{'n_samples':>10}{'l2_error':>12}{'wall_s':>10}")
+    for kind, n, err, wall in rows:
+        wall_text = "-" if wall is None else f"{wall:.2f}"
+        print(f"{kind:<16}{n:>10}{err:>12.4f}{wall_text:>10}")
     return 0
 
 

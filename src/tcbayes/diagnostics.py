@@ -192,7 +192,7 @@ def l2_error_series(
     value_range: tuple[float, float] | None = None,
     burn_in: float = DEFAULT_BURN_IN,
 ) -> list[tuple[int, float, float]]:
-    """(n_samples, relative L2 error, cumulative cpu seconds) per checkpoint."""
+    """(n_samples, relative L2 error, cumulative wall seconds) per checkpoint."""
     series = []
     for n in checkpoints:
         n = int(n)

@@ -6,9 +6,11 @@ strip temperatures marched with the same explicit Euler scheme and
 right-hand-side coefficients (``porous_flow._rhs``) as the deterministic
 model. The density closure is integrated per collocation
 node (collocation in rho, Galerkin in the temperatures). One march,
-``_galerkin_march``, serves both builders: ``build_strip_surrogate`` keeps
-the full x history of one strip, ``build_strip_surrogate_batch`` the exit
-coefficients of many strips with univariate heat-flux germs.
+``_galerkin_march``, serves every builder: ``build_strip_surrogate`` keeps
+the full x history of one strip at one re; ``build_strip_exit_batch`` (one
+strip germ at many re) and ``build_strip_surrogate_batch`` (many strips with
+univariate heat-flux germs, one re per strip) keep only the exit
+coefficients, so a batch of thousands of rows holds no history.
 """
 from __future__ import annotations
 
@@ -37,6 +39,7 @@ __all__ = [
     "gauss_hermite_rule",
     "inner_product",
     "build_strip_surrogate",
+    "build_strip_exit_batch",
     "build_strip_surrogate_batch",
     "evaluate_surrogate",
     "surrogate_moments",
@@ -248,32 +251,39 @@ def _galerkin_march(
     params: ModelParams,
     q_nodes: np.ndarray,
     phi_nodes: np.ndarray,
-    re: float,
+    re: float | np.ndarray,
     design: np.ndarray,
     project: np.ndarray,
     n_steps: int,
     singular_eps: float,
+    history: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """March the Galerkin coefficient system of a batch of strips at fixed re.
+    """March the Galerkin coefficient system of a batch of strips.
 
-    ``q_nodes`` and ``phi_nodes`` broadcast to (B, M) collocation values.
-    At every Euler step the truncated temperature expansions are
-    reconstructed at the nodes with ``design`` (M, C), the physical
-    right-hand sides are evaluated there, and the results are projected back
-    onto the basis with ``project`` (C, M). The density is advanced per node
-    alongside. Returns the (n_steps+1, B, C) histories of the fluid and solid
-    temperature coefficients.
+    ``q_nodes`` and ``phi_nodes`` broadcast to (B, M) collocation values;
+    ``re`` is a scalar or one value per batch row. At every Euler step the
+    truncated temperature expansions are reconstructed at the nodes with
+    ``design`` (M, C), the physical right-hand sides are evaluated there,
+    and the results are projected back onto the basis with ``project``
+    (C, M). The density is advanced per node alongside. Returns the fluid
+    and solid temperature coefficients at the exit, (B, C), or with
+    ``history`` their (n_steps+1, B, C) histories.
     """
-    q_nodes, phi_nodes = np.broadcast_arrays(np.atleast_2d(q_nodes), np.atleast_2d(phi_nodes))
+    re = np.asarray(re, dtype=float)
+    q_nodes, phi_nodes, re = np.broadcast_arrays(
+        np.atleast_2d(q_nodes), np.atleast_2d(phi_nodes), re[:, None] if re.ndim else re
+    )
     a_fluid, a_solid, source, darcy, forch, t_hg, phi_inv2 = _rhs(params, q_nodes, phi_nodes, re)
     dx = 1.0 / n_steps
 
-    shape = (n_steps + 1, q_nodes.shape[0], design.shape[1])
-    coeff_tf = np.zeros(shape)
-    coeff_ts = np.zeros(shape)
-    coeff_tf[0, :, 0] = params.coolant_temp
-    coeff_ts[0, :, 0] = params.solid_temp
-    ctf, cts = coeff_tf[0], coeff_ts[0]
+    ctf = np.zeros((q_nodes.shape[0], design.shape[1]))
+    cts = np.zeros_like(ctf)
+    ctf[:, 0] = params.coolant_temp
+    cts[:, 0] = params.solid_temp
+    if history:
+        coeff_tf = np.empty((n_steps + 1,) + ctf.shape)
+        coeff_ts = np.empty_like(coeff_tf)
+        coeff_tf[0], coeff_ts[0] = ctf, cts
     rho = np.full(q_nodes.shape, params.reservoir_pressure / params.coolant_temp)
 
     design_t = design.T
@@ -288,12 +298,34 @@ def _galerkin_march(
                 f"density denominator below epsilon at x={i * dx:.6f}"
             )
         growth = (a_fluid * rho * rho * diff + darcy + forch) / denom
-        ctf = coeff_tf[i + 1] = ctf + dx * ((a_fluid * diff) @ project_t)
-        cts = coeff_ts[i + 1] = cts + dx * ((a_solid * (tf - t_hg) + source) @ project_t)
+        ctf = ctf + dx * ((a_fluid * diff) @ project_t)
+        cts = cts + dx * ((a_solid * (tf - t_hg) + source) @ project_t)
         rho = rho + dx * growth * rho
+        if history:
+            coeff_tf[i + 1], coeff_ts[i + 1] = ctf, cts
     if not (np.all(np.isfinite(ctf)) and np.all(np.isfinite(cts)) and np.all(np.isfinite(rho))):
         raise NonFiniteStateError("non-finite coefficient state during surrogate build")
-    return coeff_tf, coeff_ts
+    return (coeff_tf, coeff_ts) if history else (ctf, cts)
+
+
+def _check_re(re) -> np.ndarray:
+    re = np.asarray(re, dtype=float)
+    if np.any(re <= 0.0):
+        raise ValueError(f"re must be positive, got {re}")
+    return re
+
+
+def _strip_nodes(
+    params: ModelParams, germ: GermSpec, order: int, n_quad: int, n_steps: int
+) -> tuple[_Projection, np.ndarray, np.ndarray]:
+    """Projection and collocation (q, phi) of one strip germ, with input checks."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    proj = _Projection(germ, order, n_quad)
+    q_nodes, phi_nodes = _physical_nodes(params, germ, proj.xi_nodes)
+    if np.any(phi_nodes <= 0.0) or np.any(phi_nodes >= 1.0):
+        raise ValueError("porosity leaves (0, 1) at a collocation node; shrink its std")
+    return proj, q_nodes, phi_nodes
 
 
 def build_strip_surrogate(
@@ -307,17 +339,11 @@ def build_strip_surrogate(
 ) -> StripSurrogate:
     """March the Galerkin coefficient system for one strip at fixed re and
     keep the coefficients at every x node."""
-    if re <= 0.0:
-        raise ValueError(f"re must be positive, got {re}")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    proj = _Projection(germ, order, n_quad)
-    q_nodes, phi_nodes = _physical_nodes(params, germ, proj.xi_nodes)
-    if np.any(phi_nodes <= 0.0) or np.any(phi_nodes >= 1.0):
-        raise ValueError("porosity leaves (0, 1) at a collocation node; shrink its std")
-
+    _check_re(re)
+    proj, q_nodes, phi_nodes = _strip_nodes(params, germ, order, n_quad, n_steps)
     coeff_tf, coeff_ts = _galerkin_march(
-        params, q_nodes, phi_nodes, re, proj.design, proj.project, n_steps, singular_eps
+        params, q_nodes, phi_nodes, re, proj.design, proj.project, n_steps, singular_eps,
+        history=True,
     )
     shape = (order + 1,) * germ.dim + (n_steps + 1,)
     return StripSurrogate(
@@ -330,12 +356,35 @@ def build_strip_surrogate(
     )
 
 
+def build_strip_exit_batch(
+    params: ModelParams,
+    germ: GermSpec,
+    res: np.ndarray,
+    order: int = DEFAULT_ORDER,
+    n_quad: int = DEFAULT_N_QUAD,
+    n_steps: int = DEFAULT_N_STEPS,
+    singular_eps: float = DEFAULT_SINGULAR_EPS,
+) -> np.ndarray:
+    """Fluid exit coefficients of one strip germ at many re, in one march.
+
+    Returns shape (len(res),) + (order+1,) * germ.dim: for each re the
+    ``coeff_t_fluid[..., -1]`` of ``build_strip_surrogate``, without the
+    x history.
+    """
+    res = _check_re(res).ravel()
+    proj, q_nodes, phi_nodes = _strip_nodes(params, germ, order, n_quad, n_steps)
+    coeff_tf, _ = _galerkin_march(
+        params, q_nodes, phi_nodes, res, proj.design, proj.project, n_steps, singular_eps
+    )
+    return coeff_tf.reshape((res.size,) + (order + 1,) * germ.dim)
+
+
 def build_strip_surrogate_batch(
     params: ModelParams,
     q_means: np.ndarray,
     q_stds: np.ndarray,
     porosities: np.ndarray,
-    re: float,
+    re: float | np.ndarray,
     order: int = DEFAULT_ORDER,
     n_quad: int = DEFAULT_N_QUAD,
     n_steps: int = DEFAULT_N_STEPS,
@@ -344,11 +393,12 @@ def build_strip_surrogate_batch(
     """Interface coefficients for many strips with univariate heat-flux germs.
 
     All strips share the standardized basis and quadrature, so the Galerkin
-    march vectorizes across strips. Returns (coeff_t_fluid, coeff_t_solid)
-    of shape (n_strips, order+1), the expansions of T_f(1) and T_s(1).
+    march vectorizes across strips; ``re`` is a scalar or one value per
+    strip, so one call can march the strips of many thetas. Returns
+    (coeff_t_fluid, coeff_t_solid) of shape (n_strips, order+1), the
+    expansions of T_f(1) and T_s(1).
     """
-    if re <= 0.0:
-        raise ValueError(f"re must be positive, got {re}")
+    re = _check_re(re)
     if n_quad < order + 1:
         raise ValueError("need n_quad >= order + 1")
     q_means = np.asarray(q_means, dtype=float)
@@ -357,16 +407,16 @@ def build_strip_surrogate_batch(
     n_strips = q_means.shape[0]
     if q_stds.shape != (n_strips,) or porosities.shape != (n_strips,):
         raise ValueError("q_means, q_stds and porosities must have equal length")
+    if re.ndim and re.shape != (n_strips,):
+        raise ValueError("re must be a scalar or one value per strip")
     if np.any(porosities <= 0.0) or np.any(porosities >= 1.0):
         raise ValueError("porosities must lie in (0, 1)")
 
     proj = _Projection(GermSpec((GermVariable("q", 0.0, 1.0),)), order, n_quad)
     q_nodes = q_means[:, None] + q_stds[:, None] * proj.xi_nodes[None, :, 0]  # (B, M)
-    coeff_tf, coeff_ts = _galerkin_march(
+    return _galerkin_march(
         params, q_nodes, porosities[:, None], re, proj.design, proj.project, n_steps, singular_eps
     )
-    # copies, so a held result does not pin the whole history
-    return coeff_tf[-1].copy(), coeff_ts[-1].copy()
 
 
 def evaluate_surrogate(s: StripSurrogate, x_index: int, q, phi) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,7 @@ sampler runs from a validated ``ScenarioConfig``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import time
@@ -53,6 +54,7 @@ from .gpc import (
     DEFAULT_ORDER,
     GermSpec,
     GermVariable,
+    build_strip_exit_batch,
     build_strip_surrogate,
     build_strip_surrogate_batch,
 )
@@ -469,21 +471,38 @@ class Scenario:
         return cfg.params.heat_flux_nominal
 
     def surrogate_factory(self):
-        """theta -> F2Surrogate for the configured model."""
+        """theta -> F2Surrogate for the configured model.
+
+        The factory's ``batch(thetas)`` marches the strips of every theta in
+        one call and returns one cheap constructor per theta, which
+        ``ChanceConstraintOracle.prefetch`` stores until the theta is visited.
+        """
         cfg = self.config
         if cfg.model == 1:
             def factory(theta: float) -> StripExitConstraint:
                 surrogate = build_strip_surrogate(
                     cfg.params, cfg.germ, float(theta), cfg.order, cfg.n_quad, cfg.n_steps
                 )
-                return StripExitConstraint(surrogate)
+                return StripExitConstraint.from_surrogate(surrogate)
 
-            return factory
+            def batch(thetas) -> list:
+                exits = build_strip_exit_batch(
+                    cfg.params, cfg.germ, thetas, cfg.order, cfg.n_quad, cfg.n_steps
+                )
+                return [functools.partial(StripExitConstraint, cfg.germ, cfg.order, c) for c in exits]
+        else:
+            def factory(theta: float) -> InterfaceMaxConstraint:
+                return self._interface_constraint(self._strip_exit_coeffs([theta])[0])
 
-        def factory(theta: float) -> InterfaceMaxConstraint:
-            return InterfaceMaxConstraint(self.interface_surrogate(theta), cfg.pointwise)
+            def batch(thetas) -> list:
+                coeffs = self._strip_exit_coeffs(thetas)
+                return [functools.partial(self._interface_constraint, c) for c in coeffs]
 
+        factory.batch = batch
         return factory
+
+    def _interface_constraint(self, coeffs: np.ndarray) -> InterfaceMaxConstraint:
+        return InterfaceMaxConstraint(self._assemble_interface(coeffs), self.config.pointwise)
 
     def oracle(self) -> ChanceConstraintOracle:
         if self._oracle is None:
@@ -729,33 +748,43 @@ class Scenario:
 
     # interface snapshots ---------------------------------------------------
 
-    def interface_surrogate(self, theta: float, t_end: float | None = None) -> InterfaceSurrogate:
-        """Interface expansion at one theta, diffused to t_end (models 2-3)."""
+    def _strip_exit_coeffs(self, thetas) -> np.ndarray:
+        """Strip fluid exit coefficients (n_thetas, n_strips, K+1), one march (models 2-3)."""
         cfg = self.config
-        if cfg.model == 1:
-            raise ConfigError("model 1 has no interface field")
+        thetas = np.asarray(thetas, dtype=float)
+        porosities = cfg.geometry.strip_porosities()
+        if cfg.model == 2:
+            # strips differ only in porosity: march each distinct one once
+            qvar = cfg.germ.variables[0]
+            porosities, inverse = np.unique(porosities, return_inverse=True)
+            means = np.full(porosities.size, qvar.mean)
+            stds = np.full(porosities.size, qvar.std)
+        else:
+            means, stds, inverse = cfg.strip_means, cfg.strip_stds, slice(None)
+        n_rows = porosities.size
+        coeffs, _ = build_strip_surrogate_batch(
+            cfg.params, np.tile(means, thetas.size), np.tile(stds, thetas.size),
+            np.tile(porosities, thetas.size), np.repeat(thetas, n_rows),
+            cfg.order, cfg.n_quad, cfg.n_steps,
+        )
+        return coeffs.reshape(thetas.size, n_rows, -1)[:, inverse]
+
+    def _assemble_interface(self, coeffs: np.ndarray, t_end: float | None = None) -> InterfaceSurrogate:
+        cfg = self.config
         geometry = cfg.geometry
         if t_end is None:
             t_end = geometry.t_constraint
-        porosities = geometry.strip_porosities()
-        if cfg.model == 2:
-            qvar = cfg.germ.variables[0]
-            distinct, inverse = np.unique(porosities, return_inverse=True)
-            coeffs, _ = build_strip_surrogate_batch(
-                cfg.params, np.full(distinct.size, qvar.mean), np.full(distinct.size, qvar.std),
-                distinct, float(theta), cfg.order, cfg.n_quad, cfg.n_steps,
-            )
-            coeffs = coeffs[inverse]
-        else:
-            coeffs, _ = build_strip_surrogate_batch(
-                cfg.params, cfg.strip_means, cfg.strip_stds, porosities, float(theta),
-                cfg.order, cfg.n_quad, cfg.n_steps,
-            )
         # model 2 strips share one germ variable, model 3 strips own one each
         return assemble_interface_from_coeffs(
             geometry, coeffs, cfg.germ, cfg.model == 2,
             geometry.diffusivity, t_end, cfg.n_z, cfg.cfl,
         )
+
+    def interface_surrogate(self, theta: float, t_end: float | None = None) -> InterfaceSurrogate:
+        """Interface expansion at one theta, diffused to t_end (models 2-3)."""
+        if self.config.model == 1:
+            raise ConfigError("model 1 has no interface field")
+        return self._assemble_interface(self._strip_exit_coeffs([theta])[0], t_end)
 
     def mean_field_snapshot(self, theta: float, t_end: float | None = None) -> InterfaceField:
         """Interface temperature at the germ mean (all modes drop out)."""

@@ -133,6 +133,14 @@ def test_run_artifacts_and_determinism(tiny_model1_dict, write_config, tmp_path)
     assert prov["feasible_intervals"]
     assert prov["config"]["model"] == 1
     assert "numpy" in prov["versions"]
+    l2_header, _ = _read_csv(os.path.join(out1, "l2_series.csv"))
+    assert l2_header == ["n_samples", "l2_error", "wall_seconds"]
+    # the scan's oracle counters: deterministic, so identical across the two runs
+    oracle = prov["oracle"]
+    assert set(oracle) == {"evaluations", "build_failures", "batch_marches", "batch_rows"}
+    assert oracle["evaluations"] > 0 and oracle["build_failures"] == 0
+    assert oracle["batch_marches"] >= 1 and oracle["batch_rows"] >= oracle["batch_marches"]
+    assert json.load(open(os.path.join(out2, "provenance.json")))["oracle"] == oracle
 
     diag = json.load(open(os.path.join(out1, "diagnostics.json")))
     assert 0.0 < diag["acceptance_rate"] <= 1.0
@@ -311,7 +319,7 @@ def test_compare_rows_are_sampler_by_checkpoint(tiny_model1_dict, write_config, 
     rc = main(["compare", "--config", path, "--output", out, "--samplers", "crw,csvgd"])
     assert rc == 0
     header, rows = _read_csv(os.path.join(out, "compare.csv"))
-    assert header == ["sampler", "n_samples", "l2_error", "cpu_seconds"]
+    assert header == ["sampler", "n_samples", "l2_error", "wall_seconds"]
     assert [(r[0], int(r[1])) for r in rows] == [
         ("crw", 50),
         ("crw", 100),

@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcbayes.scenario import ScenarioConfig
 from tcbayes.porous_flow import (
     ModelParams,
     SingularDenominatorError,
@@ -19,6 +21,8 @@ from tcbayes.gpc import (
     GermSpec,
     GermVariable,
     _Projection,
+    _galerkin_march,
+    build_strip_exit_batch,
     build_strip_surrogate,
     build_strip_surrogate_batch,
     evaluate_surrogate,
@@ -209,6 +213,60 @@ def test_order_zero_batch_build_is_the_deterministic_march():
         tf, ts, _ = interface_state_batch(PARAMS, q_means, porosities, re)
         np.testing.assert_allclose(ctf[:, 0], tf, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(cts[:, 0], ts, rtol=1e-12, atol=0.0)
+
+
+def _shipped(model: int) -> ScenarioConfig:
+    return ScenarioConfig.load(str(resources.files("tcbayes").joinpath(f"configs/model{model}.json")))
+
+
+def test_per_row_re_batch_equals_per_theta_builds():
+    # model 2's rows: both section porosities at each of several thetas, one march
+    cfg = _shipped(2)
+    qvar = cfg.germ.variables[0]
+    porosities = np.unique(cfg.geometry.strip_porosities())
+    n = porosities.size
+    thetas = np.linspace(*cfg.theta_range(), 9)
+    ctf, cts = build_strip_surrogate_batch(
+        cfg.params, np.full(n * thetas.size, qvar.mean), np.full(n * thetas.size, qvar.std),
+        np.tile(porosities, thetas.size), np.repeat(thetas, n), cfg.order, cfg.n_quad, cfg.n_steps,
+    )
+    for t, theta in enumerate(thetas):
+        ctf1, cts1 = build_strip_surrogate_batch(
+            cfg.params, np.full(n, qvar.mean), np.full(n, qvar.std), porosities, theta,
+            cfg.order, cfg.n_quad, cfg.n_steps,
+        )
+        np.testing.assert_array_equal(ctf[t * n : (t + 1) * n], ctf1)
+        np.testing.assert_array_equal(cts[t * n : (t + 1) * n], cts1)
+    with pytest.raises(ValueError):
+        build_strip_surrogate_batch(PARAMS, [Q0, Q0], [SIGMA_Q] * 2, [0.111] * 2, [540.0] * 3)
+    with pytest.raises(ValueError):
+        build_strip_surrogate_batch(PARAMS, [Q0, Q0], [SIGMA_Q] * 2, [0.111] * 2, [540.0, 0.0])
+
+
+def test_exit_batch_matches_full_history_builds():
+    # model 1's bivariate germ at the 33 coarse scan thetas; BLAS may block the
+    # (33, C) products differently from the (1, C) ones, hence not bit for bit
+    cfg = _shipped(1)
+    thetas = np.linspace(*cfg.theta_range(), 33)
+    exits = build_strip_exit_batch(cfg.params, cfg.germ, thetas, cfg.order, cfg.n_quad, cfg.n_steps)
+    assert exits.shape == (33, cfg.order + 1, cfg.order + 1)
+    for theta, got in zip(thetas, exits):
+        s = build_strip_surrogate(cfg.params, cfg.germ, theta, cfg.order, cfg.n_quad, cfg.n_steps)
+        want = s.coeff_t_fluid[..., -1]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15 * np.max(np.abs(want)))
+
+
+def test_march_without_history_returns_the_last_row():
+    proj = _Projection(two_variable_germ(), 3, 5)
+    q = Q0 + SIGMA_Q * proj.xi_nodes[:, 0]
+    phi = PARAMS.porosity + SIGMA_PHI * proj.xi_nodes[:, 1]
+    re = np.array([380.0, 540.0, 900.0])
+    args = (PARAMS, q, phi, re, proj.design, proj.project, 200, 1e-12)
+    hist_tf, hist_ts = _galerkin_march(*args, history=True)
+    last_tf, last_ts = _galerkin_march(*args)
+    assert hist_tf.shape == (201, 3, proj.design.shape[1])
+    np.testing.assert_array_equal(last_tf, hist_tf[-1])
+    np.testing.assert_array_equal(last_ts, hist_ts[-1])
 
 
 def test_quadrature_too_coarse_rejected():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from tcbayes import porous_flow
 from tcbayes.porous_flow import (
     ModelParams,
     NonFiniteStateError,
@@ -92,6 +93,27 @@ def test_batch_matches_scalar_integration():
         assert tf[k] == pytest.approx(traj.t_fluid[-1], rel=1e-13)
         assert ts[k] == pytest.approx(traj.t_solid[-1], rel=1e-13)
         assert rho[k] == pytest.approx(traj.density[-1], rel=1e-13)
+
+
+def test_chunked_batch_march_equals_unchunked(monkeypatch):
+    p = ModelParams()
+    rng = np.random.default_rng(3)
+    qs = 30845.0 * (1.0 + 0.1 * rng.standard_normal((4, 5)))
+    phis = 0.111 + 0.01 * rng.standard_normal(5)
+    res = np.array([[380.0], [405.0], [540.0], [900.0]])
+    whole = interface_state_batch(p, qs, phis, res, n_steps=200)
+    # 20 elements in chunks of 7: two chunk boundaries, a short last chunk
+    monkeypatch.setattr(porous_flow, "_MARCH_CHUNK", 7)
+    chunked = interface_state_batch(p, qs, phis, res, n_steps=200)
+    for a, b in zip(chunked, whole):
+        assert a.shape == (4, 5)
+        np.testing.assert_array_equal(a, b)
+    # a guard hit in any chunk raises the unchunked exception type
+    hot = np.where(np.arange(20).reshape(4, 5) == 15, 1e300, qs)
+    with pytest.raises(NonFiniteStateError):
+        interface_state_batch(p, hot, phis, res, n_steps=200)
+    with pytest.raises(SingularDenominatorError):
+        interface_state_batch(p, qs, phis, res, n_steps=200, singular_eps=1e300)
 
 
 def test_interface_pressure_is_terminal_product():

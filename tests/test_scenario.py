@@ -399,6 +399,32 @@ def test_mean_field_snapshot_model2(tiny_model2_dict):
     assert late.values.max() - late.values.min() < initial.values.max() - initial.values.min()
 
 
+@pytest.mark.parametrize("model", [2, 3])
+def test_factory_batch_builds_the_per_theta_surrogates(tiny_model2_dict, model):
+    cfg = tiny_model2_dict
+    if model == 3:
+        cfg["model"] = 3
+        cfg["germ"] = {"strips": [{"mean": 450.0 + 5 * i, "std": 14.0} for i in range(4)]}
+    factory = Scenario(ScenarioConfig.from_dict(cfg)).surrogate_factory()
+    thetas = [350.0, 612.5, 987.25]
+    makers = factory.batch(thetas)
+    assert len(makers) == len(thetas)
+    for theta, make in zip(thetas, makers):
+        got, want = make().isurr, factory(theta).isurr
+        assert got.shared == want.shared == (model == 2)
+        np.testing.assert_array_equal(got.base_field, want.base_field)
+        np.testing.assert_array_equal(got.mode_fields, want.mode_fields)
+
+
+def test_model1_factory_batch_matches_per_theta_builds(tiny_scenario):
+    factory = tiny_scenario.surrogate_factory()
+    thetas = [350.0, 612.5, 987.25]
+    xi = np.random.default_rng(0).standard_normal((50, 2))
+    for theta, make in zip(thetas, factory.batch(thetas)):
+        want = factory(theta).f2_values(xi)
+        np.testing.assert_allclose(make().f2_values(xi), want, rtol=1e-14, atol=0.0)
+
+
 def test_observations_csv_roundtrip(tiny_scenario, tmp_path):
     obs = tiny_scenario.observations()
     csv_path = tmp_path / "observations.csv"
