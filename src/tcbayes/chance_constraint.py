@@ -1,20 +1,32 @@
 """Probabilistic feasibility of a parameter value through cheap surrogates.
 
 The constraint P(f2(xi; theta) <= beta) >= alpha is evaluated on a chaos
-surrogate of f2 built at the given theta, in one of two ways.
+surrogate of f2 built at the given theta. Wherever a polynomial in one
+standard normal variable decides it, P comes from root intervals: the
+satisfied set of p(xi) <= beta is a union of intervals whose ends are real
+roots of p(xi) = beta. ``_root_segments`` finds the roots of a whole stack
+of such polynomials with one batched companion-matrix eigenvalue call and
+classifies every segment between consecutive roots, for every polynomial,
+at the segment midpoint; a segment's share of P is its normal mass.
 
 * Shared germ (model 2): the interface field at every z node is a degree-K
-  polynomial in one standard normal xi, so {xi : f2 <= beta} is a union of
-  intervals whose ends are real roots of p_z(xi) = beta. The roots of all
-  nodes come from one batched companion-matrix eigenvalue call; each segment
-  between consecutive roots is classified by evaluating the field at its
-  midpoint, and P is the sum of the normal masses of the satisfied segments.
-  There is no sampling noise and ``n_prob_samples`` is not used.
-* Otherwise (the 2-D strip germ of model 1, the independent per-strip germs
-  of model 3): plain Monte Carlo over ``n_prob_samples`` seeded germ draws.
-  Every probability uses the same draws, so probabilities are deterministic
-  and smooth in theta (common random numbers), which keeps the bisection on
-  the feasible boundary well behaved; the oracle draws them once.
+  polynomial in one germ variable. P is the mass of the segments satisfied
+  at every node (or, pointwise, the smallest per-node mass).
+* Two-variable strip germ (model 1): conditional on xi_1 = eta, the exit
+  temperature is a degree-K polynomial in xi_0. P is the Gauss-Hermite sum
+  over eta of the conditional masses, the last integral of conditional
+  Monte Carlo done by quadrature (Asmussen & Glynn, *Stochastic
+  Simulation*, 2007, ch. V). A rule of twice the size checks it; where the
+  two disagree the conditional mass is not smooth in eta and Monte Carlo
+  decides instead. A germ with one varying variable is a single row.
+* Independent per-strip germs (model 3): plain Monte Carlo over
+  ``n_prob_samples`` seeded germ draws. Every probability uses the same
+  draws, so probabilities are deterministic and smooth in theta (common
+  random numbers), which keeps the bisection on the feasible boundary well
+  behaved; the oracle draws them once and counts the draws it evaluates.
+
+``probability(xi, beta)`` keeps the Monte Carlo estimate of every
+constraint for cross-checks.
 
 The boundary scan asks the oracle for many thetas. Building a surrogate is
 a Galerkin march of the strips, which costs about the same per call for
@@ -27,6 +39,7 @@ models, is still computed only at the thetas the bisection visits.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
 from collections.abc import Callable
@@ -34,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gpc import GermSpec, StripSurrogate, hermite_design
+from .gpc import GermSpec, StripSurrogate, gauss_hermite_rule, hermite_design
 from .heat_interface import InterfaceSurrogate, evaluate_interface_batch
 from .porous_flow import NonFiniteStateError, SingularDenominatorError
 
@@ -63,6 +76,11 @@ _XI_CUT = 40.0
 _LEAD_RTOL = 1e-15
 # imaginary parts (in xi) up to this are taken as roundoff on near-multiple real roots
 _IMAG_TOL = 1e-4
+# Gauss-Hermite nodes over the conditioning variable of a two-variable strip
+# germ, and the largest gap to the rule of twice the size that still counts
+# as converged: well below the Monte Carlo error that replaces it
+_ETA_NODES = 32
+_ETA_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -127,6 +145,44 @@ class StripExitConstraint(F2Surrogate):
         d1 = hermite_design(self.order, xi[:, 1])
         return np.einsum("ni,ij,nj->n", d0, self._coeff, d1)
 
+    def _conditional_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """f2 as polynomials in one germ variable, conditional on the other.
+
+        Returns HermiteE coefficients (K+1, R), one column ``C @ He(eta_m)``
+        per Gauss-Hermite node eta_m of the conditioning variable, and a
+        (2, R) weight matrix whose rows are the ``_ETA_NODES``-node rule and
+        the rule of twice that size, side by side. Roots are taken in xi_0
+        unless f2 does not vary with it. A germ, or an f2, with one varying
+        variable gives a single column of weight 1.
+        """
+        coeff = self._coeff
+        if self.germ.dim == 1:
+            return coeff[:, None], np.ones((1, 1))
+        if not coeff[1:].any():
+            coeff = coeff.T
+        if not coeff[:, 1:].any():
+            return coeff[:, :1], np.ones((1, 1))
+        nodes, weights = _eta_rules(_ETA_NODES)
+        return coeff @ hermite_design(self.order, nodes).T, weights
+
+    def exact_probability(self, beta: float) -> float | None:
+        """P(f2 <= beta) by root intervals in one variable and Gauss-Hermite
+        quadrature over the other, or None when the two rules differ by more
+        than ``_ETA_TOL``.
+
+        The quadrature converges to roundoff when the satisfied mass is smooth
+        in the conditioning variable, as for the shipped strip surrogates. It
+        is not smooth where two roots of the conditional polynomial merge
+        within the mass of the germ; the rules then disagree and Monte Carlo
+        decides.
+        """
+        rows, weights = self._conditional_rows()
+        edges, satisfied = _root_segments(rows, beta)
+        probs = weights @ (np.diff(_normal_cdf(edges)) @ satisfied)
+        if np.ptp(probs) > _ETA_TOL:
+            return None
+        return float(min(1.0, probs[0]))
+
 
 class InterfaceMaxConstraint(F2Surrogate):
     """f2 = max over z of the interface temperature at the constraint time.
@@ -171,20 +227,12 @@ class InterfaceMaxConstraint(F2Surrogate):
     def segments(self, beta: float) -> tuple[np.ndarray, np.ndarray]:
         """Segment edges on [-40, 40] and, per segment and z node, T <= beta.
 
-        Shared germ only. The edges are the real roots of the per-node
-        polynomials p_z(xi) - beta, so the field does not cross beta inside a
-        segment and its midpoint decides the whole segment. A spurious root
-        only splits a segment; it cannot flip a verdict.
+        Shared germ only; see ``_root_segments``.
         """
         isurr = self.isurr
         if not isurr.shared:
             raise ValueError("root segments need a shared germ")
-        stacked = np.vstack([isurr.base_field, isurr.mode_fields[: isurr.order]])
-        power = (_herme_to_power(isurr.order) @ stacked).T  # (n_z, K+1), ascending
-        power[:, 0] -= beta
-        edges = np.concatenate([[-_XI_CUT], np.unique(_root_breakpoints(power)), [_XI_CUT]])
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        return edges, evaluate_interface_batch(isurr, mids) <= beta
+        return _root_segments(np.vstack([isurr.base_field, isurr.mode_fields[: isurr.order]]), beta)
 
     def exact_probability(self, beta: float) -> float | None:
         if not self.isurr.shared:
@@ -195,12 +243,44 @@ class InterfaceMaxConstraint(F2Surrogate):
         return float(min(1.0, np.min(mass @ per_segment)))
 
 
+def _root_segments(coeffs: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Segment edges on [-40, 40] and, per segment and polynomial, p <= beta.
+
+    ``coeffs`` (K+1, R) holds the HermiteE coefficients of R polynomials in
+    one standard normal variable, one per column. The edges are the real
+    roots of every p_r(xi) - beta, so no polynomial crosses beta inside a
+    segment and its value at the midpoint decides the whole segment. A
+    spurious root only splits a segment; it cannot flip a verdict.
+    """
+    order = coeffs.shape[0] - 1
+    power = (_herme_to_power(order) @ coeffs).T  # (R, K+1), ascending
+    power[:, 0] -= beta
+    edges = np.concatenate([[-_XI_CUT], np.unique(_root_breakpoints(power)), [_XI_CUT]])
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    values = coeffs[0] + hermite_design(order, mids)[:, 1:] @ coeffs[1:]
+    return edges, values <= beta
+
+
+@functools.cache
+def _eta_rules(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of the n- and 2n-node Gauss-Hermite rules side by side, (3n,),
+    and their weights as the rows of a (2, 3n) matrix. Read-only."""
+    small, large = gauss_hermite_rule(n_nodes), gauss_hermite_rule(2 * n_nodes)
+    weights = np.zeros((2, 3 * n_nodes))
+    weights[0, :n_nodes], weights[1, n_nodes:] = small[1], large[1]
+    nodes = np.concatenate([small[0], large[0]])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+@functools.cache
 def _herme_to_power(order: int) -> np.ndarray:
-    """(K+1, K+1) matrix whose column k holds He_k in the ascending power basis."""
+    """(K+1, K+1) matrix whose column k holds He_k in the ascending power basis. Read-only."""
     out = np.zeros((order + 1, order + 1))
     for k in range(order + 1):
         poly = np.polynomial.hermite_e.herme2poly(np.eye(order + 1)[k])
         out[: poly.shape[0], k] = poly
+    out.flags.writeable = False
     return out
 
 
@@ -287,6 +367,7 @@ class ChanceConstraintOracle:
         self.evaluations = 0
         self.batch_marches = 0
         self.batch_rows = 0
+        self.mc_draws = 0
 
     def _germ_draws(self, germ: GermSpec, spec: ChanceConstraintSpec) -> np.ndarray:
         xi = self._draws.get(germ.dim)
@@ -294,6 +375,7 @@ class ChanceConstraintOracle:
             xi = _germ_draws(germ, spec)
             xi.flags.writeable = False
             self._draws[germ.dim] = xi
+        self.mc_draws += xi.shape[0]
         return xi
 
     def _key(self, theta: float) -> int:
@@ -349,12 +431,15 @@ class ChanceConstraintOracle:
         return bool(self.probability(theta) >= self.spec.alpha)
 
     def counters(self) -> dict[str, int]:
-        """Probabilities computed, builds failed, batch calls and the thetas they marched."""
+        """Probabilities computed, builds failed, batch calls and the thetas
+        they marched, and the germ draws evaluated by Monte Carlo (0 on an
+        exact path)."""
         return {
             "evaluations": self.evaluations,
             "build_failures": self.build_failures,
             "batch_marches": self.batch_marches,
             "batch_rows": self.batch_rows,
+            "mc_draws": self.mc_draws,
         }
 
 

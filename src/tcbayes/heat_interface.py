@@ -31,7 +31,6 @@ __all__ = [
     "diffuse_field",
     "build_interface_surrogate",
     "assemble_interface_from_coeffs",
-    "evaluate_interface_temperature",
     "evaluate_interface_batch",
 ]
 
@@ -365,12 +364,3 @@ def evaluate_interface_batch(isurr: InterfaceSurrogate, xi: np.ndarray) -> np.nd
     modes = isurr.mode_fields.reshape(n_strips * order, -1)
     return isurr.base_field + design @ modes
 
-
-def evaluate_interface_temperature(isurr: InterfaceSurrogate, xi) -> InterfaceField:
-    """Realized T_h(., time) for a single standardized germ draw."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if isurr.shared:
-        values = evaluate_interface_batch(isurr, xi[:1])[0]
-    else:
-        values = evaluate_interface_batch(isurr, xi[None, :])[0]
-    return InterfaceField(z_grid=isurr.z_grid.copy(), values=values, time=isurr.time)

@@ -19,7 +19,6 @@ __all__ = [
     "NonFiniteStateError",
     "integrate_strip",
     "interface_state_batch",
-    "interface_pressure",
     "forward_pressure_at_mean",
 ]
 
@@ -251,11 +250,6 @@ def interface_state_batch(
     if not np.all(np.isfinite(out)):
         raise NonFiniteStateError("non-finite state in batch integration")
     return tuple(v.reshape(q.shape)[()] for v in out)
-
-
-def interface_pressure(traj: StripTrajectory) -> float:
-    """Interface pressure p = T_f(1) * rho_f(1)."""
-    return float(traj.t_fluid[-1] * traj.density[-1])
 
 
 def forward_pressure_at_mean(

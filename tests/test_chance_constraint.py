@@ -19,7 +19,14 @@ from tcbayes.chance_constraint import (
     satisfaction_probability,
     scan_feasible_boundary,
 )
-from tcbayes.gpc import GermSpec, GermVariable, build_strip_surrogate
+from tcbayes.cli import resolve_config
+from tcbayes.gpc import (
+    GermSpec,
+    GermVariable,
+    build_strip_exit_batch,
+    build_strip_surrogate,
+    hermite_design,
+)
 from tcbayes.heat_interface import (
     InterfaceGeometry,
     InterfaceSurrogate,
@@ -27,6 +34,7 @@ from tcbayes.heat_interface import (
     evaluate_interface_batch,
 )
 from tcbayes.porous_flow import ModelParams, SingularDenominatorError, interface_state_batch
+from tcbayes.scenario import Scenario, ScenarioConfig
 
 UNIT_GERM = GermSpec((GermVariable("q", 0.0, 1.0),))
 
@@ -194,6 +202,7 @@ def test_prefetch_keeps_probabilities_lazy(tol):
         "build_failures": 0,
         "batch_marches": 0,
         "batch_rows": 0,
+        "mc_draws": len(logs["plain"]) * spec.n_prob_samples,
     }
 
 
@@ -417,17 +426,60 @@ def test_exact_path_draws_no_germ_sample(monkeypatch):
 
     rows = []
 
-    def counted(surrogate, xi):
+    def counted(order, xi):
         rows.append(len(xi))
-        return evaluate_interface_batch(surrogate, xi)
+        return hermite_design(order, xi)
 
     monkeypatch.setattr(chance_constraint, "_germ_draws", no_draws)
-    monkeypatch.setattr(chance_constraint, "evaluate_interface_batch", counted)
+    monkeypatch.setattr(chance_constraint, "hermite_design", counted)
     spec = ChanceConstraintSpec(beta=405.0, alpha=0.5, n_prob_samples=100_000)
     prob = ChanceConstraintOracle(spec, lambda theta: InterfaceMaxConstraint(isurr)).probability(1.0)
     assert 0.0 <= prob <= 1.0
     # one evaluation row per segment, and at most order * n_z roots
     assert len(rows) == 1 and rows[0] <= 2 * 400 + 1
+
+
+def test_model1_scan_draws_no_germ_sample(monkeypatch, tiny_model1_dict):
+    def no_draws(*args):
+        raise AssertionError("the strip-exit path must not draw")
+
+    monkeypatch.setattr(chance_constraint, "_germ_draws", no_draws)
+    scenario = Scenario(ScenarioConfig.from_dict(tiny_model1_dict))
+    assert scenario.intervals()
+    assert scenario.oracle().counters()["mc_draws"] == 0
+
+
+def _reference_shared_probability(isurr: InterfaceSurrogate, beta: float, pointwise: bool) -> float:
+    """The shared-germ probability as computed before the root helper served
+    both constraints: segments classified by ``evaluate_interface_batch``."""
+    stacked = np.vstack([isurr.base_field, isurr.mode_fields[: isurr.order]])
+    power = (chance_constraint._herme_to_power(isurr.order) @ stacked).T
+    power[:, 0] -= beta
+    breaks = np.unique(chance_constraint._root_breakpoints(power))
+    edges = np.concatenate([[-40.0], breaks, [40.0]])
+    satisfied = evaluate_interface_batch(isurr, 0.5 * (edges[:-1] + edges[1:])) <= beta
+    mass = np.diff(chance_constraint._normal_cdf(edges))
+    per_segment = satisfied if pointwise else satisfied.all(axis=1)
+    return float(min(1.0, np.min(mass @ per_segment)))
+
+
+def test_shared_helper_keeps_interface_probability_bits():
+    # the shipped model-2 interface around its feasible boundary (589.16)
+    scenario = Scenario(resolve_config("model2"))
+    factory, t_max = scenario.surrogate_factory(), scenario.config.constraint.beta
+    for theta in (560.0, 589.16015625, 650.0):
+        isurr = factory(theta).isurr
+        for beta in (t_max - 1.0, t_max, t_max + 1.0):
+            for pointwise in (False, True):
+                got = InterfaceMaxConstraint(isurr, pointwise).exact_probability(beta)
+                assert got == _reference_shared_probability(isurr, beta, pointwise)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_shared_fields(), _beta, st.booleans())
+def test_shared_helper_keeps_random_field_probability_bits(isurr, beta, pointwise):
+    got = InterfaceMaxConstraint(isurr, pointwise).exact_probability(beta)
+    assert got == _reference_shared_probability(isurr, beta, pointwise)
 
 
 # ---------------------------------------------------------------------------
@@ -478,3 +530,122 @@ def test_oracle_reuses_draws_bit_identically(monkeypatch, factory, thetas, beta)
     assert [oracle.probability(t) for t in thetas] == expected
     assert draws["n"] == 1
     assert len(set(expected)) > 1
+
+
+# ---------------------------------------------------------------------------
+# exact two-variable strip-exit probability
+# ---------------------------------------------------------------------------
+
+PAIR_GERM = GermSpec((GermVariable("q", 0.0, 1.0), GermVariable("phi", 0.0, 1.0)))
+_PAIR_DRAWS = np.random.default_rng(2025).standard_normal((200_000, 2))
+
+
+def _model1_exits(thetas, phi_std: float = 0.01, dim: int = 2) -> tuple[GermSpec, np.ndarray]:
+    q0 = 30845.0 * 0.015
+    params = ModelParams(heat_flux_nominal=q0)
+    variables = (GermVariable("q", q0, 0.03 * q0), GermVariable("phi", params.porosity, phi_std))
+    germ = GermSpec(variables[:dim])
+    return germ, build_strip_exit_batch(params, germ, np.asarray(thetas, dtype=float))
+
+
+def test_exact_strip_exit_probability_matches_monte_carlo():
+    thetas = (500.0, 530.0, 540.0, 560.0, 600.0)
+    germ, exits = _model1_exits(thetas)
+    n = _PAIR_DRAWS.shape[0]
+    for coeff in exits:
+        f2 = StripExitConstraint(germ, 3, coeff)
+        exact = f2.exact_probability(343.2)
+        mc = f2.probability(_PAIR_DRAWS, 343.2)
+        assert abs(exact - mc) <= 4.0 * _std_error(exact, n) + 1.0 / n
+
+
+def test_strip_exit_quadrature_converged(monkeypatch):
+    germ, exits = _model1_exits((530.0, 540.28, 545.0, 560.0, 600.0))
+    for coeff in exits:
+        f2 = StripExitConstraint(germ, 3, coeff)
+        p32 = f2.exact_probability(343.2)
+        monkeypatch.setattr(chance_constraint, "_ETA_NODES", 64)
+        p64 = f2.exact_probability(343.2)
+        monkeypatch.setattr(chance_constraint, "_ETA_NODES", 32)
+        assert abs(p32 - p64) <= 1e-9
+
+
+def test_degenerate_phi_is_the_one_dimensional_path():
+    germ2, (coeff2,) = _model1_exits((540.0,), phi_std=0.0)
+    germ1, (coeff1,) = _model1_exits((540.0,), dim=1)
+    assert not coeff2[:, 1:].any()
+    for beta in (330.0, 343.2, 350.0):
+        # the same coefficients take the same one-row path bit for bit
+        one_row = StripExitConstraint(germ1, 3, coeff2[:, 0]).exact_probability(beta)
+        assert StripExitConstraint(germ2, 3, coeff2).exact_probability(beta) == one_row
+        # a 1-D build marches the same collocation nodes
+        built = StripExitConstraint(germ1, 3, coeff1).exact_probability(beta)
+        assert abs(built - one_row) <= 1e-12
+
+
+def test_degenerate_heat_flux_takes_the_roots_in_phi():
+    q0 = 30845.0 * 0.015
+    params = ModelParams(heat_flux_nominal=q0)
+    phi = GermVariable("phi", params.porosity, 0.01)
+    pair = GermSpec((GermVariable("q", q0, 0.0), phi))
+    (coeff2,) = build_strip_exit_batch(params, pair, np.array([540.0]))
+    assert not coeff2[1:].any()
+    one_row = StripExitConstraint(GermSpec((phi,)), 3, coeff2[0])
+    for beta in (340.6, 340.9, 341.2):
+        expected = one_row.exact_probability(beta)
+        assert 0.0 < expected < 1.0
+        assert StripExitConstraint(pair, 3, coeff2).exact_probability(beta) == expected
+
+
+@st.composite
+def _pair_tensors(draw) -> np.ndarray:
+    """Random (K+1, K+1) coefficients. Some get a dominant linear term in xi_0
+    and a mild dependence on xi_1, as a strip exit temperature has on the heat
+    flux and on the porosity."""
+    order = draw(st.integers(0, 4))
+    values = draw(st.lists(_coef, min_size=(order + 1) ** 2, max_size=(order + 1) ** 2))
+    coeff = np.array(values).reshape(order + 1, order + 1)
+    if order > 0 and draw(st.booleans()):
+        coeff[1, 0] += 8.0
+        coeff[:, 1:] /= 64.0
+    return coeff
+
+
+@settings(max_examples=80, deadline=None)
+@given(_pair_tensors(), _beta, _beta)
+def test_exact_strip_exit_probability_property(coeff, b1, b2):
+    f2 = StripExitConstraint(PAIR_GERM, coeff.shape[0] - 1, coeff)
+    draws = _PAIR_DRAWS[:100_000]
+    n = draws.shape[0]
+    exact = {}
+    for beta in sorted((b1, b2)):
+        p = f2.exact_probability(beta)
+        mc = f2.probability(draws, beta)
+        # None: the quadrature rules disagree, and the draws decide
+        spec = ChanceConstraintSpec(beta=beta, alpha=0.5)
+        assert satisfaction_probability(f2, spec, lambda germ, spec: draws) == (
+            mc if p is None else p
+        )
+        if p is not None:
+            assert 0.0 <= p <= 1.0
+            assert abs(p - mc) <= 5.0 * _std_error(p, n) + 1.0 / n
+            exact[beta] = p
+    if len(exact) == 2:
+        lo, hi = exact.values()
+        assert lo <= hi + 1e-12
+
+
+def test_unconverged_quadrature_falls_back_to_monte_carlo():
+    # f2 = He_2(xi_0) He_2(xi_1) / 8: at xi_1 = +-1 f2 vanishes for every xi_0,
+    # so the satisfied mass of f2 <= 0 jumps there and the quadrature fails
+    coeff = np.zeros((3, 3))
+    coeff[2, 2] = 0.125
+    f2 = StripExitConstraint(PAIR_GERM, 2, coeff)
+    assert f2.exact_probability(0.0) is None
+    spec = ChanceConstraintSpec(beta=0.0, alpha=0.5, n_prob_samples=50_000, seed=3)
+    oracle = ChanceConstraintOracle(spec, lambda theta: f2)
+    prob = oracle.probability(1.0)
+    # P = 2 P(|xi| < 1) P(|xi| > 1)
+    inside = math.erf(1.0 / math.sqrt(2.0))
+    assert abs(prob - 2.0 * inside * (1.0 - inside)) <= 4.0 * _std_error(prob, 50_000)
+    assert oracle.counters()["mc_draws"] == 50_000

@@ -137,8 +137,10 @@ def test_run_artifacts_and_determinism(tiny_model1_dict, write_config, tmp_path)
     assert l2_header == ["n_samples", "l2_error", "wall_seconds"]
     # the scan's oracle counters: deterministic, so identical across the two runs
     oracle = prov["oracle"]
-    assert set(oracle) == {"evaluations", "build_failures", "batch_marches", "batch_rows"}
+    assert set(oracle) == {"evaluations", "build_failures", "batch_marches", "batch_rows", "mc_draws"}
     assert oracle["evaluations"] > 0 and oracle["build_failures"] == 0
+    # model 1's probability is exact: no germ draws
+    assert oracle["mc_draws"] == 0
     assert oracle["batch_marches"] >= 1 and oracle["batch_rows"] >= oracle["batch_marches"]
     assert json.load(open(os.path.join(out2, "provenance.json")))["oracle"] == oracle
 

@@ -10,10 +10,8 @@ from tcbayes.porous_flow import (
     ModelParams,
     NonFiniteStateError,
     SingularDenominatorError,
-    StripTrajectory,
     forward_pressure_at_mean,
     integrate_strip,
-    interface_pressure,
     interface_state_batch,
 )
 
@@ -45,7 +43,7 @@ def test_frozen_high_resolution_reference():
     p = ModelParams()
     traj = integrate_strip(p, p.heat_flux_nominal, p.porosity, p.reynolds_nominal, n_steps=REF_N_STEPS)
     assert traj.t_fluid[-1] == pytest.approx(REF_T_FLUID_1, rel=1e-10)
-    assert interface_pressure(traj) == pytest.approx(REF_PRESSURE, rel=1e-10)
+    assert traj.t_fluid[-1] * traj.density[-1] == pytest.approx(REF_PRESSURE, rel=1e-10)
 
 
 def test_euler_first_order_self_convergence():
@@ -117,15 +115,12 @@ def test_chunked_batch_march_equals_unchunked(monkeypatch):
 
 
 def test_interface_pressure_is_terminal_product():
-    x = np.array([0.0, 1.0])
-    traj = StripTrajectory(
-        x_grid=x,
-        t_fluid=np.array([1.0, 2.0]),
-        t_solid=np.array([1.0, 1.0]),
-        density=np.array([1.0, 3.0]),
-        velocity=np.array([1.0, 1.0 / 3.0]),
-    )
-    assert interface_pressure(traj) == 6.0
+    # the pressure observable is T_f(1) * rho_f(1) of the batch march at the mean germ
+    p = ModelParams()
+    for re in (320.0, 405.0, 880.0):
+        tf, _, rho = interface_state_batch(p, p.heat_flux_nominal, p.porosity, re)
+        fast = forward_pressure_at_mean(p, (p.heat_flux_nominal, p.porosity), re)
+        assert fast == tf * rho
 
 
 def test_fast_path_matches_trajectory_pressure():
@@ -133,7 +128,8 @@ def test_fast_path_matches_trajectory_pressure():
     for re in (320.0, 405.0, 880.0):
         traj = integrate_strip(p, p.heat_flux_nominal, p.porosity, re)
         fast = forward_pressure_at_mean(p, (p.heat_flux_nominal, p.porosity), re)
-        assert fast == pytest.approx(interface_pressure(traj), rel=1e-14)
+        # the interface pressure is the terminal product T_f(1) * rho_f(1)
+        assert fast == pytest.approx(traj.t_fluid[-1] * traj.density[-1], rel=1e-14)
 
 
 def test_singular_denominator_guard():

@@ -452,3 +452,18 @@ def test_loaded_observations_drive_posterior(tiny_model1_dict, tmp_path, write_c
     path = write_config(tiny_model1_dict, "from_file.json")
     replayed = Scenario(ScenarioConfig.load(path))
     assert replayed.log_posterior(700.0) == pytest.approx(source.log_posterior(700.0))
+
+
+@pytest.mark.parametrize("model", [1, 2, 3])
+def test_oracle_counts_monte_carlo_draws(model, tiny_model1_dict, tiny_model2_dict):
+    cfg = tiny_model1_dict if model == 1 else tiny_model2_dict
+    if model == 3:
+        cfg["model"] = 3
+        cfg["germ"] = {"strips": [{"mean": 450.0 + i, "std": 14.0} for i in range(4)]}
+    scenario = Scenario(ScenarioConfig.from_dict(cfg))
+    scenario.scan()
+    counters = scenario.oracle().counters()
+    assert counters["evaluations"] > 0
+    # models 1 and 2 have exact probabilities; model 3 draws its sample per evaluation
+    per_evaluation = cfg["constraint"]["n_prob_samples"] if model == 3 else 0
+    assert counters["mc_draws"] == counters["evaluations"] * per_evaluation
