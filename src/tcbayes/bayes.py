@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .porous_flow import (
-    DEFAULT_N_STEPS,
-    DEFAULT_SINGULAR_EPS,
     ModelParams,
     NonFiniteStateError,
     SingularDenominatorError,
@@ -267,53 +265,107 @@ def build_pressure_table(
     return table
 
 
-class TabulatedForward:
-    """Forward map that serves F(theta) from per-point Chebyshev tables.
+class Posterior:
+    """Unnormalized log posterior of theta and its gradient for one data set.
 
-    Called like ``forward_pressure_at_mean``. A call at an evaluation point
-    without a table, outside the table's range, with other model parameters
-    or with non-default march settings goes to the direct march, so its
-    failures still raise.
+    Built once per scenario. Each observation group is reduced to its
+    evaluation point, that point's Chebyshev table (or None), its size n,
+    mean ybar, sum of squared deviations ss, log normaliser c and misfit
+    scale k, so a call costs one forward value per group:
+
+        log p(theta) = log prior + sum_g [c_g - k_g * (n_g*(F_g - ybar_g)^2 + ss_g)]
+
+    which equals the per-observation sum in the module docstring.
+    ybar is kept as a double plus its rounding remainder, so F - ybar and
+    the residual sum n*(ybar - F) keep the precision of the per-observation
+    differences. F_g comes from the table when theta lies in its range and
+    from the direct march otherwise; a march failure gives -inf (NaN for
+    the gradient), as does theta <= 0. ``prior=None`` is the flat prior,
+    which leaves the likelihood alone. ``tables`` maps an evaluation point
+    to a table of F built for ``params``.
     """
 
-    def __init__(self, params: ModelParams, tables: dict):
-        self.params = params
-        self.tables = tables
-
-    def __call__(
+    def __init__(
         self,
+        obs: ObservationSet,
+        prior: PriorSpec | None,
         params: ModelParams,
-        xi_mean: tuple[float, float],
-        re: float,
-        n_steps: int = DEFAULT_N_STEPS,
-        singular_eps: float = DEFAULT_SINGULAR_EPS,
-    ) -> float:
-        table = self.tables.get(xi_mean)
-        if (
-            table is not None
-            and table.lo <= re <= table.hi
-            and n_steps == DEFAULT_N_STEPS
-            and singular_eps == DEFAULT_SINGULAR_EPS
-            and (params is self.params or params == self.params)
-        ):
-            return table(re)
-        return forward_pressure_at_mean(params, xi_mean, re, n_steps, singular_eps)
+        classic_iid: bool = False,
+        tables: dict | None = None,
+    ):
+        tables = {} if tables is None else tables
+        self.params = params
+        self.prior = prior
+        groups = []
+        for group in obs.groups:
+            point = group.evaluation_point(params)
+            table = tables.get(point)
+            lo, hi = (math.inf, -math.inf) if table is None else (table.lo, table.hi)
+            values = group.values
+            n = values.size
+            ybar = float(np.mean(values))
+            ybar_rem = math.fsum(values - ybar) / n
+            ss = math.fsum(((values - ybar) - ybar_rem) ** 2)
+            sigma = group.noise_std
+            if classic_iid:
+                norm = -n * math.log(math.sqrt(2.0 * math.pi) * sigma)
+                scale = 1.0 / (2.0 * sigma**2)
+            else:
+                norm = -math.log(math.sqrt(2.0 * math.pi) * sigma)
+                scale = 1.0 / (2.0 * n * sigma**2)
+            groups.append((point, table, lo, hi, n, ybar, ybar_rem, ss, norm, scale))
+        self._groups = tuple(groups)
 
+    def _pressure(self, point, table, lo, hi, theta: float) -> float:
+        if lo <= theta <= hi:
+            return table(theta)
+        return forward_pressure_at_mean(self.params, point, theta)
 
-def _group_log_likelihood(
-    group: ObservationGroup,
-    theta: float,
-    params: ModelParams,
-    classic_iid: bool,
-    forward,
-) -> float:
-    pressure = forward(params, group.evaluation_point(params), theta)
-    residual_sq = float(np.sum((group.values - pressure) ** 2))
-    n = group.values.size
-    sigma = group.noise_std
-    if classic_iid:
-        return -n * math.log(math.sqrt(2.0 * math.pi) * sigma) - residual_sq / (2.0 * sigma**2)
-    return -math.log(math.sqrt(2.0 * math.pi) * sigma) - residual_sq / (2.0 * n * sigma**2)
+    def log_likelihood(self, theta: float) -> float:
+        """Sum of the per-group log likelihoods; -inf on forward failure or theta <= 0."""
+        if not theta > 0.0:  # also rejects NaN from diverged trajectories
+            return -math.inf
+        total = 0.0
+        try:
+            for point, table, lo, hi, n, ybar, ybar_rem, ss, norm, scale in self._groups:
+                misfit = (self._pressure(point, table, lo, hi, theta) - ybar) - ybar_rem
+                total += norm - scale * (n * misfit * misfit + ss)
+        except _FORWARD_FAILURES:
+            return -math.inf
+        return total
+
+    def log_prior(self, theta: float) -> float:
+        """``log_prior`` of the bound prior (0 for the flat prior)."""
+        return 0.0 if self.prior is None else log_prior(theta, self.prior)
+
+    def __call__(self, theta: float) -> float:
+        return self.log_prior(theta) + self.log_likelihood(theta)
+
+    def grad(self, theta: float, fd_step: float = DEFAULT_FD_STEP) -> float:
+        """d/dtheta of the log posterior.
+
+        The chain rule is applied analytically; only the pressure sensitivity
+        dF/dtheta is numerical, via the one-sided difference
+        (F(theta+h)-F(theta))/h per group. Outside the physical domain
+        (theta <= 0) or on forward failure the gradient is NaN, which a
+        trajectory-based sampler treats as a divergence.
+        """
+        if not theta > 0.0:
+            return math.nan
+        prior = self.prior
+        if prior is not None and prior.kind == "gaussian":
+            grad = -(theta - prior.mean) / prior.std**2
+        else:
+            grad = 0.0  # flat inside the support; the floor outside is flat too
+        try:
+            for point, table, lo, hi, n, ybar, ybar_rem, _, _, scale in self._groups:
+                pressure = self._pressure(point, table, lo, hi, theta)
+                pressure_h = self._pressure(point, table, lo, hi, theta + fd_step)
+                residual_sum = n * ((ybar - pressure) + ybar_rem)
+                grad += 2.0 * scale * residual_sum * (pressure_h - pressure) / fd_step
+        except _FORWARD_FAILURES:
+            return math.nan
+        return grad
 
 
 def log_likelihood(
@@ -321,24 +373,16 @@ def log_likelihood(
     theta: float,
     params: ModelParams,
     classic_iid: bool = False,
-    forward=None,
+    tables: dict | None = None,
 ) -> float:
     """Sum of per-group tempered Gaussian log likelihoods; -inf on forward failure.
 
-    ``forward`` maps (params, evaluation point, theta) to the pressure; the
-    default is the direct march ``forward_pressure_at_mean``.
+    ``tables`` maps evaluation points to Chebyshev tables of F; points
+    without one use the direct march ``forward_pressure_at_mean``. Each call
+    builds a new ``Posterior`` (O(n) set-up); a caller looping over theta
+    should build one and call its ``log_likelihood``.
     """
-    if not theta > 0.0:  # also rejects NaN from diverged trajectories
-        return -math.inf
-    if forward is None:
-        forward = forward_pressure_at_mean
-    total = 0.0
-    for group in obs.groups:
-        try:
-            total += _group_log_likelihood(group, theta, params, classic_iid, forward)
-        except _FORWARD_FAILURES:
-            return -math.inf
-    return total
+    return Posterior(obs, None, params, classic_iid, tables).log_likelihood(theta)
 
 
 def log_prior(theta: float, prior: PriorSpec) -> float:
@@ -356,12 +400,14 @@ def log_unconstrained_posterior(
     prior: PriorSpec,
     params: ModelParams,
     classic_iid: bool = False,
-    forward=None,
+    tables: dict | None = None,
 ) -> float:
-    """Unnormalized log posterior without the feasibility indicator."""
-    lp = log_prior(theta, prior)
-    ll = log_likelihood(obs, theta, params, classic_iid=classic_iid, forward=forward)
-    return lp + ll
+    """Unnormalized log posterior without the feasibility indicator.
+
+    Builds a new ``Posterior`` on every call; a caller looping over theta
+    should build one and call it.
+    """
+    return Posterior(obs, prior, params, classic_iid, tables)(theta)
 
 
 def grad_log_posterior(
@@ -371,41 +417,14 @@ def grad_log_posterior(
     params: ModelParams,
     fd_step: float = DEFAULT_FD_STEP,
     classic_iid: bool = False,
-    forward=None,
+    tables: dict | None = None,
 ) -> float:
-    """d/dtheta of the unconstrained log posterior.
+    """d/dtheta of the unconstrained log posterior (see ``Posterior.grad``).
 
-    The chain rule is applied analytically; only the pressure sensitivity
-    dF/dtheta is numerical, via the one-sided difference (F(theta+h)-F(theta))/h
-    computed per group at that group's evaluation point. Outside the physical
-    domain (theta <= 0) or on forward failure the gradient is NaN, which a
-    trajectory-based sampler treats as a divergence. ``forward`` is the
-    forward map, as in ``log_likelihood``.
+    Builds a new ``Posterior`` on every call; a caller looping over theta
+    should build one and call its ``grad``.
     """
-    if not theta > 0.0:
-        return math.nan
-    if forward is None:
-        forward = forward_pressure_at_mean
-    if prior.kind == "gaussian":
-        grad = -(theta - prior.mean) / prior.std**2
-    else:
-        grad = 0.0  # flat inside the support; the floor outside is flat too
-    try:
-        for group in obs.groups:
-            point = group.evaluation_point(params)
-            pressure = forward(params, point, theta)
-            pressure_h = forward(params, point, theta + fd_step)
-            dpressure = (pressure_h - pressure) / fd_step
-            residual_sum = float(np.sum(group.values - pressure))
-            n = group.values.size
-            sigma = group.noise_std
-            if classic_iid:
-                grad += residual_sum * dpressure / sigma**2
-            else:
-                grad += residual_sum * dpressure / (n * sigma**2)
-    except _FORWARD_FAILURES:
-        return math.nan
-    return grad
+    return Posterior(obs, prior, params, classic_iid, tables).grad(theta, fd_step)
 
 
 def feasible_direction(

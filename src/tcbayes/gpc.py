@@ -33,11 +33,9 @@ __all__ = [
     "GermVariable",
     "GermSpec",
     "StripSurrogate",
-    "hermite",
     "hermite_design",
     "hermite_norms_squared",
     "gauss_hermite_rule",
-    "inner_product",
     "build_strip_surrogate",
     "build_strip_exit_batch",
     "build_strip_surrogate_batch",
@@ -47,20 +45,6 @@ __all__ = [
 
 DEFAULT_ORDER = 3
 DEFAULT_N_QUAD = 6
-
-
-def hermite(n: int, x):
-    """Probabilists' Hermite polynomial He_n(x) by the three-term recurrence."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = x.copy()
-    for k in range(1, n):
-        h, h_prev = x * h - k * h_prev, h
-    return h if h.ndim else float(h)
 
 
 def hermite_design(order: int, x: np.ndarray) -> np.ndarray:
@@ -90,20 +74,6 @@ def gauss_hermite_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("n_nodes must be >= 1")
     nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
     return nodes, weights / math.sqrt(2.0 * math.pi)
-
-
-def inner_product(f, g, rule: tuple[np.ndarray, np.ndarray], dim: int = 1) -> float:
-    """<f, g> under the product standard-normal measure via tensorized quadrature.
-
-    ``f`` and ``g`` are called with ``dim`` coordinate arrays. The rule must
-    be fine enough for the integrand degree; that is the caller's job.
-    """
-    nodes, weights = rule
-    grids = np.meshgrid(*([nodes] * dim), indexing="ij")
-    coords = [grid.ravel() for grid in grids]
-    wgrids = np.meshgrid(*([weights] * dim), indexing="ij")
-    w = np.prod(np.stack([wg.ravel() for wg in wgrids]), axis=0)
-    return float(np.sum(w * np.asarray(f(*coords)) * np.asarray(g(*coords))))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gpc import GermSpec, StripSurrogate, hermite_design
+from .gpc import GermSpec, hermite_design
 
 __all__ = [
     "InterfaceGeometry",
@@ -29,7 +29,6 @@ __all__ = [
     "InterfaceSurrogate",
     "assemble_initial_field",
     "diffuse_field",
-    "build_interface_surrogate",
     "assemble_interface_from_coeffs",
     "evaluate_interface_batch",
 ]
@@ -300,44 +299,6 @@ def assemble_interface_from_coeffs(
         time=t_end,
         base_field=wall + coeffs[:, 0] @ unit,
         mode_fields=modes,
-    )
-
-
-def build_interface_surrogate(
-    geometry: InterfaceGeometry,
-    per_strip_surrogates: list[StripSurrogate],
-    lam: float,
-    t_end: float,
-    n_z: int = DEFAULT_N_Z,
-    cfl: float = DEFAULT_CFL,
-) -> InterfaceSurrogate:
-    """Assemble and diffuse coefficient fields from univariate strip surrogates.
-
-    Strips either share one germ variable (identical specs) or carry one
-    private variable each (all names distinct).
-    """
-    if len(per_strip_surrogates) != geometry.n_strips:
-        raise ValueError(f"need exactly {geometry.n_strips} strip surrogates")
-    orders = {s.order for s in per_strip_surrogates}
-    if len(orders) != 1:
-        raise ValueError("strip surrogates must share the truncation order")
-    if any(s.germ.dim != 1 for s in per_strip_surrogates):
-        raise ValueError("interface assembly expects univariate strip germs")
-
-    germs = [s.germ for s in per_strip_surrogates]
-    names = [g.variables[0].name for g in germs]
-    if all(g == germs[0] for g in germs):
-        shared = True
-        combined = germs[0]
-    elif len(set(names)) == len(names):
-        shared = False
-        combined = GermSpec(tuple(g.variables[0] for g in germs))
-    else:
-        raise ValueError("strip germs must be all identical or all distinct by name")
-
-    coeffs = np.stack([s.coeff_t_fluid[:, -1] for s in per_strip_surrogates])
-    return assemble_interface_from_coeffs(
-        geometry, coeffs, combined, shared, lam, t_end, n_z, cfl
     )
 
 

@@ -115,18 +115,26 @@ def _check_inputs(phi: float, re: float, n_steps: int) -> None:
 
 
 def _rhs(params: ModelParams, q, phi, re) -> tuple:
-    """Right-hand-side coefficients at (q, phi, re); floats or broadcastable arrays."""
+    """Right-hand-side coefficients at (q, phi, re); floats or broadcastable arrays.
+
+    A subnormal float ``re`` can underflow a denominator to 0.0; that is a
+    non-finite coefficient, reported as NonFiniteStateError like a blown-up
+    state rather than as a bare ZeroDivisionError.
+    """
     solid_cap = (1.0 - phi) * params.kappa_solid
-    return (
-        params.nusselt / (params.prandtl * re),
-        params.kappa_fluid / solid_cap * re * params.prandtl,
-        q / solid_cap,
-        params.length**2 / (re * params.permeability_darcy),
-        params.length / params.forchheimer,
-        params.hot_gas_temp,
-        # not phi**-2: a SIMD array power may round differently from libm pow
-        1.0 / (phi * phi),
-    )
+    try:
+        return (
+            params.nusselt / (params.prandtl * re),
+            params.kappa_fluid / solid_cap * re * params.prandtl,
+            q / solid_cap,
+            params.length**2 / (re * params.permeability_darcy),
+            params.length / params.forchheimer,
+            params.hot_gas_temp,
+            # not phi**-2: a SIMD array power may round differently from libm pow
+            1.0 / (phi * phi),
+        )
+    except ZeroDivisionError:
+        raise NonFiniteStateError(f"non-finite right-hand side at re={re!r}") from None
 
 
 def _initial_state(params: ModelParams) -> tuple[float, float, float]:

@@ -89,15 +89,18 @@ class MarkovChain:
         return float(np.mean(self.feasible)) if len(self) else 0.0
 
     def to_csv(self, path: str) -> None:
-        lines = ["index,theta,accepted,feasible,log_post,cumulative_seconds"]
-        for i in range(len(self)):
-            lines.append(
-                f"{i},{float(self.samples[i])!r},{int(self.accepted[i])},"
-                f"{int(self.feasible[i])},{float(self.log_post[i])!r},"
-                f"{float(self.cumulative_seconds[i])!r}"
-            )
+        flags = (self.accepted.view(np.uint8), self.feasible.view(np.uint8))  # 0/1, no copy
+        columns = (self.samples, *flags, self.log_post, self.cumulative_seconds)
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("index,theta,accepted,feasible,log_post,cumulative_seconds\n")
+            # 4096 rows at a time keep the Python floats of one slice alive:
+            # the zip holding a slice's lists is dropped once its rows are joined.
+            for start in range(0, len(self), 4096):
+                chunk = (c[start : start + 4096].tolist() for c in columns)
+                fh.write("".join([
+                    f"{i},{t!r},{a},{f},{p!r},{s!r}\n"
+                    for i, t, a, f, p, s in zip(range(start, start + 4096), *chunk)
+                ]))
 
 
 @dataclass(frozen=True)
@@ -143,12 +146,13 @@ class ParticleHistory:
         return self.generations[start:].ravel()
 
     def to_csv(self, path: str) -> None:
-        lines = ["generation,particle_index,theta"]
-        for g in range(self.generations.shape[0]):
-            for k in range(self.n_particles):
-                lines.append(f"{g},{k},{float(self.generations[g, k])!r}")
+        flat = self.generations.ravel()
+        n = self.n_particles
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("generation,particle_index,theta\n")
+            for start in range(0, flat.size, 4096):  # one slice of Python floats at a time
+                rows = enumerate(flat[start : start + 4096].tolist(), start)
+                fh.write("".join([f"{j // n},{j % n},{t!r}\n" for j, t in rows]))
 
 
 def run_crw(

@@ -31,13 +31,11 @@ import numpy as np
 
 from .bayes import (
     ObservationSet,
+    Posterior,
     PriorSpec,
-    TabulatedForward,
     build_pressure_table,
     feasible_direction,
     generate_observations,
-    grad_log_posterior,
-    log_unconstrained_posterior,
     penalized_gradient,
 )
 from .chance_constraint import (
@@ -450,7 +448,8 @@ class Scenario:
         self._scan: FeasibilityScan | None = None
         self._observations: ObservationSet | None = None
         self._reference: ReferenceDensity | None = None
-        self._forward: TabulatedForward | None = None
+        self._forward: dict | None = None
+        self._posterior: Posterior | None = None
 
     def with_sampler(self, sampler: dict) -> "Scenario":
         """Clone with a different sampler block, sharing the built caches."""
@@ -460,6 +459,7 @@ class Scenario:
         clone._observations = self._observations
         clone._reference = self._reference
         clone._forward = self._forward
+        clone._posterior = self._posterior
         return clone
 
     # constraint side ------------------------------------------------------
@@ -535,7 +535,10 @@ class Scenario:
         intervals = self.intervals()
 
         def member(theta: float) -> bool:
-            return any(lo <= theta <= hi for lo, hi in intervals)
+            for lo, hi in intervals:
+                if lo <= theta <= hi:
+                    return True
+            return False
 
         return member
 
@@ -567,11 +570,11 @@ class Scenario:
         self._observations = merged
         return merged
 
-    def forward_map(self) -> TabulatedForward:
-        """Forward map of the posterior: one Chebyshev table of F per group.
+    def forward_map(self) -> dict:
+        """Evaluation point -> Chebyshev table of F, one per distinct group point.
 
-        Built on first use, over ``theta_range()``; a group whose table fails
-        its build check keeps the direct march.
+        Built on first use, over ``theta_range()``; a point whose table fails
+        its build check is left out, so its groups keep the direct march.
         """
         if self._forward is None:
             cfg = self.config
@@ -580,13 +583,12 @@ class Scenario:
                 point = group.evaluation_point(cfg.params)
                 if point not in tables:
                     tables[point] = build_pressure_table(cfg.params, point, cfg.theta_range())
-            built = {point: table for point, table in tables.items() if table is not None}
-            self._forward = TabulatedForward(cfg.params, built)
+            self._forward = {point: table for point, table in tables.items() if table is not None}
         return self._forward
 
     def forward_tables(self) -> dict:
         """Per group label: the table's node count and build error, or "direct"."""
-        tables = self.forward_map().tables
+        tables = self.forward_map()
         out = {}
         for group in self.observations().groups:
             table = tables.get(group.evaluation_point(self.config.params))
@@ -597,27 +599,20 @@ class Scenario:
             )
         return out
 
+    def posterior(self) -> Posterior:
+        """The unconstrained log posterior over the forward tables, built once."""
+        if self._posterior is None:
+            cfg = self.config
+            self._posterior = Posterior(
+                self.observations(), cfg.prior, cfg.params, cfg.classic_iid, self.forward_map()
+            )
+        return self._posterior
+
     def log_posterior(self, theta: float) -> float:
-        cfg = self.config
-        return log_unconstrained_posterior(
-            float(theta),
-            self.observations(),
-            cfg.prior,
-            cfg.params,
-            classic_iid=cfg.classic_iid,
-            forward=self.forward_map(),
-        )
+        return self.posterior()(float(theta))
 
     def grad_log_posterior(self, theta: float) -> float:
-        cfg = self.config
-        return grad_log_posterior(
-            float(theta),
-            self.observations(),
-            cfg.prior,
-            cfg.params,
-            classic_iid=cfg.classic_iid,
-            forward=self.forward_map(),
-        )
+        return self.posterior().grad(float(theta))
 
     def penalized_grad(self, delta: float):
         """Scalar gradient with the feasibility penalty and prior-support guard."""
@@ -694,7 +689,7 @@ class Scenario:
         kind = sampler["kind"]
         if kind == "crw":
             return run_crw(
-                self.log_posterior,
+                self.posterior(),
                 self.feasibility(),
                 float(sampler["proposal_std"]),
                 int(sampler["n_samples"]),

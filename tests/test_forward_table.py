@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcbayes import porous_flow
+from tcbayes import bayes, porous_flow
 from tcbayes.bayes import (
     ChebyshevTable,
     ObservationGroup,
     ObservationSet,
+    Posterior,
     PriorSpec,
-    TabulatedForward,
     build_pressure_table,
     chebyshev_nodes,
     grad_log_posterior,
@@ -112,33 +112,47 @@ def test_table_matches_direct_march(theta):
     assert abs(_table()(theta) - direct) <= 1e-12 * abs(direct)
 
 
-def _outcome(forward, *args):
-    """The value of a forward call, or the type of the failure it raised."""
-    try:
-        return forward(*args)
-    except (SingularDenominatorError, NonFiniteStateError) as exc:
-        return type(exc)
+def _group_obs(*points) -> ObservationSet:
+    return ObservationSet(
+        tuple(
+            ObservationGroup(f"g{i}", np.array([5.99e5, 5.993e5]), 80.0, *point)
+            for i, point in enumerate(points)
+        )
+    )
+
+
+_PRIOR = PriorSpec("uniform", low=300.0, high=1000.0)
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.one_of(st.floats(1.0, 299.999), st.floats(1000.001, 3000.0)))
 def test_out_of_range_theta_uses_direct_march(theta):
-    forward = TabulatedForward(PARAMS, {POINT: _table()})
-    assert _outcome(forward, PARAMS, POINT, theta) == _outcome(
-        forward_pressure_at_mean, PARAMS, POINT, theta
-    )
+    obs = _group_obs(POINT)
+    tabled = Posterior(obs, _PRIOR, PARAMS, tables={POINT: _table()})
+    direct = Posterior(obs, _PRIOR, PARAMS)
+    assert tabled(theta) == direct(theta)
+    assert _same(tabled.grad(theta), direct.grad(theta))
 
 
-def test_other_settings_use_direct_march():
-    forward = TabulatedForward(PARAMS, {POINT: _table()})
-    other = ModelParams(prandtl=0.7)
-    assert forward(PARAMS, POINT, 600.0, n_steps=500) == forward_pressure_at_mean(
-        PARAMS, POINT, 600.0, n_steps=500
-    )
-    assert forward(other, POINT, 600.0) == forward_pressure_at_mean(other, POINT, 600.0)
-    assert forward(PARAMS, (400.0, 0.111), 600.0) == forward_pressure_at_mean(
-        PARAMS, (400.0, 0.111), 600.0
-    )
+def test_other_settings_use_direct_march(monkeypatch):
+    other = (400.0, 0.111)
+    tabled = Posterior(_group_obs(POINT, other), _PRIOR, PARAMS, tables={POINT: _table()})
+    direct = Posterior(_group_obs(POINT, other), _PRIOR, PARAMS)
+    # the group at the other point marches; the tabled point agrees to the table's error
+    assert tabled(600.0) == pytest.approx(direct(600.0), rel=0.0, abs=1e-9)
+    marched = []
+
+    def counting(params, point, theta):
+        marched.append(point)
+        return forward_pressure_at_mean(params, point, theta)
+
+    monkeypatch.setattr(bayes, "forward_pressure_at_mean", counting)
+    tabled(600.0)
+    assert marched == [other]
 
 
 def test_no_table_for_a_range_reaching_nonpositive_theta():
@@ -178,10 +192,11 @@ def test_singular_group_keeps_inf_and_nan(singular_at_bad_phi):
     )
     tables = {POINT: build_pressure_table(PARAMS, POINT, RANGE)}
     assert tables[POINT] is not None
-    forward = TabulatedForward(PARAMS, tables)
-    prior = PriorSpec("uniform", low=300.0, high=1000.0)
-    assert log_unconstrained_posterior(700.0, obs, prior, PARAMS, forward=forward) == -math.inf
-    assert math.isnan(grad_log_posterior(700.0, obs, prior, PARAMS, forward=forward))
+    assert log_unconstrained_posterior(700.0, obs, _PRIOR, PARAMS, tables=tables) == -math.inf
+    assert math.isnan(grad_log_posterior(700.0, obs, _PRIOR, PARAMS, tables=tables))
+    posterior = Posterior(obs, _PRIOR, PARAMS, tables=tables)
+    assert posterior(700.0) == -math.inf
+    assert math.isnan(posterior.grad(700.0))
 
 
 def test_scenario_records_direct_for_a_singular_group(tiny_model2_dict, singular_at_bad_phi):
@@ -209,7 +224,7 @@ def test_crw_chain_is_unchanged_by_the_table(tiny_model1_dict):
     config = ScenarioConfig.from_dict(tiny_model1_dict)
     tabled = Scenario(config)
     direct = Scenario(config)
-    direct._forward = TabulatedForward(config.params, {})
+    direct._forward = {}
     assert tabled.forward_tables()["obs"]["nodes"] == 64
     assert direct.forward_tables() == {"obs": "direct"}
     a, b = tabled.run_chain(seed=4), direct.run_chain(seed=4)

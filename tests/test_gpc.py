@@ -27,10 +27,8 @@ from tcbayes.gpc import (
     build_strip_surrogate_batch,
     evaluate_surrogate,
     gauss_hermite_rule,
-    hermite,
     hermite_design,
     hermite_norms_squared,
-    inner_product,
     surrogate_moments,
 )
 
@@ -47,24 +45,31 @@ def two_variable_germ() -> GermSpec:
     )
 
 
+def _he(k: int, x):
+    """He_k(x) from numpy's HermiteE series, independent of ``hermite_design``."""
+    return np.polynomial.hermite_e.hermeval(x, [0.0] * k + [1.0])
+
+
 def test_hermite_low_orders():
-    assert hermite(1, 0.7) == pytest.approx(0.7, abs=1e-15)
-    assert hermite(2, 0.0) == pytest.approx(-1.0, abs=1e-15)
-    assert hermite(0, 3.3) == 1.0
+    design = hermite_design(2, np.array([0.7, 0.0, 3.3]))
+    assert design[0, 1] == pytest.approx(0.7, abs=1e-15)
+    assert design[1, 2] == pytest.approx(-1.0, abs=1e-15)
+    assert design[2, 0] == 1.0
+    np.testing.assert_allclose(design, np.stack([_he(k, [0.7, 0.0, 3.3]) for k in range(3)], axis=1))
 
 
 def test_hermite_against_monomial_expansion():
     x = 1.3
-    assert hermite(5, x) == pytest.approx(x**5 - 10 * x**3 + 15 * x, rel=1e-13)
+    assert hermite_design(5, x)[0, 5] == pytest.approx(x**5 - 10 * x**3 + 15 * x, rel=1e-13)
     xs = np.linspace(-3, 3, 11)
-    np.testing.assert_allclose(hermite(5, xs), xs**5 - 10 * xs**3 + 15 * xs, rtol=1e-12)
+    np.testing.assert_allclose(hermite_design(5, xs)[:, 5], xs**5 - 10 * xs**3 + 15 * xs, rtol=1e-12)
 
 
 def test_hermite_design_columns_match_recurrence():
     xs = np.linspace(-2, 2, 7)
     design = hermite_design(4, xs)
     for k in range(5):
-        np.testing.assert_allclose(design[:, k], hermite(k, xs), rtol=1e-13)
+        np.testing.assert_allclose(design[:, k], _he(k, xs), rtol=1e-13)
 
 
 def test_gauss_hermite_small_rules():
@@ -84,24 +89,22 @@ def test_gauss_hermite_moments(n_nodes):
 
 
 def test_inner_product_orthogonality_and_norms():
-    rule = gauss_hermite_rule(7)
+    nodes, weights = gauss_hermite_rule(7)
+    design = hermite_design(6, nodes)
+    gram = design.T @ (weights[:, None] * design)
     for i in range(7):
         for j in range(7):
-            value = inner_product(lambda x, i=i: hermite(i, x), lambda x, j=j: hermite(j, x), rule)
             if i == j:
-                assert value == pytest.approx(float(math.factorial(i)), rel=1e-8)
+                assert gram[i, j] == pytest.approx(float(math.factorial(i)), rel=1e-8)
             else:
-                assert abs(value) <= 1e-10
+                assert abs(gram[i, j]) <= 1e-10
 
 
 def test_inner_product_two_dimensional():
-    rule = gauss_hermite_rule(4)
-    value = inner_product(
-        lambda x, y: hermite(1, x) * hermite(1, y),
-        lambda x, y: hermite(1, x) * hermite(1, y),
-        rule,
-        dim=2,
-    )
+    nodes, weights = gauss_hermite_rule(4)
+    he1 = hermite_design(1, nodes)[:, 1]
+    # <He_1(x) He_1(y), He_1(x) He_1(y)> over the tensor rule
+    value = float(np.sum(np.outer(weights, weights) * np.outer(he1, he1) ** 2))
     assert value == pytest.approx(1.0, rel=1e-12)
 
 

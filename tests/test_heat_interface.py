@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcbayes.gpc import GermSpec, GermVariable, StripSurrogate, hermite_design
+from tcbayes.gpc import GermSpec, GermVariable, hermite_design
 from tcbayes.heat_interface import (
     InterfaceField,
     InterfaceGeometry,
@@ -19,7 +19,6 @@ from tcbayes.heat_interface import (
     _spectral_propagate,
     assemble_initial_field,
     assemble_interface_from_coeffs,
-    build_interface_surrogate,
     diffuse_field,
     evaluate_interface_batch,
 )
@@ -29,28 +28,17 @@ def trapezoid_mean(values: np.ndarray) -> float:
     return float((0.5 * values[0] + values[1:-1].sum() + 0.5 * values[-1]) / (len(values) - 1))
 
 
-def synthetic_surrogates(order: int, shared: bool, n_strips: int = 60, seed: int = 0):
-    """Univariate strip surrogates with made-up coefficients for assembly tests."""
+def synthetic_coeffs(order: int, shared: bool, n_strips: int = 60, seed: int = 0):
+    """Made-up strip exit coefficients (n_strips, order+1) and their germ."""
     rng = np.random.default_rng(seed)
-    x = np.linspace(0.0, 1.0, 3)
-    surrogates = []
-    shared_germ = GermSpec((GermVariable("q", 450.0, 12.0),))
-    for s in range(n_strips):
-        germ = shared_germ if shared else GermSpec((GermVariable(f"q_{s}", 450.0, 12.0),))
-        ctf = np.zeros((order + 1, 3))
-        ctf[0] = 304.2
-        ctf[:, -1] = np.concatenate(([rng.uniform(320, 360)], rng.normal(0.0, 2.0, order)))
-        surrogates.append(
-            StripSurrogate(
-                order=order,
-                germ=germ,
-                re=540.0,
-                x_grid=x,
-                coeff_t_fluid=ctf,
-                coeff_t_solid=ctf + 1.0,
-            )
-        )
-    return surrogates
+    coeffs = np.stack(
+        [np.concatenate(([rng.uniform(320, 360)], rng.normal(0.0, 2.0, order))) for _ in range(n_strips)]
+    )
+    if shared:
+        germ = GermSpec((GermVariable("q", 450.0, 12.0),))
+    else:
+        germ = GermSpec(tuple(GermVariable(f"q_{s}", 450.0, 12.0) for s in range(n_strips)))
+    return coeffs, germ
 
 
 def test_geometry_defaults_and_validation():
@@ -210,9 +198,8 @@ def _parent_rows(geo, coeffs, shared, n_z):
 def test_response_assembly_matches_stacked_spectral(shared, order):
     # the shipped long march: n_z 600, lam 0.005, t 20, cfl 0.4 (89 700 steps)
     geo = InterfaceGeometry(wall_temp=410.0)
-    surrogates = synthetic_surrogates(order, shared)
-    coeffs = np.stack([s.coeff_t_fluid[:, -1] for s in surrogates])
-    isurr = build_interface_surrogate(geo, surrogates, 0.005, 20.0, 600, 0.4)
+    coeffs, germ = synthetic_coeffs(order, shared)
+    isurr = assemble_interface_from_coeffs(geo, coeffs, germ, shared, 0.005, 20.0, 600, 0.4)
     rows = _parent_rows(geo, coeffs, shared, 600)
     n_full, r_rem = _march_plan(isurr.z_grid, 0.005, 20.0, 0.4)
     expected = _spectral_propagate(rows, 0.4, n_full, r_rem)
@@ -225,9 +212,8 @@ def test_response_assembly_matches_stacked_spectral(shared, order):
 @pytest.mark.parametrize("shared", [True, False])
 def test_response_at_time_zero_is_the_initial_field(shared):
     geo = InterfaceGeometry()
-    surrogates = synthetic_surrogates(3, shared)
-    coeffs = np.stack([s.coeff_t_fluid[:, -1] for s in surrogates])
-    isurr = build_interface_surrogate(geo, surrogates, 1e-3, 0.0, 600)
+    coeffs, germ = synthetic_coeffs(3, shared)
+    isurr = assemble_interface_from_coeffs(geo, coeffs, germ, shared, 1e-3, 0.0, 600)
     initial = assemble_initial_field(geo, coeffs[:, 0], 600)
     np.testing.assert_array_equal(isurr.base_field, initial.values)
     np.testing.assert_array_equal(isurr.z_grid, initial.z_grid)
@@ -277,18 +263,12 @@ def test_footprint_response_keys_on_every_input():
 
 def test_degenerate_germ_interface_collapse():
     geo = InterfaceGeometry()
-    surrogates = []
-    x = np.linspace(0.0, 1.0, 3)
     rng = np.random.default_rng(4)
     means = rng.uniform(320, 360, 60)
     germ = GermSpec((GermVariable("q", 450.0, 0.0),))
-    for s in range(60):
-        ctf = np.zeros((3, 3))
-        ctf[0] = means[s]
-        surrogates.append(
-            StripSurrogate(order=2, germ=germ, re=540.0, x_grid=x, coeff_t_fluid=ctf, coeff_t_solid=ctf)
-        )
-    isurr = build_interface_surrogate(geo, surrogates, 1e-3, 1.0, 500)
+    coeffs = np.zeros((60, 3))
+    coeffs[:, 0] = means
+    isurr = assemble_interface_from_coeffs(geo, coeffs, germ, True, 1e-3, 1.0, 500)
     reference = diffuse_field(assemble_initial_field(geo, means, 500), 1e-3, 1.0)
     np.testing.assert_allclose(isurr.base_field, reference.values, atol=1e-10)
     assert np.max(np.abs(isurr.mode_fields)) <= 1e-12
@@ -297,11 +277,10 @@ def test_degenerate_germ_interface_collapse():
 @pytest.mark.parametrize("shared", [True, False])
 def test_commute_diffuse_then_evaluate(shared):
     geo = InterfaceGeometry()
-    surrogates = synthetic_surrogates(order=3, shared=shared)
-    isurr = build_interface_surrogate(geo, surrogates, 1e-3, 1.0, 600)
+    coeffs, germ = synthetic_coeffs(3, shared)
+    isurr = assemble_interface_from_coeffs(geo, coeffs, germ, shared, 1e-3, 1.0, 600)
     assert isurr.shared is shared
     rng = np.random.default_rng(8)
-    coeffs = np.stack([s.coeff_t_fluid[:, -1] for s in surrogates])
     for _ in range(5):
         if shared:
             xi = rng.standard_normal()
@@ -317,7 +296,7 @@ def test_commute_diffuse_then_evaluate(shared):
 
 def test_single_evaluation_matches_batch():
     geo = InterfaceGeometry()
-    isurr = build_interface_surrogate(geo, synthetic_surrogates(3, shared=False), 1e-3, 1.0, 500)
+    isurr = assemble_interface_from_coeffs(geo, *synthetic_coeffs(3, shared=False), False, 1e-3, 1.0, 500)
     xi = np.random.default_rng(9).standard_normal((3, 60))
     single = evaluate_interface_batch(isurr, xi[:1])[0]
     # a one-row product may take another BLAS kernel than a three-row one
@@ -327,14 +306,13 @@ def test_single_evaluation_matches_batch():
 
 def test_build_interface_validation():
     geo = InterfaceGeometry()
-    surrogates = synthetic_surrogates(3, shared=True)
+    coeffs, germ = synthetic_coeffs(3, shared=True)
     with pytest.raises(ValueError):
-        build_interface_surrogate(geo, surrogates[:59], 1e-3, 1.0)
-    mixed = surrogates[:59] + synthetic_surrogates(2, shared=True, n_strips=1)
+        assemble_interface_from_coeffs(geo, coeffs[:59], germ, True, 1e-3, 1.0, 600)
     with pytest.raises(ValueError):
-        build_interface_surrogate(geo, mixed, 1e-3, 1.0)
-    # duplicated names that are not all identical germs
-    bad = synthetic_surrogates(3, shared=False)
-    bad[1] = bad[0]
+        assemble_interface_from_coeffs(geo, coeffs[:, 0], germ, True, 1e-3, 1.0, 600)
     with pytest.raises(ValueError):
-        build_interface_surrogate(geo, bad, 1e-3, 1.0)
+        assemble_interface_from_coeffs(geo, coeffs, germ, True, 1e-3, -1.0, 600)
+    # an independent germ needs one variable per strip
+    with pytest.raises(ValueError):
+        assemble_interface_from_coeffs(geo, coeffs, germ, False, 1e-3, 1.0, 600)

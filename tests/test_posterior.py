@@ -1,0 +1,194 @@
+"""The closed-form Posterior against the per-observation formula it replaces."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tcbayes.bayes import (
+    DEFAULT_FD_STEP,
+    ObservationGroup,
+    ObservationSet,
+    Posterior,
+    PriorSpec,
+    build_pressure_table,
+    log_prior,
+)
+from tcbayes.porous_flow import (
+    ModelParams,
+    NonFiniteStateError,
+    SingularDenominatorError,
+    forward_pressure_at_mean,
+)
+from tcbayes.samplers import run_crw
+from tcbayes.scenario import Scenario, ScenarioConfig
+
+PARAMS = ModelParams()
+TABLED = (462.675, 0.111)
+MARCHED = (462.675, 0.4)
+_TABLES: dict = {}
+
+
+def _tables() -> dict:
+    if not _TABLES:
+        _TABLES[TABLED] = build_pressure_table(PARAMS, TABLED, (300.0, 1000.0))
+    return _TABLES
+
+
+# ---------------------------------------------------------------------------
+# the per-observation formula, frozen as it was before the closed form
+# ---------------------------------------------------------------------------
+
+_FAILURES = (SingularDenominatorError, NonFiniteStateError)
+
+
+def _forward(params, point, theta, tables):
+    table = tables.get(point)
+    if table is not None and table.lo <= theta <= table.hi:
+        return table(theta)
+    return forward_pressure_at_mean(params, point, theta)
+
+
+def reference_log_posterior(theta, obs, prior, params, classic_iid, tables):
+    lp = log_prior(theta, prior)
+    if not theta > 0.0:
+        return lp - math.inf
+    total = 0.0
+    for group in obs.groups:
+        try:
+            pressure = _forward(params, group.evaluation_point(params), theta, tables)
+        except _FAILURES:
+            return lp - math.inf
+        residual_sq = float(np.sum((group.values - pressure) ** 2))
+        n = group.values.size
+        sigma = group.noise_std
+        if classic_iid:
+            total += -n * math.log(math.sqrt(2.0 * math.pi) * sigma) - residual_sq / (2.0 * sigma**2)
+        else:
+            total += -math.log(math.sqrt(2.0 * math.pi) * sigma) - residual_sq / (2.0 * n * sigma**2)
+    return lp + total
+
+
+def reference_grad(theta, obs, prior, params, classic_iid, tables, fd_step=DEFAULT_FD_STEP):
+    if not theta > 0.0:
+        return math.nan
+    grad = -(theta - prior.mean) / prior.std**2 if prior.kind == "gaussian" else 0.0
+    try:
+        for group in obs.groups:
+            point = group.evaluation_point(params)
+            pressure = _forward(params, point, theta, tables)
+            dpressure = (_forward(params, point, theta + fd_step, tables) - pressure) / fd_step
+            residual_sum = float(np.sum(group.values - pressure))
+            n = group.values.size
+            sigma = group.noise_std
+            if classic_iid:
+                grad += residual_sum * dpressure / sigma**2
+            else:
+                grad += residual_sum * dpressure / (n * sigma**2)
+    except _FAILURES:
+        return math.nan
+    return grad
+
+
+# ---------------------------------------------------------------------------
+# random groups
+# ---------------------------------------------------------------------------
+
+_group = st.tuples(
+    st.lists(st.floats(5.98e5, 6.01e5), min_size=1, max_size=20),  # values
+    st.floats(1.0, 200.0),  # noise std
+    st.sampled_from([TABLED, MARCHED]),  # evaluation point
+)
+_prior = st.one_of(
+    st.just(PriorSpec("uniform", low=300.0, high=1000.0)),
+    st.just(PriorSpec("gaussian", mean=600.0, std=200.0)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_group, min_size=1, max_size=3),
+    _prior,
+    st.booleans(),
+    st.one_of(st.floats(300.0, 1000.0), st.floats(-50.0, 1200.0)),
+)
+# a subnormal theta underflows the Reynolds-number coefficients of the march
+@example([([5.98e5], 1.0, TABLED)], PriorSpec("uniform", low=300.0, high=1000.0), False, 2.2250738585e-313)
+@example([([5.98e5], 1.0, MARCHED)], PriorSpec("uniform", low=300.0, high=1000.0), True, 5e-324)
+def test_closed_form_matches_per_observation_sum(groups, prior, classic_iid, theta):
+    obs = ObservationSet(
+        tuple(
+            ObservationGroup(f"g{i}", np.array(values), sigma, *point)
+            for i, (values, sigma, point) in enumerate(groups)
+        )
+    )
+    posterior = Posterior(obs, prior, PARAMS, classic_iid, _tables())
+    args = (obs, prior, PARAMS, classic_iid, _tables())
+    expected = reference_log_posterior(theta, *args)
+    value = posterior(theta)
+    if math.isinf(expected):
+        assert value == expected
+    else:
+        assert abs(value - expected) <= 1e-9 * max(1.0, abs(expected))
+    expected_grad = reference_grad(theta, *args)
+    grad = posterior.grad(theta)
+    if math.isnan(expected_grad):
+        assert math.isnan(grad)
+    else:
+        assert abs(grad - expected_grad) <= 1e-9 * max(1.0, abs(expected_grad))
+
+
+def test_gradient_near_the_mode_keeps_per_observation_precision():
+    # 0.1 Pa readings within a few sigma of F(theta), sigma = 1: the gradient
+    # is small, and a mean rounded to one double would move it by ~1e-8
+    table = _tables()[TABLED]
+    prior = PriorSpec("uniform", low=300.0, high=1000.0)
+    rng = np.random.default_rng(17)
+    for theta in np.linspace(300.0, 400.0, 100):
+        values = np.round(table(theta) + rng.normal(0.0, 1.0, 20), 1)
+        obs = ObservationSet((ObservationGroup("g", values, 1.0, *TABLED),))
+        grad = Posterior(obs, prior, PARAMS, True, _tables()).grad(theta)
+        expected = reference_grad(theta, obs, prior, PARAMS, True, _tables())
+        assert abs(grad - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+def test_flat_prior_is_the_likelihood_alone():
+    obs = ObservationSet((ObservationGroup("g", np.array([5.99e5, 5.995e5]), 80.0, *TABLED),))
+    prior = PriorSpec("uniform", low=300.0, high=1000.0)
+    flat = Posterior(obs, None, PARAMS, tables=_tables())
+    full = Posterior(obs, prior, PARAMS, tables=_tables())
+    for theta in (350.0, 640.0, 990.0):
+        assert full(theta) == log_prior(theta, prior) + flat(theta)
+        assert flat.log_likelihood(theta) == flat(theta)
+    assert flat(0.0) == -math.inf and math.isnan(flat.grad(-1.0))
+
+
+# ---------------------------------------------------------------------------
+# cRW chains on the tiny scenarios
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("model", [1, 2])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_crw_chain_matches_per_observation_formula(model, seed, tiny_model1_dict, tiny_model2_dict):
+    config = ScenarioConfig.from_dict(tiny_model1_dict if model == 1 else tiny_model2_dict)
+    scenario = Scenario(config)
+    args = (scenario.observations(), config.prior, config.params, config.classic_iid)
+    tables = scenario.forward_map()
+    sampler = config.sampler
+    chain = scenario.run_chain(seed)
+    frozen = run_crw(
+        lambda theta: reference_log_posterior(theta, *args, tables),
+        scenario.feasibility(),
+        float(sampler["proposal_std"]),
+        int(sampler["n_samples"]),
+        scenario.theta_init(),
+        seed,
+    )
+    np.testing.assert_array_equal(chain.samples, frozen.samples)
+    np.testing.assert_array_equal(chain.accepted, frozen.accepted)
+    np.testing.assert_allclose(chain.log_post, frozen.log_post, rtol=0.0, atol=1e-9)

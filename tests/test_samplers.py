@@ -273,6 +273,50 @@ def test_particle_history_csv_and_flatten(tmp_path):
         history.flatten(1.0)
 
 
+def _row_by_row_chain_csv(chain: MarkovChain) -> str:
+    """The one-line-per-index writer the chunked one replaced."""
+    lines = ["index,theta,accepted,feasible,log_post,cumulative_seconds"]
+    for i in range(len(chain)):
+        lines.append(
+            f"{i},{float(chain.samples[i])!r},{int(chain.accepted[i])},"
+            f"{int(chain.feasible[i])},{float(chain.log_post[i])!r},"
+            f"{float(chain.cumulative_seconds[i])!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _row_by_row_particle_csv(history: ParticleHistory) -> str:
+    lines = ["generation,particle_index,theta"]
+    for g in range(history.generations.shape[0]):
+        for k in range(history.n_particles):
+            lines.append(f"{g},{k},{float(history.generations[g, k])!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, 4096, 9001])
+def test_chunked_csv_matches_row_by_row_writer(tmp_path, n):
+    rng = np.random.default_rng(16)
+    log_post = rng.normal(-3.0, 2.0, n)
+    log_post[::7] = -np.inf
+    log_post[3::11] = np.nan
+    chain = MarkovChain(
+        rng.normal(600.0, 80.0, n) * 10.0 ** rng.integers(-12, 12, n),
+        rng.random(n) < 0.4,
+        rng.random(n) < 0.9,
+        log_post,
+        np.cumsum(rng.random(n)) * 1e-5,
+        0,
+    )
+    path = tmp_path / "chain.csv"
+    chain.to_csv(str(path))
+    assert path.read_text() == _row_by_row_chain_csv(chain)
+
+    history = ParticleHistory(rng.normal(0.0, 1e3, (max(n // 50, 1), 50)), np.ones(max(n // 50, 1) - 1), 0)
+    path = tmp_path / "particles.csv"
+    history.to_csv(str(path))
+    assert path.read_text() == _row_by_row_particle_csv(history)
+
+
 def test_markov_chain_validation():
     with pytest.raises(ValueError):
         MarkovChain(
