@@ -279,16 +279,16 @@ class Posterior:
     ybar is kept as a double plus its rounding remainder, so F - ybar and
     the residual sum n*(ybar - F) keep the precision of the per-observation
     differences. F_g comes from the table when theta lies in its range and
-    from the direct march otherwise; a march failure gives -inf (NaN for
-    the gradient), as does theta <= 0. ``prior=None`` is the flat prior,
-    which leaves the likelihood alone. ``tables`` maps an evaluation point
+    from the direct march otherwise (for the gradient, at both ends of its
+    difference); a march failure gives -inf (NaN for
+    the gradient), as does theta <= 0. ``tables`` maps an evaluation point
     to a table of F built for ``params``.
     """
 
     def __init__(
         self,
         obs: ObservationSet,
-        prior: PriorSpec | None,
+        prior: PriorSpec,
         params: ModelParams,
         classic_iid: bool = False,
         tables: dict | None = None,
@@ -334,12 +334,9 @@ class Posterior:
             return -math.inf
         return total
 
-    def log_prior(self, theta: float) -> float:
-        """``log_prior`` of the bound prior (0 for the flat prior)."""
-        return 0.0 if self.prior is None else log_prior(theta, self.prior)
-
     def __call__(self, theta: float) -> float:
-        return self.log_prior(theta) + self.log_likelihood(theta)
+        """Unnormalized log posterior without the feasibility indicator."""
+        return log_prior(theta, self.prior) + self.log_likelihood(theta)
 
     def grad(self, theta: float, fd_step: float = DEFAULT_FD_STEP) -> float:
         """d/dtheta of the log posterior.
@@ -353,12 +350,16 @@ class Posterior:
         if not theta > 0.0:
             return math.nan
         prior = self.prior
-        if prior is not None and prior.kind == "gaussian":
+        if prior.kind == "gaussian":
             grad = -(theta - prior.mean) / prior.std**2
         else:
             grad = 0.0  # flat inside the support; the floor outside is flat too
         try:
             for point, table, lo, hi, n, ybar, ybar_rem, _, _, scale in self._groups:
+                if not lo <= theta <= hi:
+                    # both ends marched, as for an untabled group: a table value at
+                    # theta + fd_step would add its 1e-12 error divided by fd_step
+                    lo, hi = math.inf, -math.inf
                 pressure = self._pressure(point, table, lo, hi, theta)
                 pressure_h = self._pressure(point, table, lo, hi, theta + fd_step)
                 residual_sum = n * ((ybar - pressure) + ybar_rem)
@@ -368,23 +369,6 @@ class Posterior:
         return grad
 
 
-def log_likelihood(
-    obs: ObservationSet,
-    theta: float,
-    params: ModelParams,
-    classic_iid: bool = False,
-    tables: dict | None = None,
-) -> float:
-    """Sum of per-group tempered Gaussian log likelihoods; -inf on forward failure.
-
-    ``tables`` maps evaluation points to Chebyshev tables of F; points
-    without one use the direct march ``forward_pressure_at_mean``. Each call
-    builds a new ``Posterior`` (O(n) set-up); a caller looping over theta
-    should build one and call its ``log_likelihood``.
-    """
-    return Posterior(obs, None, params, classic_iid, tables).log_likelihood(theta)
-
-
 def log_prior(theta: float, prior: PriorSpec) -> float:
     if prior.kind == "gaussian":
         z = (theta - prior.mean) / prior.std
@@ -392,39 +376,6 @@ def log_prior(theta: float, prior: PriorSpec) -> float:
     if prior.low <= theta <= prior.high:
         return -math.log(prior.high - prior.low)
     return math.log(prior.floor)
-
-
-def log_unconstrained_posterior(
-    theta: float,
-    obs: ObservationSet,
-    prior: PriorSpec,
-    params: ModelParams,
-    classic_iid: bool = False,
-    tables: dict | None = None,
-) -> float:
-    """Unnormalized log posterior without the feasibility indicator.
-
-    Builds a new ``Posterior`` on every call; a caller looping over theta
-    should build one and call it.
-    """
-    return Posterior(obs, prior, params, classic_iid, tables)(theta)
-
-
-def grad_log_posterior(
-    theta: float,
-    obs: ObservationSet,
-    prior: PriorSpec,
-    params: ModelParams,
-    fd_step: float = DEFAULT_FD_STEP,
-    classic_iid: bool = False,
-    tables: dict | None = None,
-) -> float:
-    """d/dtheta of the unconstrained log posterior (see ``Posterior.grad``).
-
-    Builds a new ``Posterior`` on every call; a caller looping over theta
-    should build one and call its ``grad``.
-    """
-    return Posterior(obs, prior, params, classic_iid, tables).grad(theta, fd_step)
 
 
 def feasible_direction(

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gpc import GermSpec, StripSurrogate, gauss_hermite_rule, hermite_design
+from .gpc import GermSpec, gauss_hermite_rule, hermite_design
 from .heat_interface import InterfaceSurrogate, evaluate_interface_batch
 from .porous_flow import NonFiniteStateError, SingularDenominatorError
 
@@ -125,17 +125,13 @@ class StripExitConstraint(F2Surrogate):
     """f2 = fluid exit temperature T_f(x=1) of one strip.
 
     Needs only the exit coefficients, ``coeff_t_fluid[..., -1]`` of a strip
-    surrogate; ``from_surrogate`` takes them from a full ``StripSurrogate``.
+    surrogate, as ``gpc.build_strip_exit_batch`` returns them per re.
     """
 
     def __init__(self, germ: GermSpec, order: int, coeff: np.ndarray):
         self.germ = germ
         self.order = order
         self._coeff = coeff
-
-    @classmethod
-    def from_surrogate(cls, surrogate: StripSurrogate) -> "StripExitConstraint":
-        return cls(surrogate.germ, surrogate.order, surrogate.coeff_t_fluid[..., -1])
 
     def f2_values(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
@@ -199,9 +195,8 @@ class InterfaceMaxConstraint(F2Surrogate):
         self.pointwise = pointwise
 
     def _draws(self, xi: np.ndarray) -> np.ndarray:
-        if self.isurr.shared:
-            return np.asarray(xi, dtype=float)[:, 0]
-        return np.asarray(xi, dtype=float)
+        xi = np.asarray(xi, dtype=float)
+        return xi.reshape(xi.shape[:1] + self.isurr.germ_axes)
 
     def f2_values(self, xi: np.ndarray) -> np.ndarray:
         draws = self._draws(xi)
@@ -229,10 +224,7 @@ class InterfaceMaxConstraint(F2Surrogate):
 
         Shared germ only; see ``_root_segments``.
         """
-        isurr = self.isurr
-        if not isurr.shared:
-            raise ValueError("root segments need a shared germ")
-        return _root_segments(np.vstack([isurr.base_field, isurr.mode_fields[: isurr.order]]), beta)
+        return _root_segments(self.isurr.hermite_fields(), beta)
 
     def exact_probability(self, beta: float) -> float | None:
         if not self.isurr.shared:

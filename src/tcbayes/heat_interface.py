@@ -9,10 +9,12 @@ mirror-ghost Neumann closure.
 Diffusion is linear and does not depend on the strip values, so for one
 (geometry, diffusivity, time, grid, cfl) the wall field and one unit field
 per strip footprint are diffused once, through the eigenbasis of the
-marching operator, and cached. Every chaos coefficient field of the
-interface (models with random heat flux) is then a weighted sum of those
-footprint responses, one matrix product per set of strip coefficients.
-``diffuse_field`` marches a single field step by step.
+marching operator, and cached. An ``InterfaceSurrogate`` (models with
+random heat flux) holds the strip exit coefficients next to those cached
+responses and never forms per-mode fields: a realization is
+``wall + G @ unit`` with ``G[n, s] = sum_k c[s, k] He_k(xi[n, s])``, where a
+shared germ's one variable drives every strip. ``diffuse_field`` marches a
+single field step by step.
 """
 from __future__ import annotations
 
@@ -236,70 +238,74 @@ def _footprint_response(
 
 @dataclass(frozen=True)
 class InterfaceSurrogate:
-    """Chaos coefficient fields of the interface temperature at one time.
+    """Interface temperature at one time as a chaos expansion in the germ.
 
-    ``base_field`` is the order-zero coefficient (walls included). For a
-    shared germ the higher modes have shape (order, n_z); for independent
-    per-strip germs they have shape (n_strips, order, n_z), one block per
-    strip variable in germ order.
+    ``coeffs`` (n_strips, K+1) holds each strip's exit expansion; ``wall``
+    (n_z,) and ``unit`` (n_strips, n_z) are the read-only diffused footprint
+    responses. The germ has one variable per strip, or one variable that
+    every strip shares (``shared``); with one strip the two readings agree.
     """
 
-    order: int
     germ: GermSpec
-    shared: bool
     z_grid: np.ndarray
     time: float
-    base_field: np.ndarray
-    mode_fields: np.ndarray
+    coeffs: np.ndarray
+    wall: np.ndarray
+    unit: np.ndarray
 
     def __post_init__(self) -> None:
-        n_z = self.z_grid.shape[0]
-        if self.base_field.shape != (n_z,):
-            raise ValueError("base_field must match the grid")
-        expected = (self.order, n_z) if self.shared else (self.germ.dim, self.order, n_z)
-        if self.order > 0 and self.mode_fields.shape != expected:
-            raise ValueError(f"mode_fields must have shape {expected}")
+        if self.coeffs.ndim != 2 or self.unit.shape != self.coeffs.shape[:1] + self.z_grid.shape:
+            raise ValueError("coeffs must have shape (n_strips, order+1) and unit (n_strips, n_z)")
+        if self.wall.shape != self.z_grid.shape:
+            raise ValueError("wall must match the grid")
+        if self.germ.dim not in (1, self.coeffs.shape[0]):
+            raise ValueError("germ must have one variable, or one per strip")
+
+    @property
+    def order(self) -> int:
+        return self.coeffs.shape[1] - 1
+
+    @property
+    def shared(self) -> bool:
+        return self.germ.dim == 1
+
+    @property
+    def germ_axes(self) -> tuple[int, ...]:
+        """Shape of one germ draw as ``evaluate_interface_batch`` takes it."""
+        return () if self.shared else (self.germ.dim,)
+
+    @property
+    def base_field(self) -> np.ndarray:
+        """The field at the germ mean, the order-zero coefficient (walls included)."""
+        return self.wall + self.coeffs[:, 0] @ self.unit
+
+    def hermite_fields(self) -> np.ndarray:
+        """(K+1, n_z) HermiteE coefficients of the field in a shared germ variable."""
+        if not self.shared:
+            raise ValueError("HermiteE fields in one variable need a shared germ")
+        return np.vstack([self.base_field, self.coeffs[:, 1:].T @ self.unit])
 
 
 def assemble_interface_from_coeffs(
     geometry: InterfaceGeometry,
     coeffs: np.ndarray,
     germ: GermSpec,
-    shared: bool,
     lam: float,
     t_end: float,
     n_z: int = DEFAULT_N_Z,
     cfl: float = DEFAULT_CFL,
 ) -> InterfaceSurrogate:
-    """Interface chaos fields at t_end from per-strip expansions.
+    """Interface expansion at t_end from per-strip expansions.
 
     ``coeffs`` has shape (n_strips, order+1): the interface-exit expansion of
-    each strip's fluid temperature. Each coefficient field is the matching
-    weighted sum of the cached footprint responses.
+    each strip's fluid temperature. The germ has one variable shared by all
+    strips or one per strip.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 2 or coeffs.shape[0] != geometry.n_strips:
-        raise ValueError("coeffs must have shape (n_strips, order+1)")
     if t_end < 0.0:
         raise ValueError("t_end must be >= 0")
-    if not shared and germ.dim != geometry.n_strips:
-        raise ValueError("independent germ must have one variable per strip")
     z, wall, unit = _footprint_response(geometry, lam, t_end, n_z, cfl)
-    if shared:
-        # one field per mode: all strips share the germ variable
-        modes = coeffs[:, 1:].T @ unit
-    else:
-        # one field per (strip, mode): that strip's footprint response
-        modes = coeffs[:, 1:, None] * unit[:, None, :]
-    return InterfaceSurrogate(
-        order=coeffs.shape[1] - 1,
-        germ=germ,
-        shared=shared,
-        z_grid=z,
-        time=t_end,
-        base_field=wall + coeffs[:, 0] @ unit,
-        mode_fields=modes,
-    )
+    coeffs = np.asarray(coeffs, dtype=float)
+    return InterfaceSurrogate(germ=germ, z_grid=z, time=t_end, coeffs=coeffs, wall=wall, unit=unit)
 
 
 def evaluate_interface_batch(isurr: InterfaceSurrogate, xi: np.ndarray) -> np.ndarray:
@@ -309,19 +315,11 @@ def evaluate_interface_batch(isurr: InterfaceSurrogate, xi: np.ndarray) -> np.nd
     independent germs.
     """
     xi = np.asarray(xi, dtype=float)
-    if isurr.order == 0:
-        n = xi.shape[0]
-        return np.broadcast_to(isurr.base_field, (n, isurr.base_field.shape[0])).copy()
-    if isurr.shared:
-        if xi.ndim != 1:
-            raise ValueError("shared-germ surrogate expects xi of shape (n,)")
-        design = hermite_design(isurr.order, xi)[:, 1:]  # (n, K)
-        return isurr.base_field + design @ isurr.mode_fields
-    if xi.ndim != 2 or xi.shape[1] != isurr.germ.dim:
-        raise ValueError(f"expected xi of shape (n, {isurr.germ.dim})")
-    n, n_strips = xi.shape
-    order = isurr.order
-    design = hermite_design(order, xi.ravel())[:, 1:].reshape(n, n_strips * order)
-    modes = isurr.mode_fields.reshape(n_strips * order, -1)
-    return isurr.base_field + design @ modes
-
+    if xi.ndim == 0 or xi.shape[1:] != isurr.germ_axes:
+        raise ValueError(f"expected xi of shape {('n',) + isurr.germ_axes}")
+    n = xi.shape[0]
+    # (n, 1 or n_strips, K+1): a shared variable broadcasts across the strips
+    design = hermite_design(isurr.order, xi.ravel()).reshape(n, -1, isurr.order + 1)
+    fields = np.einsum("nsk,sk->ns", design, isurr.coeffs) @ isurr.unit
+    fields += isurr.wall
+    return fields

@@ -53,7 +53,6 @@ from .gpc import (
     GermSpec,
     GermVariable,
     build_strip_exit_batch,
-    build_strip_surrogate,
     build_strip_surrogate_batch,
 )
 from .heat_interface import (
@@ -480,10 +479,7 @@ class Scenario:
         cfg = self.config
         if cfg.model == 1:
             def factory(theta: float) -> StripExitConstraint:
-                surrogate = build_strip_surrogate(
-                    cfg.params, cfg.germ, float(theta), cfg.order, cfg.n_quad, cfg.n_steps
-                )
-                return StripExitConstraint.from_surrogate(surrogate)
+                return batch([theta])[0]()
 
             def batch(thetas) -> list:
                 exits = build_strip_exit_batch(
@@ -769,10 +765,8 @@ class Scenario:
         geometry = cfg.geometry
         if t_end is None:
             t_end = geometry.t_constraint
-        # model 2 strips share one germ variable, model 3 strips own one each
         return assemble_interface_from_coeffs(
-            geometry, coeffs, cfg.germ, cfg.model == 2,
-            geometry.diffusivity, t_end, cfg.n_z, cfg.cfl,
+            geometry, coeffs, cfg.germ, geometry.diffusivity, t_end, cfg.n_z, cfg.cfl
         )
 
     def interface_surrogate(self, theta: float, t_end: float | None = None) -> InterfaceSurrogate:
@@ -784,4 +778,4 @@ class Scenario:
     def mean_field_snapshot(self, theta: float, t_end: float | None = None) -> InterfaceField:
         """Interface temperature at the germ mean (all modes drop out)."""
         isurr = self.interface_surrogate(theta, t_end)
-        return InterfaceField(isurr.z_grid, isurr.base_field.copy(), isurr.time)
+        return InterfaceField(isurr.z_grid, isurr.base_field, isurr.time)

@@ -10,13 +10,11 @@ import pytest
 from tcbayes.bayes import (
     ObservationGroup,
     ObservationSet,
+    Posterior,
     PriorSpec,
     feasible_direction,
     generate_observations,
-    grad_log_posterior,
-    log_likelihood,
     log_prior,
-    log_unconstrained_posterior,
     penalized_gradient,
 )
 from tcbayes.porous_flow import ModelParams, forward_pressure_at_mean
@@ -26,6 +24,8 @@ PARAMS = ModelParams(heat_flux_nominal=Q0)
 XI_MEAN = (Q0, PARAMS.porosity)
 SIGMA_L = 80.0
 THETA_TRUE = 700.0
+# the likelihood does not depend on the prior a Posterior is built with
+PRIOR = PriorSpec("uniform", low=300.0, high=1000.0)
 
 
 def _obs(n_obs=5, seed=0, noise=SIGMA_L, theta=THETA_TRUE):
@@ -37,11 +37,12 @@ def test_zero_residual_single_observation():
     group = ObservationGroup("g", np.array([pressure]), SIGMA_L)
     obs = ObservationSet((group,))
     expected = -math.log(math.sqrt(2.0 * math.pi) * SIGMA_L)
-    assert log_likelihood(obs, THETA_TRUE, PARAMS) == pytest.approx(expected, abs=1e-12)
-    # with N=1 the tempered and classic forms coincide
-    assert log_likelihood(obs, THETA_TRUE, PARAMS, classic_iid=True) == pytest.approx(
+    assert Posterior(obs, PRIOR, PARAMS).log_likelihood(THETA_TRUE) == pytest.approx(
         expected, abs=1e-12
     )
+    # with N=1 the tempered and classic forms coincide
+    classic = Posterior(obs, PRIOR, PARAMS, classic_iid=True)
+    assert classic.log_likelihood(THETA_TRUE) == pytest.approx(expected, abs=1e-12)
 
 
 def test_group_additivity_exact():
@@ -51,8 +52,9 @@ def test_group_additivity_exact():
     )
     merged = a.merge(b)
     theta = 520.0
-    total = log_likelihood(merged, theta, PARAMS)
-    assert total == log_likelihood(a, theta, PARAMS) + log_likelihood(b, theta, PARAMS)
+    total = Posterior(merged, PRIOR, PARAMS).log_likelihood(theta)
+    parts = [Posterior(part, PRIOR, PARAMS).log_likelihood(theta) for part in (a, b)]
+    assert total == parts[0] + parts[1]
 
 
 def test_tempered_vs_classic_forms():
@@ -62,8 +64,10 @@ def test_tempered_vs_classic_forms():
     res_sq = float(np.sum((obs.groups[0].values - pressure) ** 2))
     tempered = -math.log(math.sqrt(2 * math.pi) * SIGMA_L) - res_sq / (2 * 8 * SIGMA_L**2)
     classic = -8 * math.log(math.sqrt(2 * math.pi) * SIGMA_L) - res_sq / (2 * SIGMA_L**2)
-    assert log_likelihood(obs, theta, PARAMS) == pytest.approx(tempered, rel=1e-12)
-    assert log_likelihood(obs, theta, PARAMS, classic_iid=True) == pytest.approx(
+    assert Posterior(obs, PRIOR, PARAMS).log_likelihood(theta) == pytest.approx(
+        tempered, rel=1e-12
+    )
+    assert Posterior(obs, PRIOR, PARAMS, classic_iid=True).log_likelihood(theta) == pytest.approx(
         classic, rel=1e-12
     )
 
@@ -118,7 +122,8 @@ def test_zero_noise_grid_argmax_at_theta_true():
     obs = _obs(n_obs=3, seed=5, noise=1e-30)
     prior = PriorSpec("uniform", low=300.0, high=1000.0)
     grid = np.linspace(300.0, 1000.0, 141)  # 5-unit spacing, includes 700
-    values = [log_unconstrained_posterior(t, obs, prior, PARAMS) for t in grid]
+    posterior = Posterior(obs, prior, PARAMS)
+    values = [posterior(t) for t in grid]
     assert grid[int(np.argmax(values))] == pytest.approx(THETA_TRUE, abs=2.5)
 
 
@@ -156,7 +161,7 @@ def test_gradient_stationary_at_mode():
     obs = ObservationSet((group,))
     prior = PriorSpec("gaussian", mean=600.0, std=200.0)
     # residual zero and theta at the prior mean: only the one-sided FD bias remains
-    grad = grad_log_posterior(600.0, obs, prior, PARAMS)
+    grad = Posterior(obs, prior, PARAMS).grad(600.0)
     assert abs(grad) < 1e-4
 
 
@@ -165,8 +170,8 @@ def test_gradient_uniform_prior_is_likelihood_only():
     uni = PriorSpec("uniform", low=300.0, high=1000.0)
     gauss = PriorSpec("gaussian", mean=600.0, std=200.0)
     theta = 550.0
-    g_uni = grad_log_posterior(theta, obs, uni, PARAMS)
-    g_gauss = grad_log_posterior(theta, obs, gauss, PARAMS)
+    g_uni = Posterior(obs, uni, PARAMS).grad(theta)
+    g_gauss = Posterior(obs, gauss, PARAMS).grad(theta)
     assert g_gauss - g_uni == pytest.approx(-(theta - 600.0) / 200.0**2, rel=1e-9)
 
 
@@ -180,10 +185,11 @@ def test_gradient_matches_central_difference(classic):
     prior = PriorSpec("gaussian", mean=600.0, std=200.0)
     rng = np.random.default_rng(15)
     h = 1e-3
+    posterior = Posterior(obs, prior, PARAMS, classic_iid=classic)
     for theta in rng.uniform(350.0, 950.0, 20):
-        analytic = grad_log_posterior(theta, obs, prior, PARAMS, classic_iid=classic)
-        hi = log_unconstrained_posterior(theta + h, obs, prior, PARAMS, classic_iid=classic)
-        lo = log_unconstrained_posterior(theta - h, obs, prior, PARAMS, classic_iid=classic)
+        analytic = posterior.grad(theta)
+        hi = posterior(theta + h)
+        lo = posterior(theta - h)
         central = (hi - lo) / (2.0 * h)
         assert abs(analytic - central) / (abs(analytic) + 1e-12) <= 1e-3
 

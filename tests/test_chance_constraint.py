@@ -288,7 +288,7 @@ def test_strip_exit_constraint_against_brute_force():
         (GermVariable("q", q0, 0.03 * q0), GermVariable("phi", params.porosity, 0.01))
     )
     surrogate = build_strip_surrogate(params, germ, 540.0)
-    f2 = StripExitConstraint.from_surrogate(surrogate)
+    f2 = StripExitConstraint(germ, surrogate.order, surrogate.coeff_t_fluid[..., -1])
     spec = ChanceConstraintSpec(beta=343.2, alpha=0.95, n_prob_samples=40_000, seed=5)
     prob = satisfaction_probability(f2, spec)
 
@@ -306,7 +306,7 @@ def test_interface_constraint_modes():
     rng = np.random.default_rng(21)
     coeffs = np.column_stack([rng.uniform(330, 360, 60), rng.normal(0, 2, 60), rng.normal(0, 0.5, 60)])
     germ = GermSpec((GermVariable("q", 450.0, 10.0),))
-    isurr = assemble_interface_from_coeffs(geo, coeffs, germ, True, 1e-3, 1.0, 400)
+    isurr = assemble_interface_from_coeffs(geo, coeffs, germ, 1e-3, 1.0, 400)
     spec = ChanceConstraintSpec(beta=395.0, alpha=0.8, n_prob_samples=4000, seed=13)
     max_mode = satisfaction_probability(InterfaceMaxConstraint(isurr), spec)
     pointwise = satisfaction_probability(InterfaceMaxConstraint(isurr, pointwise=True), spec)
@@ -334,6 +334,20 @@ _coef = st.integers(-24, 24).map(lambda k: k / 8.0)
 _beta = st.floats(-4.0, 4.0, allow_subnormal=False)
 
 
+def _factored(coeffs: np.ndarray) -> InterfaceSurrogate:
+    """Shared-germ surrogate whose every z node is its own strip (unit = I,
+    wall = 0), so row j of ``coeffs`` is the expansion of the field at node j."""
+    n_z = coeffs.shape[0]
+    return InterfaceSurrogate(
+        germ=UNIT_GERM,
+        z_grid=np.linspace(0.0, 1.0, n_z),
+        time=1.0,
+        coeffs=coeffs,
+        wall=np.zeros(n_z),
+        unit=np.eye(n_z),
+    )
+
+
 @st.composite
 def _shared_fields(draw, max_order: int = 4) -> InterfaceSurrogate:
     """Random shared-germ surrogates; some nodes have zero modes or a zero top mode."""
@@ -347,15 +361,7 @@ def _shared_fields(draw, max_order: int = 4) -> InterfaceSurrogate:
         no_top = np.array(draw(st.lists(st.booleans(), min_size=n_z, max_size=n_z)))
         modes[:, flat] = 0.0
         modes[-1, no_top] = 0.0
-    return InterfaceSurrogate(
-        order=order,
-        germ=UNIT_GERM,
-        shared=True,
-        z_grid=np.linspace(0.0, 1.0, n_z),
-        time=1.0,
-        base_field=base,
-        mode_fields=modes,
-    )
+    return _factored(np.column_stack([base, modes.T]))
 
 
 _DRAWS = np.random.default_rng(2024).standard_normal((100_000, 1))
@@ -400,15 +406,7 @@ def test_exact_probability_monotone_in_beta_and_pointwise_dominates(isurr, b1, b
 @given(_shared_fields(max_order=0), _shared_fields(), _beta)
 def test_constant_fields_give_zero_or_one(order_zero, other, beta):
     # an order-0 surrogate, and the same base with every mode zeroed
-    flat = InterfaceSurrogate(
-        order=other.order,
-        germ=UNIT_GERM,
-        shared=True,
-        z_grid=other.z_grid,
-        time=1.0,
-        base_field=other.base_field,
-        mode_fields=np.zeros_like(other.mode_fields),
-    )
+    flat = _factored(np.column_stack([other.coeffs[:, :1], np.zeros_like(other.coeffs[:, 1:])]))
     for isurr in (order_zero, flat):
         expected = float(np.all(isurr.base_field <= beta))
         for pointwise in (False, True):
@@ -419,7 +417,7 @@ def test_exact_path_draws_no_germ_sample(monkeypatch):
     rng = np.random.default_rng(5)
     geo = InterfaceGeometry()
     coeffs = np.column_stack([rng.uniform(330, 360, 60), rng.normal(0, 2, 60), rng.normal(0, 0.5, 60)])
-    isurr = assemble_interface_from_coeffs(geo, coeffs, UNIT_GERM, True, 1e-3, 1.0, 400)
+    isurr = assemble_interface_from_coeffs(geo, coeffs, UNIT_GERM, 1e-3, 1.0, 400)
 
     def no_draws(*args):
         raise AssertionError("the shared-germ path must not draw")
@@ -452,7 +450,8 @@ def test_model1_scan_draws_no_germ_sample(monkeypatch, tiny_model1_dict):
 def _reference_shared_probability(isurr: InterfaceSurrogate, beta: float, pointwise: bool) -> float:
     """The shared-germ probability as computed before the root helper served
     both constraints: segments classified by ``evaluate_interface_batch``."""
-    stacked = np.vstack([isurr.base_field, isurr.mode_fields[: isurr.order]])
+    base = isurr.wall + isurr.coeffs[:, 0] @ isurr.unit
+    stacked = np.vstack([base, isurr.coeffs[:, 1:].T @ isurr.unit])
     power = (chance_constraint._herme_to_power(isurr.order) @ stacked).T
     power[:, 0] -= beta
     breaks = np.unique(chance_constraint._root_breakpoints(power))
@@ -504,7 +503,7 @@ def _independent_surrogate(theta: float) -> InterfaceMaxConstraint:
     rng = np.random.default_rng(3)
     coeffs = np.column_stack([theta + rng.uniform(0, 5, 4), rng.normal(0, 2, 4), rng.normal(0, 0.5, 4)])
     return InterfaceMaxConstraint(
-        assemble_interface_from_coeffs(geo, coeffs, germ, False, 1e-3, 1.0, 120)
+        assemble_interface_from_coeffs(geo, coeffs, germ, 1e-3, 1.0, 120)
     )
 
 

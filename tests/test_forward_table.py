@@ -9,7 +9,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcbayes import bayes, porous_flow
@@ -21,8 +21,6 @@ from tcbayes.bayes import (
     PriorSpec,
     build_pressure_table,
     chebyshev_nodes,
-    grad_log_posterior,
-    log_unconstrained_posterior,
 )
 from tcbayes.cli import main
 from tcbayes.porous_flow import (
@@ -130,6 +128,8 @@ def _same(a: float, b: float) -> bool:
 
 @settings(max_examples=30, deadline=None)
 @given(st.one_of(st.floats(1.0, 299.999), st.floats(1000.001, 3000.0)))
+# theta + fd_step lands on the table's lower end
+@example(299.999)
 def test_out_of_range_theta_uses_direct_march(theta):
     obs = _group_obs(POINT)
     tabled = Posterior(obs, _PRIOR, PARAMS, tables={POINT: _table()})
@@ -192,8 +192,6 @@ def test_singular_group_keeps_inf_and_nan(singular_at_bad_phi):
     )
     tables = {POINT: build_pressure_table(PARAMS, POINT, RANGE)}
     assert tables[POINT] is not None
-    assert log_unconstrained_posterior(700.0, obs, _PRIOR, PARAMS, tables=tables) == -math.inf
-    assert math.isnan(grad_log_posterior(700.0, obs, _PRIOR, PARAMS, tables=tables))
     posterior = Posterior(obs, _PRIOR, PARAMS, tables=tables)
     assert posterior(700.0) == -math.inf
     assert math.isnan(posterior.grad(700.0))

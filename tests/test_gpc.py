@@ -248,15 +248,19 @@ def test_per_row_re_batch_equals_per_theta_builds():
 
 def test_exit_batch_matches_full_history_builds():
     # model 1's bivariate germ at the 33 coarse scan thetas; BLAS may block the
-    # (33, C) products differently from the (1, C) ones, hence not bit for bit
+    # (33, C) products differently from the (1, C) ones, hence not bit for bit.
+    # A one-row batch (the scenario's per-theta build) does the scalar products.
     cfg = _shipped(1)
-    thetas = np.linspace(*cfg.theta_range(), 33)
-    exits = build_strip_exit_batch(cfg.params, cfg.germ, thetas, cfg.order, cfg.n_quad, cfg.n_steps)
-    assert exits.shape == (33, cfg.order + 1, cfg.order + 1)
-    for theta, got in zip(thetas, exits):
-        s = build_strip_surrogate(cfg.params, cfg.germ, theta, cfg.order, cfg.n_quad, cfg.n_steps)
-        want = s.coeff_t_fluid[..., -1]
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15 * np.max(np.abs(want)))
+    for thetas in (np.linspace(*cfg.theta_range(), 33), np.array([540.0])):
+        exits = build_strip_exit_batch(cfg.params, cfg.germ, thetas, cfg.order, cfg.n_quad, cfg.n_steps)
+        assert exits.shape == (thetas.size, cfg.order + 1, cfg.order + 1)
+        for theta, got in zip(thetas, exits):
+            s = build_strip_surrogate(cfg.params, cfg.germ, theta, cfg.order, cfg.n_quad, cfg.n_steps)
+            want = s.coeff_t_fluid[..., -1]
+            if thetas.size == 1:
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15 * np.max(np.abs(want)))
 
 
 def test_march_without_history_returns_the_last_row():

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tcbayes.gpc import GermSpec, GermVariable, hermite_design
 from tcbayes.heat_interface import (
     InterfaceField,
     InterfaceGeometry,
+    InterfaceSurrogate,
     _diffuse_rows,
     _footprint_index,
     _footprint_response,
@@ -178,6 +180,15 @@ def test_spectral_path_matches_marching():
     assert np.max(np.abs(marched - spectral)) <= 1e-9
 
 
+def _coefficient_fields(isurr: InterfaceSurrogate) -> np.ndarray:
+    """Higher chaos coefficient fields, one row per mode (shared germ) or per
+    (strip, mode) (independent germs), from the factored surrogate."""
+    if isurr.shared:
+        return isurr.hermite_fields()[1:]
+    n_z = isurr.z_grid.shape[0]
+    return (isurr.coeffs[:, 1:, None] * isurr.unit[:, None, :]).reshape(-1, n_z)
+
+
 def _parent_rows(geo, coeffs, shared, n_z):
     """Coefficient fields stacked row by row before diffusion, one per mode
     (shared) or per (strip, mode) (independent), base row first."""
@@ -199,12 +210,12 @@ def test_response_assembly_matches_stacked_spectral(shared, order):
     # the shipped long march: n_z 600, lam 0.005, t 20, cfl 0.4 (89 700 steps)
     geo = InterfaceGeometry(wall_temp=410.0)
     coeffs, germ = synthetic_coeffs(order, shared)
-    isurr = assemble_interface_from_coeffs(geo, coeffs, germ, shared, 0.005, 20.0, 600, 0.4)
+    isurr = assemble_interface_from_coeffs(geo, coeffs, germ, 0.005, 20.0, 600, 0.4)
     rows = _parent_rows(geo, coeffs, shared, 600)
     n_full, r_rem = _march_plan(isurr.z_grid, 0.005, 20.0, 0.4)
     expected = _spectral_propagate(rows, 0.4, n_full, r_rem)
     assert np.max(np.abs(isurr.base_field - expected[0])) <= 1e-10
-    modes = isurr.mode_fields.reshape(-1, 600)
+    modes = _coefficient_fields(isurr)
     assert modes.shape == expected[1:].shape
     assert np.max(np.abs(modes - expected[1:]), initial=0.0) <= 1e-10
 
@@ -213,12 +224,12 @@ def test_response_assembly_matches_stacked_spectral(shared, order):
 def test_response_at_time_zero_is_the_initial_field(shared):
     geo = InterfaceGeometry()
     coeffs, germ = synthetic_coeffs(3, shared)
-    isurr = assemble_interface_from_coeffs(geo, coeffs, germ, shared, 1e-3, 0.0, 600)
+    isurr = assemble_interface_from_coeffs(geo, coeffs, germ, 1e-3, 0.0, 600)
     initial = assemble_initial_field(geo, coeffs[:, 0], 600)
     np.testing.assert_array_equal(isurr.base_field, initial.values)
     np.testing.assert_array_equal(isurr.z_grid, initial.z_grid)
     rows = _parent_rows(geo, coeffs, shared, 600)
-    np.testing.assert_array_equal(isurr.mode_fields.reshape(-1, 600), rows[1:])
+    np.testing.assert_array_equal(_coefficient_fields(isurr), rows[1:])
 
 
 def test_footprint_response_partition_of_unity():
@@ -268,17 +279,17 @@ def test_degenerate_germ_interface_collapse():
     germ = GermSpec((GermVariable("q", 450.0, 0.0),))
     coeffs = np.zeros((60, 3))
     coeffs[:, 0] = means
-    isurr = assemble_interface_from_coeffs(geo, coeffs, germ, True, 1e-3, 1.0, 500)
+    isurr = assemble_interface_from_coeffs(geo, coeffs, germ, 1e-3, 1.0, 500)
     reference = diffuse_field(assemble_initial_field(geo, means, 500), 1e-3, 1.0)
     np.testing.assert_allclose(isurr.base_field, reference.values, atol=1e-10)
-    assert np.max(np.abs(isurr.mode_fields)) <= 1e-12
+    assert np.max(np.abs(_coefficient_fields(isurr))) <= 1e-12
 
 
 @pytest.mark.parametrize("shared", [True, False])
 def test_commute_diffuse_then_evaluate(shared):
     geo = InterfaceGeometry()
     coeffs, germ = synthetic_coeffs(3, shared)
-    isurr = assemble_interface_from_coeffs(geo, coeffs, germ, shared, 1e-3, 1.0, 600)
+    isurr = assemble_interface_from_coeffs(geo, coeffs, germ, 1e-3, 1.0, 600)
     assert isurr.shared is shared
     rng = np.random.default_rng(8)
     for _ in range(5):
@@ -296,7 +307,7 @@ def test_commute_diffuse_then_evaluate(shared):
 
 def test_single_evaluation_matches_batch():
     geo = InterfaceGeometry()
-    isurr = assemble_interface_from_coeffs(geo, *synthetic_coeffs(3, shared=False), False, 1e-3, 1.0, 500)
+    isurr = assemble_interface_from_coeffs(geo, *synthetic_coeffs(3, shared=False), 1e-3, 1.0, 500)
     xi = np.random.default_rng(9).standard_normal((3, 60))
     single = evaluate_interface_batch(isurr, xi[:1])[0]
     # a one-row product may take another BLAS kernel than a three-row one
@@ -308,11 +319,57 @@ def test_build_interface_validation():
     geo = InterfaceGeometry()
     coeffs, germ = synthetic_coeffs(3, shared=True)
     with pytest.raises(ValueError):
-        assemble_interface_from_coeffs(geo, coeffs[:59], germ, True, 1e-3, 1.0, 600)
+        assemble_interface_from_coeffs(geo, coeffs[:59], germ, 1e-3, 1.0, 600)
     with pytest.raises(ValueError):
-        assemble_interface_from_coeffs(geo, coeffs[:, 0], germ, True, 1e-3, 1.0, 600)
+        assemble_interface_from_coeffs(geo, coeffs[:, 0], germ, 1e-3, 1.0, 600)
     with pytest.raises(ValueError):
-        assemble_interface_from_coeffs(geo, coeffs, germ, True, 1e-3, -1.0, 600)
-    # an independent germ needs one variable per strip
+        assemble_interface_from_coeffs(geo, coeffs, germ, 1e-3, -1.0, 600)
+    # the germ has one variable shared by all strips, or one per strip
+    _, independent = synthetic_coeffs(3, shared=False, n_strips=59)
     with pytest.raises(ValueError):
-        assemble_interface_from_coeffs(geo, coeffs, germ, False, 1e-3, 1.0, 600)
+        assemble_interface_from_coeffs(geo, coeffs, independent, 1e-3, 1.0, 600)
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_evaluation_checks_the_draw_shape_at_every_order(order):
+    geo = InterfaceGeometry()
+    for shared, wrong in ((True, np.zeros((7, 3))), (False, np.zeros(7))):
+        coeffs, germ = synthetic_coeffs(order, shared)
+        isurr = assemble_interface_from_coeffs(geo, coeffs, germ, 1e-3, 1.0, 200)
+        with pytest.raises(ValueError):
+            evaluate_interface_batch(isurr, wrong)
+        right = np.zeros((7,) + isurr.germ_axes)
+        assert evaluate_interface_batch(isurr, right).shape == (7, 200)
+
+
+def _direct_sum(isurr: InterfaceSurrogate, xi: np.ndarray) -> np.ndarray:
+    """wall + sum_s (sum_k c[s, k] He_k(xi_s)) unit[s], one draw and strip at a time."""
+    n_strips = isurr.coeffs.shape[0]
+    out = np.empty((xi.shape[0], isurr.z_grid.shape[0]))
+    for n, draw in enumerate(xi):
+        field = isurr.wall.copy()
+        for s in range(n_strips):
+            x = draw if isurr.shared else draw[s]
+            field += np.polynomial.hermite_e.hermeval(x, isurr.coeffs[s]) * isurr.unit[s]
+        out[n] = field
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    order=st.integers(0, 4),
+    n_strips=st.integers(1, 4),
+    shared=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    xi=hnp.arrays(float, st.tuples(st.integers(1, 5), st.just(4)), elements=st.floats(-6.0, 6.0)),
+)
+def test_factored_evaluation_matches_direct_sum(order, n_strips, shared, seed, xi):
+    geo = InterfaceGeometry(n_strips=n_strips, section_porosities=((0.25, 0.75, 0.2),))
+    coeffs, germ = synthetic_coeffs(order, shared, n_strips, seed)
+    isurr = assemble_interface_from_coeffs(geo, coeffs, germ, 1e-3, 1.0, 120)
+    assert isurr.shared is (shared or n_strips == 1)
+    xi = xi[:, 0] if isurr.shared else xi[:, :n_strips]
+    got = evaluate_interface_batch(isurr, xi)
+    want = _direct_sum(isurr, xi)
+    scale = np.max(np.abs(isurr.wall)) + np.sum(np.abs(coeffs)) * 6.0**order
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale

@@ -156,15 +156,15 @@ def test_gradient_near_the_mode_keeps_per_observation_precision():
         assert abs(grad - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
-def test_flat_prior_is_the_likelihood_alone():
+def test_posterior_is_the_prior_plus_the_likelihood():
     obs = ObservationSet((ObservationGroup("g", np.array([5.99e5, 5.995e5]), 80.0, *TABLED),))
-    prior = PriorSpec("uniform", low=300.0, high=1000.0)
-    flat = Posterior(obs, None, PARAMS, tables=_tables())
-    full = Posterior(obs, prior, PARAMS, tables=_tables())
-    for theta in (350.0, 640.0, 990.0):
-        assert full(theta) == log_prior(theta, prior) + flat(theta)
-        assert flat.log_likelihood(theta) == flat(theta)
-    assert flat(0.0) == -math.inf and math.isnan(flat.grad(-1.0))
+    priors = (PriorSpec("uniform", low=300.0, high=1000.0), PriorSpec("gaussian", mean=600.0, std=200.0))
+    for prior in priors:
+        posterior = Posterior(obs, prior, PARAMS, tables=_tables())
+        for theta in (350.0, 640.0, 990.0):
+            assert posterior(theta) == log_prior(theta, prior) + posterior.log_likelihood(theta)
+        assert posterior.log_likelihood(0.0) == posterior(0.0) == -math.inf
+        assert math.isnan(posterior.grad(-1.0))
 
 
 # ---------------------------------------------------------------------------

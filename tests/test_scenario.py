@@ -413,7 +413,7 @@ def test_factory_batch_builds_the_per_theta_surrogates(tiny_model2_dict, model):
         got, want = make().isurr, factory(theta).isurr
         assert got.shared == want.shared == (model == 2)
         np.testing.assert_array_equal(got.base_field, want.base_field)
-        np.testing.assert_array_equal(got.mode_fields, want.mode_fields)
+        np.testing.assert_array_equal(got.coeffs, want.coeffs)
 
 
 def test_model1_factory_batch_matches_per_theta_builds(tiny_scenario):
