@@ -34,7 +34,7 @@ _FORWARD_FAILURES = (SingularDenominatorError, NonFiniteStateError)
 
 DEFAULT_UNIFORM_FLOOR = 1e-300
 DEFAULT_FD_STEP = 1e-3
-TABLE_NODES = 64
+TABLE_NODES = 32
 TABLE_TOL = 1e-12
 
 
@@ -195,29 +195,38 @@ def generate_observations(
 
 
 class ChebyshevTable:
-    """Chebyshev interpolant of a smooth scalar function on [lo, hi].
+    """Chebyshev interpolant of a smooth scalar or array function on [lo, hi].
 
-    Built from the values at the n first-kind nodes (``chebyshev_nodes``)
-    with the cosine sum c_j = (2/n) sum_k f_k cos(j*pi*(k+1/2)/n), c_0
-    halved; evaluated by the Clenshaw recurrence on plain floats.
+    Built from the values (n, ...) at the n first-kind nodes
+    (``chebyshev_nodes``) with the cosine sum
+    c_j = (2/n) sum_k f_k cos(j*pi*(k+1/2)/n), c_0 halved. The longest
+    trailing run of coefficients whose summed magnitude (the largest entry
+    of each) is below ``TABLE_TOL / 100`` of the largest node value is
+    dropped: |T_j| <= 1 on [lo, hi], so no value moves by more than that.
+    Evaluated by the Clenshaw recurrence, on plain floats for a scalar
+    table and on arrays otherwise. ``terms`` counts the coefficients kept;
     ``max_rel_error`` is the error measured when the table was built.
     """
 
     def __init__(self, lo: float, hi: float, node_values):
         values = np.asarray(node_values, dtype=float)
-        n = values.size
+        n = values.shape[0]
         angles = np.pi * np.outer(np.arange(n), np.arange(n) + 0.5) / n
-        coeffs = (2.0 / n) * (np.cos(angles) @ values)
+        coeffs = (2.0 / n) * (np.cos(angles) @ values.reshape(n, -1)).reshape(values.shape)
         coeffs[0] *= 0.5
+        tails = np.cumsum(np.abs(coeffs.reshape(n, -1)).max(axis=1)[::-1])[::-1]
+        terms = max(1, n - int(np.count_nonzero(tails < TABLE_TOL / 100 * np.abs(values).max())))
         self.lo, self.hi = float(lo), float(hi)
         self.n_nodes = n
+        self.terms = terms
         self.max_rel_error = math.nan
         self._center = 0.5 * (self.lo + self.hi)
         self._scale = 2.0 / (self.hi - self.lo)
-        self._c0 = float(coeffs[0])
-        self._tail = tuple(float(c) for c in coeffs[:0:-1])  # c_{n-1}, ..., c_1
+        kept = coeffs[:terms] if values.ndim > 1 else [float(c) for c in coeffs[:terms]]
+        self._c0 = kept[0]
+        self._tail = tuple(kept[:0:-1])  # c_{terms-1}, ..., c_1
 
-    def __call__(self, theta: float) -> float:
+    def __call__(self, theta: float):
         t = (theta - self._center) * self._scale
         t2 = t + t
         b1 = b2 = 0.0
@@ -231,38 +240,59 @@ def chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * (np.arange(n) + 0.5) / n)
 
 
-def build_pressure_table(
-    params: ModelParams,
-    point: tuple[float, float],
-    theta_range: tuple[float, float],
-) -> ChebyshevTable | None:
-    """Chebyshev table of F(theta) at one evaluation point, or None.
+def build_table(march, theta_range: tuple[float, float]) -> ChebyshevTable | None:
+    """Chebyshev table of a theta-batched march over ``theta_range``, or None.
 
-    One batched march covers the TABLE_NODES nodes, the midpoints between
-    them and the two range ends. The table is kept only if no march fails
-    and it matches the march at every midpoint and end to relative error
-    TABLE_TOL; otherwise None tells the caller to keep the direct march.
+    ``march(thetas)`` returns the values at every theta, shape
+    (len(thetas), ...). One call covers the TABLE_NODES nodes, the
+    midpoints between them and the two range ends. The table is kept only
+    if the march does not fail and, at every midpoint and end,
+    max|table - march| / max|march| is at most TABLE_TOL (for a scalar
+    table, the relative error); otherwise None tells the caller to keep
+    the direct march.
     """
     lo, hi = theta_range
     if not 0.0 < lo < hi:
         return None
     nodes = chebyshev_nodes(lo, hi, TABLE_NODES)
     checks = np.concatenate([0.5 * (nodes[:-1] + nodes[1:]), [lo, hi]])
-    q, phi = point
     try:
-        tf, _, rho = interface_state_batch(params, q, phi, np.concatenate([nodes, checks]))
+        values = np.asarray(march(np.concatenate([nodes, checks])), dtype=float)
     except (ValueError, *_FORWARD_FAILURES):
         return None
-    pressure = tf * rho
-    table = ChebyshevTable(lo, hi, pressure[:TABLE_NODES])
-    direct = pressure[TABLE_NODES:]
-    approx = np.array([table(float(t)) for t in checks])
+    table = ChebyshevTable(lo, hi, values[:TABLE_NODES])
     with np.errstate(divide="ignore", invalid="ignore"):
-        error = float(np.max(np.abs(approx - direct) / np.abs(direct)))
+        errors = [
+            np.abs(table(float(t)) - direct).max() / np.abs(direct).max()
+            for t, direct in zip(checks, values[TABLE_NODES:])
+        ]
+    error = float(np.max(errors))
     if not error <= TABLE_TOL:
         return None
     table.max_rel_error = error
     return table
+
+
+def table_record(table: ChebyshevTable | None) -> dict | str:
+    """What a run reports of a table: nodes, terms kept and build error, or "direct"."""
+    if table is None:
+        return "direct"
+    return {"nodes": table.n_nodes, "terms": table.terms, "max_rel_error": table.max_rel_error}
+
+
+def build_pressure_table(
+    params: ModelParams,
+    point: tuple[float, float],
+    theta_range: tuple[float, float],
+) -> ChebyshevTable | None:
+    """Chebyshev table of F(theta) at one evaluation point, or None (see ``build_table``)."""
+    q, phi = point
+
+    def march(thetas: np.ndarray) -> np.ndarray:
+        tf, _, rho = interface_state_batch(params, q, phi, thetas)
+        return tf * rho
+
+    return build_table(march, theta_range)
 
 
 class Posterior:

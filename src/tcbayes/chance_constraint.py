@@ -28,13 +28,13 @@ at the segment midpoint; a segment's share of P is its normal mass.
 ``probability(xi, beta)`` keeps the Monte Carlo estimate of every
 constraint for cross-checks.
 
-The boundary scan asks the oracle for many thetas. Building a surrogate is
-a Galerkin march of the strips, which costs about the same per call for
-one theta as for dozens, so the scan lets the oracle ``prefetch`` the whole
-coarse grid in one batched march, and then the whole bisection tree of a
-bracket (every midpoint it can visit). Prefetch stores only cheap
-per-theta constructors; the probability, the costly part for Monte Carlo
-models, is still computed only at the thetas the bisection visits.
+The boundary scan asks the oracle for many thetas, and each needs a
+surrogate, whose costly part is a Galerkin march of the strips. The strip
+exit coefficients are as smooth in theta as the forward pressure, so a
+scenario tabulates them once, from one march over the Chebyshev nodes of
+its theta range, and its surrogate factory reads the table (see
+``Scenario.exit_table``). The oracle and the scan only see that factory
+and compute P at the thetas the bisection visits.
 """
 from __future__ import annotations
 
@@ -42,7 +42,6 @@ import csv
 import functools
 import logging
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +66,6 @@ logger = logging.getLogger(__name__)
 BUILD_FAILURES = (SingularDenominatorError, NonFiniteStateError)
 DEFAULT_CACHE_QUANTUM = 1e-6
 _EVAL_CHUNK = 8192
-# halvings of a bisection bracket prefetched at once: 63 midpoints
-_TREE_LEVELS = 6
 # Phi(-40) and 1 - Phi(40) are 0 in double precision, so [-40, 40] carries all the mass
 _XI_CUT = 40.0
 # leading power coefficients this small against the polynomial's scale on
@@ -336,11 +333,6 @@ class ChanceConstraintOracle:
     probability; cache keys quantize theta. Build failures are cached as
     NaN (infeasible) and counted. The seeded germ sample of the Monte Carlo
     path is drawn once, on first use.
-
-    A factory with a ``batch(thetas)`` method, returning one zero-argument
-    surrogate constructor per theta, lets ``prefetch`` march the surrogates
-    of many thetas in one call. ``probability`` still computes P, and counts
-    an evaluation, only at the thetas it is asked for.
     """
 
     def __init__(
@@ -353,12 +345,9 @@ class ChanceConstraintOracle:
         self.surrogate_factory = surrogate_factory
         self.cache_quantum = cache_quantum
         self._probabilities: dict[int, float] = {}
-        self._prefetched: dict[int, Callable[[], F2Surrogate]] = {}
         self._draws: dict[int, np.ndarray] = {}
         self.build_failures = 0
         self.evaluations = 0
-        self.batch_marches = 0
-        self.batch_rows = 0
         self.mc_draws = 0
 
     def _germ_draws(self, germ: GermSpec, spec: ChanceConstraintSpec) -> np.ndarray:
@@ -373,42 +362,14 @@ class ChanceConstraintOracle:
     def _key(self, theta: float) -> int:
         return int(round(theta / self.cache_quantum))
 
-    def prefetch(self, thetas) -> None:
-        """Build the surrogates of many thetas in one batch call, for later visits.
-
-        Thetas whose key is already evaluated or prefetched are skipped. A
-        plain factory without ``batch`` makes this a no-op. If the batch
-        build fails, nothing is stored: each theta then gets its own build,
-        and its own failure count, when ``probability`` visits it.
-        """
-        batch = getattr(self.surrogate_factory, "batch", None)
-        if batch is None:
-            return
-        todo: dict[int, float] = {}
-        for theta in thetas:
-            key = self._key(theta)
-            if key not in self._probabilities and key not in self._prefetched:
-                todo.setdefault(key, float(theta))
-        if not todo:
-            return
-        self.batch_marches += 1
-        self.batch_rows += len(todo)
-        try:
-            makers = batch(list(todo.values()))
-        except BUILD_FAILURES as exc:
-            logger.info("batch build of %d thetas failed (%s); building each alone", len(todo), exc)
-            return
-        self._prefetched.update(zip(todo, makers))
-
     def probability(self, theta: float) -> float:
         key = self._key(theta)
         cached = self._probabilities.get(key)
         if cached is not None:
             return cached
         self.evaluations += 1
-        make = self._prefetched.pop(key, None)
         try:
-            surrogate = make() if make is not None else self.surrogate_factory(theta)
+            surrogate = self.surrogate_factory(theta)
             prob = satisfaction_probability(surrogate, self.spec, self._germ_draws)
         except BUILD_FAILURES as exc:
             self.build_failures += 1
@@ -423,14 +384,11 @@ class ChanceConstraintOracle:
         return bool(self.probability(theta) >= self.spec.alpha)
 
     def counters(self) -> dict[str, int]:
-        """Probabilities computed, builds failed, batch calls and the thetas
-        they marched, and the germ draws evaluated by Monte Carlo (0 on an
-        exact path)."""
+        """Probabilities computed, builds failed, and the germ draws evaluated
+        by Monte Carlo (0 on an exact path)."""
         return {
             "evaluations": self.evaluations,
             "build_failures": self.build_failures,
-            "batch_marches": self.batch_marches,
-            "batch_rows": self.batch_rows,
             "mc_draws": self.mc_draws,
         }
 
@@ -453,18 +411,6 @@ class FeasibilityScan:
                 writer.writerow([repr(float(theta)), repr(float(prob)), int(feas)])
 
 
-def _bisection_tree(a: float, b: float, tol: float, levels: int) -> list[float]:
-    """Every midpoint that the next ``levels`` halvings of (a, b) can visit.
-
-    The same ``0.5 * (a + b)`` recursion and width test as the bisection,
-    so the floats are the ones the bisection computes.
-    """
-    if levels == 0 or not abs(b - a) > tol:
-        return []
-    mid = 0.5 * (a + b)
-    return [mid] + _bisection_tree(a, mid, tol, levels - 1) + _bisection_tree(mid, b, tol, levels - 1)
-
-
 def scan_feasible_boundary(
     theta_range: tuple[float, float],
     spec: ChanceConstraintSpec,
@@ -479,12 +425,6 @@ def scan_feasible_boundary(
     final bracket, so membership in a returned interval implies feasibility
     up to the scan resolution. A non-interval coarse pattern simply yields
     several intervals.
-
-    The oracle prefetches the whole coarse grid in one batch, and, before
-    every ``_TREE_LEVELS`` halvings of a bracket, the midpoints those
-    halvings can visit (63 for six levels). Bisection then walks the tree
-    as before, so P is computed only at the thetas it visits and the
-    reported ends are those of plain bisection.
     """
     lo, hi = theta_range
     if not lo < hi:
@@ -497,18 +437,13 @@ def scan_feasible_boundary(
         else ChanceConstraintOracle(spec, surrogate_factory)
     )
     thetas = np.linspace(lo, hi, n_coarse)
-    oracle.prefetch(thetas)
     probs = np.array([oracle.probability(t) for t in thetas])
     feas = np.array([p >= spec.alpha for p in probs])
 
     def bisect(a: float, b: float) -> tuple[float, float]:
         # invariant: feasibility differs between a and b
         fa = oracle(a)
-        halvings = 0
         while abs(b - a) > tol:
-            if halvings % _TREE_LEVELS == 0:
-                oracle.prefetch(_bisection_tree(a, b, tol, _TREE_LEVELS))
-            halvings += 1
             mid = 0.5 * (a + b)
             if oracle(mid) == fa:
                 a = mid

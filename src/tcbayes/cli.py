@@ -29,6 +29,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
+from .bayes import table_record
 from .chance_constraint import satisfaction_probability
 from .diagnostics import (
     CheckpointError,
@@ -273,6 +274,7 @@ def _provenance(scenario: Scenario, command: str, artifacts: dict) -> dict:
         "theta_range": list(cfg.theta_range()),
         "feasible_intervals": [[float(a), float(b)] for a, b in scenario.intervals()],
         "forward_tables": scenario.forward_tables(),
+        "exit_table": table_record(scenario.exit_table()),
         "oracle": scenario.oracle().counters(),
         "versions": _versions(),
         "artifacts": {

@@ -280,7 +280,7 @@ def _galerkin_march(
 
 def _check_re(re) -> np.ndarray:
     re = np.asarray(re, dtype=float)
-    if np.any(re <= 0.0):
+    if not np.all(re > 0.0):  # also rejects NaN
         raise ValueError(f"re must be positive, got {re}")
     return re
 
@@ -293,7 +293,7 @@ def _strip_nodes(
         raise ValueError("n_steps must be >= 1")
     proj = _Projection(germ, order, n_quad)
     q_nodes, phi_nodes = _physical_nodes(params, germ, proj.xi_nodes)
-    if np.any(phi_nodes <= 0.0) or np.any(phi_nodes >= 1.0):
+    if not np.all((phi_nodes > 0.0) & (phi_nodes < 1.0)):
         raise ValueError("porosity leaves (0, 1) at a collocation node; shrink its std")
     return proj, q_nodes, phi_nodes
 
@@ -379,7 +379,7 @@ def build_strip_surrogate_batch(
         raise ValueError("q_means, q_stds and porosities must have equal length")
     if re.ndim and re.shape != (n_strips,):
         raise ValueError("re must be a scalar or one value per strip")
-    if np.any(porosities <= 0.0) or np.any(porosities >= 1.0):
+    if not np.all((porosities > 0.0) & (porosities < 1.0)):
         raise ValueError("porosities must lie in (0, 1)")
 
     proj = _Projection(GermSpec((GermVariable("q", 0.0, 1.0),)), order, n_quad)

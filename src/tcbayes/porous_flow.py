@@ -110,7 +110,7 @@ def _check_inputs(phi: float, re: float, n_steps: int) -> None:
         raise ValueError("n_steps must be >= 1")
     if not 0.0 < phi < 1.0:
         raise ValueError(f"phi must lie in (0, 1), got {phi}")
-    if re <= 0.0:
+    if not re > 0.0:  # also rejects NaN
         raise ValueError(f"re must be positive, got {re}")
 
 
@@ -238,9 +238,10 @@ def interface_state_batch(
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     q, phi, re = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (q, phi, re)))
-    if np.any(phi <= 0.0) or np.any(phi >= 1.0):
+    # "not" forms: a NaN input fails them too
+    if not np.all((phi > 0.0) & (phi < 1.0)):
         raise ValueError("phi draws must lie in (0, 1)")
-    if np.any(re <= 0.0):
+    if not np.all(re > 0.0):
         raise ValueError("re must be positive")
     rhs = [np.ravel(v) if np.ndim(v) else v for v in _rhs(params, q, phi, re)]
     dx = 1.0 / n_steps

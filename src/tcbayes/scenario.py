@@ -19,7 +19,6 @@ sampler runs from a validated ``ScenarioConfig``.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import time
@@ -30,13 +29,16 @@ import jsonschema
 import numpy as np
 
 from .bayes import (
+    ChebyshevTable,
     ObservationSet,
     Posterior,
     PriorSpec,
     build_pressure_table,
+    build_table,
     feasible_direction,
     generate_observations,
     penalized_gradient,
+    table_record,
 )
 from .chance_constraint import (
     ChanceConstraintOracle,
@@ -448,6 +450,7 @@ class Scenario:
         self._observations: ObservationSet | None = None
         self._reference: ReferenceDensity | None = None
         self._forward: dict | None = None
+        self._exit: tuple[ChebyshevTable | None] | None = None
         self._posterior: Posterior | None = None
 
     def with_sampler(self, sampler: dict) -> "Scenario":
@@ -458,6 +461,7 @@ class Scenario:
         clone._observations = self._observations
         clone._reference = self._reference
         clone._forward = self._forward
+        clone._exit = self._exit
         clone._posterior = self._posterior
         return clone
 
@@ -470,35 +474,59 @@ class Scenario:
         return cfg.params.heat_flux_nominal
 
     def surrogate_factory(self):
-        """theta -> F2Surrogate for the configured model.
-
-        The factory's ``batch(thetas)`` marches the strips of every theta in
-        one call and returns one cheap constructor per theta, which
-        ``ChanceConstraintOracle.prefetch`` stores until the theta is visited.
-        """
+        """theta -> F2Surrogate for the configured model, over ``exit_coeffs``."""
         cfg = self.config
         if cfg.model == 1:
-            def factory(theta: float) -> StripExitConstraint:
-                return batch([theta])[0]()
+            return lambda theta: StripExitConstraint(cfg.germ, cfg.order, self.exit_coeffs(theta))
+        return lambda theta: InterfaceMaxConstraint(
+            self._assemble_interface(self.exit_coeffs(theta)), cfg.pointwise
+        )
 
-            def batch(thetas) -> list:
-                exits = build_strip_exit_batch(
-                    cfg.params, cfg.germ, thetas, cfg.order, cfg.n_quad, cfg.n_steps
-                )
-                return [functools.partial(StripExitConstraint, cfg.germ, cfg.order, c) for c in exits]
+    def exit_table(self) -> ChebyshevTable | None:
+        """Chebyshev table over ``theta_range()`` of the strip exit coefficients.
+
+        Built on first use from one Galerkin march over the table's nodes
+        and check points (``bayes.build_table``). None when that march
+        fails or the table misses its check: every theta then marches alone.
+        """
+        if self._exit is None:
+            self._exit = (build_table(self._strip_exit_coeffs, self.config.theta_range()),)
+        return self._exit[0]
+
+    def exit_coeffs(self, theta: float) -> np.ndarray:
+        """Strip exit coefficients at one theta: read from the exit table
+        inside ``theta_range()``, else from a one-theta march."""
+        lo, hi = self.config.theta_range()
+        table = self.exit_table() if lo <= theta <= hi else None
+        if table is None:
+            return self._strip_exit_coeffs([theta])[0]
+        return table(float(theta))
+
+    def _strip_exit_coeffs(self, thetas) -> np.ndarray:
+        """Strip fluid exit coefficients at many thetas in one march: (n_thetas,
+        K+1, K+1) for model 1's strip germ, (n_thetas, n_strips, K+1) otherwise."""
+        cfg = self.config
+        thetas = np.asarray(thetas, dtype=float)
+        if cfg.model == 1:
+            return build_strip_exit_batch(
+                cfg.params, cfg.germ, thetas, cfg.order, cfg.n_quad, cfg.n_steps
+            )
+        porosities = cfg.geometry.strip_porosities()
+        if cfg.model == 2:
+            # strips differ only in porosity: march each distinct one once
+            qvar = cfg.germ.variables[0]
+            porosities, inverse = np.unique(porosities, return_inverse=True)
+            means = np.full(porosities.size, qvar.mean)
+            stds = np.full(porosities.size, qvar.std)
         else:
-            def factory(theta: float) -> InterfaceMaxConstraint:
-                return self._interface_constraint(self._strip_exit_coeffs([theta])[0])
-
-            def batch(thetas) -> list:
-                coeffs = self._strip_exit_coeffs(thetas)
-                return [functools.partial(self._interface_constraint, c) for c in coeffs]
-
-        factory.batch = batch
-        return factory
-
-    def _interface_constraint(self, coeffs: np.ndarray) -> InterfaceMaxConstraint:
-        return InterfaceMaxConstraint(self._assemble_interface(coeffs), self.config.pointwise)
+            means, stds, inverse = cfg.strip_means, cfg.strip_stds, slice(None)
+        n_rows = porosities.size
+        coeffs, _ = build_strip_surrogate_batch(
+            cfg.params, np.tile(means, thetas.size), np.tile(stds, thetas.size),
+            np.tile(porosities, thetas.size), np.repeat(thetas, n_rows),
+            cfg.order, cfg.n_quad, cfg.n_steps,
+        )
+        return coeffs.reshape(thetas.size, n_rows, -1)[:, inverse]
 
     def oracle(self) -> ChanceConstraintOracle:
         if self._oracle is None:
@@ -583,17 +611,12 @@ class Scenario:
         return self._forward
 
     def forward_tables(self) -> dict:
-        """Per group label: the table's node count and build error, or "direct"."""
+        """Per group label: ``table_record`` of the group's forward table."""
         tables = self.forward_map()
-        out = {}
-        for group in self.observations().groups:
-            table = tables.get(group.evaluation_point(self.config.params))
-            out[group.label] = (
-                "direct"
-                if table is None
-                else {"nodes": table.n_nodes, "max_rel_error": table.max_rel_error}
-            )
-        return out
+        return {
+            group.label: table_record(tables.get(group.evaluation_point(self.config.params)))
+            for group in self.observations().groups
+        }
 
     def posterior(self) -> Posterior:
         """The unconstrained log posterior over the forward tables, built once."""
@@ -739,27 +762,6 @@ class Scenario:
 
     # interface snapshots ---------------------------------------------------
 
-    def _strip_exit_coeffs(self, thetas) -> np.ndarray:
-        """Strip fluid exit coefficients (n_thetas, n_strips, K+1), one march (models 2-3)."""
-        cfg = self.config
-        thetas = np.asarray(thetas, dtype=float)
-        porosities = cfg.geometry.strip_porosities()
-        if cfg.model == 2:
-            # strips differ only in porosity: march each distinct one once
-            qvar = cfg.germ.variables[0]
-            porosities, inverse = np.unique(porosities, return_inverse=True)
-            means = np.full(porosities.size, qvar.mean)
-            stds = np.full(porosities.size, qvar.std)
-        else:
-            means, stds, inverse = cfg.strip_means, cfg.strip_stds, slice(None)
-        n_rows = porosities.size
-        coeffs, _ = build_strip_surrogate_batch(
-            cfg.params, np.tile(means, thetas.size), np.tile(stds, thetas.size),
-            np.tile(porosities, thetas.size), np.repeat(thetas, n_rows),
-            cfg.order, cfg.n_quad, cfg.n_steps,
-        )
-        return coeffs.reshape(thetas.size, n_rows, -1)[:, inverse]
-
     def _assemble_interface(self, coeffs: np.ndarray, t_end: float | None = None) -> InterfaceSurrogate:
         cfg = self.config
         geometry = cfg.geometry
@@ -773,7 +775,7 @@ class Scenario:
         """Interface expansion at one theta, diffused to t_end (models 2-3)."""
         if self.config.model == 1:
             raise ConfigError("model 1 has no interface field")
-        return self._assemble_interface(self._strip_exit_coeffs([theta])[0], t_end)
+        return self._assemble_interface(self.exit_coeffs(theta), t_end)
 
     def mean_field_snapshot(self, theta: float, t_end: float | None = None) -> InterfaceField:
         """Interface temperature at the germ mean (all modes drop out)."""

@@ -1,7 +1,6 @@
 """Chance-constraint probability estimation, feasibility, boundary scan."""
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -139,113 +138,43 @@ def test_oracle_caches_by_quantized_theta():
     assert calls["n"] == 2
 
 
-class _LoggedShiftF2(_ShiftF2):
-    """_ShiftF2 that logs every theta at which its f2 is evaluated."""
-
-    def __init__(self, theta: float, log: list):
-        super().__init__(theta)
-        self.log = log
-
-    def f2_values(self, xi):
-        self.log.append(self.theta)
-        return super().f2_values(xi)
-
-
-def _shift_factories(bad=lambda theta: False):
-    """A plain ``_ShiftF2`` factory and a batch-capable one, with their logs.
-
-    Both raise SingularDenominatorError at thetas where ``bad`` holds; the
-    batch fails as a whole if any of its thetas is bad.
-    """
-    logs = {"plain": [], "batched": [], "prefetched": []}
-
-    def make(theta, log):
-        if bad(theta):
-            raise SingularDenominatorError("synthetic failure")
-        return _LoggedShiftF2(theta, log)
-
-    def plain(theta):
-        return make(theta, logs["plain"])
-
-    def batched(theta):
-        return make(theta, logs["batched"])
-
-    def batch(thetas):
-        logs["prefetched"].extend(thetas)
-        if any(bad(t) for t in thetas):
-            raise SingularDenominatorError("synthetic batch failure")
-        return [functools.partial(_LoggedShiftF2, t, logs["batched"]) for t in thetas]
-
-    batched.batch = batch
-    return plain, batched, logs
-
-
-@pytest.mark.parametrize("tol", [0.5, 1e-3])
-def test_prefetch_keeps_probabilities_lazy(tol):
-    spec = ChanceConstraintSpec(beta=0.0, alpha=0.5, n_prob_samples=2000, seed=4)
-    plain, batched, logs = _shift_factories()
-    plain_oracle = ChanceConstraintOracle(spec, plain)
-    batched_oracle = ChanceConstraintOracle(spec, batched)
-    ref = scan_feasible_boundary((-16.0, 16.0), spec, plain_oracle, tol=tol, n_coarse=9)
-    got = scan_feasible_boundary((-16.0, 16.0), spec, batched_oracle, tol=tol, n_coarse=9)
-    assert got.intervals == ref.intervals
-    np.testing.assert_array_equal(got.probabilities, ref.probabilities)
-    # P only at visited thetas, in the same order as without prefetch
-    assert logs["batched"] == logs["plain"]
-    assert batched_oracle.evaluations == plain_oracle.evaluations == len(logs["plain"])
-    # the prefetched tree holds every theta bisection visits, and far more
-    assert set(logs["plain"]) <= set(logs["prefetched"])
-    assert len(logs["prefetched"]) > len(logs["plain"])
-    assert batched_oracle.batch_rows == len(logs["prefetched"])
-    assert plain_oracle.counters() == {
-        "evaluations": len(logs["plain"]),
-        "build_failures": 0,
-        "batch_marches": 0,
-        "batch_rows": 0,
-        "mc_draws": len(logs["plain"]) * spec.n_prob_samples,
-    }
-
-
-def test_bisection_tree_matches_scalar_bisection():
-    # one bracket of the shipped scan: step 21.875 and tol 0.5 need six halvings
-    a, b, tol = 540.625, 518.75, 0.5
-    tree = chance_constraint._bisection_tree(a, b, tol, chance_constraint._TREE_LEVELS)
-    assert len(tree) == 63 and len(set(tree)) == 63
-    for target in np.linspace(518.8, 540.6, 97):
-        lo, hi, visited = a, b, []
-        while abs(hi - lo) > tol:
-            mid = 0.5 * (lo + hi)
-            visited.append(mid)
-            lo, hi = (mid, hi) if mid >= target else (lo, mid)
-        assert len(visited) == 6 and set(visited) <= set(tree)
-
-
 @pytest.mark.parametrize(
     "windows",
     [
-        # only the bisection tree of the (-1, 1) bracket holds bad thetas
+        # bad thetas only inside the bisection bracket around 0
         ((0.2, 0.3), (-0.3, -0.2)),
-        # the coarse batch fails too, and so do the trees around -9
+        # and a bad coarse theta at -9
         ((0.2, 0.3), (-0.3, -0.2), (-9.1, -8.9)),
     ],
 )
 def test_failed_batch_falls_back_to_per_theta_builds(caplog, windows):
+    # A scenario whose batched exit-table march fails builds every theta
+    # alone (see test_scenario); each failed build is then one visited theta,
+    # cached as NaN, counted and logged once, and scanned as infeasible.
     spec = ChanceConstraintSpec(beta=0.0, alpha=0.5, n_prob_samples=2000, seed=4)
-    plain, batched, logs = _shift_factories(bad=lambda t: any(lo < t < hi for lo, hi in windows))
-    plain_oracle = ChanceConstraintOracle(spec, plain)
-    batched_oracle = ChanceConstraintOracle(spec, batched)
+
+    def bad(theta):
+        return any(lo < theta < hi for lo, hi in windows)
+
+    def failing(theta):
+        if bad(theta):
+            raise SingularDenominatorError("synthetic failure")
+        return _ShiftF2(theta)
+
+    def never_satisfied(theta):
+        return _ConstF2(math.inf) if bad(theta) else _ShiftF2(theta)
+
+    oracle = ChanceConstraintOracle(spec, failing)
     with caplog.at_level("WARNING"):
-        ref = scan_feasible_boundary((-15.0, 17.0), spec, plain_oracle, tol=0.1, n_coarse=17)
-        got = scan_feasible_boundary((-15.0, 17.0), spec, batched_oracle, tol=0.1, n_coarse=17)
+        got = scan_feasible_boundary((-15.0, 17.0), spec, oracle, tol=0.1, n_coarse=17)
+    ref = scan_feasible_boundary((-15.0, 17.0), spec, never_satisfied, tol=0.1, n_coarse=17)
     assert got.intervals == ref.intervals
-    np.testing.assert_array_equal(got.probabilities, ref.probabilities)
-    nan_keys = {k for k, p in plain_oracle._probabilities.items() if math.isnan(p)}
-    assert nan_keys
-    assert nan_keys == {k for k, p in batched_oracle._probabilities.items() if math.isnan(p)}
-    assert plain_oracle._probabilities.keys() == batched_oracle._probabilities.keys()
-    assert batched_oracle.build_failures == plain_oracle.build_failures == len(nan_keys)
-    assert batched_oracle.evaluations == plain_oracle.evaluations
-    assert logs["batched"] == logs["plain"]
+    np.testing.assert_array_equal(got.feasible, ref.feasible)
+    nan_keys = {k for k, p in oracle._probabilities.items() if math.isnan(p)}
+    assert nan_keys == {k for k in oracle._probabilities if bad(k * oracle.cache_quantum)}
+    assert nan_keys and oracle.build_failures == len(nan_keys)
+    assert oracle.evaluations == len(oracle._probabilities)
+    assert caplog.text.count("surrogate build failed") == len(nan_keys)
 
 
 def test_scan_synthetic_upper_boundary():

@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from tcbayes import gpc
 from tcbayes.cli import load_chain_csv, main, resolve_config
 from tcbayes.samplers import MarkovChain, ParticleHistory
 from tcbayes.scenario import ConfigError
@@ -137,12 +138,16 @@ def test_run_artifacts_and_determinism(tiny_model1_dict, write_config, tmp_path)
     assert l2_header == ["n_samples", "l2_error", "wall_seconds"]
     # the scan's oracle counters: deterministic, so identical across the two runs
     oracle = prov["oracle"]
-    assert set(oracle) == {"evaluations", "build_failures", "batch_marches", "batch_rows", "mc_draws"}
+    assert set(oracle) == {"evaluations", "build_failures", "mc_draws"}
     assert oracle["evaluations"] > 0 and oracle["build_failures"] == 0
     # model 1's probability is exact: no germ draws
     assert oracle["mc_draws"] == 0
-    assert oracle["batch_marches"] >= 1 and oracle["batch_rows"] >= oracle["batch_marches"]
     assert json.load(open(os.path.join(out2, "provenance.json")))["oracle"] == oracle
+    # the strip exit coefficients came from one checked table
+    exit_table = prov["exit_table"]
+    assert set(exit_table) == {"nodes", "terms", "max_rel_error"}
+    assert exit_table["nodes"] == 32 and 1 <= exit_table["terms"] <= 32
+    assert 0.0 <= exit_table["max_rel_error"] <= 1e-12
 
     diag = json.load(open(os.path.join(out1, "diagnostics.json")))
     assert 0.0 < diag["acceptance_rate"] <= 1.0
@@ -413,6 +418,33 @@ def test_build_surrogate_interface_prints_probability(
     prob = float(text.split("P(f2 <= T_max=420) = ")[1].split()[0])
     assert 0.0 <= prob <= 1.0
     assert not list(tmp_path.rglob("*.npz"))
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_shipped_run_marches_the_strips_once(model, tmp_path, monkeypatch):
+    real_march = gpc._galerkin_march
+    marches = []
+
+    def counting(*args, **kwargs):
+        marches.append(args[3])
+        return real_march(*args, **kwargs)
+
+    monkeypatch.setattr(gpc, "_galerkin_march", counting)
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", f"model{model}", "--output", out, "--seed", "0"]) == 0
+    # the exit table's march over its 32 nodes, 31 midpoints and 2 ends
+    assert len(marches) == 1
+    assert np.unique(marches[0]).size == 65
+
+
+def test_build_surrogate_rejects_a_nan_theta(tiny_model1_dict, write_config, monkeypatch, capsys):
+    def no_march(*args, **kwargs):
+        raise AssertionError("a NaN theta must be rejected before the march")
+
+    monkeypatch.setattr(gpc, "_galerkin_march", no_march)
+    path = write_config(tiny_model1_dict)
+    assert main(["build-surrogate", "--config", path, "--theta", "nan"]) == 1
+    assert "ValueError: re must be positive" in capsys.readouterr().err
 
 
 def test_scan_feasible_prints_intervals(tiny_model1_dict, write_config, tmp_path, capsys):

@@ -92,14 +92,30 @@ def test_batched_march_rejects_nonpositive_re():
 def test_chebyshev_table_reproduces_a_polynomial():
     nodes = chebyshev_nodes(-2.0, 3.0, 8)
     table = ChebyshevTable(-2.0, 3.0, nodes**5 - 4.0 * nodes + 1.0)
+    # the degree-5 interpolant's two highest Chebyshev coefficients are roundoff
+    assert (table.n_nodes, table.terms) == (8, 6)
     for x in np.linspace(-2.0, 3.0, 23):
         assert table(float(x)) == pytest.approx(x**5 - 4.0 * x + 1.0, rel=1e-12, abs=1e-12)
+
+
+def test_array_table_chops_at_its_longest_entry():
+    nodes = chebyshev_nodes(-2.0, 3.0, 8)
+    columns = [nodes**5 - 4.0 * nodes + 1.0, 2.0 * nodes**2, np.full(8, 3.0)]
+    table = ChebyshevTable(-2.0, 3.0, np.stack(columns, axis=1)[:, None, :])
+    assert table.terms == 6
+    for x in np.linspace(-2.0, 3.0, 23):
+        got = table(float(x))
+        assert got.shape == (1, 3)
+        want = [x**5 - 4.0 * x + 1.0, 2.0 * x**2, 3.0]
+        np.testing.assert_allclose(got[0], want, rtol=1e-12, atol=1e-12)
 
 
 def test_table_build_record():
     table = _table()
     assert table is not None
-    assert (table.lo, table.hi, table.n_nodes) == (300.0, 1000.0, 64)
+    assert (table.lo, table.hi, table.n_nodes) == (300.0, 1000.0, 32)
+    # F is smooth: the chop keeps well under the 32 interpolation terms
+    assert 1 <= table.terms < 32
     assert 0.0 <= table.max_rel_error <= 1e-12
 
 
@@ -208,7 +224,7 @@ def test_scenario_records_direct_for_a_singular_group(tiny_model2_dict, singular
     scenario._observations = obs
     record = scenario.forward_tables()
     assert record["high_phi"] == "direct"
-    assert record["low_phi"]["nodes"] == 64
+    assert record["low_phi"]["nodes"] == 32
     assert scenario.log_posterior(700.0) == -math.inf
     assert math.isnan(scenario.grad_log_posterior(700.0))
 
@@ -223,7 +239,7 @@ def test_crw_chain_is_unchanged_by_the_table(tiny_model1_dict):
     tabled = Scenario(config)
     direct = Scenario(config)
     direct._forward = {}
-    assert tabled.forward_tables()["obs"]["nodes"] == 64
+    assert tabled.forward_tables()["obs"]["nodes"] == 32
     assert direct.forward_tables() == {"obs": "direct"}
     a, b = tabled.run_chain(seed=4), direct.run_chain(seed=4)
     np.testing.assert_array_equal(a.samples, b.samples)
@@ -236,7 +252,8 @@ def test_provenance_records_forward_tables(tiny_model1_dict, write_config, tmp_p
     assert main(["run", "--config", write_config(tiny_model1_dict), "--output", out]) == 0
     with open(os.path.join(out, "provenance.json")) as fh:
         record = json.load(fh)["forward_tables"]
-    assert record["obs"]["nodes"] == 64
+    assert record["obs"]["nodes"] == 32
+    assert 1 <= record["obs"]["terms"] <= 32
     assert 0.0 <= record["obs"]["max_rel_error"] <= 1e-12
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcbayes import gpc
 from tcbayes.scenario import ScenarioConfig
 from tcbayes.porous_flow import (
     ModelParams,
@@ -274,6 +275,24 @@ def test_march_without_history_returns_the_last_row():
     assert hist_tf.shape == (201, 3, proj.design.shape[1])
     np.testing.assert_array_equal(last_tf, hist_tf[-1])
     np.testing.assert_array_equal(last_ts, hist_ts[-1])
+
+
+def test_nan_re_and_porosity_are_rejected_before_the_march(monkeypatch):
+    def no_march(*args, **kwargs):
+        raise AssertionError("a NaN input must be rejected before the march")
+
+    monkeypatch.setattr(gpc, "_galerkin_march", no_march)
+    params = ModelParams()
+    germ = GermSpec((GermVariable("q", 450.0, 10.0),))
+    with pytest.raises(ValueError, match="re must be positive"):
+        build_strip_exit_batch(params, germ, np.array([500.0, math.nan]))
+    with pytest.raises(ValueError, match="re must be positive"):
+        build_strip_surrogate(params, germ, math.nan)
+    with pytest.raises(ValueError, match="porosities"):
+        build_strip_surrogate_batch(params, [450.0], [10.0], [math.nan], 500.0)
+    nan_phi = GermSpec((GermVariable("q", 450.0, 10.0), GermVariable("phi", math.nan, 0.01)))
+    with pytest.raises(ValueError, match="porosity leaves"):
+        build_strip_exit_batch(params, nan_phi, np.array([500.0]))
 
 
 def test_quadrature_too_coarse_rejected():

@@ -165,6 +165,23 @@ def test_input_validation():
         ModelParams(kappa_solid=-1.0)
 
 
+def test_nan_inputs_are_rejected_before_the_march(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a NaN input must be rejected before the march")
+
+    monkeypatch.setattr(porous_flow, "_euler_step", no_step)
+    p = ModelParams()
+    nan = float("nan")
+    with pytest.raises(ValueError, match="re must be positive"):
+        integrate_strip(p, p.heat_flux_nominal, p.porosity, nan)
+    with pytest.raises(ValueError, match="re must be positive"):
+        forward_pressure_at_mean(p, (p.heat_flux_nominal, p.porosity), nan)
+    with pytest.raises(ValueError, match="re must be positive"):
+        interface_state_batch(p, p.heat_flux_nominal, p.porosity, np.array([405.0, nan]))
+    with pytest.raises(ValueError, match="phi draws"):
+        interface_state_batch(p, p.heat_flux_nominal, np.array([p.porosity, nan]), 405.0)
+
+
 def test_pressure_scan_is_strictly_monotone_in_re():
     # direction is recorded by this scan rather than asserted from theory
     p = ModelParams()

@@ -9,6 +9,11 @@ import math
 import numpy as np
 import pytest
 
+from tcbayes import gpc
+from tcbayes.bayes import TABLE_NODES, TABLE_TOL, table_record
+from tcbayes.cli import resolve_config
+from tcbayes.gpc import build_strip_exit_batch
+from tcbayes.porous_flow import SingularDenominatorError
 from tcbayes.samplers import MarkovChain, ParticleHistory
 from tcbayes.scenario import (
     ConfigError,
@@ -372,6 +377,7 @@ def test_with_sampler_shares_caches(tiny_scenario):
     )
     assert clone.scan() is scan
     assert clone.observations() is obs
+    assert clone.exit_table() is tiny_scenario.exit_table() is not None
     assert clone.config.sampler["proposal_std"] == 90.0
 
 
@@ -399,30 +405,87 @@ def test_mean_field_snapshot_model2(tiny_model2_dict):
     assert late.values.max() - late.values.min() < initial.values.max() - initial.values.min()
 
 
-@pytest.mark.parametrize("model", [2, 3])
-def test_factory_batch_builds_the_per_theta_surrogates(tiny_model2_dict, model):
+def _tiny_config(model, tiny_model1_dict, tiny_model2_dict) -> ScenarioConfig:
+    if model == 1:
+        return ScenarioConfig.from_dict(tiny_model1_dict)
     cfg = tiny_model2_dict
     if model == 3:
         cfg["model"] = 3
         cfg["germ"] = {"strips": [{"mean": 450.0 + 5 * i, "std": 14.0} for i in range(4)]}
-    factory = Scenario(ScenarioConfig.from_dict(cfg)).surrogate_factory()
-    thetas = [350.0, 612.5, 987.25]
-    makers = factory.batch(thetas)
-    assert len(makers) == len(thetas)
-    for theta, make in zip(thetas, makers):
-        got, want = make().isurr, factory(theta).isurr
-        assert got.shared == want.shared == (model == 2)
-        np.testing.assert_array_equal(got.base_field, want.base_field)
-        np.testing.assert_array_equal(got.coeffs, want.coeffs)
+    return ScenarioConfig.from_dict(cfg)
 
 
-def test_model1_factory_batch_matches_per_theta_builds(tiny_scenario):
-    factory = tiny_scenario.surrogate_factory()
+def _factory_coeffs(scenario: Scenario, theta: float) -> np.ndarray:
+    surrogate = scenario.surrogate_factory()(theta)
+    return surrogate._coeff if scenario.config.model == 1 else surrogate.isurr.coeffs
+
+
+@pytest.mark.parametrize("model", [1, 2, 3])
+def test_exit_table_matches_the_direct_march(model, tiny_model1_dict, tiny_model2_dict):
+    scenario = Scenario(_tiny_config(model, tiny_model1_dict, tiny_model2_dict))
+    table = scenario.exit_table()
+    assert table_record(table)["nodes"] == TABLE_NODES
+    assert 1 <= table.terms <= TABLE_NODES
+    assert 0.0 <= table.max_rel_error <= TABLE_TOL
     thetas = [350.0, 612.5, 987.25]
-    xi = np.random.default_rng(0).standard_normal((50, 2))
-    for theta, make in zip(thetas, factory.batch(thetas)):
-        want = factory(theta).f2_values(xi)
-        np.testing.assert_allclose(make().f2_values(xi), want, rtol=1e-14, atol=0.0)
+    for theta, direct in zip(thetas, scenario._strip_exit_coeffs(thetas)):
+        got = _factory_coeffs(scenario, theta)
+        np.testing.assert_array_equal(got, table(theta))
+        assert got.shape == direct.shape
+        assert np.abs(got - direct).max() <= TABLE_TOL * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("model", [1, 2, 3])
+def test_out_of_range_theta_marches_alone(model, tiny_model1_dict, tiny_model2_dict):
+    config = _tiny_config(model, tiny_model1_dict, tiny_model2_dict)
+    scenario = Scenario(config)
+    for theta in (250.0, 1200.0):
+        if model == 1:
+            want = build_strip_exit_batch(
+                config.params, config.germ, [theta], config.order, config.n_quad, config.n_steps
+            )[0]
+        else:
+            want = scenario._strip_exit_coeffs([theta])[0]
+        np.testing.assert_array_equal(_factory_coeffs(scenario, theta), want)
+    # no visit inside the range, so no table was built
+    assert scenario._exit is None
+
+
+def test_singular_table_node_leaves_every_theta_to_its_own_march(monkeypatch, tiny_model1_dict):
+    # (625, 655) holds the table node 632.8 and the coarse scan theta 650
+    window = (625.0, 655.0)
+    real_march = gpc._galerkin_march
+
+    def march(params, q_nodes, phi_nodes, re, *args, **kwargs):
+        re_arr = np.asarray(re)
+        if np.any((re_arr > window[0]) & (re_arr < window[1])):
+            raise SingularDenominatorError("synthetic singular denominator")
+        return real_march(params, q_nodes, phi_nodes, re, *args, **kwargs)
+
+    tabled = Scenario(ScenarioConfig.from_dict(tiny_model1_dict))
+    tabled.scan()
+    monkeypatch.setattr(gpc, "_galerkin_march", march)
+    scenario = Scenario(ScenarioConfig.from_dict(tiny_model1_dict))
+    scenario.scan()
+    assert table_record(scenario.exit_table()) == "direct"
+    oracle = scenario.oracle()
+    failed = [k * oracle.cache_quantum for k, p in oracle._probabilities.items() if math.isnan(p)]
+    assert failed and all(window[0] < theta < window[1] for theta in failed)
+    assert oracle.counters()["build_failures"] == len(failed)
+    assert oracle.counters()["evaluations"] == len(oracle._probabilities)
+    # every other visited theta marched alone, within roundoff of the table's P
+    for key, prob in oracle._probabilities.items():
+        if not math.isnan(prob):
+            want = tabled.oracle().probability(key * oracle.cache_quantum)
+            assert abs(prob - want) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "model, interval",
+    [(1, (540.283203125, 1000.0)), (2, (589.16015625, 1000.0)), (3, (499.609375, 1000.0))],
+)
+def test_shipped_scan_boundaries(model, interval):
+    assert Scenario(resolve_config(f"model{model}")).scan().intervals == (interval,)
 
 
 def test_observations_csv_roundtrip(tiny_scenario, tmp_path):
