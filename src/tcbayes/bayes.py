@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_csv
 from .porous_flow import (
     ModelParams,
     NonFiniteStateError,
@@ -131,11 +132,8 @@ class ObservationSet:
         return ObservationSet(self.groups + other.groups, provenance=prov)
 
     def to_csv(self, path: str) -> None:
-        lines = ["group,value"]
-        for g in self.groups:
-            lines.extend(f"{g.label},{float(v)!r}" for v in g.values)
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        labels = [g.label for g in self.groups for _ in range(g.values.size)]
+        write_csv(path, ("group", "value"), (labels, np.concatenate([g.values for g in self.groups])))
 
     def save_provenance(self, path: str) -> None:
         meta = dict(self.provenance)

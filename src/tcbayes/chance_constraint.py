@@ -38,7 +38,6 @@ and compute P at the thetas the bisection visits.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import logging
 import math
@@ -46,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv
 from .gpc import GermSpec, gauss_hermite_rule, hermite_design
 from .heat_interface import InterfaceSurrogate, evaluate_interface_batch
 from .porous_flow import NonFiniteStateError, SingularDenominatorError
@@ -404,11 +404,9 @@ class FeasibilityScan:
     tol: float
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["theta", "probability", "feasible"])
-            for theta, prob, feas in zip(self.thetas, self.probabilities, self.feasible):
-                writer.writerow([repr(float(theta)), repr(float(prob)), int(feas)])
+        write_csv(
+            path, ("theta", "probability", "feasible"), (self.thetas, self.probabilities, self.feasible)
+        )
 
 
 def scan_feasible_boundary(

@@ -12,9 +12,10 @@ diagnose          recompute L2/Brooks-Gelman series from existing chain CSVs
 compare           sampler-by-checkpoint table of L2 error and CPU seconds
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration or
-arguments, 3 infeasible chain start (with a boundary hint). Configs are
-strict JSON documents validated against the packaged schema; bare names
-``model1``/``model2``/``model3`` resolve to the shipped scenario files.
+arguments (checkpoints beyond a run's samples included), 3 infeasible chain
+start (with a boundary hint). Configs are strict JSON documents validated
+against the packaged schema; bare names ``model1``/``model2``/``model3``
+resolve to the shipped scenario files.
 """
 from __future__ import annotations
 
@@ -29,19 +30,18 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
+from .artifacts import write_csv, write_json
 from .bayes import table_record
 from .chance_constraint import satisfaction_probability
-from .diagnostics import (
-    CheckpointError,
-    ReferenceDensity,
-    chain_histogram,
-    default_checkpoints,
-    diagnostics_summary,
-    l2_error_series,
-    relative_l2_error,
-)
+from .diagnostics import CheckpointError, chain_histogram, diagnostics_summary, l2_error_series
 from .porous_flow import integrate_strip
-from .samplers import InfeasibleStartError, MarkovChain, ParticleHistory
+from .samplers import (
+    CHAIN_CSV_HEADER,
+    PARTICLE_CSV_HEADER,
+    InfeasibleStartError,
+    MarkovChain,
+    ParticleHistory,
+)
 from .scenario import ConfigError, Scenario, ScenarioConfig
 
 PACKAGED_SCENARIOS = ("model1", "model2", "model3")
@@ -73,46 +73,7 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# artifact writers
-
-def _write_json(payload: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _write_rows(path: str, header: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
-
-
-def write_trajectory_csv(trajectory, path: str) -> None:
-    _write_rows(
-        path,
-        "x,t_fluid,t_solid,density,velocity",
-        zip(
-            trajectory.x_grid,
-            trajectory.t_fluid,
-            trajectory.t_solid,
-            trajectory.density,
-            trajectory.velocity,
-        ),
-    )
-
-
-def write_field_csv(field, path: str) -> None:
-    _write_rows(path, "z,temperature", zip(field.z_grid, field.values))
-
+# artifacts
 
 def _versions() -> dict:
     from importlib import metadata
@@ -130,7 +91,7 @@ def load_chain_csv(path: str):
     with open(path) as fh:
         header = fh.readline().strip()
         body = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if header == "index,theta,accepted,feasible,log_post,cumulative_seconds":
+    if header == ",".join(CHAIN_CSV_HEADER):
         return MarkovChain(
             samples=body[:, 1],
             accepted=body[:, 2].astype(bool),
@@ -140,7 +101,7 @@ def load_chain_csv(path: str):
             seed=-1,
             config_snapshot={"loaded_from": path},
         )
-    if header == "generation,particle_index,theta":
+    if header == ",".join(PARTICLE_CSV_HEADER):
         gens = body[:, 0].astype(int)
         n_gen = gens.max()
         n_particles = int((gens == 0).sum())
@@ -154,104 +115,47 @@ def load_chain_csv(path: str):
     raise ConfigError(f"unrecognized chain CSV header in {path}: {header!r}")
 
 
-# ---------------------------------------------------------------------------
-# diagnostics assembly
-
-def _membership(intervals):
-    def member(values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values)
-        ok = np.zeros(values.shape, dtype=bool)
-        for lo, hi in intervals:
-            ok |= (values >= lo) & (values <= hi)
-        return ok
-
-    return member
-
-
-def _generation_prefix(history: ParticleHistory, n: int) -> tuple[int, np.ndarray]:
-    """Generations that hold about n particle samples, and their particles."""
-    gen = max(1, int(round(n / history.n_particles)))
-    if gen > history.n_generations:
-        raise ConfigError(
-            f"checkpoint {n} exceeds {history.n_particles * history.n_generations} "
-            "recorded particle samples"
-        )
-    return gen, history.generations[1 : gen + 1].ravel()
+def _write_runs(results, out_dir: str) -> list[str]:
+    """Write the sampler runs as chain.csv, chain_NN.csv or particles.csv."""
+    if isinstance(results[0], ParticleHistory):
+        names = ["particles.csv"]
+    elif len(results) == 1:
+        names = ["chain.csv"]
+    else:
+        names = [f"chain_{i:02d}.csv" for i in range(len(results))]
+    paths = [os.path.join(out_dir, name) for name in names]
+    for result, path in zip(results, paths):
+        result.to_csv(path)
+    return paths
 
 
-def particle_diagnostics(
-    history: ParticleHistory,
-    reference: ReferenceDensity | None,
-    intervals,
-    checkpoints=None,
-    n_bins: int = 50,
-    value_range=None,
-    burn_in: float = 0.1,
-) -> dict:
-    """L2 series over generation checkpoints; sample count is particles x generations."""
-    n_particles = history.n_particles
-    total = n_particles * history.n_generations
-    if checkpoints is None:
-        checkpoints = default_checkpoints(total, start=n_particles)
-    gen_seconds = history.config_snapshot.get("generation_seconds")
-    l2_series = []
-    for n in checkpoints:
-        gen, prefix = _generation_prefix(history, n)
-        error = None
-        if reference is not None:
-            error = relative_l2_error(
-                chain_histogram(prefix, n_bins, value_range, burn_in), reference
-            )
-        wall = gen_seconds[gen - 1] if gen_seconds is not None else None
-        l2_series.append((gen * n_particles, error, wall))
-    recorded = history.generations[1:].ravel()
-    feasible = _membership(intervals)(recorded)
-    return {
-        "l2_series": l2_series,
-        "bg_series": None,
-        "acceptance_rate": None,
-        "infeasible_fraction": float(1.0 - feasible.mean()),
-        "n_chains": 1,
-        "n_samples": int(total),
-    }
-
-
-def _diagnostics_payload(scenario: Scenario, results, reference) -> dict:
+def _diagnostics(scenario: Scenario, runs, reference) -> dict:
     cfg = scenario.config
-    burn = float(cfg.sampler["burn_in_fraction"])
-    if isinstance(results[0], MarkovChain):
-        return diagnostics_summary(
-            results,
-            reference=reference,
-            checkpoints=cfg.diagnostics.checkpoints,
-            n_bins=cfg.diagnostics.n_bins,
-            value_range=cfg.theta_range(),
-            burn_in=burn,
-            confidence=cfg.diagnostics.confidence,
-        )
-    return particle_diagnostics(
-        results[0],
-        reference,
-        scenario.intervals(),
+    return diagnostics_summary(
+        runs,
+        reference=reference,
         checkpoints=cfg.diagnostics.checkpoints,
         n_bins=cfg.diagnostics.n_bins,
         value_range=cfg.theta_range(),
-        burn_in=burn,
+        burn_in=float(cfg.sampler["burn_in_fraction"]),
+        confidence=cfg.diagnostics.confidence,
+        # chains carry their own feasibility flags; particles are tested against the scan
+        intervals=scenario.intervals() if isinstance(runs[0], ParticleHistory) else None,
     )
 
 
 def _write_diagnostics(payload: dict, out_dir: str, artifacts: dict) -> None:
     path = os.path.join(out_dir, "diagnostics.json")
-    _write_json(payload, path)
+    write_json(path, payload)
     artifacts["diagnostics"] = path
-    if payload.get("l2_series"):
-        l2_path = os.path.join(out_dir, "l2_series.csv")
-        _write_rows(l2_path, "n_samples,l2_error,wall_seconds", payload["l2_series"])
-        artifacts["l2_series"] = l2_path
-    if payload.get("bg_series"):
-        bg_path = os.path.join(out_dir, "bg_series.csv")
-        _write_rows(bg_path, "n_samples,ratio", payload["bg_series"])
-        artifacts["bg_series"] = bg_path
+    for key, header in (
+        ("l2_series", ("n_samples", "l2_error", "wall_seconds")),
+        ("bg_series", ("n_samples", "ratio")),
+    ):
+        if payload.get(key):
+            path = os.path.join(out_dir, f"{key}.csv")
+            write_csv(path, header, list(zip(*payload[key])))
+            artifacts[key] = path
 
 
 def _point_estimate(result, burn_in: float) -> float:
@@ -355,18 +259,8 @@ def run_scenario(
         raise RuntimeError("feasibility scan found no feasible Reynolds interval")
 
     results = _run_chains(scenario)
-    if isinstance(results[0], MarkovChain):
-        if len(results) == 1:
-            paths = [os.path.join(out, "chain.csv")]
-        else:
-            paths = [os.path.join(out, f"chain_{i:02d}.csv") for i in range(len(results))]
-        for result, path in zip(results, paths):
-            result.to_csv(path)
-        artifacts["chains"] = paths[0] if len(paths) == 1 else paths
-    else:
-        path = os.path.join(out, "particles.csv")
-        results[0].to_csv(path)
-        artifacts["chains"] = path
+    paths = _write_runs(results, out)
+    artifacts["chains"] = paths[0] if len(paths) == 1 else paths
 
     reference = scenario.reference()
     reference.to_csv(os.path.join(out, "reference.csv"))
@@ -382,21 +276,21 @@ def run_scenario(
     histogram.to_csv(os.path.join(out, "histogram.csv"))
     artifacts["histogram"] = os.path.join(out, "histogram.csv")
 
-    _write_diagnostics(_diagnostics_payload(scenario, results, reference), out, artifacts)
+    _write_diagnostics(_diagnostics(scenario, results, reference), out, artifacts)
 
     if config.model in (2, 3):
         theta_hat = _point_estimate(results[0], burn)
         initial = scenario.mean_field_snapshot(theta_hat, t_end=0.0)
         constraint_time = scenario.mean_field_snapshot(theta_hat)
-        write_field_csv(initial, os.path.join(out, "field_initial.csv"))
-        write_field_csv(constraint_time, os.path.join(out, "field_constraint.csv"))
+        initial.to_csv(os.path.join(out, "field_initial.csv"))
+        constraint_time.to_csv(os.path.join(out, "field_constraint.csv"))
         artifacts["field_initial"] = os.path.join(out, "field_initial.csv")
         artifacts["field_constraint"] = os.path.join(out, "field_constraint.csv")
 
     if plots:
         _render_plots(out, artifacts)
 
-    _write_json(_provenance(scenario, "run", artifacts), os.path.join(out, "provenance.json"))
+    write_json(os.path.join(out, "provenance.json"), _provenance(scenario, "run", artifacts))
     artifacts["provenance"] = os.path.join(out, "provenance.json")
     return artifacts
 
@@ -434,7 +328,7 @@ def _cmd_simulate_forward(args) -> int:
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "trajectory.csv")
-    write_trajectory_csv(trajectory, path)
+    trajectory.to_csv(path)
     pressure = trajectory.t_fluid[-1] * trajectory.density[-1]
     print(f"trajectory: {path}")
     print(
@@ -449,7 +343,7 @@ def _cmd_build_surrogate(args) -> int:
     scenario = Scenario(config)
     theta = args.theta if args.theta is not None else scenario.theta_init()
     started = time.perf_counter()
-    surrogate = scenario.surrogate_factory()(theta)
+    surrogate = scenario.marched_surrogate(theta)
     built = time.perf_counter() - started
     prob = satisfaction_probability(surrogate, config.constraint)
     print(f"surrogate at Re={theta:g} built in {built:.3f}s")
@@ -480,29 +374,21 @@ def _cmd_sample(args) -> int:
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     results = _run_chains(scenario)
-    artifacts: dict[str, str] = {}
-    if isinstance(results[0], MarkovChain):
-        for i, result in enumerate(results):
-            name = "chain.csv" if len(results) == 1 else f"chain_{i:02d}.csv"
-            path = os.path.join(out, name)
-            result.to_csv(path)
-            artifacts[f"chain_{i}"] = path
-            print(
-                f"{name}: {len(result)} samples, acceptance {result.acceptance_rate:.3f}, "
-                f"feasible fraction {result.feasible_fraction:.3f}"
-            )
-    else:
-        path = os.path.join(out, "particles.csv")
-        results[0].to_csv(path)
-        artifacts["particles"] = path
+    paths = _write_runs(results, out)
+    if isinstance(results[0], ParticleHistory):
+        artifacts = {"particles": paths[0]}
         print(
             f"particles.csv: {results[0].n_particles} particles x "
             f"{results[0].n_generations} generations"
         )
-    _write_json(
-        _provenance(scenario, "sample", artifacts),
-        os.path.join(out, "provenance.json"),
-    )
+    else:
+        artifacts = {f"chain_{i}": path for i, path in enumerate(paths)}
+        for result, path in zip(results, paths):
+            print(
+                f"{os.path.basename(path)}: {len(result)} samples, acceptance "
+                f"{result.acceptance_rate:.3f}, feasible fraction {result.feasible_fraction:.3f}"
+            )
+    write_json(os.path.join(out, "provenance.json"), _provenance(scenario, "sample", artifacts))
     return 0
 
 
@@ -510,34 +396,9 @@ def _cmd_diagnose(args) -> int:
     config = _apply_overrides(resolve_config(args.config), args)
     scenario = Scenario(config)
     runs = [load_chain_csv(p) for p in args.chains]
-    reference = scenario.reference()
-    burn = float(config.sampler["burn_in_fraction"])
-    if all(isinstance(r, MarkovChain) for r in runs):
-        try:
-            payload = diagnostics_summary(
-                runs,
-                reference=reference,
-                checkpoints=config.diagnostics.checkpoints,
-                n_bins=config.diagnostics.n_bins,
-                value_range=config.theta_range(),
-                burn_in=burn,
-                confidence=config.diagnostics.confidence,
-            )
-        except CheckpointError as exc:
-            # config checkpoints do not fit the loaded run: a usage error
-            raise ConfigError(f"{exc} (chains have {min(len(r) for r in runs)} samples)")
-    elif len(runs) == 1 and isinstance(runs[0], ParticleHistory):
-        payload = particle_diagnostics(
-            runs[0],
-            reference,
-            scenario.intervals(),
-            checkpoints=config.diagnostics.checkpoints,
-            n_bins=config.diagnostics.n_bins,
-            value_range=config.theta_range(),
-            burn_in=burn,
-        )
-    else:
+    if len(runs) > 1 and not all(isinstance(r, MarkovChain) for r in runs):
         raise ConfigError("diagnose needs either chain CSVs or a single particle CSV")
+    payload = _diagnostics(scenario, runs, scenario.reference())
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     artifacts: dict[str, str] = {}
@@ -568,24 +429,6 @@ def _compare_sampler_blocks(config: ScenarioConfig, requested: list[str]) -> dic
     return out
 
 
-def _compare_row(scenario: Scenario, result, checkpoint: int, reference) -> tuple:
-    cfg = scenario.config
-    burn = float(cfg.sampler["burn_in_fraction"])
-    n_bins = cfg.diagnostics.n_bins
-    value_range = cfg.theta_range()
-    if isinstance(result, MarkovChain):
-        try:
-            (row,) = l2_error_series(result, reference, [checkpoint], n_bins, value_range, burn)
-        except CheckpointError as exc:
-            raise ConfigError(f"{exc} (checkpoint {checkpoint}, {len(result)}-sample chain)")
-        return row
-    gen, prefix = _generation_prefix(result, checkpoint)
-    hist = chain_histogram(prefix, n_bins, value_range, burn)
-    seconds = result.config_snapshot.get("generation_seconds")
-    wall = float(seconds[gen - 1]) if seconds is not None else None
-    return (checkpoint, relative_l2_error(hist, reference), wall)
-
-
 def _cmd_compare(args) -> int:
     config = _apply_overrides(resolve_config(args.config), args)
     requested = [s.strip() for s in args.samplers.split(",") if s.strip()]
@@ -608,17 +451,19 @@ def _cmd_compare(args) -> int:
     for kind in requested:
         runner = base.with_sampler(blocks[kind])
         result = runner.run_chain(config.seed)
-        for checkpoint in checkpoints:
-            n, err, wall = _compare_row(runner, result, checkpoint, reference)
-            rows.append((kind, n, err, wall))
+        series = l2_error_series(
+            result,
+            reference,
+            checkpoints,
+            n_bins=config.diagnostics.n_bins,
+            value_range=config.theta_range(),
+            burn_in=float(runner.config.sampler["burn_in_fraction"]),
+        )
+        rows.extend((kind, *row) for row in series)
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "compare.csv")
-    with open(path, "w") as fh:
-        fh.write("sampler,n_samples,l2_error,wall_seconds\n")
-        for kind, n, err, wall in rows:
-            wall_text = "" if wall is None else repr(float(wall))
-            fh.write(f"{kind},{n},{float(err)!r},{wall_text}\n")
+    write_csv(path, ("sampler", "n_samples", "l2_error", "wall_seconds"), list(zip(*rows)))
     print(f"compare: {path}")
     print(f"{'sampler':<16}{'n_samples':>10}{'l2_error':>12}{'wall_s':>10}")
     for kind, n, err, wall in rows:
@@ -679,7 +524,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleStartError as exc:

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .samplers import MarkovChain, ParticleHistory
+from .artifacts import write_csv
+from .samplers import MarkovChain, ParticleHistory, interval_membership
 
 DEFAULT_N_BINS = 50
 DEFAULT_REFERENCE_NODES = 2000
@@ -44,10 +45,7 @@ class ReferenceDensity:
         return np.interp(theta, self.grid, self.density)
 
     def to_csv(self, path: str) -> None:
-        lines = ["theta,density"]
-        lines.extend(f"{float(t)!r},{float(d)!r}" for t, d in zip(self.grid, self.density))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path, ("theta", "density"), (self.grid, self.density))
 
 
 def reference_posterior(grid, log_unconstrained_posterior, feasibility_oracle=None) -> ReferenceDensity:
@@ -91,13 +89,9 @@ class Histogram:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
     def to_csv(self, path: str) -> None:
-        lines = ["bin_left,bin_right,height"]
-        lines.extend(
-            f"{float(self.edges[i])!r},{float(self.edges[i + 1])!r},{float(self.heights[i])!r}"
-            for i in range(self.heights.shape[0])
+        write_csv(
+            path, ("bin_left", "bin_right", "height"), (self.edges[:-1], self.edges[1:], self.heights)
         )
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def _extract_samples(chain, burn_in: float) -> np.ndarray:
@@ -171,7 +165,7 @@ def brooks_gelman_ratio(
         checkpoints = [n_min]
     checkpoints = [int(n) for n in checkpoints]
     if any(n < 1 or n > n_min for n in checkpoints):
-        raise CheckpointError("checkpoints must lie in [1, shortest chain length]")
+        raise CheckpointError(f"checkpoints must lie in [1, {n_min}], the shortest chain's samples")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise CheckpointError("checkpoints must be increasing")
     pooled = _interval_width(np.concatenate(arrays), confidence)
@@ -184,23 +178,44 @@ def brooks_gelman_ratio(
     return series
 
 
+def _checkpoint_prefix(run, n: int) -> tuple[int, np.ndarray, float | None]:
+    """(sample count, samples, wall seconds) behind checkpoint n.
+
+    A chain gives its first n samples. A particle history gives the
+    round(n / n_particles) generations after the initial ensemble (at
+    least one); its wall seconds are None when the run recorded no
+    generation times.
+    """
+    if isinstance(run, ParticleHistory):
+        gen = max(1, int(round(n / run.n_particles)))
+        if gen > run.n_generations:
+            raise CheckpointError(
+                f"checkpoint {n} exceeds {run.n_particles * run.n_generations} "
+                "recorded particle samples"
+            )
+        seconds = run.config_snapshot.get("generation_seconds")
+        wall = float(seconds[gen - 1]) if seconds is not None else None
+        return gen * run.n_particles, run.generations[1 : gen + 1].ravel(), wall
+    if n < 1 or n > len(run):
+        raise CheckpointError(f"checkpoint {n} exceeds the chain's {len(run)} samples")
+    return n, run.samples[:n], float(run.cumulative_seconds[n - 1])
+
+
 def l2_error_series(
-    chain: MarkovChain,
+    run,
     reference: ReferenceDensity,
     checkpoints,
     n_bins: int = DEFAULT_N_BINS,
     value_range: tuple[float, float] | None = None,
     burn_in: float = DEFAULT_BURN_IN,
-) -> list[tuple[int, float, float]]:
-    """(n_samples, relative L2 error, cumulative wall seconds) per checkpoint."""
+) -> list[tuple[int, float, float | None]]:
+    """(n_samples, relative L2 error, wall seconds) per checkpoint of a
+    chain or a particle history."""
     series = []
     for n in checkpoints:
-        n = int(n)
-        if n < 1 or n > len(chain):
-            raise CheckpointError("checkpoint exceeds chain length")
-        hist = chain_histogram(chain.samples[:n], n_bins, value_range, burn_in)
-        err = relative_l2_error(hist, reference)
-        series.append((n, err, float(chain.cumulative_seconds[n - 1])))
+        n, samples, wall = _checkpoint_prefix(run, int(n))
+        hist = chain_histogram(samples, n_bins, value_range, burn_in)
+        series.append((n, relative_l2_error(hist, reference), wall))
     return series
 
 
@@ -214,35 +229,61 @@ def default_checkpoints(n_samples: int, n_points: int = 10, start: int = 100) ->
 
 
 def diagnostics_summary(
-    chains,
+    runs,
     reference: ReferenceDensity | None = None,
     checkpoints=None,
     n_bins: int = DEFAULT_N_BINS,
     value_range: tuple[float, float] | None = None,
     burn_in: float = DEFAULT_BURN_IN,
     confidence: float = DEFAULT_CONFIDENCE,
+    intervals=None,
 ) -> dict:
-    """JSON-ready run summary: L2 series, BG series, acceptance, feasibility."""
-    chains = list(chains)
-    if not chains:
+    """JSON-ready run summary: L2 series, BG series, acceptance, feasibility.
+
+    ``runs`` is a list of chains or one particle history (alone or as a
+    one-element list). A particle history has no acceptance rate and no BG
+    series; its infeasible fraction counts the particles recorded after the
+    initial ensemble that lie outside ``intervals``.
+    """
+    runs = [runs] if isinstance(runs, ParticleHistory) else list(runs)
+    if not runs:
         raise ValueError("need at least one chain")
-    lead = chains[0]
-    if checkpoints is None:
-        checkpoints = default_checkpoints(min(len(c) for c in chains))
-    summary: dict = {
-        "acceptance_rate": float(np.mean([c.acceptance_rate for c in chains])),
-        "infeasible_fraction": float(np.mean([1.0 - c.feasible_fraction for c in chains])),
-        "n_chains": len(chains),
-        "n_samples": len(lead),
-        "divergences": int(sum(c.divergences for c in chains)),
-    }
+    lead = runs[0]
+    if isinstance(lead, ParticleHistory):
+        if len(runs) != 1:
+            raise ValueError("a particle history is summarized on its own")
+        if intervals is None:
+            raise ValueError("a particle history needs the feasible intervals")
+        total = lead.n_particles * lead.n_generations
+        if checkpoints is None:
+            checkpoints = default_checkpoints(total, start=lead.n_particles)
+        feasible = interval_membership(intervals)(lead.generations[1:].ravel())
+        summary: dict = {
+            "acceptance_rate": None,
+            "bg_series": None,
+            "infeasible_fraction": float(1.0 - feasible.mean()),
+            "n_chains": 1,
+            "n_samples": total,
+        }
+    else:
+        if not all(isinstance(c, MarkovChain) for c in runs):
+            raise ValueError("runs must be chains or one particle history")
+        if checkpoints is None:
+            checkpoints = default_checkpoints(min(len(c) for c in runs))
+        summary = {
+            "acceptance_rate": float(np.mean([c.acceptance_rate for c in runs])),
+            "infeasible_fraction": float(np.mean([1.0 - c.feasible_fraction for c in runs])),
+            "n_chains": len(runs),
+            "n_samples": len(lead),
+            "divergences": int(sum(c.divergences for c in runs)),
+        }
     if reference is not None:
         summary["l2_series"] = [
             list(row)
             for row in l2_error_series(lead, reference, checkpoints, n_bins, value_range, burn_in)
         ]
-    if len(chains) >= 2:
+    if len(runs) >= 2:
         summary["bg_series"] = [
-            list(row) for row in brooks_gelman_ratio(chains, confidence, checkpoints)
+            list(row) for row in brooks_gelman_ratio(runs, confidence, checkpoints)
         ]
     return summary

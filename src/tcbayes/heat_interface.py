@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv
 from .gpc import GermSpec, hermite_design
 
 __all__ = [
@@ -108,6 +109,9 @@ class InterfaceField:
         dz = np.diff(self.z_grid)
         if np.any(dz <= 0.0) or not np.allclose(dz, dz[0], rtol=1e-9):
             raise ValueError("z_grid must be uniform and strictly increasing")
+
+    def to_csv(self, path: str) -> None:
+        write_csv(path, ("z", "temperature"), (self.z_grid, self.values))
 
 
 def _footprint_index(geometry: InterfaceGeometry, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv
+
 __all__ = [
     "ModelParams",
     "StripTrajectory",
@@ -63,7 +65,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.porosity < 1.0:
             raise ValueError(f"porosity must lie in (0, 1), got {self.porosity}")
-        if self.reynolds_nominal <= 0.0:
+        if not self.reynolds_nominal > 0.0:  # also rejects NaN
             raise ValueError("reynolds_nominal must be positive")
         for name in (
             "prandtl",
@@ -78,7 +80,7 @@ class ModelParams:
             "reservoir_pressure",
             "length",
         ):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -103,6 +105,13 @@ class StripTrajectory:
             raise ValueError("x_grid must be strictly increasing")
         if np.any(self.density <= 0.0):
             raise ValueError("density must be positive everywhere")
+
+    def to_csv(self, path: str) -> None:
+        write_csv(
+            path,
+            ("x", "t_fluid", "t_solid", "density", "velocity"),
+            (self.x_grid, self.t_fluid, self.t_solid, self.density, self.velocity),
+        )
 
 
 def _check_inputs(phi: float, re: float, n_steps: int) -> None:

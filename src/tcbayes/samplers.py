@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_csv
+
 __all__ = [
     "InfeasibleStartError",
     "MarkovChain",
@@ -37,7 +39,11 @@ __all__ = [
     "run_projected_svgd",
     "postprocess_feasible",
     "interval_projection",
+    "interval_membership",
 ]
+
+CHAIN_CSV_HEADER = ("index", "theta", "accepted", "feasible", "log_post", "cumulative_seconds")
+PARTICLE_CSV_HEADER = ("generation", "particle_index", "theta")
 
 
 class InfeasibleStartError(ValueError):
@@ -89,18 +95,11 @@ class MarkovChain:
         return float(np.mean(self.feasible)) if len(self) else 0.0
 
     def to_csv(self, path: str) -> None:
-        flags = (self.accepted.view(np.uint8), self.feasible.view(np.uint8))  # 0/1, no copy
-        columns = (self.samples, *flags, self.log_post, self.cumulative_seconds)
-        with open(path, "w") as fh:
-            fh.write("index,theta,accepted,feasible,log_post,cumulative_seconds\n")
-            # 4096 rows at a time keep the Python floats of one slice alive:
-            # the zip holding a slice's lists is dropped once its rows are joined.
-            for start in range(0, len(self), 4096):
-                chunk = (c[start : start + 4096].tolist() for c in columns)
-                fh.write("".join([
-                    f"{i},{t!r},{a},{f},{p!r},{s!r}\n"
-                    for i, t, a, f, p, s in zip(range(start, start + 4096), *chunk)
-                ]))
+        columns = (
+            np.arange(len(self)), self.samples, self.accepted, self.feasible,
+            self.log_post, self.cumulative_seconds,
+        )
+        write_csv(path, CHAIN_CSV_HEADER, columns)
 
 
 @dataclass(frozen=True)
@@ -146,13 +145,11 @@ class ParticleHistory:
         return self.generations[start:].ravel()
 
     def to_csv(self, path: str) -> None:
-        flat = self.generations.ravel()
-        n = self.n_particles
-        with open(path, "w") as fh:
-            fh.write("generation,particle_index,theta\n")
-            for start in range(0, flat.size, 4096):  # one slice of Python floats at a time
-                rows = enumerate(flat[start : start + 4096].tolist(), start)
-                fh.write("".join([f"{j // n},{j % n},{t!r}\n" for j, t in rows]))
+        n_rows, n = self.generations.shape
+        columns = (
+            np.repeat(np.arange(n_rows), n), np.tile(np.arange(n), n_rows), self.generations.ravel()
+        )
+        write_csv(path, PARTICLE_CSV_HEADER, columns)
 
 
 def run_crw(
@@ -401,6 +398,29 @@ def interval_projection(intervals):
         return out
 
     return project
+
+
+def interval_membership(intervals):
+    """Membership test for a union of closed intervals.
+
+    Returns a callable giving a bool for a scalar and a bool array for an
+    array. A scalar takes plain comparisons and builds no array, since
+    samplers call it once per step.
+    """
+    spans = tuple((float(lo), float(hi)) for lo, hi in intervals)
+
+    def member(theta):
+        if isinstance(theta, np.ndarray):
+            inside = np.zeros(theta.shape, dtype=bool)
+            for lo, hi in spans:
+                inside |= (theta >= lo) & (theta <= hi)
+            return inside
+        for lo, hi in spans:
+            if lo <= theta <= hi:
+                return True
+        return False
+
+    return member
 
 
 def run_projected_svgd(

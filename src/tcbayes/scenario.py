@@ -67,6 +67,7 @@ from .heat_interface import (
 )
 from .porous_flow import DEFAULT_N_STEPS, ModelParams
 from .samplers import (
+    interval_membership,
     interval_projection,
     run_chmc,
     run_crw,
@@ -194,7 +195,10 @@ class ScenarioConfig:
         cfg = _strip_notes(raw)
 
         model = cfg["model"]
-        params = ModelParams(**cfg.get("model_params", {}))
+        try:
+            params = ModelParams(**cfg.get("model_params", {}))
+        except ValueError as exc:
+            raise ConfigError(f"invalid model_params: {exc}") from exc
 
         germ_cfg = cfg["germ"]
         geometry = _parse_geometry(cfg.get("geometry"), model)
@@ -475,12 +479,17 @@ class Scenario:
 
     def surrogate_factory(self):
         """theta -> F2Surrogate for the configured model, over ``exit_coeffs``."""
+        return lambda theta: self._surrogate(self.exit_coeffs(theta))
+
+    def marched_surrogate(self, theta: float):
+        """F2Surrogate at one theta from a one-theta march, without the exit table."""
+        return self._surrogate(self._strip_exit_coeffs([theta])[0])
+
+    def _surrogate(self, coeffs: np.ndarray):
         cfg = self.config
         if cfg.model == 1:
-            return lambda theta: StripExitConstraint(cfg.germ, cfg.order, self.exit_coeffs(theta))
-        return lambda theta: InterfaceMaxConstraint(
-            self._assemble_interface(self.exit_coeffs(theta)), cfg.pointwise
-        )
+            return StripExitConstraint(cfg.germ, cfg.order, coeffs)
+        return InterfaceMaxConstraint(self._assemble_interface(coeffs), cfg.pointwise)
 
     def exit_table(self) -> ChebyshevTable | None:
         """Chebyshev table over ``theta_range()`` of the strip exit coefficients.
@@ -556,15 +565,7 @@ class Scenario:
         """
         if self.config.oracle_mode == "surrogate":
             return self.oracle()
-        intervals = self.intervals()
-
-        def member(theta: float) -> bool:
-            for lo, hi in intervals:
-                if lo <= theta <= hi:
-                    return True
-            return False
-
-        return member
+        return interval_membership(self.intervals())
 
     # data and posterior ---------------------------------------------------
 

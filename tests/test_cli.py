@@ -14,7 +14,7 @@ import pytest
 from tcbayes import gpc
 from tcbayes.cli import load_chain_csv, main, resolve_config
 from tcbayes.samplers import MarkovChain, ParticleHistory
-from tcbayes.scenario import ConfigError
+from tcbayes.scenario import ConfigError, Scenario
 
 
 def _read_csv(path):
@@ -69,6 +69,14 @@ def test_unknown_config_key_exits_2(tiny_model1_dict, write_config, capsys):
 def test_missing_config_file_exits_2(capsys):
     assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
     assert "neither a file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), -1.0])
+def test_invalid_model_params_exit_2(value, tiny_model1_dict, write_config, capsys):
+    tiny_model1_dict["model_params"] = {"kappa_solid": value}
+    path = write_config(tiny_model1_dict)
+    assert main(["run", "--config", path]) == 2
+    assert "kappa_solid must be positive" in capsys.readouterr().err
 
 
 def test_model1_with_geometry_exits_2(tiny_model1_dict, tiny_model2_dict, write_config, capsys):
@@ -280,6 +288,24 @@ def test_diagnose_other_checkpoint_text_is_not_usage_error(
     assert "ValueError: corrupt checkpoint store" in capsys.readouterr().err
 
 
+def test_run_checkpoints_beyond_the_chain_exit_2(tiny_model1_dict, write_config, tmp_path, capsys):
+    tiny_model1_dict["diagnostics"]["checkpoints"] = [100, 400]  # the chain has 300 samples
+    path = write_config(tiny_model1_dict)
+    assert main(["run", "--config", path, "--output", str(tmp_path / "chain")]) == 2
+    assert "300 samples" in capsys.readouterr().err
+
+    tiny_model1_dict["sampler"] = {
+        "kind": "csvgd",
+        "n_particles": 8,
+        "n_generations": 12,
+        "step_size": 5.0,
+        "delta": 0.2,
+    }
+    path = write_config(tiny_model1_dict, "particles.json")
+    assert main(["run", "--config", path, "--output", str(tmp_path / "particles")]) == 2
+    assert "exceeds 96 recorded particle samples" in capsys.readouterr().err
+
+
 def test_load_chain_csv_roundtrip(tiny_model1_dict, write_config, tmp_path):
     path = write_config(tiny_model1_dict)
     out = str(tmp_path / "out")
@@ -405,6 +431,19 @@ def test_build_surrogate_strip_prints_probability(
     assert match, text
     assert 0.0 <= float(match.group(1)) <= 1.0
     assert not list(tmp_path.rglob("*.npz"))
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_build_surrogate_marches_one_theta(
+    model, tiny_model1_dict, tiny_model2_dict, write_config, monkeypatch, capsys
+):
+    def no_table(self):
+        raise AssertionError("build-surrogate must not build the exit table")
+
+    monkeypatch.setattr(Scenario, "exit_table", no_table)
+    path = write_config(tiny_model1_dict if model == 1 else tiny_model2_dict)
+    assert main(["build-surrogate", "--config", path, "--theta", "700"]) == 0
+    assert "built in" in capsys.readouterr().out
 
 
 def test_build_surrogate_interface_prints_probability(

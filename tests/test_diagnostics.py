@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tcbayes.diagnostics import (
+    CheckpointError,
     Histogram,
     ReferenceDensity,
     brooks_gelman_ratio,
@@ -17,7 +18,7 @@ from tcbayes.diagnostics import (
     reference_posterior,
     relative_l2_error,
 )
-from tcbayes.samplers import MarkovChain, run_crw
+from tcbayes.samplers import MarkovChain, ParticleHistory, run_crw
 
 STD_NORMAL_LOGPOST = lambda t: -0.5 * t * t
 
@@ -189,3 +190,55 @@ def test_diagnostics_summary_keys():
     }
     assert summary["infeasible_fraction"] == 0.0
     assert summary["bg_series"][-1][0] == 3000
+
+
+def _history(n_particles: int = 10, n_generations: int = 20, seed: int = 0) -> ParticleHistory:
+    rng = np.random.default_rng(seed)
+    generations = rng.normal(0.0, 1.0, (n_generations + 1, n_particles))
+    history = ParticleHistory(generations, np.ones(n_generations), seed)
+    history.config_snapshot["generation_seconds"] = [0.5 * (g + 1) for g in range(n_generations)]
+    return history
+
+
+def test_l2_error_series_of_a_particle_history():
+    history = _history()
+    ref = reference_posterior(np.linspace(-6.0, 6.0, 2000), STD_NORMAL_LOGPOST)
+    series = l2_error_series(history, ref, [10, 54, 200], n_bins=20, value_range=(-4.0, 4.0))
+    # a checkpoint takes round(n / n_particles) generations after the initial ensemble
+    assert [row[0] for row in series] == [10, 50, 200]
+    assert [row[2] for row in series] == [0.5, 2.5, 10.0]
+    prefix = history.generations[1:6].ravel()
+    expected = relative_l2_error(chain_histogram(prefix, 20, (-4.0, 4.0)), ref)
+    assert series[1][1] == expected
+    with pytest.raises(CheckpointError, match="exceeds 200 recorded particle samples"):
+        l2_error_series(history, ref, [210])
+
+
+def test_checkpoint_beyond_a_chain_names_its_length():
+    chain = _chain_from(np.linspace(-1.0, 1.0, 300))
+    ref = reference_posterior(np.linspace(-6.0, 6.0, 200), STD_NORMAL_LOGPOST)
+    with pytest.raises(CheckpointError, match="300 samples"):
+        l2_error_series(chain, ref, [100, 400])
+
+
+def test_diagnostics_summary_of_a_particle_history():
+    history = _history()
+    ref = reference_posterior(np.linspace(-6.0, 6.0, 2000), STD_NORMAL_LOGPOST)
+    summary = diagnostics_summary(
+        history, ref, checkpoints=[50, 200], value_range=(-4.0, 4.0), intervals=[(-1.0, 1.0)]
+    )
+    recorded = history.generations[1:].ravel()
+    assert summary["infeasible_fraction"] == float(1.0 - np.mean(np.abs(recorded) <= 1.0))
+    assert summary["acceptance_rate"] is None and summary["bg_series"] is None
+    assert summary["n_chains"] == 1 and summary["n_samples"] == 200
+    assert summary["l2_series"] == [
+        list(row) for row in l2_error_series(history, ref, [50, 200], value_range=(-4.0, 4.0))
+    ]
+    # a one-element list is the same run
+    assert diagnostics_summary(
+        [history], ref, checkpoints=[50, 200], value_range=(-4.0, 4.0), intervals=[(-1.0, 1.0)]
+    ) == summary
+    with pytest.raises(ValueError, match="feasible intervals"):
+        diagnostics_summary(history, ref)
+    with pytest.raises(ValueError, match="on its own"):
+        diagnostics_summary([history, history], ref, intervals=[(-1.0, 1.0)])

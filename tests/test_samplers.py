@@ -11,6 +11,7 @@ from tcbayes.samplers import (
     InfeasibleStartError,
     MarkovChain,
     ParticleHistory,
+    interval_membership,
     interval_projection,
     postprocess_feasible,
     run_chmc,
@@ -180,6 +181,17 @@ def test_projection_operator():
         interval_projection(())
     with pytest.raises(ValueError):
         interval_projection(((2.0, 1.0),))
+
+
+def test_interval_membership():
+    member = interval_membership(((0.0, 1.0), (np.float64(5.0), 6.0)))
+    for theta, inside in ((0.0, True), (1.0, True), (2.0, False), (5.5, True), (6.5, False)):
+        assert member(theta) is inside  # a plain bool for a scalar
+    assert member(np.float64(5.0)) is True
+    arr = member(np.array([[-1.0, 0.5], [5.0, 7.0]]))
+    assert arr.dtype == bool and np.array_equal(arr, [[False, True], [True, False]])
+    assert member(np.nan) is False
+    assert not interval_membership(())(0.5)
 
 
 def test_projected_svgd_identity_on_feasible_targets():
