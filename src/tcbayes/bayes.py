@@ -16,13 +16,12 @@ size. ``classic_iid=True`` switches to the standard product-of-Gaussians form
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import write_csv
+from .artifacts import write_csv, write_json
 from .porous_flow import (
     ModelParams,
     NonFiniteStateError,
@@ -123,10 +122,6 @@ class ObservationSet:
         if len(set(labels)) != len(labels):
             raise ValueError("group labels must be unique")
 
-    @property
-    def n_total(self) -> int:
-        return sum(g.values.size for g in self.groups)
-
     def merge(self, other: "ObservationSet") -> "ObservationSet":
         prov = {**self.provenance, **other.provenance}
         return ObservationSet(self.groups + other.groups, provenance=prov)
@@ -147,9 +142,7 @@ class ObservationSet:
             }
             for g in self.groups
         ]
-        with open(path, "w") as fh:
-            json.dump(meta, fh, indent=2)
-            fh.write("\n")
+        write_json(path, meta)
 
 
 def generate_observations(

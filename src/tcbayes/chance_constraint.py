@@ -1,29 +1,32 @@
 """Probabilistic feasibility of a parameter value through cheap surrogates.
 
 The constraint P(f2(xi; theta) <= beta) >= alpha is evaluated on a chaos
-surrogate of f2 built at the given theta. Wherever a polynomial in one
-standard normal variable decides it, P comes from root intervals: the
-satisfied set of p(xi) <= beta is a union of intervals whose ends are real
-roots of p(xi) = beta. ``_root_segments`` finds the roots of a whole stack
-of such polynomials with one batched companion-matrix eigenvalue call and
-classifies every segment between consecutive roots, for every polynomial,
-at the segment midpoint; a segment's share of P is its normal mass.
+surrogate of f2 built at the given theta. The strip march is linear in the
+temperatures with coefficients in (phi, re) only, and the heat flux enters
+only its source, so the exit temperature is affine in the flux germ xi_q,
+T = a + b xi_q, and models 1 and 2 have closed forms.
 
-* Shared germ (model 2): the interface field at every z node is a degree-K
-  polynomial in one germ variable. P is the mass of the segments satisfied
-  at every node (or, pointwise, the smallest per-node mass).
-* Two-variable strip germ (model 1): conditional on xi_1 = eta, the exit
-  temperature is a degree-K polynomial in xi_0. P is the Gauss-Hermite sum
-  over eta of the conditional masses, the last integral of conditional
-  Monte Carlo done by quadrature (Asmussen & Glynn, *Stochastic
-  Simulation*, 2007, ch. V). A rule of twice the size checks it; where the
-  two disagree the conditional mass is not smooth in eta and Monte Carlo
-  decides instead. A germ with one varying variable is a single row.
+* Shared germ (model 2): the field at each z node is a_z + b_z xi, so
+  {max_z T <= beta} is one interval (l, u): u is the smallest
+  (beta - a_z) / b_z over b_z > 0, l the largest over b_z < 0, and
+  P = Phi(u) - Phi(l). With ``pointwise`` P is the smallest per-node mass.
+* Two-variable strip germ (model 1): conditional on xi_phi = eta, the exit
+  temperature is a(eta) + b(eta) xi_q, whose satisfied mass is a normal
+  cdf. P is the Gauss-Hermite sum over eta of those masses, the last
+  integral of conditional Monte Carlo done by quadrature (Asmussen & Glynn,
+  *Stochastic Simulation*, 2007, ch. V). A rule of twice the size checks
+  it; where the two disagree Monte Carlo decides instead.
 * Independent per-strip germs (model 3): plain Monte Carlo over
   ``n_prob_samples`` seeded germ draws. Every probability uses the same
   draws, so probabilities are deterministic and smooth in theta (common
   random numbers), which keeps the bisection on the feasible boundary well
   behaved; the oracle draws them once and counts the draws it evaluates.
+
+Each closed form first checks that the flux-degree >= 2 chaos coefficients
+are within ``bayes.TABLE_TOL`` of the largest coefficient, or Monte Carlo
+decides. A model-1 exit temperature that does not depend on the flux
+(q std 0) is a polynomial in xi_phi alone, and ``_root_segments`` gives
+its P from the real roots of p(xi) = beta.
 
 ``probability(xi, beta)`` keeps the Monte Carlo estimate of every
 constraint for cross-checks.
@@ -46,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv
+from .bayes import TABLE_TOL
 from .gpc import GermSpec, gauss_hermite_rule, hermite_design
 from .heat_interface import InterfaceSurrogate, evaluate_interface_batch
 from .porous_flow import NonFiniteStateError, SingularDenominatorError
@@ -138,40 +142,23 @@ class StripExitConstraint(F2Surrogate):
         d1 = hermite_design(self.order, xi[:, 1])
         return np.einsum("ni,ij,nj->n", d0, self._coeff, d1)
 
-    def _conditional_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """f2 as polynomials in one germ variable, conditional on the other.
-
-        Returns HermiteE coefficients (K+1, R), one column ``C @ He(eta_m)``
-        per Gauss-Hermite node eta_m of the conditioning variable, and a
-        (2, R) weight matrix whose rows are the ``_ETA_NODES``-node rule and
-        the rule of twice that size, side by side. Roots are taken in xi_0
-        unless f2 does not vary with it. A germ, or an f2, with one varying
-        variable gives a single column of weight 1.
-        """
-        coeff = self._coeff
-        if self.germ.dim == 1:
-            return coeff[:, None], np.ones((1, 1))
-        if not coeff[1:].any():
-            coeff = coeff.T
-        if not coeff[:, 1:].any():
-            return coeff[:, :1], np.ones((1, 1))
-        nodes, weights = _eta_rules(_ETA_NODES)
-        return coeff @ hermite_design(self.order, nodes).T, weights
-
     def exact_probability(self, beta: float) -> float | None:
-        """P(f2 <= beta) by root intervals in one variable and Gauss-Hermite
-        quadrature over the other, or None when the two rules differ by more
-        than ``_ETA_TOL``.
-
-        The quadrature converges to roundoff when the satisfied mass is smooth
-        in the conditioning variable, as for the shipped strip surrogates. It
-        is not smooth where two roots of the conditional polynomial merge
-        within the mass of the germ; the rules then disagree and Monte Carlo
-        decides.
+        """P(f2 <= beta) from the affine dependence on the flux germ xi_0,
+        summed by Gauss-Hermite quadrature over xi_1; None when f2 is not
+        affine in xi_0 or the two rules differ by more than ``_ETA_TOL`` (the
+        conditional mass is not smooth where b(eta) = 0 and a(eta) = beta).
+        An f2 that does not vary with xi_0 takes the root intervals in xi_1.
         """
-        rows, weights = self._conditional_rows()
-        edges, satisfied = _root_segments(rows, beta)
-        probs = weights @ (np.diff(_normal_cdf(edges)) @ satisfied)
+        # row k: the coefficient of He_k(xi_0), as a polynomial in xi_1
+        coeff = self._coeff.reshape(self.order + 1, -1)
+        if not coeff[1:].any():
+            edges, satisfied = _root_segments(coeff[0][:, None], beta)
+            return float(min(1.0, np.diff(_normal_cdf(edges)) @ satisfied[:, 0]))
+        if not _negligible(coeff[2:], coeff):
+            return None
+        nodes, weights = _eta_rules(_ETA_NODES)
+        a, b = coeff[:2] @ hermite_design(coeff.shape[1] - 1, nodes).T
+        probs = weights @ _normal_cdf(_cut(a, b, beta))
         if np.ptp(probs) > _ETA_TOL:
             return None
         return float(min(1.0, probs[0]))
@@ -191,56 +178,57 @@ class InterfaceMaxConstraint(F2Surrogate):
         self.germ = isurr.germ
         self.pointwise = pointwise
 
-    def _draws(self, xi: np.ndarray) -> np.ndarray:
+    def _fields(self, xi: np.ndarray):
+        """Realized fields of the germ draws ``xi``, ``_EVAL_CHUNK`` draws at a time."""
         xi = np.asarray(xi, dtype=float)
-        return xi.reshape(xi.shape[:1] + self.isurr.germ_axes)
+        draws = xi.reshape(xi.shape[:1] + self.isurr.germ_axes)
+        for lo in range(0, draws.shape[0], _EVAL_CHUNK):
+            yield evaluate_interface_batch(self.isurr, draws[lo : lo + _EVAL_CHUNK])
 
     def f2_values(self, xi: np.ndarray) -> np.ndarray:
-        draws = self._draws(xi)
-        n = draws.shape[0]
-        out = np.empty(n)
-        for lo in range(0, n, _EVAL_CHUNK):
-            hi = min(lo + _EVAL_CHUNK, n)
-            out[lo:hi] = evaluate_interface_batch(self.isurr, draws[lo:hi]).max(axis=1)
-        return out
+        return np.concatenate([fields.max(axis=1) for fields in self._fields(xi)])
 
     def probability(self, xi: np.ndarray, beta: float) -> float:
         if not self.pointwise:
             return super().probability(xi, beta)
-        draws = self._draws(xi)
-        n = draws.shape[0]
-        satisfied = np.zeros(self.isurr.z_grid.shape[0], dtype=np.int64)
-        for lo in range(0, n, _EVAL_CHUNK):
-            hi = min(lo + _EVAL_CHUNK, n)
-            fields = evaluate_interface_batch(self.isurr, draws[lo:hi])
-            satisfied += np.count_nonzero(fields <= beta, axis=0)
-        return float(satisfied.min() / n)
-
-    def segments(self, beta: float) -> tuple[np.ndarray, np.ndarray]:
-        """Segment edges on [-40, 40] and, per segment and z node, T <= beta.
-
-        Shared germ only; see ``_root_segments``.
-        """
-        return _root_segments(self.isurr.hermite_fields(), beta)
+        satisfied = sum(np.count_nonzero(fields <= beta, axis=0) for fields in self._fields(xi))
+        return float(satisfied.min() / len(xi))
 
     def exact_probability(self, beta: float) -> float | None:
-        if not self.isurr.shared:
+        """P from the one xi-interval where every node is satisfied; None for
+        independent germs or a field that is not affine in the shared germ."""
+        isurr = self.isurr
+        if not isurr.shared or not _negligible(isurr.coeffs[:, 2:], isurr.coeffs):
             return None
-        edges, satisfied = self.segments(beta)
-        mass = np.diff(_normal_cdf(edges))
-        per_segment = satisfied if self.pointwise else satisfied.all(axis=1)
-        return float(min(1.0, np.min(mass @ per_segment)))
+        a = isurr.base_field
+        b = isurr.coeffs[:, 1] @ isurr.unit if isurr.order else np.zeros_like(a)
+        cut = _cut(a, b, beta)
+        if self.pointwise:
+            return float(_normal_cdf([cut.min()])[0])
+        # nodes with b >= 0 bound xi from above, nodes with b < 0 from below
+        lower, upper = -cut[b < 0.0].min(initial=math.inf), cut[b >= 0.0].min(initial=math.inf)
+        lo, hi = _normal_cdf([lower, upper])
+        return float(max(0.0, hi - lo))
+
+
+def _negligible(high: np.ndarray, coeffs: np.ndarray) -> bool:
+    """Whether every entry of ``high`` is within TABLE_TOL of the largest of ``coeffs``."""
+    return bool(np.abs(high).max(initial=0.0) <= TABLE_TOL * np.abs(coeffs).max(initial=0.0))
+
+
+def _cut(a: np.ndarray, b: np.ndarray, beta: float) -> np.ndarray:
+    """Per a + b xi, the t with {a + b xi <= beta} = {sign(b) xi <= t}, whose
+    normal mass is Phi(t): (beta - a) / |b|, or +-inf where b = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut = (beta - a) / np.abs(b)
+    return np.where(b == 0.0, np.where(a <= beta, math.inf, -math.inf), cut)
 
 
 def _root_segments(coeffs: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Segment edges on [-40, 40] and, per segment and polynomial, p <= beta.
-
-    ``coeffs`` (K+1, R) holds the HermiteE coefficients of R polynomials in
-    one standard normal variable, one per column. The edges are the real
-    roots of every p_r(xi) - beta, so no polynomial crosses beta inside a
-    segment and its value at the midpoint decides the whole segment. A
-    spurious root only splits a segment; it cannot flip a verdict.
-    """
+    """Segment edges on [-40, 40] and, per segment and column of HermiteE
+    coefficients ``coeffs`` (K+1, R), p <= beta. The edges are the real roots
+    of every p - beta, so p at a segment's midpoint decides the segment; a
+    spurious root only splits a segment."""
     order = coeffs.shape[0] - 1
     power = (_herme_to_power(order) @ coeffs).T  # (R, K+1), ascending
     power[:, 0] -= beta

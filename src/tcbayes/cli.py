@@ -88,9 +88,12 @@ def _versions() -> dict:
 
 def load_chain_csv(path: str):
     """Read a chain or particle-history CSV back into its run type."""
+    particles = ",".join(PARTICLE_CSV_HEADER)
     with open(path) as fh:
         header = fh.readline().strip()
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
+        # a particle history without generation times has empty time cells
+        empty_nan = {3: lambda cell: float(cell or "nan")} if header == particles else None
+        body = np.loadtxt(fh, delimiter=",", ndmin=2, converters=empty_nan)
     if header == ",".join(CHAIN_CSV_HEADER):
         return MarkovChain(
             samples=body[:, 1],
@@ -101,16 +104,20 @@ def load_chain_csv(path: str):
             seed=-1,
             config_snapshot={"loaded_from": path},
         )
-    if header == ",".join(PARTICLE_CSV_HEADER):
+    if header == particles:
         gens = body[:, 0].astype(int)
         n_gen = gens.max()
         n_particles = int((gens == 0).sum())
         generations = body[:, 2].reshape(n_gen + 1, n_particles)
+        snapshot = {"loaded_from": path}
+        seconds = body[n_particles::n_particles, 3]
+        if not np.isnan(seconds).any():
+            snapshot["generation_seconds"] = seconds.tolist()
         return ParticleHistory(
             generations=generations,
             step_sizes=np.zeros(n_gen),
             seed=-1,
-            config_snapshot={"loaded_from": path},
+            config_snapshot=snapshot,
         )
     raise ConfigError(f"unrecognized chain CSV header in {path}: {header!r}")
 

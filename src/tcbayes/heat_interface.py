@@ -61,11 +61,12 @@ class InterfaceGeometry:
             raise ValueError("need 0 <= d1 < d2 <= 1")
         if self.n_strips < 1:
             raise ValueError("n_strips must be >= 1")
-        if self.wall_temp <= 0.0 or self.diffusivity <= 0.0 or self.t_constraint <= 0.0:
-            raise ValueError("wall_temp, diffusivity and t_constraint must be positive")
+        for name in ("wall_temp", "diffusivity", "t_constraint"):
+            if not getattr(self, name) > 0.0:  # also rejects NaN
+                raise ValueError(f"{name} must be positive")
         if self.delta_z is None:
             object.__setattr__(self, "delta_z", (self.d2 - self.d1) / (2 * self.n_strips))
-        if self.delta_z <= 0.0:
+        if not self.delta_z > 0.0:
             raise ValueError("delta_z must be positive")
         if 2.0 * self.delta_z * self.n_strips > (self.d2 - self.d1) * (1.0 + 1e-12):
             raise ValueError("strip footprints must tile (d1, d2) without overlap")
@@ -282,12 +283,6 @@ class InterfaceSurrogate:
     def base_field(self) -> np.ndarray:
         """The field at the germ mean, the order-zero coefficient (walls included)."""
         return self.wall + self.coeffs[:, 0] @ self.unit
-
-    def hermite_fields(self) -> np.ndarray:
-        """(K+1, n_z) HermiteE coefficients of the field in a shared germ variable."""
-        if not self.shared:
-            raise ValueError("HermiteE fields in one variable need a shared germ")
-        return np.vstack([self.base_field, self.coeffs[:, 1:].T @ self.unit])
 
 
 def assemble_interface_from_coeffs(

@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 CHAIN_CSV_HEADER = ("index", "theta", "accepted", "feasible", "log_post", "cumulative_seconds")
-PARTICLE_CSV_HEADER = ("generation", "particle_index", "theta")
+PARTICLE_CSV_HEADER = ("generation", "particle_index", "theta", "cumulative_seconds")
 
 
 class InfeasibleStartError(ValueError):
@@ -145,9 +145,14 @@ class ParticleHistory:
         return self.generations[start:].ravel()
 
     def to_csv(self, path: str) -> None:
+        """One row per particle and generation; the wall time is 0.0 for the
+        initial ensemble, and empty without recorded ``generation_seconds``."""
         n_rows, n = self.generations.shape
+        seconds = self.config_snapshot.get("generation_seconds")
+        times = np.full(n_rows, None) if seconds is None else np.array([0.0, *seconds])
         columns = (
-            np.repeat(np.arange(n_rows), n), np.tile(np.arange(n), n_rows), self.generations.ravel()
+            np.repeat(np.arange(n_rows), n), np.tile(np.arange(n), n_rows),
+            self.generations.ravel(), np.repeat(times, n),
         )
         write_csv(path, PARTICLE_CSV_HEADER, columns)
 

@@ -81,3 +81,10 @@ def test_particle_file_reads_back_bit_for_bit(tmp_path):
     back = load_chain_csv(path)
     assert isinstance(back, ParticleHistory)
     assert back.generations.tobytes() == history.generations.tobytes()
+    assert "generation_seconds" not in back.config_snapshot
+    # recorded generation times read back bit for bit
+    history.config_snapshot["generation_seconds"] = list(np.cumsum(rng.random(89)) * 1e-3)
+    history.to_csv(path)
+    assert load_chain_csv(path).config_snapshot["generation_seconds"] == history.config_snapshot[
+        "generation_seconds"
+    ]

@@ -1,16 +1,18 @@
 """Chance-constraint probability estimation, feasibility, boundary scan."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tcbayes import chance_constraint
 from tcbayes.chance_constraint import (
     ChanceConstraintOracle,
+    BUILD_FAILURES,
     ChanceConstraintSpec,
     F2Surrogate,
     InterfaceMaxConstraint,
@@ -279,17 +281,17 @@ def _factored(coeffs: np.ndarray) -> InterfaceSurrogate:
 
 @st.composite
 def _shared_fields(draw, max_order: int = 4) -> InterfaceSurrogate:
-    """Random shared-germ surrogates; some nodes have zero modes or a zero top mode."""
+    """Random shared-germ surrogates, affine in the germ as the shipped
+    interface fields are: every mode above the first is zero, and some nodes
+    have no modes at all."""
     order = draw(st.integers(0, max_order))
     n_z = draw(st.integers(1, 6))
     base = np.array(draw(st.lists(_coef, min_size=n_z, max_size=n_z)))
-    modes = np.array(draw(st.lists(_coef, min_size=order * n_z, max_size=order * n_z)))
-    modes = modes.reshape(order, n_z)
+    modes = np.zeros((order, n_z))
     if order > 0:
+        modes[0] = draw(st.lists(_coef, min_size=n_z, max_size=n_z))
         flat = np.array(draw(st.lists(st.booleans(), min_size=n_z, max_size=n_z)))
-        no_top = np.array(draw(st.lists(st.booleans(), min_size=n_z, max_size=n_z)))
-        modes[:, flat] = 0.0
-        modes[-1, no_top] = 0.0
+        modes[0, flat] = 0.0
     return _factored(np.column_stack([base, modes.T]))
 
 
@@ -298,14 +300,15 @@ _DRAWS = np.random.default_rng(2024).standard_normal((100_000, 1))
 
 @settings(max_examples=60, deadline=None)
 @given(_shared_fields(), _beta, st.booleans())
-def test_root_segments_reproduce_monte_carlo_on_the_draws(isurr, beta, pointwise):
+def test_affine_cut_reproduces_monte_carlo_on_the_draws(isurr, beta, pointwise):
+    # the satisfied set of a + b xi <= beta is sign(b) xi <= cut at every node
     f2 = InterfaceMaxConstraint(isurr, pointwise)
     xi = _DRAWS[:20_000]
-    edges, satisfied = f2.segments(beta)
-    assert edges[0] == -40.0 and edges[-1] == 40.0 and np.all(np.diff(edges) >= 0.0)
-    ok = satisfied[np.searchsorted(edges, xi[:, 0]) - 1]
-    from_segments = ok.mean(axis=0).min() if pointwise else ok.all(axis=1).mean()
-    assert float(from_segments) == f2.probability(xi, beta)
+    b = isurr.coeffs[:, 1] @ isurr.unit if isurr.order else np.zeros(isurr.z_grid.size)
+    cut = chance_constraint._cut(isurr.base_field, b, beta)
+    ok = np.sign(b) * xi <= cut
+    from_cut = ok.mean(axis=0).min() if pointwise else ok.all(axis=1).mean()
+    assert float(from_cut) == f2.probability(xi, beta)
 
 
 @settings(max_examples=30, deadline=None)
@@ -345,7 +348,7 @@ def test_constant_fields_give_zero_or_one(order_zero, other, beta):
 def test_exact_path_draws_no_germ_sample(monkeypatch):
     rng = np.random.default_rng(5)
     geo = InterfaceGeometry()
-    coeffs = np.column_stack([rng.uniform(330, 360, 60), rng.normal(0, 2, 60), rng.normal(0, 0.5, 60)])
+    coeffs = np.column_stack([rng.uniform(330, 360, 60), rng.normal(0, 2, 60), np.zeros(60)])
     isurr = assemble_interface_from_coeffs(geo, coeffs, UNIT_GERM, 1e-3, 1.0, 400)
 
     def no_draws(*args):
@@ -362,8 +365,8 @@ def test_exact_path_draws_no_germ_sample(monkeypatch):
     spec = ChanceConstraintSpec(beta=405.0, alpha=0.5, n_prob_samples=100_000)
     prob = ChanceConstraintOracle(spec, lambda theta: InterfaceMaxConstraint(isurr)).probability(1.0)
     assert 0.0 <= prob <= 1.0
-    # one evaluation row per segment, and at most order * n_z roots
-    assert len(rows) == 1 and rows[0] <= 2 * 400 + 1
+    # the closed form evaluates no Hermite design at all
+    assert rows == []
 
 
 def test_model1_scan_draws_no_germ_sample(monkeypatch, tiny_model1_dict):
@@ -377,8 +380,9 @@ def test_model1_scan_draws_no_germ_sample(monkeypatch, tiny_model1_dict):
 
 
 def _reference_shared_probability(isurr: InterfaceSurrogate, beta: float, pointwise: bool) -> float:
-    """The shared-germ probability as computed before the root helper served
-    both constraints: segments classified by ``evaluate_interface_batch``."""
+    """The shared-germ probability by root intervals, as computed before the
+    closed form: segments between the real roots of every node's polynomial,
+    classified by ``evaluate_interface_batch``. Exact for any degree."""
     base = isurr.wall + isurr.coeffs[:, 0] @ isurr.unit
     stacked = np.vstack([base, isurr.coeffs[:, 1:].T @ isurr.unit])
     power = (chance_constraint._herme_to_power(isurr.order) @ stacked).T
@@ -391,7 +395,7 @@ def _reference_shared_probability(isurr: InterfaceSurrogate, beta: float, pointw
     return float(min(1.0, np.min(mass @ per_segment)))
 
 
-def test_shared_helper_keeps_interface_probability_bits():
+def test_closed_form_matches_root_intervals_on_shipped_interface():
     # the shipped model-2 interface around its feasible boundary (589.16)
     scenario = Scenario(resolve_config("model2"))
     factory, t_max = scenario.surrogate_factory(), scenario.config.constraint.beta
@@ -400,14 +404,81 @@ def test_shared_helper_keeps_interface_probability_bits():
         for beta in (t_max - 1.0, t_max, t_max + 1.0):
             for pointwise in (False, True):
                 got = InterfaceMaxConstraint(isurr, pointwise).exact_probability(beta)
-                assert got == _reference_shared_probability(isurr, beta, pointwise)
+                assert abs(got - _reference_shared_probability(isurr, beta, pointwise)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
 @given(_shared_fields(), _beta, st.booleans())
-def test_shared_helper_keeps_random_field_probability_bits(isurr, beta, pointwise):
+def test_closed_form_matches_root_intervals_on_random_fields(isurr, beta, pointwise):
     got = InterfaceMaxConstraint(isurr, pointwise).exact_probability(beta)
-    assert got == _reference_shared_probability(isurr, beta, pointwise)
+    assert abs(got - _reference_shared_probability(isurr, beta, pointwise)) <= 1e-12
+
+
+def _reference_strip_probability(f2: StripExitConstraint, beta: float) -> float:
+    """Model 1's probability by root intervals, as computed before the closed
+    form: the exit temperature's polynomial in xi_0 at each node of the
+    32-node Gauss-Hermite rule in xi_1, weighted by that rule."""
+    nodes, weights = chance_constraint.gauss_hermite_rule(32)
+    rows = f2._coeff @ hermite_design(f2.order, nodes).T
+    edges, satisfied = chance_constraint._root_segments(rows, beta)
+    return float(min(1.0, weights @ (np.diff(chance_constraint._normal_cdf(edges)) @ satisfied)))
+
+
+@pytest.mark.parametrize(
+    "name, interval", [("model1", (540.283203125, 1000.0)), ("model2", (589.16015625, 1000.0))]
+)
+def test_scanned_probabilities_match_root_intervals(monkeypatch, name, interval):
+    # every surrogate the shipped scan visits, by the closed form and by roots
+    scenario = Scenario(resolve_config(name))
+    factory, visited = scenario.surrogate_factory(), []
+
+    def recording(theta):
+        visited.append(factory(theta))
+        return visited[-1]
+
+    monkeypatch.setattr(scenario, "surrogate_factory", lambda: recording)
+    assert scenario.intervals() == (interval,)
+    assert scenario.oracle().counters() == {
+        "evaluations": len(visited), "build_failures": 0, "mc_draws": 0
+    }
+    beta = scenario.config.constraint.beta
+    for f2 in visited:
+        if name == "model1":
+            expected = _reference_strip_probability(f2, beta)
+        else:
+            expected = _reference_shared_probability(f2.isurr, beta, f2.pointwise)
+        assert abs(f2.exact_probability(beta) - expected) <= 1e-12
+
+
+def _quadratic(isurr: InterfaceSurrogate, scale: float) -> InterfaceSurrogate:
+    """``isurr`` with a second mode of ``scale`` times its largest coefficient."""
+    coeffs = np.column_stack([isurr.coeffs, np.zeros(isurr.coeffs.shape[0])])
+    coeffs[:, 2] = scale * np.abs(isurr.coeffs).max()
+    return dataclasses.replace(isurr, coeffs=coeffs)
+
+
+def test_non_affine_fields_fall_back_to_monte_carlo(monkeypatch):
+    scenario = Scenario(resolve_config("model2"))
+    isurr = scenario.interface_surrogate(589.16015625)
+    beta = scenario.config.constraint.beta
+    # a second mode at the tolerance keeps the closed form; above it, None
+    exact = InterfaceMaxConstraint(isurr).exact_probability(beta)
+    tolerated = InterfaceMaxConstraint(_quadratic(isurr, 1e-12)).exact_probability(beta)
+    assert abs(tolerated - exact) <= 1e-12
+    curved = InterfaceMaxConstraint(_quadratic(isurr, 1e-3))
+    assert curved.exact_probability(beta) is None
+    spec = ChanceConstraintSpec(beta=beta, alpha=0.95, n_prob_samples=20_000, seed=6)
+    oracle = ChanceConstraintOracle(spec, lambda theta: curved)
+    prob = oracle.probability(589.16015625)
+    xi = np.random.default_rng(6).standard_normal((20_000, 1))
+    assert prob == curved.probability(xi, beta)
+    assert oracle.counters()["mc_draws"] == 20_000
+
+    # model 1: a quadratic term in the flux germ
+    germ, (coeff,) = _model1_exits((540.28,))
+    coeff = coeff.copy()
+    coeff[2, 0] = 1e-3 * np.abs(coeff).max()
+    assert StripExitConstraint(germ, 3, coeff).exact_probability(343.2) is None
 
 
 # ---------------------------------------------------------------------------
@@ -518,21 +589,24 @@ def test_degenerate_heat_flux_takes_the_roots_in_phi():
     pair = GermSpec((GermVariable("q", q0, 0.0), phi))
     (coeff2,) = build_strip_exit_batch(params, pair, np.array([540.0]))
     assert not coeff2[1:].any()
-    one_row = StripExitConstraint(GermSpec((phi,)), 3, coeff2[0])
     for beta in (340.6, 340.9, 341.2):
-        expected = one_row.exact_probability(beta)
+        # the normal mass of the root intervals of the cubic in xi_phi
+        edges, satisfied = chance_constraint._root_segments(coeff2[0][:, None], beta)
+        expected = float(np.diff(chance_constraint._normal_cdf(edges)) @ satisfied[:, 0])
         assert 0.0 < expected < 1.0
         assert StripExitConstraint(pair, 3, coeff2).exact_probability(beta) == expected
 
 
 @st.composite
 def _pair_tensors(draw) -> np.ndarray:
-    """Random (K+1, K+1) coefficients. Some get a dominant linear term in xi_0
-    and a mild dependence on xi_1, as a strip exit temperature has on the heat
-    flux and on the porosity."""
+    """Random (K+1, K+1) coefficients, mostly affine in xi_0 as a strip exit
+    temperature is in the heat flux. Some get a dominant linear term in xi_0
+    and a mild dependence on xi_1, as the exit temperature has on the porosity."""
     order = draw(st.integers(0, 4))
     values = draw(st.lists(_coef, min_size=(order + 1) ** 2, max_size=(order + 1) ** 2))
     coeff = np.array(values).reshape(order + 1, order + 1)
+    if draw(st.integers(0, 3)):
+        coeff[2:] = 0.0
     if order > 0 and draw(st.booleans()):
         coeff[1, 0] += 8.0
         coeff[:, 1:] /= 64.0
@@ -564,16 +638,60 @@ def test_exact_strip_exit_probability_property(coeff, b1, b2):
 
 
 def test_unconverged_quadrature_falls_back_to_monte_carlo():
-    # f2 = He_2(xi_0) He_2(xi_1) / 8: at xi_1 = +-1 f2 vanishes for every xi_0,
-    # so the satisfied mass of f2 <= 0 jumps there and the quadrature fails
-    coeff = np.zeros((3, 3))
-    coeff[2, 2] = 0.125
-    f2 = StripExitConstraint(PAIR_GERM, 2, coeff)
+    # f2 = (xi_1 - 0.3)(1 + xi_0) is affine in xi_0, but at xi_1 = 0.3 both
+    # a and b vanish: the satisfied mass of f2 <= 0 jumps from Phi(1) to
+    # Phi(-1) there, and the quadrature fails
+    coeff = np.array([[-0.3, 1.0], [-0.3, 1.0]])
+    f2 = StripExitConstraint(PAIR_GERM, 1, coeff)
     assert f2.exact_probability(0.0) is None
     spec = ChanceConstraintSpec(beta=0.0, alpha=0.5, n_prob_samples=50_000, seed=3)
     oracle = ChanceConstraintOracle(spec, lambda theta: f2)
     prob = oracle.probability(1.0)
-    # P = 2 P(|xi| < 1) P(|xi| > 1)
-    inside = math.erf(1.0 / math.sqrt(2.0))
-    assert abs(prob - 2.0 * inside * (1.0 - inside)) <= 4.0 * _std_error(prob, 50_000)
+    below = 0.5 * math.erfc(-0.3 / math.sqrt(2.0))  # P(xi_1 < 0.3)
+    low, high = 0.5 * math.erfc(1.0 / math.sqrt(2.0)), 0.5 * math.erfc(-1.0 / math.sqrt(2.0))
+    assert abs(prob - (below * high + (1.0 - below) * low)) <= 4.0 * _std_error(prob, 50_000)
     assert oracle.counters()["mc_draws"] == 50_000
+
+
+# ---------------------------------------------------------------------------
+# the closed forms' premise: the exit temperature is affine in the heat flux
+# ---------------------------------------------------------------------------
+
+
+def _flux_curvature(scenario: Scenario, thetas) -> np.ndarray:
+    """Per theta, the largest flux-degree >= 2 exit coefficient over the
+    largest exit coefficient, from one march of the strips."""
+    coeffs = scenario._strip_exit_coeffs(thetas)
+    # model 1: (theta, flux degree, phi degree); else (theta, strip, flux degree)
+    high = coeffs[:, 2:] if scenario.config.model == 1 else coeffs[..., 2:]
+    return np.abs(high).max(axis=(1, 2)) / np.abs(coeffs).max(axis=(1, 2))
+
+
+@pytest.mark.parametrize("name", ["model1", "model2", "model3"])
+def test_shipped_exit_temperatures_are_affine_in_the_flux(name):
+    scenario = Scenario(resolve_config(name))
+    thetas = np.linspace(*scenario.config.theta_range(), 5)
+    assert np.all(_flux_curvature(scenario, thetas) <= 1e-12)
+
+
+_PHYSICS = ("prandtl", "nusselt", "kappa_fluid", "kappa_solid", "permeability_darcy",
+            "forchheimer", "hot_gas_temp", "coolant_temp", "reservoir_pressure", "length")
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["model1", "model2", "model3"]),
+    st.fixed_dictionaries({name: st.floats(0.5, 2.0) for name in _PHYSICS}),
+    st.floats(300.0, 1000.0),
+)
+def test_random_physics_keeps_the_exit_affine_in_the_flux(name, scales, theta):
+    config = resolve_config(name)
+    params = dataclasses.replace(
+        config.params, **{key: scale * getattr(config.params, key) for key, scale in scales.items()}
+    )
+    scenario = Scenario(dataclasses.replace(config, params=params, n_steps=40))
+    try:
+        curvature = _flux_curvature(scenario, [theta])
+    except BUILD_FAILURES:
+        assume(False)
+    assert curvature[0] <= 1e-12

@@ -79,6 +79,14 @@ def test_invalid_model_params_exit_2(value, tiny_model1_dict, write_config, caps
     assert "kappa_solid must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["wall_temp", "diffusivity", "t_constraint"])
+def test_nan_geometry_exits_2(key, tiny_model2_dict, write_config, capsys):
+    tiny_model2_dict["geometry"][key] = float("nan")
+    path = write_config(tiny_model2_dict)
+    assert main(["run", "--config", path]) == 2
+    assert f"{key} must be positive" in capsys.readouterr().err
+
+
 def test_model1_with_geometry_exits_2(tiny_model1_dict, tiny_model2_dict, write_config, capsys):
     tiny_model1_dict["geometry"] = tiny_model2_dict["geometry"]
     path = write_config(tiny_model1_dict)
@@ -240,6 +248,27 @@ def test_diagnose_particles(tiny_model1_dict, write_config, tmp_path):
     payload = json.load(open(os.path.join(diag_dir, "diagnostics.json")))
     assert payload["acceptance_rate"] is None
     assert 0.0 <= payload["infeasible_fraction"] <= 1.0
+
+
+def test_diagnose_particles_keeps_run_wall_seconds(tiny_model1_dict, write_config, tmp_path):
+    tiny_model1_dict["sampler"] = {
+        "kind": "csvgd",
+        "n_particles": 8,
+        "n_generations": 12,
+        "step_size": 5.0,
+        "delta": 0.2,
+    }
+    tiny_model1_dict["diagnostics"]["checkpoints"] = [16, 48, 96]
+    path = write_config(tiny_model1_dict)
+    run_dir, diag_dir = str(tmp_path / "run"), str(tmp_path / "diag")
+    assert main(["run", "--config", path, "--output", run_dir]) == 0
+    particles = os.path.join(run_dir, "particles.csv")
+    assert main(["diagnose", "--config", path, "--chains", particles, "--output", diag_dir]) == 0
+    header, ran = _read_csv(os.path.join(run_dir, "l2_series.csv"))
+    _, diagnosed = _read_csv(os.path.join(diag_dir, "l2_series.csv"))
+    col = header.index("wall_seconds")
+    assert [row[col] for row in diagnosed] == [row[col] for row in ran]
+    assert all(float(row[col]) > 0.0 for row in ran)
 
 
 def test_diagnose_checkpoints_must_fit_run(tiny_model1_dict, write_config, tmp_path, capsys):

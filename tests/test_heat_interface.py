@@ -57,6 +57,13 @@ def test_geometry_defaults_and_validation():
         InterfaceGeometry(section_porosities=((0.25, 0.75, 1.5),))
 
 
+@pytest.mark.parametrize("key", ["wall_temp", "diffusivity", "t_constraint", "delta_z"])
+@pytest.mark.parametrize("value", [float("nan"), 0.0])
+def test_geometry_rejects_nonpositive_and_nan(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be positive"):
+        InterfaceGeometry(**{key: value})
+
+
 def test_assemble_constant_equals_walls():
     geo = InterfaceGeometry()
     f = assemble_initial_field(geo, np.full(60, geo.wall_temp), 400)
@@ -184,7 +191,7 @@ def _coefficient_fields(isurr: InterfaceSurrogate) -> np.ndarray:
     """Higher chaos coefficient fields, one row per mode (shared germ) or per
     (strip, mode) (independent germs), from the factored surrogate."""
     if isurr.shared:
-        return isurr.hermite_fields()[1:]
+        return isurr.coeffs[:, 1:].T @ isurr.unit
     n_z = isurr.z_grid.shape[0]
     return (isurr.coeffs[:, 1:, None] * isurr.unit[:, None, :]).reshape(-1, n_z)
 

@@ -278,7 +278,7 @@ def test_particle_history_csv_and_flatten(tmp_path):
     path = tmp_path / "particles.csv"
     history.to_csv(str(path))
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "generation,particle_index,theta"
+    assert lines[0] == "generation,particle_index,theta,cumulative_seconds"
     assert len(lines) == 1 + 4 * 4  # header + (3 updates + initial) * 4 particles
     assert history.flatten(0.0).shape == (16,)
     with pytest.raises(ValueError):
@@ -298,10 +298,16 @@ def _row_by_row_chain_csv(chain: MarkovChain) -> str:
 
 
 def _row_by_row_particle_csv(history: ParticleHistory) -> str:
-    lines = ["generation,particle_index,theta"]
+    """The one-line-per-particle writer; an empty time cell when the history
+    recorded no generation times."""
+    seconds = history.config_snapshot.get("generation_seconds")
+    times = [""] * history.generations.shape[0]
+    if seconds is not None:
+        times = [repr(float(t)) for t in (0.0, *seconds)]
+    lines = ["generation,particle_index,theta,cumulative_seconds"]
     for g in range(history.generations.shape[0]):
         for k in range(history.n_particles):
-            lines.append(f"{g},{k},{float(history.generations[g, k])!r}")
+            lines.append(f"{g},{k},{float(history.generations[g, k])!r},{times[g]}")
     return "\n".join(lines) + "\n"
 
 
@@ -325,6 +331,9 @@ def test_chunked_csv_matches_row_by_row_writer(tmp_path, n):
 
     history = ParticleHistory(rng.normal(0.0, 1e3, (max(n // 50, 1), 50)), np.ones(max(n // 50, 1) - 1), 0)
     path = tmp_path / "particles.csv"
+    history.to_csv(str(path))
+    assert path.read_text() == _row_by_row_particle_csv(history)
+    history.config_snapshot["generation_seconds"] = np.cumsum(rng.random(history.n_generations)).tolist()
     history.to_csv(str(path))
     assert path.read_text() == _row_by_row_particle_csv(history)
 

@@ -504,6 +504,25 @@ def test_observations_csv_roundtrip(tiny_scenario, tmp_path):
         assert got.porosity == want.porosity
 
 
+def test_observation_provenance_sorted_and_round_trips(tiny_model2_dict, tmp_path):
+    obs = Scenario(ScenarioConfig.from_dict(tiny_model2_dict)).observations()
+    csv_path, prov_path = tmp_path / "observations.csv", tmp_path / "observations.json"
+    obs.to_csv(str(csv_path))
+    obs.save_provenance(str(prov_path))
+    text = prov_path.read_text()
+    # written by the one JSON writer: indent 2, sorted keys, one final newline
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    loaded = load_observations(str(csv_path), str(prov_path))
+    assert loaded.provenance == obs.provenance
+    assert [g.label for g in loaded.groups] == ["low_phi", "high_phi"]
+    for got, want in zip(loaded.groups, obs.groups):
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.noise_std, got.heat_flux, got.porosity) == (
+            want.noise_std, want.heat_flux, want.porosity
+        )
+
+
 def test_loaded_observations_drive_posterior(tiny_model1_dict, tmp_path, write_config):
     source = Scenario(ScenarioConfig.from_dict(tiny_model1_dict))
     csv_path = tmp_path / "obs.csv"
