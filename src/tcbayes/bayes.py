@@ -64,11 +64,6 @@ class PriorSpec:
         if not 0.0 < self.floor < 1.0:
             raise ValueError("floor must be in (0, 1)")
 
-    def to_json(self) -> dict:
-        if self.kind == "gaussian":
-            return {"kind": "gaussian", "mean": self.mean, "std": self.std}
-        return {"kind": "uniform", "low": self.low, "high": self.high, "floor": self.floor}
-
     @staticmethod
     def from_json(data: dict) -> "PriorSpec":
         kind = data["kind"]
@@ -399,35 +394,17 @@ def log_prior(theta: float, prior: PriorSpec) -> float:
     return math.log(prior.floor)
 
 
-def feasible_direction(
-    theta: float,
-    intervals: tuple[tuple[float, float], ...] | None = None,
-    probability_fn=None,
-    probe_step: float = 1.0,
-) -> float:
-    """Sign (+1/-1) pointing from theta toward the feasible set.
-
-    With interval-form S the direction is exact: toward the nearest interval.
-    Otherwise the sign of a one-sided difference of the satisfaction
-    probability is used. Returns 0.0 inside S or when no information is
-    available.
-    """
-    if intervals:
-        best = None
-        for lo, hi in intervals:
-            if lo <= theta <= hi:
-                return 0.0
-            dist = lo - theta if theta < lo else theta - hi
-            if best is None or dist < best[0]:
-                best = (dist, 1.0 if theta < lo else -1.0)
-        return best[1]
-    if probability_fn is not None:
-        delta = probability_fn(theta + probe_step) - probability_fn(theta)
-        if delta > 0.0:
-            return 1.0
-        if delta < 0.0:
-            return -1.0
-    return 0.0
+def feasible_direction(theta: float, intervals: tuple[tuple[float, float], ...]) -> float:
+    """Sign (+1/-1) pointing from theta toward the nearest interval of the
+    feasible set S; 0.0 inside S or when S is empty."""
+    best = None
+    for lo, hi in intervals:
+        if lo <= theta <= hi:
+            return 0.0
+        dist = lo - theta if theta < lo else theta - hi
+        if best is None or dist < best[0]:
+            best = (dist, 1.0 if theta < lo else -1.0)
+    return 0.0 if best is None else best[1]
 
 
 def penalized_gradient(

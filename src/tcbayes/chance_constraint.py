@@ -32,7 +32,7 @@ its P from the real roots of p(xi) = beta.
 constraint for cross-checks.
 
 The boundary scan asks the oracle for many thetas, and each needs a
-surrogate, whose costly part is a Galerkin march of the strips. The strip
+surrogate, whose costly part is the collocation march of the strips. The strip
 exit coefficients are as smooth in theta as the forward pressure, so a
 scenario tabulates them once, from one march over the Chebyshev nodes of
 its theta range, and its surrogate factory reads the table (see
@@ -94,6 +94,8 @@ class ChanceConstraintSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.beta):
+            raise ValueError("beta must be finite")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.n_prob_samples < 1:
@@ -125,8 +127,8 @@ class F2Surrogate:
 class StripExitConstraint(F2Surrogate):
     """f2 = fluid exit temperature T_f(x=1) of one strip.
 
-    Needs only the exit coefficients, ``coeff_t_fluid[..., -1]`` of a strip
-    surrogate, as ``gpc.build_strip_exit_batch`` returns them per re.
+    Needs only the exit coefficients of T_f, as
+    ``gpc.build_strip_exit_batch`` returns them per re.
     """
 
     def __init__(self, germ: GermSpec, order: int, coeff: np.ndarray):
@@ -153,7 +155,8 @@ class StripExitConstraint(F2Surrogate):
         coeff = self._coeff.reshape(self.order + 1, -1)
         if not coeff[1:].any():
             edges, satisfied = _root_segments(coeff[0][:, None], beta)
-            return float(min(1.0, np.diff(_normal_cdf(edges)) @ satisfied[:, 0]))
+            # np.minimum keeps a NaN sum NaN, where min(1.0, nan) is 1.0
+            return float(np.minimum(1.0, np.diff(_normal_cdf(edges)) @ satisfied[:, 0]))
         if not _negligible(coeff[2:], coeff):
             return None
         nodes, weights = _eta_rules(_ETA_NODES)
@@ -161,7 +164,7 @@ class StripExitConstraint(F2Surrogate):
         probs = weights @ _normal_cdf(_cut(a, b, beta))
         if np.ptp(probs) > _ETA_TOL:
             return None
-        return float(min(1.0, probs[0]))
+        return float(np.minimum(1.0, probs[0]))
 
 
 class InterfaceMaxConstraint(F2Surrogate):

@@ -91,6 +91,18 @@ def _strip_notes(obj):
     return obj
 
 
+def _non_finite_paths(obj, path: tuple = ()):
+    """Key paths of the NaN and infinite numbers in a parsed config.
+
+    JSON parsing accepts NaN and Infinity, and schema bounds let NaN through.
+    """
+    if isinstance(obj, float) and not math.isfinite(obj):
+        yield "/".join(map(str, path))
+    elif isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _non_finite_paths(value, path + (key,))
+
+
 def _load_schema() -> dict:
     text = resources.files("tcbayes").joinpath("config_schema.json").read_text()
     return json.loads(text)
@@ -202,6 +214,10 @@ class ScenarioConfig:
 
         germ_cfg = cfg["germ"]
         geometry = _parse_geometry(cfg.get("geometry"), model)
+        # model_params and geometry name their own bad fields; the rest is checked here
+        where = next(_non_finite_paths(cfg), None)
+        if where is not None:
+            raise ConfigError(f"config invalid at {where}: numbers must be finite")
         germ, strip_means, strip_stds = _parse_germ(germ_cfg, model, geometry)
 
         surr = cfg.get("surrogate", {})
@@ -494,9 +510,10 @@ class Scenario:
     def exit_table(self) -> ChebyshevTable | None:
         """Chebyshev table over ``theta_range()`` of the strip exit coefficients.
 
-        Built on first use from one Galerkin march over the table's nodes
-        and check points (``bayes.build_table``). None when that march
-        fails or the table misses its check: every theta then marches alone.
+        Built on first use from one collocation march of the strips over
+        the table's nodes and check points (``bayes.build_table``). None
+        when that march fails or the table misses its check: every theta
+        then marches alone.
         """
         if self._exit is None:
             self._exit = (build_table(self._strip_exit_coeffs, self.config.theta_range()),)
@@ -529,13 +546,11 @@ class Scenario:
             stds = np.full(porosities.size, qvar.std)
         else:
             means, stds, inverse = cfg.strip_means, cfg.strip_stds, slice(None)
-        n_rows = porosities.size
-        coeffs, _ = build_strip_surrogate_batch(
-            cfg.params, np.tile(means, thetas.size), np.tile(stds, thetas.size),
-            np.tile(porosities, thetas.size), np.repeat(thetas, n_rows),
+        coeffs = build_strip_surrogate_batch(
+            cfg.params, means, stds, porosities, thetas[:, None],
             cfg.order, cfg.n_quad, cfg.n_steps,
         )
-        return coeffs.reshape(thetas.size, n_rows, -1)[:, inverse]
+        return coeffs[:, inverse]
 
     def oracle(self) -> ChanceConstraintOracle:
         if self._oracle is None:

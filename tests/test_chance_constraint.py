@@ -103,6 +103,9 @@ def test_spec_validation():
         ChanceConstraintSpec(beta=0.0, alpha=1.5)
     with pytest.raises(ValueError):
         ChanceConstraintSpec(beta=0.0, alpha=0.5, n_prob_samples=0)
+    for beta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            ChanceConstraintSpec(beta=beta, alpha=0.5)
 
 
 def test_build_failure_marks_infeasible(caplog):
@@ -582,6 +585,12 @@ def test_degenerate_phi_is_the_one_dimensional_path():
         assert abs(built - one_row) <= 1e-12
 
 
+def test_nan_threshold_gives_a_nan_probability():
+    # min(1.0, nan) is 1.0: a NaN sum must not read as certain satisfaction
+    germ, (coeff,) = _model1_exits((540.0,))
+    assert math.isnan(StripExitConstraint(germ, 3, coeff).exact_probability(math.nan))
+
+
 def test_degenerate_heat_flux_takes_the_roots_in_phi():
     q0 = 30845.0 * 0.015
     params = ModelParams(heat_flux_nominal=q0)
@@ -695,3 +704,38 @@ def test_random_physics_keeps_the_exit_affine_in_the_flux(name, scales, theta):
     except BUILD_FAILURES:
         assume(False)
     assert curvature[0] <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# collocation-built exit tables against the intrusive Galerkin reference
+# ---------------------------------------------------------------------------
+
+
+def _galerkin_exit_coeffs(config: ScenarioConfig, thetas) -> np.ndarray:
+    """``Scenario._strip_exit_coeffs`` from one Galerkin build per strip and theta."""
+    args = (config.order, config.n_quad, config.n_steps)
+
+    def exit_coeffs(params, theta):
+        return build_strip_surrogate(params, config.germ, theta, *args).coeff_t_fluid[..., -1]
+
+    if config.model == 1:
+        return np.stack([exit_coeffs(config.params, theta) for theta in thetas])
+    porosities, inverse = np.unique(config.geometry.strip_porosities(), return_inverse=True)
+    return np.stack([
+        np.stack([exit_coeffs(dataclasses.replace(config.params, porosity=phi), theta)
+                  for phi in porosities])[inverse]
+        for theta in thetas
+    ])
+
+
+@pytest.mark.parametrize("name, tol", [("model1", 1e-10), ("model2", 1e-12)])
+def test_shipped_scans_match_the_galerkin_built_table(name, tol, monkeypatch):
+    scan = Scenario(resolve_config(name)).scan()
+    monkeypatch.setattr(
+        Scenario, "_strip_exit_coeffs", lambda self, thetas: _galerkin_exit_coeffs(self.config, thetas)
+    )
+    reference = Scenario(resolve_config(name)).scan()
+    np.testing.assert_array_equal(scan.thetas, reference.thetas)
+    np.testing.assert_array_equal(scan.feasible, reference.feasible)
+    assert scan.intervals == reference.intervals
+    np.testing.assert_allclose(scan.probabilities, reference.probabilities, rtol=0.0, atol=tol)

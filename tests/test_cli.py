@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tcbayes import gpc
-from tcbayes.cli import load_chain_csv, main, resolve_config
+from tcbayes.cli import load_chain_csv, main, packaged_config_text, resolve_config
 from tcbayes.samplers import MarkovChain, ParticleHistory
 from tcbayes.scenario import ConfigError, Scenario
 
@@ -85,6 +85,38 @@ def test_nan_geometry_exits_2(key, tiny_model2_dict, write_config, capsys):
     path = write_config(tiny_model2_dict)
     assert main(["run", "--config", path]) == 2
     assert f"{key} must be positive" in capsys.readouterr().err
+
+
+_NON_FINITE_KEYS = [
+    ("model1", "constraint.t_max"),
+    ("model1", "scan.tol"),
+    ("model1", "prior.mean"),
+    ("model1", "data.theta_true"),
+    ("model1", "data.noise_std"),
+    ("model1", "germ.q.mean"),
+    ("model1", "germ.phi.std"),
+    ("model1", "sampler.proposal_std"),
+    ("model1", "sampler.theta_init"),
+    ("model2", "constraint.t_max"),
+    ("model2", "germ.q.std"),
+    ("model2", "prior.low"),
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name, key", _NON_FINITE_KEYS)
+def test_non_finite_config_number_exits_2(name, key, value, write_config, tmp_path, capsys):
+    # json writes these as NaN and Infinity, which json.load reads back
+    raw = json.loads(packaged_config_text(name))
+    *blocks, leaf = key.split(".")
+    block = raw
+    for part in blocks:
+        block = block[part]
+    block[leaf] = value
+    path = write_config(raw)
+    assert main(["run", "--config", path, "--output", str(tmp_path / "out")]) == 2
+    assert f"config invalid at {key.replace('.', '/')}: numbers must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_model1_with_geometry_exits_2(tiny_model1_dict, tiny_model2_dict, write_config, capsys):
@@ -488,16 +520,20 @@ def test_build_surrogate_interface_prints_probability(
     assert not list(tmp_path.rglob("*.npz"))
 
 
-@pytest.mark.parametrize("model", [1, 2])
+@pytest.mark.parametrize("model", [1, 2, 3])
 def test_shipped_run_marches_the_strips_once(model, tmp_path, monkeypatch):
-    real_march = gpc._galerkin_march
+    real_march = gpc.interface_state_batch
     marches = []
 
     def counting(*args, **kwargs):
         marches.append(args[3])
         return real_march(*args, **kwargs)
 
-    monkeypatch.setattr(gpc, "_galerkin_march", counting)
+    def no_galerkin(*args, **kwargs):
+        raise AssertionError("a run builds its expansions by collocation")
+
+    monkeypatch.setattr(gpc, "interface_state_batch", counting)
+    monkeypatch.setattr(gpc, "_galerkin_march", no_galerkin)
     out = str(tmp_path / "out")
     assert main(["run", "--config", f"model{model}", "--output", out, "--seed", "0"]) == 0
     # the exit table's march over its 32 nodes, 31 midpoints and 2 ends
@@ -510,6 +546,7 @@ def test_build_surrogate_rejects_a_nan_theta(tiny_model1_dict, write_config, mon
         raise AssertionError("a NaN theta must be rejected before the march")
 
     monkeypatch.setattr(gpc, "_galerkin_march", no_march)
+    monkeypatch.setattr(gpc, "interface_state_batch", no_march)
     path = write_config(tiny_model1_dict)
     assert main(["build-surrogate", "--config", path, "--theta", "nan"]) == 1
     assert "ValueError: re must be positive" in capsys.readouterr().err

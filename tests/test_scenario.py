@@ -454,17 +454,17 @@ def test_out_of_range_theta_marches_alone(model, tiny_model1_dict, tiny_model2_d
 def test_singular_table_node_leaves_every_theta_to_its_own_march(monkeypatch, tiny_model1_dict):
     # (625, 655) holds the table node 632.8 and the coarse scan theta 650
     window = (625.0, 655.0)
-    real_march = gpc._galerkin_march
+    real_march = gpc.interface_state_batch
 
-    def march(params, q_nodes, phi_nodes, re, *args, **kwargs):
+    def march(params, q, phi, re, *args, **kwargs):
         re_arr = np.asarray(re)
         if np.any((re_arr > window[0]) & (re_arr < window[1])):
             raise SingularDenominatorError("synthetic singular denominator")
-        return real_march(params, q_nodes, phi_nodes, re, *args, **kwargs)
+        return real_march(params, q, phi, re, *args, **kwargs)
 
     tabled = Scenario(ScenarioConfig.from_dict(tiny_model1_dict))
     tabled.scan()
-    monkeypatch.setattr(gpc, "_galerkin_march", march)
+    monkeypatch.setattr(gpc, "interface_state_batch", march)
     scenario = Scenario(ScenarioConfig.from_dict(tiny_model1_dict))
     scenario.scan()
     assert table_record(scenario.exit_table()) == "direct"
