@@ -83,6 +83,9 @@ class ObservationGroup:
 
     ``heat_flux`` and ``porosity`` pin the non-inferred inputs for this group
     (germ means in the scenarios); None falls back to the model defaults.
+    ``provenance`` records how the values were made (for synthetic data:
+    theta_true, xi_true, seed and pressure_true); it goes into the group's
+    entry of the provenance file.
     """
 
     label: str
@@ -90,11 +93,14 @@ class ObservationGroup:
     noise_std: float
     heat_flux: float | None = None
     porosity: float | None = None
+    provenance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.atleast_1d(np.asarray(self.values, dtype=float)))
         if self.values.size == 0:
             raise ValueError("observation group must be nonempty")
+        if not np.isfinite(self.values).all():
+            raise ValueError("observation values must be finite")
         if not self.noise_std > 0.0:
             raise ValueError("noise_std must be positive")
 
@@ -104,10 +110,13 @@ class ObservationGroup:
         return (q, phi)
 
 
+# the keys of a group's provenance-file entry that are not its ``provenance``
+GROUP_KEYS = ("label", "n_obs", "noise_std", "heat_flux", "porosity")
+
+
 @dataclass(frozen=True)
 class ObservationSet:
     groups: tuple[ObservationGroup, ...]
-    provenance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "groups", tuple(self.groups))
@@ -118,17 +127,17 @@ class ObservationSet:
             raise ValueError("group labels must be unique")
 
     def merge(self, other: "ObservationSet") -> "ObservationSet":
-        prov = {**self.provenance, **other.provenance}
-        return ObservationSet(self.groups + other.groups, provenance=prov)
+        return ObservationSet(self.groups + other.groups)
 
     def to_csv(self, path: str) -> None:
         labels = [g.label for g in self.groups for _ in range(g.values.size)]
         write_csv(path, ("group", "value"), (labels, np.concatenate([g.values for g in self.groups])))
 
     def save_provenance(self, path: str) -> None:
-        meta = dict(self.provenance)
-        meta["groups"] = [
+        """One entry per group: its ``GROUP_KEYS`` and its own provenance."""
+        entries = [
             {
+                **g.provenance,
                 "label": g.label,
                 "n_obs": int(g.values.size),
                 "noise_std": g.noise_std,
@@ -137,7 +146,7 @@ class ObservationSet:
             }
             for g in self.groups
         ]
-        write_json(path, meta)
+        write_json(path, {"groups": entries})
 
 
 def generate_observations(
@@ -168,16 +177,14 @@ def generate_observations(
         noise_std,
         heat_flux=xi_true[0] if heat_flux is None else heat_flux,
         porosity=xi_true[1] if porosity is None else porosity,
+        provenance={
+            "theta_true": theta_true,
+            "xi_true": list(xi_true),
+            "seed": seed,
+            "pressure_true": truth,
+        },
     )
-    provenance = {
-        "theta_true": theta_true,
-        "xi_true": list(xi_true),
-        "noise_std": noise_std,
-        "n_obs": n_obs,
-        "seed": seed,
-        "pressure_true": truth,
-    }
-    return ObservationSet((group,), provenance=provenance)
+    return ObservationSet((group,))
 
 
 class ChebyshevTable:
@@ -392,29 +399,3 @@ def log_prior(theta: float, prior: PriorSpec) -> float:
     if prior.low <= theta <= prior.high:
         return -math.log(prior.high - prior.low)
     return math.log(prior.floor)
-
-
-def feasible_direction(theta: float, intervals: tuple[tuple[float, float], ...]) -> float:
-    """Sign (+1/-1) pointing from theta toward the nearest interval of the
-    feasible set S; 0.0 inside S or when S is empty."""
-    best = None
-    for lo, hi in intervals:
-        if lo <= theta <= hi:
-            return 0.0
-        dist = lo - theta if theta < lo else theta - hi
-        if best is None or dist < best[0]:
-            best = (dist, 1.0 if theta < lo else -1.0)
-    return 0.0 if best is None else best[1]
-
-
-def penalized_gradient(
-    theta: float,
-    base_gradient: float,
-    feasible: bool,
-    delta: float,
-    direction: float = 1.0,
-) -> float:
-    """Gradient used by penalty samplers: unchanged in S, nudged toward S outside."""
-    if feasible or delta == 0.0:
-        return base_gradient
-    return base_gradient + delta * direction

@@ -154,6 +154,8 @@ class StripExitConstraint(F2Surrogate):
         # row k: the coefficient of He_k(xi_0), as a polynomial in xi_1
         coeff = self._coeff.reshape(self.order + 1, -1)
         if not coeff[1:].any():
+            if math.isnan(beta):
+                return math.nan  # every comparison with NaN is False: P would read 0
             edges, satisfied = _root_segments(coeff[0][:, None], beta)
             # np.minimum keeps a NaN sum NaN, where min(1.0, nan) is 1.0
             return float(np.minimum(1.0, np.diff(_normal_cdf(edges)) @ satisfied[:, 0]))

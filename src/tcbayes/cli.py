@@ -102,22 +102,17 @@ def load_chain_csv(path: str):
             log_post=body[:, 4],
             cumulative_seconds=body[:, 5],
             seed=-1,
-            config_snapshot={"loaded_from": path},
         )
     if header == particles:
         gens = body[:, 0].astype(int)
         n_gen = gens.max()
         n_particles = int((gens == 0).sum())
-        generations = body[:, 2].reshape(n_gen + 1, n_particles)
-        snapshot = {"loaded_from": path}
         seconds = body[n_particles::n_particles, 3]
-        if not np.isnan(seconds).any():
-            snapshot["generation_seconds"] = seconds.tolist()
         return ParticleHistory(
-            generations=generations,
+            generations=body[:, 2].reshape(n_gen + 1, n_particles),
             step_sizes=np.zeros(n_gen),
             seed=-1,
-            config_snapshot=snapshot,
+            cumulative_seconds=None if np.isnan(seconds).any() else seconds,
         )
     raise ConfigError(f"unrecognized chain CSV header in {path}: {header!r}")
 
@@ -442,11 +437,8 @@ def _cmd_compare(args) -> int:
     if not requested:
         raise ConfigError("--samplers must name at least one sampler")
     blocks = _compare_sampler_blocks(config, requested)
-    if args.checkpoints:
-        checkpoints = [int(c) for c in args.checkpoints.split(",")]
-    else:
-        configured = config.raw.get("compare", {}).get("checkpoints")
-        checkpoints = list(configured or config.diagnostics.checkpoints or ())
+    configured = config.raw.get("compare", {}).get("checkpoints")
+    checkpoints = args.checkpoints or list(configured or config.diagnostics.checkpoints or ())
     if not checkpoints:
         raise ConfigError("no checkpoints: pass --checkpoints or set diagnostics.checkpoints")
     if sorted(checkpoints) != checkpoints or len(set(checkpoints)) != len(checkpoints):
@@ -481,6 +473,11 @@ def _cmd_compare(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+def comma_separated_ints(text: str) -> list[int]:
+    """argparse type of ``--checkpoints``: its ValueError is a usage error (exit 2)."""
+    return [int(c) for c in text.split(",")] if text else []
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -522,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="crw,chmc,csvgd,projected_svgd",
         help="comma-separated sampler kinds",
     )
-    p.add_argument("--checkpoints", help="comma-separated sample counts")
+    p.add_argument("--checkpoints", type=comma_separated_ints, help="comma-separated sample counts")
     return parser
 
 

@@ -193,7 +193,7 @@ def _checkpoint_prefix(run, n: int) -> tuple[int, np.ndarray, float | None]:
                 f"checkpoint {n} exceeds {run.n_particles * run.n_generations} "
                 "recorded particle samples"
             )
-        seconds = run.config_snapshot.get("generation_seconds")
+        seconds = run.cumulative_seconds
         wall = float(seconds[gen - 1]) if seconds is not None else None
         return gen * run.n_particles, run.generations[1 : gen + 1].ravel(), wall
     if n < 1 or n > len(run):

@@ -15,6 +15,15 @@ Four strategies for sampling a posterior restricted to a feasible set S:
   are projected onto S each generation, so the ensemble is feasible at all
   times.
 
+Each sampler returns a complete run record and times itself with
+``perf_counter`` from the start of its loop. A ``MarkovChain`` holds one
+wall time per step and a ``ParticleHistory`` one per update, both in
+``cumulative_seconds``, the column name of their CSV files.
+
+``penalized_gradient`` builds the penalty samplers' gradient from the
+scanned feasible intervals, next to ``interval_membership`` and
+``interval_projection``, the other helpers over those intervals.
+
 ``postprocess_feasible`` filters a finished chain through a feasibility
 oracle; the result keeps only feasible samples and is explicitly flagged as
 no longer being a Markov chain.
@@ -40,6 +49,7 @@ __all__ = [
     "postprocess_feasible",
     "interval_projection",
     "interval_membership",
+    "penalized_gradient",
 ]
 
 CHAIN_CSV_HEADER = ("index", "theta", "accepted", "feasible", "log_post", "cumulative_seconds")
@@ -65,7 +75,6 @@ class MarkovChain:
     log_post: np.ndarray
     cumulative_seconds: np.ndarray
     seed: int
-    config_snapshot: dict = field(default_factory=dict, compare=False)
     divergences: int = 0
     is_markov: bool = True
     metadata: dict = field(default_factory=dict, compare=False)
@@ -107,13 +116,16 @@ class ParticleHistory:
     """Particle trajectories of an SVGD-style run.
 
     ``generations`` has shape (n_generations + 1, n_particles); row 0 is the
-    initial ensemble. ``step_sizes`` records the base step per update.
+    initial ensemble. ``step_sizes`` records the base step per update and
+    ``cumulative_seconds`` the wall time after each update, counted from the
+    start of the sampler's loop; it is None for a run loaded from a file
+    without times.
     """
 
     generations: np.ndarray
     step_sizes: np.ndarray
     seed: int
-    config_snapshot: dict = field(default_factory=dict, compare=False)
+    cumulative_seconds: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         gens = np.asarray(self.generations, dtype=float)
@@ -124,6 +136,15 @@ class ParticleHistory:
         if steps.shape[0] != gens.shape[0] - 1:
             raise ValueError("need one step size per update")
         object.__setattr__(self, "step_sizes", steps)
+        if self.cumulative_seconds is not None:
+            seconds = np.asarray(self.cumulative_seconds, dtype=float)
+            if seconds.shape != steps.shape:
+                raise ValueError("need one cumulative time per update")
+            object.__setattr__(self, "cumulative_seconds", seconds)
+
+    def __len__(self) -> int:
+        """The number of updates, one per step size and recorded time."""
+        return self.n_generations
 
     @property
     def n_particles(self) -> int:
@@ -146,10 +167,10 @@ class ParticleHistory:
 
     def to_csv(self, path: str) -> None:
         """One row per particle and generation; the wall time is 0.0 for the
-        initial ensemble, and empty without recorded ``generation_seconds``."""
+        initial ensemble, and empty without recorded ``cumulative_seconds``."""
         n_rows, n = self.generations.shape
-        seconds = self.config_snapshot.get("generation_seconds")
-        times = np.full(n_rows, None) if seconds is None else np.array([0.0, *seconds])
+        seconds = self.cumulative_seconds
+        times = np.full(n_rows, None) if seconds is None else np.concatenate(([0.0], seconds))
         columns = (
             np.repeat(np.arange(n_rows), n), np.tile(np.arange(n), n_rows),
             self.generations.ravel(), np.repeat(times, n),
@@ -198,21 +219,7 @@ def run_crw(
         samples[i] = theta
         log_post[i] = lp
         seconds[i] = time.perf_counter() - t0
-    return MarkovChain(
-        samples,
-        accepted,
-        np.ones(n_samples, dtype=bool),
-        log_post,
-        seconds,
-        seed,
-        config_snapshot={
-            "sampler": "crw",
-            "proposal_std": proposal_std,
-            "n_samples": n_samples,
-            "theta_init": theta_init,
-            "seed": seed,
-        },
-    )
+    return MarkovChain(samples, accepted, np.ones(n_samples, dtype=bool), log_post, seconds, seed)
 
 
 def _leapfrog(theta, momentum, grad, step, n_steps, mass):
@@ -284,24 +291,7 @@ def run_chmc(
         feasible = np.fromiter(
             (bool(feasibility_oracle(t)) for t in samples), dtype=bool, count=n_samples
         )
-    return MarkovChain(
-        samples,
-        accepted,
-        feasible,
-        log_post,
-        seconds,
-        seed,
-        config_snapshot={
-            "sampler": "chmc",
-            "mass": mass,
-            "step": step,
-            "max_leapfrog": max_leapfrog,
-            "n_samples": n_samples,
-            "theta_init": theta_init,
-            "seed": seed,
-        },
-        divergences=divergences,
-    )
+    return MarkovChain(samples, accepted, feasible, log_post, seconds, seed, divergences=divergences)
 
 
 def _stein_direction(particles: np.ndarray, grads: np.ndarray, bandwidth_mode) -> np.ndarray:
@@ -355,7 +345,9 @@ def run_csvgd(
     generations = np.empty((n_generations + 1, n_particles))
     generations[0] = particles
     steps = np.empty(n_generations)
+    seconds = np.empty(n_generations)
     accumulator = None
+    t0 = time.perf_counter()
     for gen in range(n_generations):
         base = float(step_schedule(gen)) if callable(step_schedule) else float(step_schedule)
         grads = np.asarray(log_post_gradient_penalized(particles), dtype=float)
@@ -367,18 +359,8 @@ def run_csvgd(
         particles = particles + base * direction / (adagrad_fudge + np.sqrt(accumulator))
         generations[gen + 1] = particles
         steps[gen] = base
-    return ParticleHistory(
-        generations,
-        steps,
-        seed,
-        config_snapshot={
-            "sampler": "csvgd",
-            "n_particles": n_particles,
-            "n_generations": n_generations,
-            "kernel_bandwidth_mode": str(kernel_bandwidth_mode),
-            "seed": seed,
-        },
-    )
+        seconds[gen] = time.perf_counter() - t0
+    return ParticleHistory(generations, steps, seed, seconds)
 
 
 def interval_projection(intervals):
@@ -428,6 +410,44 @@ def interval_membership(intervals):
     return member
 
 
+def penalized_gradient(grad, feasibility, intervals, delta: float, support=None):
+    """Scalar gradient of a penalty sampler: ``grad`` nudged toward S.
+
+    Where ``feasibility(theta)`` holds the result is ``grad(theta)``.
+    Elsewhere ``delta`` times the sign (+1/-1) pointing toward the nearest
+    of ``intervals`` is added (0 when there is no interval). Past either end
+    of ``support`` = (low, high), the prior's support, the result is pushed
+    back by ``delta`` so that penalty-driven moves do not drift out of it.
+    A delta of 0 returns ``grad`` itself.
+    """
+    if delta == 0.0:
+        return grad
+    spans = tuple((float(lo), float(hi)) for lo, hi in intervals)
+    low, high = (-math.inf, math.inf) if support is None else support
+
+    def toward(theta: float) -> float:
+        best = None
+        for lo, hi in spans:
+            if lo <= theta <= hi:
+                return 0.0
+            dist = lo - theta if theta < lo else theta - hi
+            if best is None or dist < best[0]:
+                best = (dist, 1.0 if theta < lo else -1.0)
+        return 0.0 if best is None else best[1]
+
+    def penalized(theta: float) -> float:
+        value = grad(theta)
+        if not feasibility(theta):
+            value = value + delta * toward(theta)
+        if theta > high:
+            value -= delta
+        elif theta < low:
+            value += delta
+        return value
+
+    return penalized
+
+
 def run_projected_svgd(
     log_post_gradient,
     projection_onto_S,
@@ -460,24 +480,16 @@ def run_projected_svgd(
     generations = np.empty((n_generations + 1, n_particles))
     generations[0] = particles
     steps = np.full(n_generations, float(step_size))
+    seconds = np.empty(n_generations)
+    t0 = time.perf_counter()
     for gen in range(n_generations):
         grads = np.asarray(log_post_gradient(particles), dtype=float)
         targets = np.asarray(projection_onto_S(particles + grads), dtype=float)
         particles = particles + step_size * (targets - particles)
         particles = np.asarray(projection_onto_S(particles), dtype=float)
         generations[gen + 1] = particles
-    return ParticleHistory(
-        generations,
-        steps,
-        seed,
-        config_snapshot={
-            "sampler": "projected_svgd",
-            "n_particles": n_particles,
-            "n_generations": n_generations,
-            "step_size": step_size,
-            "seed": seed,
-        },
-    )
+        seconds[gen] = time.perf_counter() - t0
+    return ParticleHistory(generations, steps, seed, seconds)
 
 
 def postprocess_feasible(chain: MarkovChain, feasibility_oracle) -> MarkovChain:
@@ -501,7 +513,6 @@ def postprocess_feasible(chain: MarkovChain, feasibility_oracle) -> MarkovChain:
         chain.log_post[mask],
         chain.cumulative_seconds[mask],
         chain.seed,
-        config_snapshot=dict(chain.config_snapshot),
         divergences=chain.divergences,
         is_markov=False,
         metadata=metadata,

@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import time
 from dataclasses import dataclass
 from importlib import resources
 
@@ -29,15 +28,15 @@ import jsonschema
 import numpy as np
 
 from .bayes import (
+    GROUP_KEYS,
     ChebyshevTable,
+    ObservationGroup,
     ObservationSet,
     Posterior,
     PriorSpec,
     build_pressure_table,
     build_table,
-    feasible_direction,
     generate_observations,
-    penalized_gradient,
     table_record,
 )
 from .chance_constraint import (
@@ -69,6 +68,7 @@ from .porous_flow import DEFAULT_N_STEPS, ModelParams
 from .samplers import (
     interval_membership,
     interval_projection,
+    penalized_gradient,
     run_chmc,
     run_crw,
     run_csvgd,
@@ -393,71 +393,53 @@ def _parse_sampler(sampler_cfg: dict) -> dict:
 
 
 def load_observations(csv_path: str, provenance_path: str | None = None) -> ObservationSet:
-    """Read an observation CSV (group,value) with its provenance sidecar."""
+    """Read an observation CSV (group,value) with its provenance sidecar.
+
+    A malformed line or a value that is not a finite number raises
+    ConfigError naming the file and line.
+    """
     if provenance_path is None:
         provenance_path = csv_path.rsplit(".", 1)[0] + ".json"
     with open(provenance_path) as fh:
         meta = json.load(fh)
     values: dict[str, list[float]] = {}
-    order: list[str] = []
     with open(csv_path) as fh:
         header = fh.readline().strip()
         if header != "group,value":
             raise ConfigError(f"unexpected observation CSV header: {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            label, value = line.split(",", 1)
-            if label not in values:
-                values[label] = []
-                order.append(label)
-            values[label].append(float(value))
-    from .bayes import ObservationGroup
+            label, _, cell = line.partition(",")
+            try:
+                value = float(cell)
+            except ValueError:  # a line without a comma too
+                value = math.nan
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"{csv_path}, line {lineno}: expected 'group,value' with a finite "
+                    f"number, got {line!r}"
+                )
+            values.setdefault(label, []).append(value)
 
     groups = []
     group_meta = {g["label"]: g for g in meta.get("groups", [])}
-    for label in order:
+    for label, group_values in values.items():
         info = group_meta.get(label)
         if info is None:
             raise ConfigError(f"observation group {label!r} missing from provenance")
         groups.append(
             ObservationGroup(
                 label,
-                np.array(values[label]),
+                np.array(group_values),
                 float(info["noise_std"]),
                 heat_flux=info.get("heat_flux"),
                 porosity=info.get("porosity"),
+                provenance={k: v for k, v in info.items() if k not in GROUP_KEYS},
             )
         )
-    provenance = {k: v for k, v in meta.items() if k != "groups"}
-    return ObservationSet(tuple(groups), provenance=provenance)
-
-
-class _TimeMarks:
-    """Perf-counter marks taken once per particle generation."""
-
-    def __init__(self):
-        self.start = time.perf_counter()
-        self.marks: list[float] = []
-
-    def record(self):
-        self.marks.append(time.perf_counter())
-
-    def cumulative(self) -> list[float]:
-        return [m - self.start for m in self.marks]
-
-
-def _timed(grad):
-    """Wrap a batched gradient so each call (one per generation) is timed."""
-    marks = _TimeMarks()
-
-    def wrapped(thetas):
-        out = grad(thetas)
-        marks.record()
-        return out
-
-    return wrapped, marks
+    return ObservationSet(tuple(groups))
 
 
 class Scenario:
@@ -650,32 +632,13 @@ class Scenario:
         return self.posterior().grad(float(theta))
 
     def penalized_grad(self, delta: float):
-        """Scalar gradient with the feasibility penalty and prior-support guard."""
-        feasibility = self.feasibility()
-        intervals = self.intervals()
+        """Scalar gradient with the feasibility penalty and, for a uniform
+        prior, the support guard (``samplers.penalized_gradient``)."""
         prior = self.config.prior
-
-        def grad(theta: float) -> float:
-            base = self.grad_log_posterior(theta)
-            direction = feasible_direction(theta, intervals=intervals)
-            value = penalized_gradient(theta, base, bool(feasibility(theta)), delta, direction)
-            if prior.kind == "uniform" and delta > 0.0:
-                # keep penalty-driven particles from drifting past the support
-                if theta > prior.high:
-                    value -= delta
-                elif theta < prior.low:
-                    value += delta
-            return value
-
-        return grad
-
-    def batched_grad(self, delta: float):
-        grad = self.penalized_grad(delta) if delta > 0.0 else self.grad_log_posterior
-
-        def batched(thetas: np.ndarray) -> np.ndarray:
-            return np.array([grad(float(t)) for t in thetas])
-
-        return batched
+        support = (prior.low, prior.high) if prior.kind == "uniform" else None
+        return penalized_gradient(
+            self.grad_log_posterior, self.feasibility(), self.intervals(), delta, support
+        )
 
     def initial_particles(self, n: int, seed: int) -> np.ndarray:
         """n prior draws with theta > 0; non-positive draws are redrawn.
@@ -745,29 +708,30 @@ class Scenario:
             )
         n_particles = int(sampler["n_particles"])
         initial = self.initial_particles(n_particles, seed)
+        delta = float(sampler["delta"]) if kind == "csvgd" else 0.0
+        grad = self.penalized_grad(delta)
+
+        def per_particle(thetas: np.ndarray) -> np.ndarray:
+            return np.array([grad(float(t)) for t in thetas])
+
         if kind == "csvgd":
-            grad, marks = _timed(self.batched_grad(float(sampler["delta"])))
-            history = run_csvgd(
-                grad,
+            return run_csvgd(
+                per_particle,
                 n_particles,
                 int(sampler["n_generations"]),
                 initial_particles=initial,
                 step_schedule=float(sampler["step_size"]),
                 seed=seed,
             )
-        else:
-            grad, marks = _timed(self.batched_grad(0.0))
-            history = run_projected_svgd(
-                grad,
-                interval_projection(self.intervals()),
-                n_particles,
-                int(sampler["n_generations"]),
-                initial_particles=initial,
-                step_size=float(sampler["step_size"]),
-                seed=seed,
-            )
-        history.config_snapshot["generation_seconds"] = marks.cumulative()
-        return history
+        return run_projected_svgd(
+            per_particle,
+            interval_projection(self.intervals()),
+            n_particles,
+            int(sampler["n_generations"]),
+            initial_particles=initial,
+            step_size=float(sampler["step_size"]),
+            seed=seed,
+        )
 
     def chain_seeds(self) -> list[int]:
         n_chains = int(self.config.sampler["n_chains"])

@@ -1,6 +1,8 @@
 """The one CSV writer: cell formats by column kind, chunking, and read-back."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -81,10 +83,9 @@ def test_particle_file_reads_back_bit_for_bit(tmp_path):
     back = load_chain_csv(path)
     assert isinstance(back, ParticleHistory)
     assert back.generations.tobytes() == history.generations.tobytes()
-    assert "generation_seconds" not in back.config_snapshot
+    assert back.cumulative_seconds is None
     # recorded generation times read back bit for bit
-    history.config_snapshot["generation_seconds"] = list(np.cumsum(rng.random(89)) * 1e-3)
+    history = dataclasses.replace(history, cumulative_seconds=np.cumsum(rng.random(89)) * 1e-3)
     history.to_csv(path)
-    assert load_chain_csv(path).config_snapshot["generation_seconds"] == history.config_snapshot[
-        "generation_seconds"
-    ]
+    seconds = load_chain_csv(path).cumulative_seconds
+    assert seconds.tobytes() == history.cumulative_seconds.tobytes()

@@ -12,10 +12,8 @@ from tcbayes.bayes import (
     ObservationSet,
     Posterior,
     PriorSpec,
-    feasible_direction,
     generate_observations,
     log_prior,
-    penalized_gradient,
 )
 from tcbayes.porous_flow import ModelParams, forward_pressure_at_mean
 
@@ -132,6 +130,9 @@ def test_observation_validation():
         ObservationGroup("g", np.array([]), 1.0)
     with pytest.raises(ValueError):
         ObservationGroup("g", np.array([1.0]), 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ObservationGroup("g", np.array([1.0, bad]), 1.0)
     with pytest.raises(ValueError):
         ObservationSet(())
     g = ObservationGroup("g", np.array([1.0]), 1.0)
@@ -151,7 +152,7 @@ def test_observation_csv_and_provenance(tmp_path):
     prov_path = tmp_path / "obs.json"
     obs.save_provenance(str(prov_path))
     meta = json.loads(prov_path.read_text())
-    assert meta["theta_true"] == THETA_TRUE
+    assert meta["groups"][0]["theta_true"] == THETA_TRUE
     assert meta["groups"][0]["n_obs"] == 4
 
 
@@ -192,21 +193,3 @@ def test_gradient_matches_central_difference(classic):
         lo = posterior(theta - h)
         central = (hi - lo) / (2.0 * h)
         assert abs(analytic - central) / (abs(analytic) + 1e-12) <= 1e-3
-
-
-def test_penalized_gradient_branches():
-    assert penalized_gradient(1.0, 3.0, feasible=True, delta=50.0) == 3.0
-    assert penalized_gradient(1.0, 3.0, feasible=False, delta=50.0, direction=1.0) == 53.0
-    assert penalized_gradient(1.0, 3.0, feasible=False, delta=50.0, direction=-1.0) == -47.0
-    assert penalized_gradient(1.0, 3.0, feasible=False, delta=0.0) == 3.0
-
-
-def test_feasible_direction_intervals():
-    intervals = ((540.0, 1000.0),)
-    assert feasible_direction(400.0, intervals=intervals) == 1.0
-    assert feasible_direction(1100.0, intervals=intervals) == -1.0
-    assert feasible_direction(700.0, intervals=intervals) == 0.0
-    multi = ((0.0, 1.0), (5.0, 6.0))
-    assert feasible_direction(4.9, intervals=multi) == 1.0
-    assert feasible_direction(2.0, intervals=multi) == -1.0
-    assert feasible_direction(700.0, intervals=()) == 0.0

@@ -589,6 +589,10 @@ def test_nan_threshold_gives_a_nan_probability():
     # min(1.0, nan) is 1.0: a NaN sum must not read as certain satisfaction
     germ, (coeff,) = _model1_exits((540.0,))
     assert math.isnan(StripExitConstraint(germ, 3, coeff).exact_probability(math.nan))
+    # the flux-free branch, through the root intervals in xi_phi
+    flux_free = coeff.copy()
+    flux_free[1:] = 0.0
+    assert math.isnan(StripExitConstraint(germ, 3, flux_free).exact_probability(math.nan))
 
 
 def test_degenerate_heat_flux_takes_the_roots_in_phi():

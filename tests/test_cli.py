@@ -14,7 +14,7 @@ import pytest
 from tcbayes import gpc
 from tcbayes.cli import load_chain_csv, main, packaged_config_text, resolve_config
 from tcbayes.samplers import MarkovChain, ParticleHistory
-from tcbayes.scenario import ConfigError, Scenario
+from tcbayes.scenario import ConfigError, Scenario, ScenarioConfig
 
 
 def _read_csv(path):
@@ -117,6 +117,21 @@ def test_non_finite_config_number_exits_2(name, key, value, write_config, tmp_pa
     assert main(["run", "--config", path, "--output", str(tmp_path / "out")]) == 2
     assert f"config invalid at {key.replace('.', '/')}: numbers must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["obs,nan", "obs,-inf", "obs 512.0", "obs,5x12"])
+def test_bad_observation_file_exits_2(line, tiny_model1_dict, write_config, tmp_path, capsys):
+    source = Scenario(ScenarioConfig.from_dict(tiny_model1_dict)).observations()
+    csv_path = tmp_path / "obs.csv"
+    source.to_csv(str(csv_path))
+    source.save_provenance(str(tmp_path / "obs.json"))
+    csv_path.write_text(csv_path.read_text() + line + "\n")  # line 6, after 4 observations
+    tiny_model1_dict["data"] = {"path": str(csv_path)}
+    out = tmp_path / "out"
+    rc = main(["run", "--config", write_config(tiny_model1_dict), "--output", str(out)])
+    assert rc == 2
+    assert f"{csv_path}, line 6" in capsys.readouterr().err
+    assert not (out / "chain.csv").exists()
 
 
 def test_model1_with_geometry_exits_2(tiny_model1_dict, tiny_model2_dict, write_config, capsys):
@@ -433,6 +448,15 @@ def test_compare_rejects_unordered_checkpoints(tiny_model1_dict, write_config, t
     )
     assert rc == 2
     assert "strictly increasing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["abc", "100,x", "1,,2"])
+def test_compare_malformed_checkpoints_are_usage_errors(text, tiny_model1_dict, write_config, capsys):
+    path = write_config(tiny_model1_dict)
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--config", path, "--samplers", "crw", "--checkpoints", text])
+    assert exc.value.code == 2
+    assert "argument --checkpoints" in capsys.readouterr().err
 
 
 def test_compare_rejects_checkpoint_beyond_chain(tiny_model1_dict, write_config, tmp_path):

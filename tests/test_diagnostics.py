@@ -195,9 +195,8 @@ def test_diagnostics_summary_keys():
 def _history(n_particles: int = 10, n_generations: int = 20, seed: int = 0) -> ParticleHistory:
     rng = np.random.default_rng(seed)
     generations = rng.normal(0.0, 1.0, (n_generations + 1, n_particles))
-    history = ParticleHistory(generations, np.ones(n_generations), seed)
-    history.config_snapshot["generation_seconds"] = [0.5 * (g + 1) for g in range(n_generations)]
-    return history
+    seconds = [0.5 * (g + 1) for g in range(n_generations)]
+    return ParticleHistory(generations, np.ones(n_generations), seed, seconds)
 
 
 def test_l2_error_series_of_a_particle_history():

@@ -1,6 +1,7 @@
 """Constrained samplers: moments, feasibility contracts, reproducibility."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from tcbayes.samplers import (
     ParticleHistory,
     interval_membership,
     interval_projection,
+    penalized_gradient,
     postprocess_feasible,
     run_chmc,
     run_crw,
@@ -92,14 +94,10 @@ def test_chmc_divergences_counted_and_rejected():
 
 
 def test_chmc_penalty_reduces_infeasible_fraction():
-    from tcbayes.bayes import penalized_gradient
-
     oracle = lambda t: t >= 0.5
 
     def grad_with(delta):
-        return lambda t: penalized_gradient(
-            t, STD_NORMAL_GRAD(t), oracle(t), delta, direction=1.0
-        )
+        return penalized_gradient(STD_NORMAL_GRAD, oracle, ((0.5, math.inf),), delta)
 
     kwargs = dict(mass=1.0, step=0.2, max_leapfrog=15, n_samples=4000, theta_init=1.0, seed=6)
     plain = run_chmc(STD_NORMAL_LOGPOST, grad_with(0.0), feasibility_oracle=oracle, **kwargs)
@@ -130,19 +128,9 @@ def test_csvgd_one_particle_is_gradient_ascent():
 
 
 def test_csvgd_penalty_reduces_infeasible_particles():
-    from tcbayes.bayes import penalized_gradient
-
     def grad_with(delta):
-        def grad(ts):
-            base = -ts
-            return np.array(
-                [
-                    penalized_gradient(t, g, t >= 0.5, delta, direction=1.0)
-                    for t, g in zip(ts, base)
-                ]
-            )
-
-        return grad
+        grad = penalized_gradient(STD_NORMAL_GRAD, lambda t: t >= 0.5, ((0.5, math.inf),), delta)
+        return lambda ts: np.array([grad(t) for t in ts])
 
     init = np.random.default_rng(7).standard_normal(100)
     plain = run_csvgd(grad_with(0.0), 100, 300, initial_particles=init, seed=7)
@@ -192,6 +180,62 @@ def test_interval_membership():
     assert arr.dtype == bool and np.array_equal(arr, [[False, True], [True, False]])
     assert member(np.nan) is False
     assert not interval_membership(())(0.5)
+
+
+def test_penalized_gradient_branches():
+    intervals = ((540.0, 1000.0),)
+    pen = penalized_gradient(lambda t: 3.0, interval_membership(intervals), intervals, 50.0)
+    assert pen(700.0) == 3.0  # unchanged in S
+    assert pen(400.0) == 53.0
+    assert pen(1100.0) == -47.0
+    assert penalized_gradient(lambda t: 3.0, lambda t: False, intervals, 0.0)(400.0) == 3.0
+
+
+def test_penalized_gradient_with_zero_delta_is_the_gradient():
+    grad = lambda t: 3.0
+    for support in (None, (300.0, 1000.0)):
+        assert penalized_gradient(grad, lambda t: False, ((540.0, 1000.0),), 0.0, support) is grad
+
+
+def test_penalty_points_toward_the_nearest_interval():
+    def direction(theta, intervals):
+        # an infeasible verdict on a zero gradient leaves delta * direction
+        return penalized_gradient(lambda t: 0.0, lambda t: False, intervals, 1.0)(theta)
+
+    intervals = ((540.0, 1000.0),)
+    assert direction(400.0, intervals) == 1.0
+    assert direction(1100.0, intervals) == -1.0
+    assert direction(700.0, intervals) == 0.0
+    multi = ((0.0, 1.0), (5.0, 6.0))
+    assert direction(4.9, multi) == 1.0  # nearest interval wins
+    assert direction(2.0, multi) == -1.0
+    assert direction(700.0, ()) == 0.0
+
+
+def test_penalized_gradient_support_guard():
+    intervals = ((540.0, 1000.0),)
+    member = interval_membership(intervals)
+    pen = penalized_gradient(lambda t: 3.0, member, intervals, 0.5, support=(300.0, 1000.0))
+    assert pen(1000.0) == 3.0  # the support's ends are inside it
+    assert pen(300.0) == 3.5  # the penalty alone
+    assert pen(1050.0) == 2.0  # penalty and guard push back together
+    assert pen(250.0) == 4.0
+    # a feasible theta past the support gets the guard alone
+    wide = ((0.0, 2000.0),)
+    pen = penalized_gradient(lambda t: 3.0, interval_membership(wide), wide, 0.5, (300.0, 1000.0))
+    assert (pen(1050.0), pen(250.0), pen(700.0)) == (2.5, 3.5, 3.0)
+
+
+@pytest.mark.parametrize("kind", ["csvgd", "projected_svgd"])
+def test_particle_samplers_time_every_update(kind):
+    if kind == "csvgd":
+        history = run_csvgd(lambda ts: -ts, 10, 25, seed=0)
+    else:
+        project = interval_projection(((-1.0, 1.0),))
+        history = run_projected_svgd(lambda ts: -ts, project, 10, 25, seed=0)
+    seconds = history.cumulative_seconds
+    assert seconds.shape == (25,) and len(history) == 25
+    assert seconds[0] >= 0.0 and np.all(np.diff(seconds) >= 0.0)
 
 
 def test_projected_svgd_identity_on_feasible_targets():
@@ -300,7 +344,7 @@ def _row_by_row_chain_csv(chain: MarkovChain) -> str:
 def _row_by_row_particle_csv(history: ParticleHistory) -> str:
     """The one-line-per-particle writer; an empty time cell when the history
     recorded no generation times."""
-    seconds = history.config_snapshot.get("generation_seconds")
+    seconds = history.cumulative_seconds
     times = [""] * history.generations.shape[0]
     if seconds is not None:
         times = [repr(float(t)) for t in (0.0, *seconds)]
@@ -333,7 +377,9 @@ def test_chunked_csv_matches_row_by_row_writer(tmp_path, n):
     path = tmp_path / "particles.csv"
     history.to_csv(str(path))
     assert path.read_text() == _row_by_row_particle_csv(history)
-    history.config_snapshot["generation_seconds"] = np.cumsum(rng.random(history.n_generations)).tolist()
+    history = dataclasses.replace(
+        history, cumulative_seconds=np.cumsum(rng.random(history.n_generations))
+    )
     history.to_csv(str(path))
     assert path.read_text() == _row_by_row_particle_csv(history)
 
@@ -345,3 +391,5 @@ def test_markov_chain_validation():
         )
     with pytest.raises(ValueError):
         ParticleHistory(np.zeros((3, 2)), np.zeros(3), 0)
+    with pytest.raises(ValueError, match="one cumulative time per update"):
+        ParticleHistory(np.zeros((3, 2)), np.zeros(2), 0, np.zeros(3))

@@ -13,7 +13,7 @@ from tcbayes import gpc
 from tcbayes.bayes import TABLE_NODES, TABLE_TOL, table_record
 from tcbayes.cli import resolve_config
 from tcbayes.gpc import build_strip_exit_batch
-from tcbayes.porous_flow import SingularDenominatorError
+from tcbayes.porous_flow import SingularDenominatorError, forward_pressure_at_mean
 from tcbayes.samplers import MarkovChain, ParticleHistory
 from tcbayes.scenario import (
     ConfigError,
@@ -364,7 +364,7 @@ def test_run_chain_dispatch_all_kinds(tiny_model1_dict):
         hist = base.with_sampler(block).run_chain(0)
         assert isinstance(hist, ParticleHistory)
         assert hist.generations.shape == (13, 8)  # initial state plus 12 updates
-        seconds = hist.config_snapshot["generation_seconds"]
+        seconds = hist.cumulative_seconds
         assert len(seconds) == 12
         assert all(b >= a for a, b in zip(seconds, seconds[1:]))  # cumulative
 
@@ -514,13 +514,28 @@ def test_observation_provenance_sorted_and_round_trips(tiny_model2_dict, tmp_pat
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
     loaded = load_observations(str(csv_path), str(prov_path))
-    assert loaded.provenance == obs.provenance
+    assert [g.provenance for g in loaded.groups] == [g.provenance for g in obs.groups]
     assert [g.label for g in loaded.groups] == ["low_phi", "high_phi"]
     for got, want in zip(loaded.groups, obs.groups):
         assert got.values.tobytes() == want.values.tobytes()
         assert (got.noise_std, got.heat_flux, got.porosity) == (
             want.noise_std, want.heat_flux, want.porosity
         )
+
+
+def test_shipped_model2_groups_carry_their_own_provenance(tmp_path):
+    scenario = Scenario(resolve_config("model2"))
+    path = tmp_path / "observations.json"
+    scenario.observations().save_provenance(str(path))
+    meta = json.loads(path.read_text())
+    assert set(meta) == {"groups"}  # nothing of one group stands for the whole set
+    assert [(g["label"], g["seed"]) for g in meta["groups"]] == [("low_phi", 0), ("high_phi", 1)]
+    theta_true = scenario.config.data.theta_true
+    for entry in meta["groups"]:
+        point = (entry["heat_flux"], entry["porosity"])
+        assert entry["xi_true"] == list(point) and entry["theta_true"] == theta_true
+        want = forward_pressure_at_mean(scenario.config.params, point, theta_true)
+        assert entry["pressure_true"] == want
 
 
 def test_loaded_observations_drive_posterior(tiny_model1_dict, tmp_path, write_config):
