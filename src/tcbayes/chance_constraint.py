@@ -32,7 +32,7 @@ its P from the real roots of p(xi) = beta.
 constraint for cross-checks.
 
 The boundary scan asks the oracle for many thetas, and each needs a
-surrogate, whose costly part is the collocation march of the strips. The strip
+surrogate, whose costly part is the march of the strips. The strip
 exit coefficients are as smooth in theta as the forward pressure, so a
 scenario tabulates them once, from one march over the Chebyshev nodes of
 its theta range, and its surrogate factory reads the table (see

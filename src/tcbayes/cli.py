@@ -33,7 +33,13 @@ from . import __version__
 from .artifacts import write_csv, write_json
 from .bayes import table_record
 from .chance_constraint import satisfaction_probability
-from .diagnostics import CheckpointError, chain_histogram, diagnostics_summary, l2_error_series
+from .diagnostics import (
+    CheckpointError,
+    burned_in_samples,
+    chain_histogram,
+    diagnostics_summary,
+    l2_error_series,
+)
 from .porous_flow import integrate_strip
 from .samplers import (
     CHAIN_CSV_HEADER,
@@ -160,13 +166,6 @@ def _write_diagnostics(payload: dict, out_dir: str, artifacts: dict) -> None:
             artifacts[key] = path
 
 
-def _point_estimate(result, burn_in: float) -> float:
-    if isinstance(result, MarkovChain):
-        drop = int(burn_in * len(result))
-        return float(result.samples[drop:].mean())
-    return float(result.flatten(burn_in).mean())
-
-
 def _provenance(scenario: Scenario, command: str, artifacts: dict) -> dict:
     cfg = scenario.config
     return {
@@ -281,7 +280,7 @@ def run_scenario(
     _write_diagnostics(_diagnostics(scenario, results, reference), out, artifacts)
 
     if config.model in (2, 3):
-        theta_hat = _point_estimate(results[0], burn)
+        theta_hat = float(burned_in_samples(results[0], burn).mean())
         initial = scenario.mean_field_snapshot(theta_hat, t_end=0.0)
         constraint_time = scenario.mean_field_snapshot(theta_hat)
         initial.to_csv(os.path.join(out, "field_initial.csv"))

@@ -94,7 +94,10 @@ class Histogram:
         )
 
 
-def _extract_samples(chain, burn_in: float) -> np.ndarray:
+def burned_in_samples(chain, burn_in: float) -> np.ndarray:
+    """The samples of a chain, particle history or array after burn-in: a
+    chain or array drops its first floor(burn_in * n) draws, a particle
+    history its first generations (``ParticleHistory.flatten``)."""
     if not 0.0 <= burn_in < 1.0:
         raise ValueError("burn_in must be in [0, 1)")
     if isinstance(chain, MarkovChain):
@@ -114,7 +117,7 @@ def chain_histogram(
     burn_in: float = DEFAULT_BURN_IN,
 ) -> Histogram:
     """Density-normalized histogram of a chain, particle history, or array."""
-    samples = _extract_samples(chain, burn_in)
+    samples = burned_in_samples(chain, burn_in)
     if samples.size == 0:
         raise ValueError("no samples left after burn-in")
     heights, edges = np.histogram(samples, bins=n_bins, range=value_range, density=True)

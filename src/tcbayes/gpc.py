@@ -2,26 +2,23 @@
 
 Probabilists' Hermite basis in standardized Gaussian germ variables,
 Gauss-Hermite quadrature, and the strip exit expansions the constraint
-surrogates read. Every production expansion comes from one kernel: the
-physical (q, phi) at the germ's quadrature nodes are marched through
-``porous_flow.interface_state_batch``, the same Euler march behind the
-forward tables, and the exit T_f is projected once onto the basis
-(non-intrusive spectral projection; Xiu, *Numerical Methods for
-Stochastic Computations*, 2010, ch. 7). ``build_strip_exit_batch`` does
-this for one strip germ at many re, ``build_strip_surrogate_batch`` for
-many strips with univariate heat-flux germs.
+surrogates read, all marched through ``porous_flow.interface_state_batch``.
 
 The temperature march is linear in (T_f, T_s), and its coefficients
-depend on (phi, re) but not on the flux, which enters only the source.
-For a flux germ the Galerkin system of the march therefore equals
-collocation plus one projection, to roundoff. For a random porosity the
-two differ at truncation level, by 4e-11 of the largest coefficient at
-order 3 with 6 nodes; with ``n_quad = order + 1`` the design is square,
-each Galerkin step is the Euler step at every node, and they agree to
-roundoff again.
+depend on (phi, re) but not on the flux, which enters only the source, so
+T_f(1) = A(phi, re) + B(phi, re) q exactly. ``build_strip_surrogate_batch``
+(models 2 and 3) marches two fluxes per distinct porosity and re for A and
+B, and gives each strip's germ q = mean + std xi its exact order-1
+expansion; it has no order or quadrature setting. ``build_strip_exit_batch``
+(model 1's (q, phi) germ) marches the Gauss-Hermite nodes and projects the
+exit T_f onto the basis of ``order`` (non-intrusive spectral projection;
+Xiu, *Numerical Methods for Stochastic Computations*, 2010, ch. 7). The
+porosity enters nonlinearly, so this differs from the Galerkin system at
+truncation level, 4e-11 of the largest coefficient at order 3 with 6
+nodes; with ``n_quad = order + 1`` they agree to roundoff.
 ``build_strip_surrogate`` keeps the intrusive Galerkin march
 (``_galerkin_march``) with the full x history of one strip, as the
-reference the tests hold the collocation builders to.
+reference the tests hold both builders to.
 """
 from __future__ import annotations
 
@@ -347,36 +344,35 @@ def build_strip_surrogate_batch(
     q_means: np.ndarray,
     q_stds: np.ndarray,
     porosities: np.ndarray,
-    re: float | np.ndarray,
-    order: int = DEFAULT_ORDER,
-    n_quad: int = DEFAULT_N_QUAD,
+    res: np.ndarray,
     n_steps: int = DEFAULT_N_STEPS,
     singular_eps: float = DEFAULT_SINGULAR_EPS,
 ) -> np.ndarray:
-    """Fluid exit coefficients of many strips with univariate heat-flux germs.
+    """Exact flux expansions of many strips' exit T_f at many re.
 
-    All strips share the standardized basis and quadrature, so one
-    ``interface_state_batch`` march covers every strip's collocation nodes.
-    ``re`` broadcasts against the strips as in that march: a scalar, one
-    value per strip, or ``thetas[:, None]`` for every strip at many thetas.
-    Returns the expansion of T_f(1), shape broadcast(re, strips) + (order+1,).
+    T_f(1) = A(phi, re) + B(phi, re) q, so a strip with heat-flux germ
+    q = mean + std xi has the order-1 expansion c0 = A + B mean, c1 = B std.
+    One ``interface_state_batch`` march gives A and B: two fluxes, the ends
+    min(mean - std) and max(mean + std) of the strips' germs, at every
+    distinct porosity and re. Returns shape (len(res), n_strips, 2).
     """
-    re = _check_re(re)
-    q_means = np.asarray(q_means, dtype=float)
-    q_stds = np.asarray(q_stds, dtype=float)
-    porosities = np.asarray(porosities, dtype=float)
-    n_strips = q_means.shape[0]
-    if q_stds.shape != (n_strips,) or porosities.shape != (n_strips,):
-        raise ValueError("q_means, q_stds and porosities must have equal length")
+    res = _check_re(res).ravel()
+    q_means, q_stds, porosities = (np.asarray(v, float) for v in (q_means, q_stds, porosities))
+    if q_means.ndim != 1 or not q_means.shape == q_stds.shape == porosities.shape:
+        raise ValueError("q_means, q_stds and porosities must be 1-D of equal length")
     if not np.all((porosities > 0.0) & (porosities < 1.0)):
         raise ValueError("porosities must lie in (0, 1)")
 
-    proj = _Projection(GermSpec((GermVariable("q", 0.0, 1.0),)), order, n_quad)
-    q_nodes = q_means[:, None] + q_stds[:, None] * proj.xi_nodes[:, 0]  # (n_strips, M)
+    phis, inverse = np.unique(porosities, return_inverse=True)
+    ends = np.array([np.min(q_means - q_stds), np.max(q_means + q_stds)])
     tf, _, _ = interface_state_batch(
-        params, q_nodes, porosities[:, None], re[..., None], n_steps, singular_eps
-    )
-    return tf @ proj.project.T
+        params, ends[:, None], phis, res[:, None, None], n_steps, singular_eps
+    )  # (len(res), 2, len(phis))
+    span = ends[1] - ends[0]
+    rise = (tf[:, 1] - tf[:, 0])[:, inverse]
+    slope = rise / span if span > 0.0 else np.zeros_like(rise)
+    intercept = tf[:, 0, inverse] - slope * ends[0]
+    return np.stack([intercept + slope * q_means, slope * q_stds], axis=-1)
 
 
 def evaluate_surrogate(s: StripSurrogate, x_index: int, q, phi) -> tuple[np.ndarray, np.ndarray]:

@@ -237,7 +237,7 @@ def interface_state_batch(
     """Terminal states (T_f, T_s, rho_f at x=1) for a batch of (q, phi, re) draws.
 
     Vectorized Euler march behind the forward tables and every strip exit
-    expansion (``gpc`` marches the germ's collocation nodes through it);
+    expansion (``gpc`` marches its flux ends or collocation nodes through it);
     returns only the interface values, not the trajectories. Broadcasts q,
     phi and re against each other. Each element equals the scalar march bit
     for bit; a guard hit by any element raises for the whole batch. Large

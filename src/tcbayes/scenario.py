@@ -47,7 +47,14 @@ from .chance_constraint import (
     StripExitConstraint,
     scan_feasible_boundary,
 )
-from .diagnostics import ReferenceDensity, reference_posterior
+from .diagnostics import (
+    DEFAULT_BURN_IN,
+    DEFAULT_CONFIDENCE,
+    DEFAULT_N_BINS,
+    DEFAULT_REFERENCE_NODES,
+    ReferenceDensity,
+    reference_posterior,
+)
 from .gpc import (
     DEFAULT_N_QUAD,
     DEFAULT_ORDER,
@@ -146,10 +153,15 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class DiagnosticsConfig:
-    n_bins: int = 50
-    confidence: float = 0.95
-    reference_nodes: int = 2000
+    n_bins: int = DEFAULT_N_BINS
+    confidence: float = DEFAULT_CONFIDENCE
+    reference_nodes: int = DEFAULT_REFERENCE_NODES
     checkpoints: tuple[int, ...] | None = None
+
+
+def _given(block: dict, **casts) -> dict:
+    """The ``casts`` keys a config block sets, each cast; absent keys keep class defaults."""
+    return {key: cast(block[key]) for key, cast in casts.items() if key in block}
 
 
 _SAMPLER_REQUIRED = {
@@ -167,13 +179,14 @@ class ScenarioConfig:
     model: int
     params: ModelParams
     germ: GermSpec
-    strip_means: np.ndarray | None
-    strip_stds: np.ndarray | None
+    # per-strip flux germs of models 2 and 3; equality reads the same numbers in germ
+    strip_means: np.ndarray | None = dataclasses.field(compare=False)
+    strip_stds: np.ndarray | None = dataclasses.field(compare=False)
     geometry: InterfaceGeometry | None
     n_z: int
     cfl: float
-    order: int
-    n_quad: int
+    order: int | None  # model 1 only, as n_quad
+    n_quad: int | None
     n_steps: int
     constraint: ChanceConstraintSpec
     oracle_mode: str
@@ -221,18 +234,22 @@ class ScenarioConfig:
         germ, strip_means, strip_stds = _parse_germ(germ_cfg, model, geometry)
 
         surr = cfg.get("surrogate", {})
-        order = int(surr.get("order", DEFAULT_ORDER))
-        n_quad = int(surr.get("n_quad", DEFAULT_N_QUAD))
+        if model != 1 and {"order", "n_quad"} & surr.keys():
+            raise ConfigError(
+                "surrogate order and n_quad are model-1 settings: the exit temperature "
+                "is affine in the heat flux, so models 2 and 3 expand it exactly to order 1"
+            )
+        order = int(surr.get("order", DEFAULT_ORDER)) if model == 1 else None
+        n_quad = int(surr.get("n_quad", DEFAULT_N_QUAD)) if model == 1 else None
         n_steps = int(surr.get("n_steps", DEFAULT_N_STEPS))
-        if n_quad < order + 1:
+        if model == 1 and n_quad < order + 1:
             raise ConfigError("surrogate n_quad must be at least order + 1")
 
         con = cfg["constraint"]
         constraint = ChanceConstraintSpec(
             beta=float(con["t_max"]),
             alpha=float(con["alpha"]),
-            n_prob_samples=int(con.get("n_prob_samples", 100_000)),
-            seed=int(con.get("seed", 0)),
+            **_given(con, n_prob_samples=int, seed=int),
         )
         oracle_mode = con.get("oracle", "interval")
         pointwise = bool(con.get("pointwise", False))
@@ -245,16 +262,11 @@ class ScenarioConfig:
         theta_range = scan_cfg.get("theta_range")
         scan = ScanConfig(
             theta_range=tuple(theta_range) if theta_range is not None else None,
-            n_coarse=int(scan_cfg.get("n_coarse", 33)),
-            tol=float(scan_cfg.get("tol", 0.5)),
+            **_given(scan_cfg, n_coarse=int, tol=float),
         )
         diag_cfg = cfg.get("diagnostics", {})
-        checkpoints = diag_cfg.get("checkpoints")
         diagnostics = DiagnosticsConfig(
-            n_bins=int(diag_cfg.get("n_bins", 50)),
-            confidence=float(diag_cfg.get("confidence", 0.95)),
-            reference_nodes=int(diag_cfg.get("reference_nodes", 2000)),
-            checkpoints=tuple(checkpoints) if checkpoints is not None else None,
+            **_given(diag_cfg, n_bins=int, confidence=float, reference_nodes=int, checkpoints=tuple)
         )
 
         geo_cfg = cfg.get("geometry") or {}
@@ -314,47 +326,39 @@ def _parse_geometry(geo_cfg: dict | None, model: int) -> InterfaceGeometry | Non
         raise ConfigError(f"invalid geometry: {exc}") from exc
 
 
+def _gaussian(name: str, block: dict) -> GermVariable:
+    return GermVariable(name, float(block["mean"]), float(block["std"]))
+
+
 def _parse_germ(germ_cfg, model, geometry):
+    """The germ and, for models 2 and 3, the per-strip heat-flux means and stds."""
     has_q = "q" in germ_cfg
     has_phi = "phi" in germ_cfg
     has_strips = "strips" in germ_cfg
     if model == 1:
         if not (has_q and has_phi) or has_strips:
             raise ConfigError("model 1 requires germ variables 'q' and 'phi'")
-        germ = GermSpec(
-            (
-                GermVariable("q", float(germ_cfg["q"]["mean"]), float(germ_cfg["q"]["std"])),
-                GermVariable(
-                    "phi", float(germ_cfg["phi"]["mean"]), float(germ_cfg["phi"]["std"])
-                ),
-            )
-        )
+        germ = GermSpec((_gaussian("q", germ_cfg["q"]), _gaussian("phi", germ_cfg["phi"])))
         return germ, None, None
+    n = geometry.n_strips
     if model == 2:
         if not has_q or has_phi or has_strips:
             raise ConfigError("model 2 requires exactly one shared germ variable 'q'")
-        germ = GermSpec(
-            (GermVariable("q", float(germ_cfg["q"]["mean"]), float(germ_cfg["q"]["std"])),)
-        )
-        return germ, None, None
+        qvar = _gaussian("q", germ_cfg["q"])
+        return GermSpec((qvar,)), np.full(n, qvar.mean), np.full(n, qvar.std)
     if not has_strips or has_q or has_phi:
         raise ConfigError("model 3 requires per-strip germ distributions under 'strips'")
     strips = germ_cfg["strips"]
     if isinstance(strips, dict):
-        means, stds = strip_flux_profile(strips, geometry.n_strips)
+        means, stds = strip_flux_profile(strips, n)
     else:
-        if len(strips) != geometry.n_strips:
-            raise ConfigError(
-                f"model 3 needs {geometry.n_strips} strip distributions, got {len(strips)}"
-            )
+        if len(strips) != n:
+            raise ConfigError(f"model 3 needs {n} strip distributions, got {len(strips)}")
         means = np.array([float(s["mean"]) for s in strips])
         stds = np.array([float(s["std"]) for s in strips])
-    germ = GermSpec(
-        tuple(
-            GermVariable(f"q_{i:02d}", float(means[i]), float(stds[i]))
-            for i in range(geometry.n_strips)
-        )
-    )
+    germ = GermSpec(tuple(
+        GermVariable(f"q_{i:02d}", float(means[i]), float(stds[i])) for i in range(n)
+    ))
     return germ, means, stds
 
 
@@ -387,7 +391,7 @@ def _parse_sampler(sampler_cfg: dict) -> dict:
         raise ConfigError(f"sampler '{kind}' requires {missing}")
     out = dict(sampler_cfg)
     out.setdefault("n_chains", 1)
-    out.setdefault("burn_in_fraction", 0.1)
+    out.setdefault("burn_in_fraction", DEFAULT_BURN_IN)
     out.setdefault("delta", 0.0)
     return out
 
@@ -396,12 +400,16 @@ def load_observations(csv_path: str, provenance_path: str | None = None) -> Obse
     """Read an observation CSV (group,value) with its provenance sidecar.
 
     A malformed line or a value that is not a finite number raises
-    ConfigError naming the file and line.
+    ConfigError naming the file and line; a missing or malformed sidecar,
+    or an entry without a positive ``noise_std``, one naming the sidecar.
     """
     if provenance_path is None:
         provenance_path = csv_path.rsplit(".", 1)[0] + ".json"
-    with open(provenance_path) as fh:
-        meta = json.load(fh)
+    try:
+        with open(provenance_path) as fh:
+            meta = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"observation provenance {provenance_path}: {exc}") from exc
     values: dict[str, list[float]] = {}
     with open(csv_path) as fh:
         header = fh.readline().strip()
@@ -429,16 +437,20 @@ def load_observations(csv_path: str, provenance_path: str | None = None) -> Obse
         info = group_meta.get(label)
         if info is None:
             raise ConfigError(f"observation group {label!r} missing from provenance")
-        groups.append(
-            ObservationGroup(
+        try:
+            groups.append(ObservationGroup(
                 label,
                 np.array(group_values),
                 float(info["noise_std"]),
                 heat_flux=info.get("heat_flux"),
                 porosity=info.get("porosity"),
                 provenance={k: v for k, v in info.items() if k not in GROUP_KEYS},
-            )
-        )
+            ))
+        except (KeyError, TypeError, ValueError) as exc:  # noise_std missing or not positive
+            raise ConfigError(
+                f"observation provenance {provenance_path}: group {label!r} needs a "
+                f"positive noise_std, got {info.get('noise_std')!r}"
+            ) from exc
     return ObservationSet(tuple(groups))
 
 
@@ -492,7 +504,7 @@ class Scenario:
     def exit_table(self) -> ChebyshevTable | None:
         """Chebyshev table over ``theta_range()`` of the strip exit coefficients.
 
-        Built on first use from one collocation march of the strips over
+        Built on first use from one march of the strips over
         the table's nodes and check points (``bayes.build_table``). None
         when that march fails or the table misses its check: every theta
         then marches alone.
@@ -512,27 +524,16 @@ class Scenario:
 
     def _strip_exit_coeffs(self, thetas) -> np.ndarray:
         """Strip fluid exit coefficients at many thetas in one march: (n_thetas,
-        K+1, K+1) for model 1's strip germ, (n_thetas, n_strips, K+1) otherwise."""
+        K+1, K+1) for model 1's strip germ, (n_thetas, n_strips, 2) otherwise."""
         cfg = self.config
-        thetas = np.asarray(thetas, dtype=float)
         if cfg.model == 1:
             return build_strip_exit_batch(
                 cfg.params, cfg.germ, thetas, cfg.order, cfg.n_quad, cfg.n_steps
             )
-        porosities = cfg.geometry.strip_porosities()
-        if cfg.model == 2:
-            # strips differ only in porosity: march each distinct one once
-            qvar = cfg.germ.variables[0]
-            porosities, inverse = np.unique(porosities, return_inverse=True)
-            means = np.full(porosities.size, qvar.mean)
-            stds = np.full(porosities.size, qvar.std)
-        else:
-            means, stds, inverse = cfg.strip_means, cfg.strip_stds, slice(None)
-        coeffs = build_strip_surrogate_batch(
-            cfg.params, means, stds, porosities, thetas[:, None],
-            cfg.order, cfg.n_quad, cfg.n_steps,
+        return build_strip_surrogate_batch(
+            cfg.params, cfg.strip_means, cfg.strip_stds, cfg.geometry.strip_porosities(),
+            thetas, cfg.n_steps,
         )
-        return coeffs[:, inverse]
 
     def oracle(self) -> ChanceConstraintOracle:
         if self._oracle is None:

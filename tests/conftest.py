@@ -58,7 +58,7 @@ _TINY_MODEL2 = {
         "n_z": 120,
         "cfl": 0.4,
     },
-    "surrogate": {"order": 2, "n_quad": 4, "n_steps": 400},
+    "surrogate": {"n_steps": 400},
     "constraint": {
         # the walls sit at 410 and barely cool in t_constraint = 0.5, so the
         # z-max is wall-dominated; 420 keeps a nonempty feasible set for tests

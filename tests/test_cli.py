@@ -134,6 +134,56 @@ def test_bad_observation_file_exits_2(line, tiny_model1_dict, write_config, tmp_
     assert not (out / "chain.csv").exists()
 
 
+def _drop_noise_std(meta: dict) -> dict:
+    del meta["groups"][0]["noise_std"]
+    return meta
+
+
+def _zero_noise_std(meta: dict) -> dict:
+    meta["groups"][0]["noise_std"] = 0.0
+    return meta
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    [None, "{not json", _drop_noise_std, _zero_noise_std],
+    ids=["missing", "not-json", "no-noise-std", "zero-noise-std"],
+)
+def test_bad_observation_sidecar_exits_2(sidecar, tiny_model1_dict, write_config, tmp_path, capsys):
+    source = Scenario(ScenarioConfig.from_dict(tiny_model1_dict)).observations()
+    csv_path = tmp_path / "obs.csv"
+    source.to_csv(str(csv_path))
+    json_path = tmp_path / "obs.json"
+    if sidecar is not None:
+        source.save_provenance(str(json_path))
+        if callable(sidecar):
+            json_path.write_text(json.dumps(sidecar(json.loads(json_path.read_text()))))
+        else:
+            json_path.write_text(sidecar)
+    tiny_model1_dict["data"] = {"path": str(csv_path)}
+    out = tmp_path / "out"
+    rc = main(["run", "--config", write_config(tiny_model1_dict), "--output", str(out)])
+    assert rc == 2
+    assert f"observation provenance {json_path}" in capsys.readouterr().err
+    assert not (out / "chain.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["order", "n_quad"])
+@pytest.mark.parametrize("model", [2, 3])
+def test_interface_model_with_expansion_settings_exits_2(
+    model, key, tiny_model2_dict, write_config, tmp_path, capsys
+):
+    # the exit is exactly order 1 in the flux, so these settings would change nothing
+    tiny_model2_dict["surrogate"][key] = 3
+    if model == 3:
+        tiny_model2_dict["model"] = 3
+        tiny_model2_dict["germ"] = {"strips": [{"mean": 450.0, "std": 14.0}] * 4}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tiny_model2_dict), "--output", str(out)]) == 2
+    assert "model-1 settings" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_model1_with_geometry_exits_2(tiny_model1_dict, tiny_model2_dict, write_config, capsys):
     tiny_model1_dict["geometry"] = tiny_model2_dict["geometry"]
     path = write_config(tiny_model1_dict)

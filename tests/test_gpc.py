@@ -197,36 +197,47 @@ FLUX_GERM_TOL = 1e-12
 PHI_GERM_TOL = 5e-11
 
 
+def _affine_matches_galerkin(got, params, mean, std, porosity, re):
+    # the order-3, 6-node Galerkin reference of one strip's flux germ
+    germ = GermSpec((GermVariable("q", mean, std),))
+    want = build_strip_surrogate(replace(params, porosity=porosity), germ, re, 3, 6)
+    want = want.coeff_t_fluid[:, -1]
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(want[2:])) <= FLUX_GERM_TOL * scale
+    np.testing.assert_allclose(got, want[:2], rtol=0.0, atol=FLUX_GERM_TOL * scale)
+
+
 def test_batch_build_matches_single_univariate():
     q_means = np.array([Q0, 1.1 * Q0])
     q_stds = np.array([SIGMA_Q, 2.0 * SIGMA_Q])
     porosities = np.array([0.111, 0.4])
-    ctf = build_strip_surrogate_batch(PARAMS, q_means, q_stds, porosities, 540.0)
-    assert ctf.shape == (2, 4)
+    (ctf,) = build_strip_surrogate_batch(PARAMS, q_means, q_stds, porosities, [540.0])
+    assert ctf.shape == (2, 2)
     for b in range(2):
-        params_b = replace(PARAMS, porosity=porosities[b])
-        germ = GermSpec((GermVariable("q", q_means[b], q_stds[b]),))
-        s = build_strip_surrogate(params_b, germ, 540.0)
-        _within(ctf[b], s.coeff_t_fluid[:, -1], FLUX_GERM_TOL)
+        _affine_matches_galerkin(ctf[b], PARAMS, q_means[b], q_stds[b], porosities[b], 540.0)
     for q, phi, re in ((Q0, 0.111, 540.0), (1.2 * Q0, 0.4, 800.0), (0.8 * Q0, 0.25, 380.0)):
-        (ctf1,) = build_strip_surrogate_batch(PARAMS, [q], [SIGMA_Q], [phi], re)
-        germ = GermSpec((GermVariable("q", q, SIGMA_Q),))
-        s = build_strip_surrogate(replace(PARAMS, porosity=phi), germ, re)
-        _within(ctf1, s.coeff_t_fluid[:, -1], FLUX_GERM_TOL)
+        ((ctf1,),) = build_strip_surrogate_batch(PARAMS, [q], [SIGMA_Q], [phi], [re])
+        _affine_matches_galerkin(ctf1, PARAMS, q, SIGMA_Q, phi, re)
 
 
-def test_order_zero_batch_build_is_the_deterministic_march():
-    # one collocation node at the mean: both builds reduce to the strip march
+def test_zero_std_strips_are_the_deterministic_march():
+    # a strip with std 0 has no flux mode, and its mean term is the march at its mean
     q_means = np.array([Q0, 0.7 * Q0, 1.3 * Q0])
     porosities = np.array([0.111, 0.4, 0.25])
-    for re in (350.0, 540.0, 900.0):
-        ctf = build_strip_surrogate_batch(
-            PARAMS, q_means, np.full(3, SIGMA_Q), porosities, re, order=0, n_quad=1
-        )
-        tf, _, _ = interface_state_batch(PARAMS, q_means, porosities, re)
-        np.testing.assert_array_equal(ctf[:, 0], tf)
-        for q, phi, want in zip(q_means, porosities, tf):
-            germ = GermSpec((GermVariable("q", q, SIGMA_Q),))
+    res = np.array([350.0, 540.0, 900.0])
+    tf, _, _ = interface_state_batch(PARAMS, q_means, porosities, res[:, None])
+    ctf = build_strip_surrogate_batch(PARAMS, q_means, [0.0, SIGMA_Q, 0.0], porosities, res)
+    assert np.all(ctf[:, ::2, 1] == 0.0)
+    np.testing.assert_allclose(ctf[:, ::2, 0], tf[:, ::2], rtol=1e-12, atol=0.0)
+    # every std 0 and one mean: a zero span, a zero slope, and the march itself
+    ctf = build_strip_surrogate_batch(PARAMS, [Q0] * 3, np.zeros(3), porosities, res)
+    tf, _, _ = interface_state_batch(PARAMS, Q0, porosities, res[:, None])
+    assert np.all(ctf[..., 1] == 0.0)
+    np.testing.assert_array_equal(ctf[..., 0], tf)
+    # the Galerkin reference at order 0 reduces to the same march
+    for re, row in zip(res, tf):
+        for phi, want in zip(porosities, row):
+            germ = GermSpec((GermVariable("q", Q0, SIGMA_Q),))
             s = build_strip_surrogate(replace(PARAMS, porosity=phi), germ, re, order=0, n_quad=1)
             assert s.coeff_t_fluid[0, -1] == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -236,26 +247,21 @@ def _shipped(model: int) -> ScenarioConfig:
 
 
 def test_per_row_re_batch_equals_per_theta_builds():
-    # model 2's distinct section porosities at several thetas, in one march
+    # model 2's strips at several thetas, in one march
     cfg = _shipped(2)
-    qvar = cfg.germ.variables[0]
-    porosities = np.unique(cfg.geometry.strip_porosities())
-    n = porosities.size
-    means, stds = np.full(n, qvar.mean), np.full(n, qvar.std)
+    strips = (cfg.strip_means, cfg.strip_stds, cfg.geometry.strip_porosities())
     thetas = np.linspace(*cfg.theta_range(), 9)
-    args = (cfg.order, cfg.n_quad, cfg.n_steps)
-    ctf = build_strip_surrogate_batch(cfg.params, means, stds, porosities, thetas[:, None], *args)
-    assert ctf.shape == (thetas.size, n, cfg.order + 1)
+    ctf = build_strip_surrogate_batch(cfg.params, *strips, thetas, cfg.n_steps)
+    assert ctf.shape == (thetas.size, cfg.geometry.n_strips, 2)
     for theta, row in zip(thetas, ctf):
         # elementwise march, so a theta's rows do not depend on the other thetas
-        one = build_strip_surrogate_batch(cfg.params, means, stds, porosities, theta, *args)
+        (one,) = build_strip_surrogate_batch(cfg.params, *strips, [theta], cfg.n_steps)
         np.testing.assert_array_equal(row, one)
-        for phi, got in zip(porosities, row):
-            s = build_strip_surrogate(replace(cfg.params, porosity=phi), cfg.germ, theta, *args)
-            _within(got, s.coeff_t_fluid[:, -1], FLUX_GERM_TOL)
-    with pytest.raises(ValueError):
-        build_strip_surrogate_batch(PARAMS, [Q0, Q0], [SIGMA_Q] * 2, [0.111] * 2, [540.0] * 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="equal length"):
+        build_strip_surrogate_batch(PARAMS, [Q0, Q0], [SIGMA_Q] * 3, [0.111] * 2, [540.0])
+    with pytest.raises(ValueError, match="equal length"):
+        build_strip_surrogate_batch(PARAMS, [[Q0]], [[SIGMA_Q]], [[0.111]], [540.0])
+    with pytest.raises(ValueError, match="re must be positive"):
         build_strip_surrogate_batch(PARAMS, [Q0, Q0], [SIGMA_Q] * 2, [0.111] * 2, [540.0, 0.0])
 
 
@@ -305,9 +311,9 @@ def test_nan_re_and_porosity_are_rejected_before_the_march(monkeypatch):
     with pytest.raises(ValueError, match="re must be positive"):
         build_strip_surrogate(params, germ, math.nan)
     with pytest.raises(ValueError, match="re must be positive"):
-        build_strip_surrogate_batch(params, [450.0], [10.0], [0.111], [[500.0], [math.nan]])
+        build_strip_surrogate_batch(params, [450.0], [10.0], [0.111], [500.0, math.nan])
     with pytest.raises(ValueError, match="porosities"):
-        build_strip_surrogate_batch(params, [450.0], [10.0], [math.nan], 500.0)
+        build_strip_surrogate_batch(params, [450.0], [10.0], [math.nan], [500.0])
     nan_phi = GermSpec((GermVariable("q", 450.0, 10.0), GermVariable("phi", math.nan, 0.01)))
     with pytest.raises(ValueError, match="porosity leaves"):
         build_strip_exit_batch(params, nan_phi, np.array([500.0]))
@@ -324,7 +330,7 @@ def test_singular_guard_raises_from_both_builders():
         build_strip_surrogate(PARAMS, two_variable_germ(), 540.0, singular_eps=1e300)
     with pytest.raises(SingularDenominatorError):
         build_strip_surrogate_batch(
-            PARAMS, [Q0], [SIGMA_Q], [PARAMS.porosity], 540.0, singular_eps=1e300
+            PARAMS, [Q0], [SIGMA_Q], [PARAMS.porosity], [540.0], singular_eps=1e300
         )
     with pytest.raises(SingularDenominatorError):
         build_strip_exit_batch(PARAMS, two_variable_germ(), [540.0], singular_eps=1e300)

@@ -44,6 +44,11 @@ def test_tiny_config_parses(tiny_model1_dict):
     assert cfg.sampler["delta"] == 0.0
 
 
+@pytest.mark.parametrize("name", ["model1", "model2", "model3"])
+def test_shipped_configs_compare_equal(name):
+    assert resolve_config(name) == resolve_config(name)
+
+
 def test_unknown_key_rejected(tiny_model1_dict):
     tiny_model1_dict["bogus"] = 1
     with pytest.raises(ConfigError, match="bogus"):
