@@ -9,7 +9,7 @@ build-surrogate   build the surrogate at one Reynolds number and print the build
 scan-feasible     locate the feasible Reynolds set and write the scan CSV
 sample            run the configured sampler(s) and write chain CSVs
 diagnose          recompute L2/Brooks-Gelman series from existing chain CSVs
-compare           sampler-by-checkpoint table of L2 error and CPU seconds
+compare           sampler-by-checkpoint table of L2 error and wall seconds
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration or
 arguments (checkpoints beyond a run's samples included), 3 infeasible chain
@@ -80,17 +80,6 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
 
 # ---------------------------------------------------------------------------
 # artifacts
-
-def _versions() -> dict:
-    from importlib import metadata
-
-    return {
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "jsonschema": metadata.version("jsonschema"),
-        "tcbayes": __version__,
-    }
-
 
 def load_chain_csv(path: str):
     """Read a chain or particle-history CSV back into its run type."""
@@ -181,7 +170,7 @@ def _provenance(scenario: Scenario, command: str, artifacts: dict) -> dict:
         "forward_tables": scenario.forward_tables(),
         "exit_table": table_record(scenario.exit_table()),
         "oracle": scenario.oracle().counters(),
-        "versions": _versions(),
+        "versions": {"python": sys.version.split()[0], "numpy": np.__version__, "tcbayes": __version__},
         "artifacts": {
             k: [os.path.basename(p) for p in v] if isinstance(v, list) else os.path.basename(v)
             for k, v in artifacts.items()
@@ -512,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("diagnose", _cmd_diagnose, "recompute diagnostics from chain CSVs", seed=False)
     p.add_argument("--chains", nargs="+", required=True, help="chain or particle CSV paths")
 
-    p = add("compare", _cmd_compare, "sampler x checkpoint L2/CPU table")
+    p = add("compare", _cmd_compare, "sampler x checkpoint L2/wall-seconds table")
     p.add_argument(
         "--samplers",
         default="crw,chmc,csvgd,projected_svgd",

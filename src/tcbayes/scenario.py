@@ -21,10 +21,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
+import re
 from dataclasses import dataclass
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .bayes import (
@@ -113,6 +114,71 @@ def _non_finite_paths(obj, path: tuple = ()):
 def _load_schema() -> dict:
     text = resources.files("tcbayes").joinpath("config_schema.json").read_text()
     return json.loads(text)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool)
+    and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+_LIMITS = {
+    "minimum": ("number", operator.lt, "is less than the minimum of"),
+    "exclusiveMinimum": ("number", operator.le, "is less than or equal to the minimum of"),
+    "maximum": ("number", operator.gt, "is greater than the maximum of"),
+    "exclusiveMaximum": ("number", operator.ge, "is greater than or equal to the maximum of"),
+    "minItems": ("array", lambda v, n: len(v) < n, "has fewer items than"),
+    "maxItems": ("array", lambda v, n: len(v) > n, "has more items than"),
+}
+_KEYWORDS = {"type", "enum", *_LIMITS, "properties", "patternProperties", "additionalProperties",
+             "required", "items", "oneOf", "$schema", "title", "description", "definitions"}
+
+
+def schema_errors(instance, schema: dict, root: dict | None = None, path: tuple = ()):
+    """Yield ``(path, message)`` for each draft-07 ``schema`` keyword ``instance`` breaks.
+
+    Implements the packaged config schema's keywords; any other raises
+    NotImplementedError, so a schema edit cannot pass unchecked. NaN passes every bound.
+    """
+    root = schema if root is None else root
+    while "$ref" in schema:  # draft 07 ignores the siblings of a reference
+        schema = root["definitions"][schema["$ref"].removeprefix("#/definitions/")]
+    if isinstance(instance, dict):
+        properties, patterns = schema.get("properties", {}), schema.get("patternProperties", {})
+        for key, item in instance.items():
+            subschemas = [properties[key]] if key in properties else []
+            subschemas += [sub for pattern, sub in patterns.items() if re.search(pattern, key)]
+            if not subschemas and schema.get("additionalProperties") is False:
+                yield path, f"unexpected key {key!r}"
+            for subschema in subschemas:
+                yield from schema_errors(item, subschema, root, path + (key,))
+    for keyword, value in schema.items():
+        if keyword not in _KEYWORDS or keyword == "additionalProperties" and value is not False:
+            raise NotImplementedError(f"schema keyword {keyword!r}: {value!r} is not implemented")
+        elif keyword == "type" and not _TYPES[value](instance):
+            yield path, f"{instance!r} is not of type {value!r}"
+        elif keyword == "enum" and not any(
+            e == instance and isinstance(e, bool) == isinstance(instance, bool) for e in value
+        ):
+            yield path, f"{instance!r} is not one of {value!r}"
+        elif keyword in _LIMITS:
+            kind, violates, words = _LIMITS[keyword]
+            if _TYPES[kind](instance) and violates(instance, value):
+                yield path, f"{instance!r} {words} {value!r}"
+        elif keyword == "required" and isinstance(instance, dict):
+            for key in [key for key in value if key not in instance]:
+                yield path, f"{key!r} is a required property"
+        elif keyword == "items" and isinstance(instance, list):
+            for index, item in enumerate(instance):
+                yield from schema_errors(item, value, root, path + (index,))
+        elif keyword == "oneOf":
+            n_valid = sum(next(schema_errors(instance, sub, root, path), None) is None
+                          for sub in value)
+            if n_valid != 1:
+                yield path, f"{instance!r} is valid under {n_valid} oneOf schemas, not exactly one"
 
 
 def strip_flux_profile(rule: dict, n_strips: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,11 +278,11 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
-        validator = jsonschema.Draft7Validator(_load_schema())
-        errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
+        errors = sorted(schema_errors(raw, _load_schema()), key=lambda error: error[0])
         if errors:
-            where = "/".join(str(p) for p in errors[0].absolute_path) or "<root>"
-            raise ConfigError(f"config invalid at {where}: {errors[0].message}")
+            path, message = errors[0]
+            where = "/".join(map(str, path)) or "<root>"
+            raise ConfigError(f"config invalid at {where}: {message}")
         cfg = _strip_notes(raw)
 
         model = cfg["model"]
@@ -254,12 +320,17 @@ class ScenarioConfig:
         oracle_mode = con.get("oracle", "interval")
         pointwise = bool(con.get("pointwise", False))
 
-        prior = PriorSpec.from_json(cfg["prior"])
+        try:
+            prior = PriorSpec.from_json(cfg["prior"])
+        except (KeyError, ValueError) as exc:  # a gaussian without mean, low >= high
+            raise ConfigError(f"invalid prior: {exc}") from exc
         data = _parse_data(cfg["data"])
         sampler = _parse_sampler(cfg["sampler"])
 
         scan_cfg = cfg.get("scan", {})
         theta_range = scan_cfg.get("theta_range")
+        if theta_range is not None and not theta_range[0] < theta_range[1]:
+            raise ConfigError(f"config invalid at scan/theta_range: {theta_range} is not increasing")
         scan = ScanConfig(
             theta_range=tuple(theta_range) if theta_range is not None else None,
             **_given(scan_cfg, n_coarse=int, tol=float),

@@ -7,6 +7,8 @@ import importlib.util
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -189,6 +191,56 @@ def test_model1_with_geometry_exits_2(tiny_model1_dict, tiny_model2_dict, write_
     path = write_config(tiny_model1_dict)
     assert main(["run", "--config", path]) == 2
     assert "geometry" in capsys.readouterr().err
+
+
+# (block, settings, a key the message must name); a None setting drops the key
+_SHIPPED_MODEL1_MISTAKES = {
+    "reversed-range": ("scan", {"theta_range": [900.0, 300.0]}, "scan/theta_range"),
+    "negative-range": ("scan", {"theta_range": [-10.0, 300.0]}, "scan/theta_range/0"),
+    "negative-truth": ("data", {"theta_true": -5.0}, "data/theta_true"),
+    "empty-uniform": ("prior", {"kind": "uniform", "low": 900.0, "high": 300.0}, "prior"),
+    "gaussian-without-mean": ("prior", {"mean": None}, "mean"),
+}
+
+
+@pytest.mark.parametrize(
+    "block, settings, key",
+    _SHIPPED_MODEL1_MISTAKES.values(),
+    ids=_SHIPPED_MODEL1_MISTAKES.keys(),
+)
+def test_config_mistake_exits_2_naming_the_key(block, settings, key, write_config, tmp_path, capsys):
+    raw = json.loads(packaged_config_text("model1"))
+    raw[block] = {k: v for k, v in {**raw[block], **settings}.items() if v is not None}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(raw), "--output", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_loads_neither_jsonschema_nor_package_metadata(tiny_model1_dict, write_config, tmp_path):
+    # a fresh interpreter: this test process may have imported jsonschema already
+    script = """
+import sys
+before = set(sys.modules)
+import tcbayes.cli as cli
+for name in cli.PACKAGED_SCENARIOS:
+    cli.resolve_config(name)
+assert "jsonschema" not in sys.modules, "resolving a config imported jsonschema"
+rc = cli.main(["run", "--config", sys.argv[1], "--output", sys.argv[2]])
+loaded = {"jsonschema", "importlib.metadata"} & (set(sys.modules) - before)
+assert not loaded, f"a run imported {loaded}"
+sys.exit(rc)
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, write_config(tiny_model1_dict), str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    versions = json.loads((out / "provenance.json").read_text())["versions"]
+    assert set(versions) == {"python", "numpy", "tcbayes"}
 
 
 def test_infeasible_start_exits_3(tiny_model1_dict, write_config, tmp_path, capsys):
