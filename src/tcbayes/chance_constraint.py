@@ -1,35 +1,22 @@
 """Probabilistic feasibility of a parameter value through cheap surrogates.
 
 The constraint P(f2(xi; theta) <= beta) >= alpha is evaluated on a chaos
-surrogate of f2 built at the given theta. The strip march is linear in the
-temperatures with coefficients in (phi, re) only, and the heat flux enters
-only its source, so the exit temperature is affine in the flux germ xi_q,
-T = a + b xi_q, and models 1 and 2 have closed forms.
+surrogate of f2 built at the given theta. The heat flux enters the linear
+strip march only through its source, so the exit temperature, and with it
+every interface field, is affine in the flux germ.
 
-* Shared germ (model 2): the field at each z node is a_z + b_z xi, so
-  {max_z T <= beta} is one interval (l, u): u is the smallest
-  (beta - a_z) / b_z over b_z > 0, l the largest over b_z < 0, and
-  P = Phi(u) - Phi(l). With ``pointwise`` P is the smallest per-node mass.
-* Two-variable strip germ (model 1): conditional on xi_phi = eta, the exit
-  temperature is a(eta) + b(eta) xi_q, whose satisfied mass is a normal
-  cdf. P is the Gauss-Hermite sum over eta of those masses, the last
-  integral of conditional Monte Carlo done by quadrature (Asmussen & Glynn,
-  *Stochastic Simulation*, 2007, ch. V). A rule of twice the size checks
-  it; where the two disagree Monte Carlo decides instead.
-* Independent per-strip germs (model 3): plain Monte Carlo over
-  ``n_prob_samples`` seeded germ draws. Every probability uses the same
-  draws, so probabilities are deterministic and smooth in theta (common
-  random numbers), which keeps the bisection on the feasible boundary well
-  behaved; the oracle draws them once and counts the draws it evaluates.
-
-Each closed form first checks that the flux-degree >= 2 chaos coefficients
-are within ``bayes.TABLE_TOL`` of the largest coefficient, or Monte Carlo
-decides. A model-1 exit temperature that does not depend on the flux
-(q std 0) is a polynomial in xi_phi alone, and ``_root_segments`` gives
-its P from the real roots of p(xi) = beta.
-
-``probability(xi, beta)`` keeps the Monte Carlo estimate of every
-constraint for cross-checks.
+One kernel, ``_interval_mass``, computes every satisfaction probability
+(Genz & Bretz, *Computation of Multivariate Normal and t Probabilities*,
+2009; Asmussen & Glynn, *Stochastic Simulation*, 2007, ch. V): at each node
+m of an outer rule, {a_mz + b_mz h <= beta for all z} is one interval
+(l_m, u_m) in an inner standard normal h, and
+P = sum_m w_m (Phi(u_m) - Phi(l_m)). Model 2 is one node; model 1 has
+h = xi_q and Gauss-Hermite nodes in xi_phi; model 3 has h along the
+field's first principal axis and nodes over the next ones. Each rule comes
+as a pair, and P is accepted where the two agree to ``_ETA_TOL``; elsewhere
+Monte Carlo decides, on ``n_prob_samples`` seeded germ draws that the oracle
+draws once and reuses for every theta. ``probability(xi, beta)`` keeps that
+estimate for every constraint, for cross-checks.
 
 The boundary scan asks the oracle for many thetas, and each needs a
 surrogate, whose costly part is the march of the strips. The strip
@@ -42,6 +29,7 @@ and compute P at the thetas the bisection visits.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -70,18 +58,16 @@ logger = logging.getLogger(__name__)
 BUILD_FAILURES = (SingularDenominatorError, NonFiniteStateError)
 DEFAULT_CACHE_QUANTUM = 1e-6
 _EVAL_CHUNK = 8192
-# Phi(-40) and 1 - Phi(40) are 0 in double precision, so [-40, 40] carries all the mass
-_XI_CUT = 40.0
-# leading power coefficients this small against the polynomial's scale on
-# [-_XI_CUT, _XI_CUT] are dropped: their term is below roundoff there
-_LEAD_RTOL = 1e-15
-# imaginary parts (in xi) up to this are taken as roundoff on near-multiple real roots
-_IMAG_TOL = 1e-4
-# Gauss-Hermite nodes over the conditioning variable of a two-variable strip
-# germ, and the largest gap to the rule of twice the size that still counts
-# as converged: well below the Monte Carlo error that replaces it
+# Gauss-Hermite nodes in xi_phi, and the largest gap between the two rules of
+# a pair that counts as converged: well below the Monte Carlo error instead
 _ETA_NODES = 32
 _ETA_TOL = 1e-6
+# model 3: principal axes, the nodes per axis of the coarse rule, and cells
+_MAX_AXES = 3
+_AXIS_NODES = 401
+_AXIS_HALF = 8.5
+_MINOR_NODES = 2
+_CELLS = 64
 
 
 @dataclass(frozen=True)
@@ -147,26 +133,24 @@ class StripExitConstraint(F2Surrogate):
     def exact_probability(self, beta: float) -> float | None:
         """P(f2 <= beta) from the affine dependence on the flux germ xi_0,
         summed by Gauss-Hermite quadrature over xi_1; None when f2 is not
-        affine in xi_0 or the two rules differ by more than ``_ETA_TOL`` (the
-        conditional mass is not smooth where b(eta) = 0 and a(eta) = beta).
-        An f2 that does not vary with xi_0 takes the root intervals in xi_1.
+        affine in xi_0, its slope b(eta) vanishes at a node (the conditional
+        mass jumps there, which no rule pair certifies: with a q std of 0 it
+        is 0 or 1 at every node), or the two rules differ by more than
+        ``_ETA_TOL``.
         """
+        if math.isnan(beta):
+            return math.nan  # every comparison with NaN is False: P would read 0
         # row k: the coefficient of He_k(xi_0), as a polynomial in xi_1
         coeff = self._coeff.reshape(self.order + 1, -1)
-        if not coeff[1:].any():
-            if math.isnan(beta):
-                return math.nan  # every comparison with NaN is False: P would read 0
-            edges, satisfied = _root_segments(coeff[0][:, None], beta)
-            # np.minimum keeps a NaN sum NaN, where min(1.0, nan) is 1.0
-            return float(np.minimum(1.0, np.diff(_normal_cdf(edges)) @ satisfied[:, 0]))
-        if not _negligible(coeff[2:], coeff):
+        # flux-degree >= 2 terms above TABLE_TOL of the largest leave the affine premise
+        high, scale = np.abs(coeff[2:]).max(initial=0.0), np.abs(coeff).max()
+        if not self.order or not high <= TABLE_TOL * scale:
             return None
-        nodes, weights = _eta_rules(_ETA_NODES)
-        a, b = coeff[:2] @ hermite_design(coeff.shape[1] - 1, nodes).T
-        probs = weights @ _normal_cdf(_cut(a, b, beta))
-        if np.ptp(probs) > _ETA_TOL:
+        nodes, weights = _rule_pair((_ETA_NODES,), (2 * _ETA_NODES,), trapezoid=False)
+        a, b = coeff[:2] @ hermite_design(coeff.shape[1] - 1, nodes[:, 0]).T
+        if not b.all():
             return None
-        return float(np.minimum(1.0, probs[0]))
+        return _converged(_interval_mass(a[:, None], b[:, None], beta, weights))
 
 
 class InterfaceMaxConstraint(F2Surrogate):
@@ -174,8 +158,9 @@ class InterfaceMaxConstraint(F2Surrogate):
 
     With ``pointwise=True`` the probability is instead the worst per-node
     satisfaction fraction min_z P(T(z) <= beta), the per-z reading of the
-    constraint. A shared germ has an exact probability (see the module
-    docstring); ``probability`` stays the Monte Carlo estimate on given draws.
+    constraint. ``exact_probability`` computes P with ``_interval_mass`` (see
+    the module docstring); ``probability`` stays the Monte Carlo estimate on
+    given draws.
     """
 
     def __init__(self, isurr: InterfaceSurrogate, pointwise: bool = False):
@@ -200,25 +185,33 @@ class InterfaceMaxConstraint(F2Surrogate):
         return float(satisfied.min() / len(xi))
 
     def exact_probability(self, beta: float) -> float | None:
-        """P from the one xi-interval where every node is satisfied; None for
-        independent germs or a field that is not affine in the shared germ."""
+        """P with one node, or over the next principal axes of independent
+        germs; None past ``_MAX_AXES`` axes or where the rules disagree."""
         isurr = self.isurr
-        if not isurr.shared or not _negligible(isurr.coeffs[:, 2:], isurr.coeffs):
+        base, c1 = isurr.base_field, isurr.coeffs[:, 1]
+        if isurr.shared or self.pointwise:
+            # one node; independent germs, pointwise: each T(z) alone is base_z + sigma_z h
+            b = c1 @ isurr.unit if isurr.shared else np.sqrt(c1**2 @ isurr.unit**2)
+            return float(_interval_mass(base, b, beta, np.ones((1, 1)), self.pointwise)[0])
+        # the field is base + sum_k h_k D_k, h_k iid N(0, 1), along the principal axes
+        # of c1[:, None] * unit, from the SVD of c1[:, None] * U S (unit = U S V^T)
+        left, right = isurr.unit_svd()
+        _, sv, qt = np.linalg.svd(c1[:, None] * left, full_matrices=False)
+        directions = sv[:, None] * (qt @ right)
+        n_axes = max(1, int(np.count_nonzero(sv > math.sqrt(_ETA_TOL) * sv[0])))
+        if n_axes > _MAX_AXES:
             return None
-        a = isurr.base_field
-        b = isurr.coeffs[:, 1] @ isurr.unit if isurr.order else np.zeros_like(a)
-        cut = _cut(a, b, beta)
-        if self.pointwise:
-            return float(_normal_cdf([cut.min()])[0])
-        # nodes with b >= 0 bound xi from above, nodes with b < 0 from below
-        lower, upper = -cut[b < 0.0].min(initial=math.inf), cut[b >= 0.0].min(initial=math.inf)
-        lo, hi = _normal_cdf([lower, upper])
-        return float(max(0.0, hi - lo))
-
-
-def _negligible(high: np.ndarray, coeffs: np.ndarray) -> bool:
-    """Whether every entry of ``high`` is within TABLE_TOL of the largest of ``coeffs``."""
-    return bool(np.abs(high).max(initial=0.0) <= TABLE_TOL * np.abs(coeffs).max(initial=0.0))
+        # axes 2..n_axes; the finer rule halves the trapezoid step, adds a node on
+        # each other axis and axis n_axes + 1, so the gap also bounds the truncation
+        coarse = ((_AXIS_NODES,) + (_MINOR_NODES,) * (n_axes - 2))[: n_axes - 1]
+        fine = (2 * _AXIS_NODES - 1,) + (_MINOR_NODES + 1,) * (n_axes - 2) + (_MINOR_NODES,)
+        nodes, weights = _rule_pair(coarse, fine[: min(n_axes, len(sv) - 1)], trapezoid=True)
+        b, minor = directions[0], directions[1 : nodes.shape[1] + 1]
+        if np.all(b * b[0] > 0.0):  # h_1 -> -h_1 makes every slope positive
+            b = np.abs(b)
+            keep = _binding((beta - base) / b, minor / b, nodes)
+            base, b, minor = base[keep], b[keep], minor[:, keep]
+        return _converged(_interval_mass(base + nodes @ minor, b, beta, weights))
 
 
 def _cut(a: np.ndarray, b: np.ndarray, beta: float) -> np.ndarray:
@@ -229,74 +222,72 @@ def _cut(a: np.ndarray, b: np.ndarray, beta: float) -> np.ndarray:
     return np.where(b == 0.0, np.where(a <= beta, math.inf, -math.inf), cut)
 
 
-def _root_segments(coeffs: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Segment edges on [-40, 40] and, per segment and column of HermiteE
-    coefficients ``coeffs`` (K+1, R), p <= beta. The edges are the real roots
-    of every p - beta, so p at a segment's midpoint decides the segment; a
-    spurious root only splits a segment."""
-    order = coeffs.shape[0] - 1
-    power = (_herme_to_power(order) @ coeffs).T  # (R, K+1), ascending
-    power[:, 0] -= beta
-    edges = np.concatenate([[-_XI_CUT], np.unique(_root_breakpoints(power)), [_XI_CUT]])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    values = coeffs[0] + hermite_design(order, mids)[:, 1:] @ coeffs[1:]
-    return edges, values <= beta
+def _interval_mass(
+    a: np.ndarray, b: np.ndarray, beta: float, weights: np.ndarray, pointwise: bool = False
+) -> np.ndarray:
+    """Normal mass of {a + b h <= beta} per rule (row of ``weights``).
+
+    ``a`` (M, Z) holds offsets at the M outer nodes and ``b`` slopes along
+    the inner standard normal h. At node m, u_m is the smallest cut over
+    b >= 0 and l_m the largest -cut over b < 0; P = sum_m w_m (Phi(u_m) -
+    Phi(l_m)), or with ``pointwise`` min_z sum_m w_m Phi(cut_mz).
+    """
+    cut = _cut(a, b, beta)
+    if pointwise:
+        return np.minimum(1.0, weights @ _normal_cdf(np.atleast_2d(cut))).min(axis=1)
+    upper = np.where(b >= 0.0, cut, math.inf).min(axis=-1, keepdims=True)
+    lower = -np.where(b < 0.0, cut, math.inf).min(axis=-1, keepdims=True)
+    mass = np.maximum(0.0, _normal_cdf(upper) - _normal_cdf(lower))
+    # np.minimum keeps a NaN sum NaN, where min(1.0, nan) is 1.0
+    return np.minimum(1.0, weights @ mass.ravel())
+
+
+def _converged(probs: np.ndarray) -> float | None:
+    """The coarse rule's P, or None where the finer rule differs by more than ``_ETA_TOL``."""
+    return None if np.ptp(probs) > _ETA_TOL else float(probs[0])
+
+
+def _binding(cut: np.ndarray, slope: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Mask of the columns z whose cut_z - h @ slope_z can be the smallest at
+    a node h: on no cell of the first axis (where the cut is linear, the
+    others adding at most ``slack``) does its range lie above another's."""
+    ends = np.linspace(nodes[:, 0].min(), nodes[:, 0].max(), _CELLS + 1)
+    reach = cut - ends[:, None] * slope[0]
+    slack = np.abs(nodes[:, 1:]).max(axis=0, initial=0.0) @ np.abs(slope[1:])
+    low = np.minimum(reach[:-1], reach[1:]) - slack
+    high = np.maximum(reach[:-1], reach[1:]) + slack
+    return (low <= high.min(axis=1, keepdims=True)).any(axis=0)
 
 
 @functools.cache
-def _eta_rules(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of the n- and 2n-node Gauss-Hermite rules side by side, (3n,),
-    and their weights as the rows of a (2, 3n) matrix. Read-only."""
-    small, large = gauss_hermite_rule(n_nodes), gauss_hermite_rule(2 * n_nodes)
-    weights = np.zeros((2, 3 * n_nodes))
-    weights[0, :n_nodes], weights[1, n_nodes:] = small[1], large[1]
-    nodes = np.concatenate([small[0], large[0]])
+def _rule_pair(coarse: tuple, fine: tuple, trapezoid: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of two tensor rules stacked, (M, len(fine)), the coarse rule's
+    padded with zero columns, and their weights as the rows of a (2, M)
+    matrix. Read-only. Axis i of a rule takes the Gauss-Hermite rule of its
+    size; with ``trapezoid`` the first takes the uniform trapezoid rule on
+    [-_AXIS_HALF, _AXIS_HALF], which copes with the kinks of u along it.
+    """
+    def tensor(sizes):
+        rules = [gauss_hermite_rule(n) for n in sizes[int(trapezoid) :]]
+        if trapezoid and sizes:
+            h = np.linspace(-_AXIS_HALF, _AXIS_HALF, sizes[0])
+            rules.insert(0, (h, (h[1] - h[0]) * np.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)))
+        weights = np.array([math.prod(w) for w in itertools.product(*(w for _, w in rules))])
+        nodes = np.array(list(itertools.product(*(x for x, _ in rules)))).reshape(len(weights), -1)
+        return np.pad(nodes, ((0, 0), (0, len(fine) - len(sizes)))), weights
+
+    (c_nodes, c_weights), (f_nodes, f_weights) = tensor(coarse), tensor(fine)
+    nodes = np.concatenate([c_nodes, f_nodes])
+    weights = np.zeros((2, nodes.shape[0]))
+    weights[0, : len(c_weights)], weights[1, len(c_weights) :] = c_weights, f_weights
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
-@functools.cache
-def _herme_to_power(order: int) -> np.ndarray:
-    """(K+1, K+1) matrix whose column k holds He_k in the ascending power basis. Read-only."""
-    out = np.zeros((order + 1, order + 1))
-    for k in range(order + 1):
-        poly = np.polynomial.hermite_e.herme2poly(np.eye(order + 1)[k])
-        out[: poly.shape[0], k] = poly
-    out.flags.writeable = False
-    return out
-
-
-def _root_breakpoints(power: np.ndarray) -> np.ndarray:
-    """Near-real roots in (-40, 40) of every row's polynomial, all rows at once.
-
-    ``power`` holds ascending power-basis coefficients, one polynomial per
-    row. Roots are found in t = xi / 40, where a row's degree is its highest
-    coefficient that is not negligible on |t| <= 1 (exact zeros included),
-    as the eigenvalues of stacked companion matrices, one stack per degree.
-    A root a + bi with small |b| gives the breakpoint a + b, so a computed
-    conjugate pair brackets a near-double real root from both sides.
-    """
-    scaled = power * _XI_CUT ** np.arange(power.shape[1])
-    mag = np.abs(scaled)
-    significant = mag > _LEAD_RTOL * mag.max(axis=1, keepdims=True)
-    degree = np.where(
-        significant.any(axis=1), power.shape[1] - 1 - np.argmax(significant[:, ::-1], axis=1), 0
-    )
-    roots = [np.zeros(0, dtype=complex)]
-    for d in np.unique(degree[degree > 0]):
-        rows = scaled[degree == d, : d + 1]
-        companion = np.zeros((rows.shape[0], d, d))
-        companion[:, 0, :] = -rows[:, d - 1 :: -1] / rows[:, d : d + 1]
-        companion[:, 1:, :-1] += np.eye(d - 1)
-        roots.append(np.linalg.eigvals(companion).ravel())
-    xi = _XI_CUT * np.concatenate(roots)
-    xi = xi[np.isfinite(xi) & (np.abs(xi.imag) <= _IMAG_TOL)]
-    breaks = xi.real + xi.imag
-    return breaks[np.abs(breaks) < _XI_CUT]
-
-
-def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+def _normal_cdf(x) -> np.ndarray:
+    """Phi elementwise, by ``math.erfc`` (numpy has none)."""
+    erfc = np.frompyfunc(math.erfc, 1, 1)
+    return 0.5 * erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0)).astype(float)
 
 
 def _germ_draws(germ: GermSpec, spec: ChanceConstraintSpec) -> np.ndarray:

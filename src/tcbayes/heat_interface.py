@@ -10,21 +10,23 @@ Diffusion is linear and does not depend on the strip values, so for one
 (geometry, diffusivity, time, grid, cfl) the wall field and one unit field
 per strip footprint are diffused once, through the eigenbasis of the
 marching operator, and cached. An ``InterfaceSurrogate`` (models with
-random heat flux) holds the strip exit coefficients next to those cached
-responses and never forms per-mode fields: a realization is
-``wall + G @ unit`` with ``G[n, s] = sum_k c[s, k] He_k(xi[n, s])``, where a
-shared germ's one variable drives every strip. ``diffuse_field`` marches a
-single field step by step.
+random heat flux) holds each strip's exit temperature c0 + c1 xi, exact in
+the flux germ, next to those cached responses and never forms per-mode
+fields: a realization is ``wall + (c0 + c1 * xi) @ unit``, where a shared
+germ's one variable drives every strip; for independent germs the thin SVD
+of the unit responses is cached with them, on first use.
+``diffuse_field`` marches a single field step by step.
 """
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .artifacts import write_csv
-from .gpc import GermSpec, hermite_design
+from .gpc import GermSpec
 
 __all__ = [
     "InterfaceGeometry",
@@ -241,14 +243,26 @@ def _footprint_response(
     return z, rows[0], rows[1:]
 
 
+@functools.lru_cache(maxsize=32)
+def _footprint_svd(*key) -> tuple[np.ndarray, np.ndarray]:
+    """The unit responses of ``_footprint_response(*key)`` as read-only
+    ``(U * S, V^T)``, from their thin SVD."""
+    left, sv, right = np.linalg.svd(_footprint_response(*key)[2], full_matrices=False)
+    left *= sv
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
+
+
 @dataclass(frozen=True)
 class InterfaceSurrogate:
-    """Interface temperature at one time as a chaos expansion in the germ.
+    """Interface temperature at one time, affine in the germ.
 
-    ``coeffs`` (n_strips, K+1) holds each strip's exit expansion; ``wall``
-    (n_z,) and ``unit`` (n_strips, n_z) are the read-only diffused footprint
-    responses. The germ has one variable per strip, or one variable that
-    every strip shares (``shared``); with one strip the two readings agree.
+    ``coeffs`` (n_strips, 2) holds each strip's exit temperature c0 + c1 xi;
+    ``wall`` (n_z,) and ``unit`` (n_strips, n_z) are the read-only diffused
+    footprint responses. The germ has one variable per strip, or one variable
+    that every strip shares (``shared``); with one strip the two readings
+    agree. ``unit_svd`` returns ``unit`` as ``(U * S, V^T)``, from its thin
+    SVD; ``assemble_interface_from_coeffs`` binds it to a per-response cache.
     """
 
     germ: GermSpec
@@ -257,18 +271,15 @@ class InterfaceSurrogate:
     coeffs: np.ndarray
     wall: np.ndarray
     unit: np.ndarray
+    unit_svd: Callable[[], tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self) -> None:
-        if self.coeffs.ndim != 2 or self.unit.shape != self.coeffs.shape[:1] + self.z_grid.shape:
-            raise ValueError("coeffs must have shape (n_strips, order+1) and unit (n_strips, n_z)")
+        if self.coeffs.shape != (self.unit.shape[0], 2) or self.unit.shape[1:] != self.z_grid.shape:
+            raise ValueError("coeffs must have shape (n_strips, 2) and unit (n_strips, n_z)")
         if self.wall.shape != self.z_grid.shape:
             raise ValueError("wall must match the grid")
         if self.germ.dim not in (1, self.coeffs.shape[0]):
             raise ValueError("germ must have one variable, or one per strip")
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[1] - 1
 
     @property
     def shared(self) -> bool:
@@ -281,7 +292,7 @@ class InterfaceSurrogate:
 
     @property
     def base_field(self) -> np.ndarray:
-        """The field at the germ mean, the order-zero coefficient (walls included)."""
+        """The field at the germ mean (walls included)."""
         return self.wall + self.coeffs[:, 0] @ self.unit
 
 
@@ -294,17 +305,19 @@ def assemble_interface_from_coeffs(
     n_z: int = DEFAULT_N_Z,
     cfl: float = DEFAULT_CFL,
 ) -> InterfaceSurrogate:
-    """Interface expansion at t_end from per-strip expansions.
+    """Interface surrogate at t_end from per-strip exit temperatures.
 
-    ``coeffs`` has shape (n_strips, order+1): the interface-exit expansion of
-    each strip's fluid temperature. The germ has one variable shared by all
+    ``coeffs`` has shape (n_strips, 2): each strip's fluid exit temperature
+    c0 + c1 xi in its flux germ. The germ has one variable shared by all
     strips or one per strip.
     """
     if t_end < 0.0:
         raise ValueError("t_end must be >= 0")
-    z, wall, unit = _footprint_response(geometry, lam, t_end, n_z, cfl)
+    key = (geometry, lam, t_end, n_z, cfl)
+    z, wall, unit = _footprint_response(*key)
     coeffs = np.asarray(coeffs, dtype=float)
-    return InterfaceSurrogate(germ=germ, z_grid=z, time=t_end, coeffs=coeffs, wall=wall, unit=unit)
+    svd = functools.partial(_footprint_svd, *key)
+    return InterfaceSurrogate(germ, z, t_end, coeffs, wall, unit, svd)
 
 
 def evaluate_interface_batch(isurr: InterfaceSurrogate, xi: np.ndarray) -> np.ndarray:
@@ -316,9 +329,8 @@ def evaluate_interface_batch(isurr: InterfaceSurrogate, xi: np.ndarray) -> np.nd
     xi = np.asarray(xi, dtype=float)
     if xi.ndim == 0 or xi.shape[1:] != isurr.germ_axes:
         raise ValueError(f"expected xi of shape {('n',) + isurr.germ_axes}")
-    n = xi.shape[0]
-    # (n, 1 or n_strips, K+1): a shared variable broadcasts across the strips
-    design = hermite_design(isurr.order, xi.ravel()).reshape(n, -1, isurr.order + 1)
-    fields = np.einsum("nsk,sk->ns", design, isurr.coeffs) @ isurr.unit
+    # (n, 1 or n_strips): a shared variable broadcasts across the strips
+    strips = isurr.coeffs[:, 0] + isurr.coeffs[:, 1] * xi.reshape(xi.shape[0], -1)
+    fields = strips @ isurr.unit
     fields += isurr.wall
     return fields

@@ -61,6 +61,7 @@ from .gpc import (
     DEFAULT_ORDER,
     GermSpec,
     GermVariable,
+    _strip_nodes,
     build_strip_exit_batch,
     build_strip_surrogate_batch,
 )
@@ -310,6 +311,11 @@ class ScenarioConfig:
         n_steps = int(surr.get("n_steps", DEFAULT_N_STEPS))
         if model == 1 and n_quad < order + 1:
             raise ConfigError("surrogate n_quad must be at least order + 1")
+        try:  # gpc's own check of the porosity at its collocation nodes
+            if model == 1:
+                _strip_nodes(params, germ, order, n_quad, n_steps)
+        except ValueError as exc:
+            raise ConfigError(f"config invalid at germ/phi: {exc}") from exc
 
         con = cfg["constraint"]
         constraint = ChanceConstraintSpec(

@@ -31,6 +31,7 @@ from tcbayes.gpc import (
 from tcbayes.heat_interface import (
     InterfaceGeometry,
     InterfaceSurrogate,
+    _footprint_svd,
     assemble_interface_from_coeffs,
     evaluate_interface_batch,
 )
@@ -238,7 +239,7 @@ def test_strip_exit_constraint_against_brute_force():
 def test_interface_constraint_modes():
     geo = InterfaceGeometry()
     rng = np.random.default_rng(21)
-    coeffs = np.column_stack([rng.uniform(330, 360, 60), rng.normal(0, 2, 60), rng.normal(0, 0.5, 60)])
+    coeffs = np.column_stack([rng.uniform(330, 360, 60), rng.normal(0, 2, 60)])
     germ = GermSpec((GermVariable("q", 450.0, 10.0),))
     isurr = assemble_interface_from_coeffs(geo, coeffs, germ, 1e-3, 1.0, 400)
     spec = ChanceConstraintSpec(beta=395.0, alpha=0.8, n_prob_samples=4000, seed=13)
@@ -279,23 +280,20 @@ def _factored(coeffs: np.ndarray) -> InterfaceSurrogate:
         coeffs=coeffs,
         wall=np.zeros(n_z),
         unit=np.eye(n_z),
+        unit_svd=lambda: (np.eye(n_z), np.eye(n_z)),
     )
 
 
 @st.composite
-def _shared_fields(draw, max_order: int = 4) -> InterfaceSurrogate:
-    """Random shared-germ surrogates, affine in the germ as the shipped
-    interface fields are: every mode above the first is zero, and some nodes
-    have no modes at all."""
-    order = draw(st.integers(0, max_order))
+def _shared_fields(draw, flat: bool = False) -> InterfaceSurrogate:
+    """Random shared-germ surrogates, affine in the germ as every interface
+    field is; some nodes (every node when ``flat``) have no slope."""
     n_z = draw(st.integers(1, 6))
     base = np.array(draw(st.lists(_coef, min_size=n_z, max_size=n_z)))
-    modes = np.zeros((order, n_z))
-    if order > 0:
-        modes[0] = draw(st.lists(_coef, min_size=n_z, max_size=n_z))
-        flat = np.array(draw(st.lists(st.booleans(), min_size=n_z, max_size=n_z)))
-        modes[0, flat] = 0.0
-    return _factored(np.column_stack([base, modes.T]))
+    slope = np.array(draw(st.lists(_coef, min_size=n_z, max_size=n_z)))
+    no_slope = flat or np.array(draw(st.lists(st.booleans(), min_size=n_z, max_size=n_z)))
+    slope[no_slope] = 0.0
+    return _factored(np.column_stack([base, slope]))
 
 
 _DRAWS = np.random.default_rng(2024).standard_normal((100_000, 1))
@@ -307,7 +305,7 @@ def test_affine_cut_reproduces_monte_carlo_on_the_draws(isurr, beta, pointwise):
     # the satisfied set of a + b xi <= beta is sign(b) xi <= cut at every node
     f2 = InterfaceMaxConstraint(isurr, pointwise)
     xi = _DRAWS[:20_000]
-    b = isurr.coeffs[:, 1] @ isurr.unit if isurr.order else np.zeros(isurr.z_grid.size)
+    b = isurr.coeffs[:, 1] @ isurr.unit
     cut = chance_constraint._cut(isurr.base_field, b, beta)
     ok = np.sign(b) * xi <= cut
     from_cut = ok.mean(axis=0).min() if pointwise else ok.all(axis=1).mean()
@@ -338,11 +336,11 @@ def test_exact_probability_monotone_in_beta_and_pointwise_dominates(isurr, b1, b
 
 
 @settings(max_examples=40, deadline=None)
-@given(_shared_fields(max_order=0), _shared_fields(), _beta)
-def test_constant_fields_give_zero_or_one(order_zero, other, beta):
-    # an order-0 surrogate, and the same base with every mode zeroed
+@given(_shared_fields(flat=True), _shared_fields(), _beta)
+def test_constant_fields_give_zero_or_one(flat_field, other, beta):
+    # a surrogate without slope, and another one's base with its slope zeroed
     flat = _factored(np.column_stack([other.coeffs[:, :1], np.zeros_like(other.coeffs[:, 1:])]))
-    for isurr in (order_zero, flat):
+    for isurr in (flat_field, flat):
         expected = float(np.all(isurr.base_field <= beta))
         for pointwise in (False, True):
             assert InterfaceMaxConstraint(isurr, pointwise).exact_probability(beta) == expected
@@ -351,7 +349,7 @@ def test_constant_fields_give_zero_or_one(order_zero, other, beta):
 def test_exact_path_draws_no_germ_sample(monkeypatch):
     rng = np.random.default_rng(5)
     geo = InterfaceGeometry()
-    coeffs = np.column_stack([rng.uniform(330, 360, 60), rng.normal(0, 2, 60), np.zeros(60)])
+    coeffs = np.column_stack([rng.uniform(330, 360, 60), rng.normal(0, 2, 60)])
     isurr = assemble_interface_from_coeffs(geo, coeffs, UNIT_GERM, 1e-3, 1.0, 400)
 
     def no_draws(*args):
@@ -382,18 +380,83 @@ def test_model1_scan_draws_no_germ_sample(monkeypatch, tiny_model1_dict):
     assert scenario.oracle().counters()["mc_draws"] == 0
 
 
+# Phi(-40) and 1 - Phi(40) are 0 in double precision, so [-40, 40] carries all the mass
+_XI_CUT = 40.0
+# leading power coefficients this small against the polynomial's scale on
+# [-_XI_CUT, _XI_CUT] are dropped: their term is below roundoff there
+_LEAD_RTOL = 1e-15
+# imaginary parts (in xi) up to this are taken as roundoff on near-multiple real roots
+_IMAG_TOL = 1e-4
+
+
+def _herme_to_power(order: int) -> np.ndarray:
+    """(K+1, K+1) matrix whose column k holds He_k in the ascending power basis."""
+    out = np.zeros((order + 1, order + 1))
+    for k in range(order + 1):
+        poly = np.polynomial.hermite_e.herme2poly(np.eye(order + 1)[k])
+        out[: poly.shape[0], k] = poly
+    return out
+
+
+def _root_breakpoints(power: np.ndarray) -> np.ndarray:
+    """Near-real roots in (-40, 40) of every row's polynomial, all rows at once.
+
+    ``power`` holds ascending power-basis coefficients, one polynomial per
+    row. Roots are found in t = xi / 40, where a row's degree is its highest
+    coefficient that is not negligible on |t| <= 1 (exact zeros included),
+    as the eigenvalues of stacked companion matrices, one stack per degree.
+    A root a + bi with small |b| gives the breakpoint a + b, so a computed
+    conjugate pair brackets a near-double real root from both sides.
+    """
+    scaled = power * _XI_CUT ** np.arange(power.shape[1])
+    mag = np.abs(scaled)
+    significant = mag > _LEAD_RTOL * mag.max(axis=1, keepdims=True)
+    degree = np.where(
+        significant.any(axis=1), power.shape[1] - 1 - np.argmax(significant[:, ::-1], axis=1), 0
+    )
+    roots = [np.zeros(0, dtype=complex)]
+    for d in np.unique(degree[degree > 0]):
+        rows = scaled[degree == d, : d + 1]
+        companion = np.zeros((rows.shape[0], d, d))
+        companion[:, 0, :] = -rows[:, d - 1 :: -1] / rows[:, d : d + 1]
+        companion[:, 1:, :-1] += np.eye(d - 1)
+        roots.append(np.linalg.eigvals(companion).ravel())
+    xi = _XI_CUT * np.concatenate(roots)
+    xi = xi[np.isfinite(xi) & (np.abs(xi.imag) <= _IMAG_TOL)]
+    breaks = xi.real + xi.imag
+    return breaks[np.abs(breaks) < _XI_CUT]
+
+
+def _root_segments(coeffs: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Segment edges on [-40, 40] and, per segment and column of HermiteE
+    coefficients ``coeffs`` (K+1, R), p <= beta. The edges are the real roots
+    of every p - beta, so p at a segment's midpoint decides the segment; a
+    spurious root only splits a segment."""
+    order = coeffs.shape[0] - 1
+    power = (_herme_to_power(order) @ coeffs).T  # (R, K+1), ascending
+    power[:, 0] -= beta
+    edges = np.concatenate([[-_XI_CUT], np.unique(_root_breakpoints(power)), [_XI_CUT]])
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    values = coeffs[0] + hermite_design(order, mids)[:, 1:] @ coeffs[1:]
+    return edges, values <= beta
+
+
+def _normal_cdf(x) -> np.ndarray:
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+
+
 def _reference_shared_probability(isurr: InterfaceSurrogate, beta: float, pointwise: bool) -> float:
     """The shared-germ probability by root intervals, as computed before the
     closed form: segments between the real roots of every node's polynomial,
-    classified by ``evaluate_interface_batch``. Exact for any degree."""
+    classified by ``evaluate_interface_batch``."""
     base = isurr.wall + isurr.coeffs[:, 0] @ isurr.unit
     stacked = np.vstack([base, isurr.coeffs[:, 1:].T @ isurr.unit])
-    power = (chance_constraint._herme_to_power(isurr.order) @ stacked).T
+    power = (_herme_to_power(1) @ stacked).T
     power[:, 0] -= beta
-    breaks = np.unique(chance_constraint._root_breakpoints(power))
+    breaks = np.unique(_root_breakpoints(power))
     edges = np.concatenate([[-40.0], breaks, [40.0]])
     satisfied = evaluate_interface_batch(isurr, 0.5 * (edges[:-1] + edges[1:])) <= beta
-    mass = np.diff(chance_constraint._normal_cdf(edges))
+    mass = np.diff(_normal_cdf(edges))
     per_segment = satisfied if pointwise else satisfied.all(axis=1)
     return float(min(1.0, np.min(mass @ per_segment)))
 
@@ -423,8 +486,8 @@ def _reference_strip_probability(f2: StripExitConstraint, beta: float) -> float:
     32-node Gauss-Hermite rule in xi_1, weighted by that rule."""
     nodes, weights = chance_constraint.gauss_hermite_rule(32)
     rows = f2._coeff @ hermite_design(f2.order, nodes).T
-    edges, satisfied = chance_constraint._root_segments(rows, beta)
-    return float(min(1.0, weights @ (np.diff(chance_constraint._normal_cdf(edges)) @ satisfied)))
+    edges, satisfied = _root_segments(rows, beta)
+    return float(min(1.0, weights @ (np.diff(_normal_cdf(edges)) @ satisfied)))
 
 
 @pytest.mark.parametrize(
@@ -453,35 +516,26 @@ def test_scanned_probabilities_match_root_intervals(monkeypatch, name, interval)
         assert abs(f2.exact_probability(beta) - expected) <= 1e-12
 
 
-def _quadratic(isurr: InterfaceSurrogate, scale: float) -> InterfaceSurrogate:
-    """``isurr`` with a second mode of ``scale`` times its largest coefficient."""
-    coeffs = np.column_stack([isurr.coeffs, np.zeros(isurr.coeffs.shape[0])])
-    coeffs[:, 2] = scale * np.abs(isurr.coeffs).max()
-    return dataclasses.replace(isurr, coeffs=coeffs)
-
-
-def test_non_affine_fields_fall_back_to_monte_carlo(monkeypatch):
-    scenario = Scenario(resolve_config("model2"))
-    isurr = scenario.interface_surrogate(589.16015625)
-    beta = scenario.config.constraint.beta
-    # a second mode at the tolerance keeps the closed form; above it, None
-    exact = InterfaceMaxConstraint(isurr).exact_probability(beta)
-    tolerated = InterfaceMaxConstraint(_quadratic(isurr, 1e-12)).exact_probability(beta)
-    assert abs(tolerated - exact) <= 1e-12
-    curved = InterfaceMaxConstraint(_quadratic(isurr, 1e-3))
-    assert curved.exact_probability(beta) is None
-    spec = ChanceConstraintSpec(beta=beta, alpha=0.95, n_prob_samples=20_000, seed=6)
-    oracle = ChanceConstraintOracle(spec, lambda theta: curved)
-    prob = oracle.probability(589.16015625)
-    xi = np.random.default_rng(6).standard_normal((20_000, 1))
-    assert prob == curved.probability(xi, beta)
-    assert oracle.counters()["mc_draws"] == 20_000
-
-    # model 1: a quadratic term in the flux germ
+def test_non_affine_fields_fall_back_to_monte_carlo():
+    # model 1: a quadratic term in the flux germ at the tolerance keeps the
+    # kernel; above it Monte Carlo decides
     germ, (coeff,) = _model1_exits((540.28,))
-    coeff = coeff.copy()
-    coeff[2, 0] = 1e-3 * np.abs(coeff).max()
-    assert StripExitConstraint(germ, 3, coeff).exact_probability(343.2) is None
+    beta, scale = 343.2, np.abs(coeff).max()
+    tolerated, curved = coeff.copy(), coeff.copy()
+    tolerated[2, 0], curved[2, 0] = 1e-12 * scale, 1e-3 * scale
+    exact = StripExitConstraint(germ, 3, coeff).exact_probability(beta)
+    assert abs(StripExitConstraint(germ, 3, tolerated).exact_probability(beta) - exact) <= 1e-12
+    f2 = StripExitConstraint(germ, 3, curved)
+    assert f2.exact_probability(beta) is None
+    spec = ChanceConstraintSpec(beta=beta, alpha=0.95, n_prob_samples=20_000, seed=6)
+    oracle = ChanceConstraintOracle(spec, lambda theta: f2)
+    prob = oracle.probability(540.28)
+    assert prob == f2.probability(np.random.default_rng(6).standard_normal((20_000, 2)), beta)
+    assert oracle.counters()["mc_draws"] == 20_000
+    # an interface field is affine by construction: c0 + c1 xi per strip
+    isurr = Scenario(resolve_config("model2")).interface_surrogate(589.16015625)
+    with pytest.raises(ValueError, match="n_strips, 2"):
+        dataclasses.replace(isurr, coeffs=np.column_stack([isurr.coeffs, isurr.coeffs[:, 1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -501,13 +555,15 @@ class _PairF2(F2Surrogate):
 
 
 def _independent_surrogate(theta: float) -> InterfaceMaxConstraint:
+    """Four independent strips that diffusion barely couples: the field keeps
+    four principal axes, more than ``_MAX_AXES``, so Monte Carlo decides."""
     geo = InterfaceGeometry(n_strips=4)
     germ = GermSpec(tuple(GermVariable(f"q{s}", 450.0, 10.0) for s in range(4)))
     rng = np.random.default_rng(3)
-    coeffs = np.column_stack([theta + rng.uniform(0, 5, 4), rng.normal(0, 2, 4), rng.normal(0, 0.5, 4)])
-    return InterfaceMaxConstraint(
-        assemble_interface_from_coeffs(geo, coeffs, germ, 1e-3, 1.0, 120)
-    )
+    coeffs = np.column_stack([theta + rng.uniform(0, 5, 4), rng.normal(0, 2, 4)])
+    f2 = InterfaceMaxConstraint(assemble_interface_from_coeffs(geo, coeffs, germ, 1e-3, 1.0, 120))
+    assert f2.exact_probability(401.0) is None
+    return f2
 
 
 @pytest.mark.parametrize(
@@ -589,25 +645,34 @@ def test_nan_threshold_gives_a_nan_probability():
     # min(1.0, nan) is 1.0: a NaN sum must not read as certain satisfaction
     germ, (coeff,) = _model1_exits((540.0,))
     assert math.isnan(StripExitConstraint(germ, 3, coeff).exact_probability(math.nan))
-    # the flux-free branch, through the root intervals in xi_phi
+    # and without any flux dependence
     flux_free = coeff.copy()
     flux_free[1:] = 0.0
     assert math.isnan(StripExitConstraint(germ, 3, flux_free).exact_probability(math.nan))
 
 
-def test_degenerate_heat_flux_takes_the_roots_in_phi():
+def test_degenerate_heat_flux_falls_back_to_monte_carlo():
+    # with q std 0 the exit temperature is a cubic in xi_phi alone: every
+    # conditional mass is 0 or 1, the two eta rules disagree, and the draws decide
     q0 = 30845.0 * 0.015
     params = ModelParams(heat_flux_nominal=q0)
     phi = GermVariable("phi", params.porosity, 0.01)
     pair = GermSpec((GermVariable("q", q0, 0.0), phi))
     (coeff2,) = build_strip_exit_batch(params, pair, np.array([540.0]))
     assert not coeff2[1:].any()
+    f2 = StripExitConstraint(pair, 3, coeff2)
+    n = 50_000
     for beta in (340.6, 340.9, 341.2):
         # the normal mass of the root intervals of the cubic in xi_phi
-        edges, satisfied = chance_constraint._root_segments(coeff2[0][:, None], beta)
-        expected = float(np.diff(chance_constraint._normal_cdf(edges)) @ satisfied[:, 0])
+        edges, satisfied = _root_segments(coeff2[0][:, None], beta)
+        expected = float(np.diff(_normal_cdf(edges)) @ satisfied[:, 0])
         assert 0.0 < expected < 1.0
-        assert StripExitConstraint(pair, 3, coeff2).exact_probability(beta) == expected
+        assert f2.exact_probability(beta) is None
+        spec = ChanceConstraintSpec(beta=beta, alpha=0.5, n_prob_samples=n, seed=8)
+        oracle = ChanceConstraintOracle(spec, lambda theta: f2)
+        prob = oracle.probability(540.0)
+        assert abs(prob - expected) <= 4.0 * _std_error(expected, n) + 1.0 / n
+        assert oracle.counters()["mc_draws"] == n
 
 
 @st.composite
@@ -774,3 +839,131 @@ def test_shipped_scans_match_the_galerkin_built_table(name, tol, monkeypatch):
     np.testing.assert_array_equal(scan.feasible, reference.feasible)
     assert scan.intervals == reference.intervals
     np.testing.assert_allclose(scan.probabilities, reference.probabilities, rtol=0.0, atol=tol)
+
+
+# ---------------------------------------------------------------------------
+# independent per-strip germs (model 3) through the same kernel
+# ---------------------------------------------------------------------------
+
+
+def test_model3_scan_is_exact_and_keeps_its_boundary(monkeypatch):
+    gaps = []
+    converged = chance_constraint._converged
+
+    def recording(probs):
+        gaps.append(float(np.ptp(probs)))
+        return converged(probs)
+
+    def no_draws(*args):
+        raise AssertionError("the shipped model-3 scan must not draw")
+
+    monkeypatch.setattr(chance_constraint, "_converged", recording)
+    monkeypatch.setattr(chance_constraint, "_germ_draws", no_draws)
+    scenario = Scenario(resolve_config("model3"))
+    scan = scenario.scan()
+    assert scan.intervals == ((499.609375, 1000.0),)
+    counters = scenario.oracle().counters()
+    assert counters["mc_draws"] == 0
+    # every scanned P: its two rules agree to the one tolerance
+    assert len(gaps) == counters["evaluations"] and max(gaps) <= chance_constraint._ETA_TOL
+    # the 33 coarse feasibility flags of the seeded Monte Carlo scan it replaces
+    np.testing.assert_array_equal(scan.feasible, scan.thetas >= 518.75)
+
+
+@pytest.mark.slow
+def test_model3_probability_matches_a_million_draws():
+    # each P against one Monte Carlo sample of 2^20 draws through the fields
+    scenario = Scenario(resolve_config("model3"))
+    beta = scenario.config.constraint.beta
+    surrogates = [scenario.surrogate_factory()(theta) for theta in (499.0, 499.267578125, 499.609375)]
+    exact = np.array([f2.exact_probability(beta) for f2 in surrogates])
+    rng, n, chunk = np.random.default_rng(17), 2**20, 2**14
+    satisfied = np.zeros(len(surrogates))
+    for _ in range(n // chunk):
+        xi = rng.standard_normal((chunk, 60))
+        for i, f2 in enumerate(surrogates):
+            satisfied[i] += np.count_nonzero(evaluate_interface_batch(f2.isurr, xi).max(axis=1) <= beta)
+    mc = satisfied / n
+    assert np.all(np.abs(exact - mc) <= 4.0 * np.sqrt(exact * (1.0 - exact) / n))
+
+
+def test_pointwise_independent_probability_is_the_per_node_normal_cdf():
+    geo = InterfaceGeometry(n_strips=6)
+    germ = GermSpec(tuple(GermVariable(f"q{s}", 450.0, 10.0) for s in range(6)))
+    rng = np.random.default_rng(23)
+    coeffs = np.column_stack([rng.uniform(380, 390, 6), rng.normal(0, 4, 6)])
+    isurr = assemble_interface_from_coeffs(geo, coeffs, germ, 2e-3, 1.0, 150)
+    f2 = InterfaceMaxConstraint(isurr, pointwise=True)
+    n = 200_000
+    xi = np.random.default_rng(24).standard_normal((n, 6))
+    for beta in (395.0, 400.0, 405.0):
+        # T(z) alone is normal: base_z + sigma_z h
+        sigma = np.sqrt((coeffs[:, 1:] ** 2 * isurr.unit**2).sum(axis=0))
+        closed = min(0.5 * math.erfc(-(beta - a) / s / math.sqrt(2.0)) for a, s in zip(isurr.base_field, sigma))
+        exact = f2.exact_probability(beta)
+        assert abs(exact - closed) <= 1e-14
+        assert abs(exact - f2.probability(xi, beta)) <= 4.0 * _std_error(exact, n) + 1.0 / n
+
+
+@st.composite
+def _independent_fields(draw) -> InterfaceMaxConstraint:
+    """Small independent-germ interfaces, from nearly uncoupled strips to
+    strips that diffusion merges into one principal axis."""
+    n_strips = draw(st.integers(2, 5))
+    geo = InterfaceGeometry(n_strips=n_strips, section_porosities=((0.25, 0.75, 0.2),))
+    germ = GermSpec(tuple(GermVariable(f"q{s}", 0.0, 1.0) for s in range(n_strips)))
+    coeffs = np.column_stack([
+        draw(st.lists(_coef, min_size=n_strips, max_size=n_strips)),
+        draw(st.lists(_coef.filter(bool), min_size=n_strips, max_size=n_strips)),
+    ])
+    t_end = draw(st.sampled_from([0.5, 5.0, 50.0, 500.0]))
+    return InterfaceMaxConstraint(
+        assemble_interface_from_coeffs(dataclasses.replace(geo, wall_temp=1e-3), coeffs, germ, 2e-3, t_end, 80)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(_independent_fields(), _beta)
+def test_independent_germ_probability_within_monte_carlo_error(f2, beta):
+    # None: more than _MAX_AXES axes or a gap above _ETA_TOL, and the draws decide
+    exact = f2.exact_probability(beta)
+    draws = np.random.default_rng(2026).standard_normal((100_000, f2.germ.dim))
+    mc = f2.probability(draws, beta)
+    spec = ChanceConstraintSpec(beta=beta, alpha=0.5)
+    assert satisfaction_probability(f2, spec, lambda germ, spec: draws) == (mc if exact is None else exact)
+    if exact is not None:
+        assert 0.0 <= exact <= 1.0
+        assert abs(exact - mc) <= 4.0 * _std_error(exact, len(draws)) + 1.0 / len(draws)
+
+
+@pytest.mark.parametrize("theta", [496.875, 499.609375, 507.8125])
+def test_binding_keeps_every_column_that_sets_u(monkeypatch, theta):
+    f2 = Scenario(resolve_config("model3")).surrogate_factory()(theta)
+    isurr, beta = f2.isurr, 380.0
+    left, right = isurr.unit_svd()
+    _, sv, qt = np.linalg.svd(isurr.coeffs[:, 1:] * left, full_matrices=False)
+    directions = sv[:, None] * (qt @ right)
+    # the rule pair over axes 2 and 3 that the shipped config's three axes take
+    nodes, _ = chance_constraint._rule_pair((401, 2), (801, 3, 2), trapezoid=True)
+    b, minor = np.abs(directions[0]), directions[1 : nodes.shape[1] + 1]
+    cut = (beta - isurr.base_field) / b
+    keep = chance_constraint._binding(cut, minor / b, nodes)
+    # the smallest cut at every node of both rules, over all 600 columns
+    setting = np.unique(np.argmin(cut - nodes @ (minor / b), axis=1))
+    assert keep[setting].all() and keep.sum() < 60
+    pruned = f2.exact_probability(beta)
+    monkeypatch.setattr(chance_constraint, "_binding", lambda cut, slope, nodes: np.ones(cut.shape, bool))
+    assert abs(f2.exact_probability(beta) - pruned) <= 1e-14
+
+
+def test_too_many_axes_fall_back_to_monte_carlo(monkeypatch):
+    f2 = Scenario(resolve_config("model3")).surrogate_factory()(499.609375)
+    assert f2.exact_probability(380.0) is not None
+    monkeypatch.setattr(chance_constraint, "_MAX_AXES", 2)
+    assert f2.exact_probability(380.0) is None
+
+
+def test_shared_germ_scan_builds_no_principal_axes(tiny_model2_dict):
+    _footprint_svd.cache_clear()
+    Scenario(ScenarioConfig.from_dict(tiny_model2_dict)).scan()
+    assert _footprint_svd.cache_info().currsize == 0

@@ -217,6 +217,31 @@ def test_config_mistake_exits_2_naming_the_key(block, settings, key, write_confi
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "model, path, value, key",
+    [
+        (2, ("data", "groups", 0, "porosity"), 0.0, "data/groups/0/porosity"),
+        (2, ("data", "groups", 0, "porosity"), 1.2, "data/groups/0/porosity"),
+        (1, ("germ", "phi", "mean"), 0.0, "germ/phi"),
+        (1, ("germ", "phi", "std"), 0.05, "germ/phi"),
+    ],
+    ids=["group-zero", "group-above-one", "phi-mean-zero", "phi-too-wide"],
+)
+def test_porosity_mistake_exits_2(
+    model, path, value, key, tiny_model1_dict, tiny_model2_dict, write_config, tmp_path, capsys
+):
+    # a porosity outside (0, 1), given or at a model-1 collocation node
+    raw = tiny_model1_dict if model == 1 else tiny_model2_dict
+    block = raw
+    for part in path[:-1]:
+        block = block[part]
+    block[path[-1]] = value
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(raw), "--output", str(out)]) == 2
+    assert f"config invalid at {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_loads_neither_jsonschema_nor_package_metadata(tiny_model1_dict, write_config, tmp_path):
     # a fresh interpreter: this test process may have imported jsonschema already
     script = """

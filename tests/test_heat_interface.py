@@ -17,6 +17,7 @@ from tcbayes.heat_interface import (
     _diffuse_rows,
     _footprint_index,
     _footprint_response,
+    _footprint_svd,
     _march_plan,
     _spectral_propagate,
     assemble_initial_field,
@@ -30,12 +31,11 @@ def trapezoid_mean(values: np.ndarray) -> float:
     return float((0.5 * values[0] + values[1:-1].sum() + 0.5 * values[-1]) / (len(values) - 1))
 
 
-def synthetic_coeffs(order: int, shared: bool, n_strips: int = 60, seed: int = 0):
-    """Made-up strip exit coefficients (n_strips, order+1) and their germ."""
+def synthetic_coeffs(slope: float, shared: bool, n_strips: int = 60, seed: int = 0):
+    """Made-up strip exit temperatures c0 + c1 xi, (n_strips, 2), with c1 of
+    scale ``slope`` (0: flux-free), and their germ."""
     rng = np.random.default_rng(seed)
-    coeffs = np.stack(
-        [np.concatenate(([rng.uniform(320, 360)], rng.normal(0.0, 2.0, order))) for _ in range(n_strips)]
-    )
+    coeffs = np.column_stack([rng.uniform(320, 360, n_strips), slope * rng.normal(0.0, 2.0, n_strips)])
     if shared:
         germ = GermSpec((GermVariable("q", 450.0, 12.0),))
     else:
@@ -212,11 +212,11 @@ def _parent_rows(geo, coeffs, shared, n_z):
 
 
 @pytest.mark.parametrize("shared", [True, False])
-@pytest.mark.parametrize("order", [0, 3])
-def test_response_assembly_matches_stacked_spectral(shared, order):
+@pytest.mark.parametrize("slope", [0, 3])
+def test_response_assembly_matches_stacked_spectral(shared, slope):
     # the shipped long march: n_z 600, lam 0.005, t 20, cfl 0.4 (89 700 steps)
     geo = InterfaceGeometry(wall_temp=410.0)
-    coeffs, germ = synthetic_coeffs(order, shared)
+    coeffs, germ = synthetic_coeffs(slope, shared)
     isurr = assemble_interface_from_coeffs(geo, coeffs, germ, 0.005, 20.0, 600, 0.4)
     rows = _parent_rows(geo, coeffs, shared, 600)
     n_full, r_rem = _march_plan(isurr.z_grid, 0.005, 20.0, 0.4)
@@ -284,7 +284,7 @@ def test_degenerate_germ_interface_collapse():
     rng = np.random.default_rng(4)
     means = rng.uniform(320, 360, 60)
     germ = GermSpec((GermVariable("q", 450.0, 0.0),))
-    coeffs = np.zeros((60, 3))
+    coeffs = np.zeros((60, 2))
     coeffs[:, 0] = means
     isurr = assemble_interface_from_coeffs(geo, coeffs, germ, 1e-3, 1.0, 500)
     reference = diffuse_field(assemble_initial_field(geo, means, 500), 1e-3, 1.0)
@@ -300,14 +300,9 @@ def test_commute_diffuse_then_evaluate(shared):
     assert isurr.shared is shared
     rng = np.random.default_rng(8)
     for _ in range(5):
-        if shared:
-            xi = rng.standard_normal()
-            strip_temps = coeffs @ hermite_design(3, np.array([xi]))[0]
-            evaluated = evaluate_interface_batch(isurr, np.array([xi]))[0]
-        else:
-            xi = rng.standard_normal(60)
-            strip_temps = np.einsum("sk,sk->s", coeffs, hermite_design(3, xi))
-            evaluated = evaluate_interface_batch(isurr, xi[None, :])[0]
+        xi = rng.standard_normal(1 if shared else 60)
+        strip_temps = coeffs[:, 0] + coeffs[:, 1] * xi
+        evaluated = evaluate_interface_batch(isurr, xi if shared else xi[None, :])[0]
         oracle = diffuse_field(assemble_initial_field(geo, strip_temps, 600), 1e-3, 1.0)
         assert np.max(np.abs(evaluated - oracle.values)) <= 1e-8
 
@@ -335,13 +330,16 @@ def test_build_interface_validation():
     _, independent = synthetic_coeffs(3, shared=False, n_strips=59)
     with pytest.raises(ValueError):
         assemble_interface_from_coeffs(geo, coeffs, independent, 1e-3, 1.0, 600)
+    # every strip's exit temperature is affine in its germ: c0 + c1 xi
+    with pytest.raises(ValueError, match="n_strips, 2"):
+        assemble_interface_from_coeffs(geo, np.column_stack([coeffs, coeffs[:, 1]]), germ, 1e-3, 1.0, 600)
 
 
-@pytest.mark.parametrize("order", [0, 2])
-def test_evaluation_checks_the_draw_shape_at_every_order(order):
+@pytest.mark.parametrize("slope", [0, 2])
+def test_evaluation_checks_the_draw_shape_at_every_order(slope):
     geo = InterfaceGeometry()
     for shared, wrong in ((True, np.zeros((7, 3))), (False, np.zeros(7))):
-        coeffs, germ = synthetic_coeffs(order, shared)
+        coeffs, germ = synthetic_coeffs(slope, shared)
         isurr = assemble_interface_from_coeffs(geo, coeffs, germ, 1e-3, 1.0, 200)
         with pytest.raises(ValueError):
             evaluate_interface_batch(isurr, wrong)
@@ -350,7 +348,7 @@ def test_evaluation_checks_the_draw_shape_at_every_order(order):
 
 
 def _direct_sum(isurr: InterfaceSurrogate, xi: np.ndarray) -> np.ndarray:
-    """wall + sum_s (sum_k c[s, k] He_k(xi_s)) unit[s], one draw and strip at a time."""
+    """wall + sum_s (c[s, 0] + c[s, 1] xi_s) unit[s], one draw and strip at a time."""
     n_strips = isurr.coeffs.shape[0]
     out = np.empty((xi.shape[0], isurr.z_grid.shape[0]))
     for n, draw in enumerate(xi):
@@ -364,19 +362,59 @@ def _direct_sum(isurr: InterfaceSurrogate, xi: np.ndarray) -> np.ndarray:
 
 @settings(max_examples=40, deadline=None)
 @given(
-    order=st.integers(0, 4),
+    slope=st.integers(0, 4),
     n_strips=st.integers(1, 4),
     shared=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     xi=hnp.arrays(float, st.tuples(st.integers(1, 5), st.just(4)), elements=st.floats(-6.0, 6.0)),
 )
-def test_factored_evaluation_matches_direct_sum(order, n_strips, shared, seed, xi):
+def test_factored_evaluation_matches_direct_sum(slope, n_strips, shared, seed, xi):
     geo = InterfaceGeometry(n_strips=n_strips, section_porosities=((0.25, 0.75, 0.2),))
-    coeffs, germ = synthetic_coeffs(order, shared, n_strips, seed)
+    coeffs, germ = synthetic_coeffs(slope, shared, n_strips, seed)
     isurr = assemble_interface_from_coeffs(geo, coeffs, germ, 1e-3, 1.0, 120)
     assert isurr.shared is (shared or n_strips == 1)
     xi = xi[:, 0] if isurr.shared else xi[:, :n_strips]
     got = evaluate_interface_batch(isurr, xi)
     want = _direct_sum(isurr, xi)
-    scale = np.max(np.abs(isurr.wall)) + np.sum(np.abs(coeffs)) * 6.0**order
+    scale = np.max(np.abs(isurr.wall)) + np.sum(np.abs(coeffs)) * 6.0
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_affine_evaluation_matches_the_order_one_design(shared):
+    # c0 + c1 xi gives the bits of the order-1 Hermite design it replaces
+    geo = InterfaceGeometry()
+    coeffs, germ = synthetic_coeffs(3, shared)
+    isurr = assemble_interface_from_coeffs(geo, coeffs, germ, 1e-3, 1.0, 600)
+    xi = np.random.default_rng(12).standard_normal((5000,) + isurr.germ_axes)
+    design = hermite_design(1, xi.ravel()).reshape(xi.shape[0], -1, 2)
+    expected = np.einsum("nsk,sk->ns", design, coeffs) @ isurr.unit
+    expected += isurr.wall
+    assert np.array_equal(evaluate_interface_batch(isurr, xi), expected)
+
+
+def test_unit_svd_factors_the_unit_responses():
+    geo = InterfaceGeometry(wall_temp=410.0)
+    isurr = assemble_interface_from_coeffs(geo, *synthetic_coeffs(3, False), 0.005, 20.0, 600)
+    left, right = isurr.unit_svd()
+    assert left.shape == (60, 60) and right.shape == (60, 600)
+    np.testing.assert_allclose(left @ right, isurr.unit, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(right @ right.T, np.eye(60), rtol=0.0, atol=1e-12)
+    # U S: orthogonal columns whose norms are the singular values
+    sv = np.linalg.svd(isurr.unit, compute_uv=False)
+    np.testing.assert_allclose(left.T @ left, np.diag(sv**2), rtol=0.0, atol=1e-13 * sv[0] ** 2)
+
+
+def test_unit_svd_is_built_on_use_once_per_response_key():
+    geo = InterfaceGeometry()
+    _footprint_svd.cache_clear()
+    shared = assemble_interface_from_coeffs(geo, *synthetic_coeffs(3, True), 1e-3, 1.0, 300)
+    independent = assemble_interface_from_coeffs(geo, *synthetic_coeffs(3, False), 1e-3, 1.0, 300)
+    evaluate_interface_batch(shared, np.zeros(3))
+    assert _footprint_svd.cache_info().currsize == 0
+    first = independent.unit_svd()
+    again = assemble_interface_from_coeffs(geo, *synthetic_coeffs(2, False, seed=1), 1e-3, 1.0, 300)
+    assert again.unit_svd() is first and shared.unit_svd() is first
+    assert _footprint_svd.cache_info().currsize == 1
+    for array in first:
+        assert not array.flags.writeable

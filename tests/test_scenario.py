@@ -566,6 +566,8 @@ def test_oracle_counts_monte_carlo_draws(model, tiny_model1_dict, tiny_model2_di
     scenario.scan()
     counters = scenario.oracle().counters()
     assert counters["evaluations"] > 0
-    # models 1 and 2 have exact probabilities; model 3 draws its sample per evaluation
+    # models 1 and 2 have exact probabilities; the four strips of this model 3
+    # keep four principal axes, more than the kernel takes, so it draws its
+    # sample per evaluation
     per_evaluation = cfg["constraint"]["n_prob_samples"] if model == 3 else 0
     assert counters["mc_draws"] == counters["evaluations"] * per_evaluation
