@@ -3,7 +3,9 @@
 The constraint P(f2(xi; theta) <= beta) >= alpha is evaluated on a chaos
 surrogate of f2 built at the given theta. The heat flux enters the linear
 strip march only through its source, so the exit temperature, and with it
-every interface field, is affine in the flux germ.
+every interface field, is affine in the flux germ: every model's strip
+exit comes as (c0, c1) pairs, c0 + c1 xi_q, and model 1's pairs are
+expansions in its porosity germ xi_phi.
 
 One kernel, ``_interval_mass``, computes every satisfaction probability
 (Genz & Bretz, *Computation of Multivariate Normal and t Probabilities*,
@@ -37,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv
-from .bayes import TABLE_TOL
 from .gpc import GermSpec, gauss_hermite_rule, hermite_design
 from .heat_interface import InterfaceSurrogate, evaluate_interface_batch
 from .porous_flow import NonFiniteStateError, SingularDenominatorError
@@ -56,7 +57,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 BUILD_FAILURES = (SingularDenominatorError, NonFiniteStateError)
-DEFAULT_CACHE_QUANTUM = 1e-6
+# width of the theta bins the oracle caches one probability for
+CACHE_QUANTUM = 1e-6
 _EVAL_CHUNK = 8192
 # Gauss-Hermite nodes in xi_phi, and the largest gap between the two rules of
 # a pair that counts as converged: well below the Monte Carlo error instead
@@ -111,43 +113,39 @@ class F2Surrogate:
 
 
 class StripExitConstraint(F2Surrogate):
-    """f2 = fluid exit temperature T_f(x=1) of one strip.
+    """f2 = fluid exit temperature T_f(x=1) of one strip, on the (q, phi) germ.
 
-    Needs only the exit coefficients of T_f, as
-    ``gpc.build_strip_exit_batch`` returns them per re.
+    ``coeffs`` (K+1, 2), as ``Scenario._strip_exit_coeffs`` builds them per
+    theta: row k holds the He_k(xi_phi) coefficients of (a, b) in the exact
+    flux law T_f = a(xi_phi) + b(xi_phi) xi_q.
     """
 
-    def __init__(self, germ: GermSpec, order: int, coeff: np.ndarray):
+    def __init__(self, germ: GermSpec, coeffs: np.ndarray):
+        if coeffs.ndim != 2 or coeffs.shape[0] < 1 or coeffs.shape[1] != 2:
+            raise ValueError(f"coeffs must have shape (K+1, 2), got {coeffs.shape}")
         self.germ = germ
-        self.order = order
-        self._coeff = coeff
+        self._coeff = coeffs
+
+    def _affine(self, eta: np.ndarray) -> np.ndarray:
+        """(a, b) at the porosity germ values ``eta``, shape (2, len(eta))."""
+        return (hermite_design(self._coeff.shape[0] - 1, eta) @ self._coeff).T
 
     def f2_values(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
-        if self.germ.dim == 1:
-            return hermite_design(self.order, xi[:, 0]) @ self._coeff
-        d0 = hermite_design(self.order, xi[:, 0])
-        d1 = hermite_design(self.order, xi[:, 1])
-        return np.einsum("ni,ij,nj->n", d0, self._coeff, d1)
+        a, b = self._affine(xi[:, 1])
+        return a + b * xi[:, 0]
 
     def exact_probability(self, beta: float) -> float | None:
-        """P(f2 <= beta) from the affine dependence on the flux germ xi_0,
-        summed by Gauss-Hermite quadrature over xi_1; None when f2 is not
-        affine in xi_0, its slope b(eta) vanishes at a node (the conditional
-        mass jumps there, which no rule pair certifies: with a q std of 0 it
-        is 0 or 1 at every node), or the two rules differ by more than
-        ``_ETA_TOL``.
+        """P(f2 <= beta) from the affine dependence on the flux germ xi_q,
+        summed by Gauss-Hermite quadrature over xi_phi; None when the slope
+        b(eta) vanishes at a node (the conditional mass jumps there, which
+        no rule pair certifies: with a q std of 0 it is 0 or 1 at every
+        node), or the two rules differ by more than ``_ETA_TOL``.
         """
         if math.isnan(beta):
             return math.nan  # every comparison with NaN is False: P would read 0
-        # row k: the coefficient of He_k(xi_0), as a polynomial in xi_1
-        coeff = self._coeff.reshape(self.order + 1, -1)
-        # flux-degree >= 2 terms above TABLE_TOL of the largest leave the affine premise
-        high, scale = np.abs(coeff[2:]).max(initial=0.0), np.abs(coeff).max()
-        if not self.order or not high <= TABLE_TOL * scale:
-            return None
         nodes, weights = _rule_pair((_ETA_NODES,), (2 * _ETA_NODES,), trapezoid=False)
-        a, b = coeff[:2] @ hermite_design(coeff.shape[1] - 1, nodes[:, 0]).T
+        a, b = self._affine(nodes[:, 0])
         if not b.all():
             return None
         return _converged(_interval_mass(a[:, None], b[:, None], beta, weights))
@@ -314,20 +312,14 @@ class ChanceConstraintOracle:
     """Callable feasibility oracle with a quantized per-theta probability cache.
 
     Repeated chain visits to (nearly) the same theta reuse the cached
-    probability; cache keys quantize theta. Build failures are cached as
-    NaN (infeasible) and counted. The seeded germ sample of the Monte Carlo
-    path is drawn once, on first use.
+    probability; cache keys quantize theta by ``CACHE_QUANTUM``. Build
+    failures are cached as NaN (infeasible) and counted. The seeded germ
+    sample of the Monte Carlo path is drawn once, on first use.
     """
 
-    def __init__(
-        self,
-        spec: ChanceConstraintSpec,
-        surrogate_factory,
-        cache_quantum: float = DEFAULT_CACHE_QUANTUM,
-    ):
+    def __init__(self, spec: ChanceConstraintSpec, surrogate_factory):
         self.spec = spec
         self.surrogate_factory = surrogate_factory
-        self.cache_quantum = cache_quantum
         self._probabilities: dict[int, float] = {}
         self._draws: dict[int, np.ndarray] = {}
         self.build_failures = 0
@@ -344,7 +336,7 @@ class ChanceConstraintOracle:
         return xi
 
     def _key(self, theta: float) -> int:
-        return int(round(theta / self.cache_quantum))
+        return int(round(theta / CACHE_QUANTUM))
 
     def probability(self, theta: float) -> float:
         key = self._key(theta)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -467,6 +468,27 @@ def comma_separated_ints(text: str) -> list[int]:
     return [int(c) for c in text.split(",")] if text else []
 
 
+def _float_where(test, words: str):
+    """argparse type: a float for which ``test`` holds; anything else,
+    unparsable text included, is a usage error (exit 2)."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {words}")
+        return value
+
+    return parse
+
+
+positive_finite = _float_where(lambda v: 0.0 < v < math.inf, "a positive finite number")
+finite = _float_where(math.isfinite, "a finite number")
+open_unit = _float_where(lambda v: 0.0 < v < 1.0, "in (0, 1)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tcbayes",
@@ -488,12 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plots", action="store_true", help="also render SVG plots")
 
     p = add("simulate-forward", _cmd_simulate_forward, "integrate one strip", seed=False)
-    p.add_argument("--theta", type=float, help="Reynolds number (default: sampler start)")
-    p.add_argument("--q", type=float, help="heat flux (default: scenario flux)")
-    p.add_argument("--phi", type=float, help="porosity (default: model porosity)")
+    p.add_argument("--theta", type=positive_finite, help="Reynolds number (default: sampler start)")
+    p.add_argument("--q", type=finite, help="heat flux (default: scenario flux)")
+    p.add_argument("--phi", type=open_unit, help="porosity (default: model porosity)")
 
     p = add("build-surrogate", _cmd_build_surrogate, "build one surrogate", seed=False)
-    p.add_argument("--theta", type=float, help="Reynolds number (default: sampler start)")
+    p.add_argument("--theta", type=positive_finite, help="Reynolds number (default: sampler start)")
 
     add("scan-feasible", _cmd_scan_feasible, "scan the feasible Reynolds set", seed=False)
     add("sample", _cmd_sample, "run the configured sampler")

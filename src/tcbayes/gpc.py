@@ -7,18 +7,16 @@ surrogates read, all marched through ``porous_flow.interface_state_batch``.
 The temperature march is linear in (T_f, T_s), and its coefficients
 depend on (phi, re) but not on the flux, which enters only the source, so
 T_f(1) = A(phi, re) + B(phi, re) q exactly. ``build_strip_surrogate_batch``
-(models 2 and 3) marches two fluxes per distinct porosity and re for A and
-B, and gives each strip's germ q = mean + std xi its exact order-1
-expansion; it has no order or quadrature setting. ``build_strip_exit_batch``
-(model 1's (q, phi) germ) marches the Gauss-Hermite nodes and projects the
-exit T_f onto the basis of ``order`` (non-intrusive spectral projection;
-Xiu, *Numerical Methods for Stochastic Computations*, 2010, ch. 7). The
-porosity enters nonlinearly, so this differs from the Galerkin system at
-truncation level, 4e-11 of the largest coefficient at order 3 with 6
-nodes; with ``n_quad = order + 1`` they agree to roundoff.
-``build_strip_surrogate`` keeps the intrusive Galerkin march
-(``_galerkin_march``) with the full x history of one strip, as the
-reference the tests hold both builders to.
+marches two fluxes per distinct porosity and re for A and B, and gives
+each strip's germ q = mean + std xi its exact order-1 expansion (c0, c1).
+Models 2 and 3 pass their strips. Model 1 passes one strip per node of
+``porosity_projection``, the Gauss-Hermite rule of its porosity germ, and
+projects those (c0, c1) onto He_k(xi_phi) of the given order: an
+anisotropic expansion, degree 1 in the flux and degree K in the porosity
+(non-intrusive spectral projection; Xiu, *Numerical Methods for Stochastic
+Computations*, 2010, ch. 7). ``build_strip_surrogate`` keeps the
+intrusive Galerkin march (``_galerkin_march``) with the full x history of
+one strip, as the reference the tests hold the builder to.
 """
 from __future__ import annotations
 
@@ -46,8 +44,8 @@ __all__ = [
     "hermite_norms_squared",
     "gauss_hermite_rule",
     "build_strip_surrogate",
-    "build_strip_exit_batch",
     "build_strip_surrogate_batch",
+    "porosity_projection",
     "evaluate_surrogate",
     "surrogate_moments",
 ]
@@ -92,11 +90,8 @@ class GermVariable:
     name: str
     mean: float
     std: float
-    distribution: str = "gaussian"
 
     def __post_init__(self) -> None:
-        if self.distribution != "gaussian":
-            raise ValueError(f"unsupported distribution {self.distribution!r}")
         if self.std < 0.0:
             raise ValueError("std must be >= 0 (0 marks a degenerate variable)")
 
@@ -315,28 +310,15 @@ def build_strip_surrogate(
     )
 
 
-def build_strip_exit_batch(
-    params: ModelParams,
-    germ: GermSpec,
-    res: np.ndarray,
-    order: int = DEFAULT_ORDER,
-    n_quad: int = DEFAULT_N_QUAD,
-    n_steps: int = DEFAULT_N_STEPS,
-    singular_eps: float = DEFAULT_SINGULAR_EPS,
-) -> np.ndarray:
-    """Fluid exit coefficients of one strip germ at many re, in one march.
-
-    Marches every (collocation node, re) pair through
-    ``interface_state_batch`` and projects the exit T_f. Returns shape
-    (len(res),) + (order+1,) * germ.dim: for each re the collocation
-    counterpart of ``build_strip_surrogate(...).coeff_t_fluid[..., -1]``.
-    """
-    res = _check_re(res).ravel()
-    proj, q_nodes, phi_nodes = _strip_nodes(params, germ, order, n_quad, n_steps)
-    tf, _, _ = interface_state_batch(
-        params, q_nodes, phi_nodes, res[:, None], n_steps, singular_eps
-    )
-    return (tf @ proj.project.T).reshape((res.size,) + (order + 1,) * germ.dim)
+def porosity_projection(phi: GermVariable, order: int, n_quad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Porosity at the ``n_quad`` Gauss-Hermite nodes of the germ ``phi``
+    (one node at the mean when its std is 0), and the (order+1, nodes)
+    matrix that projects values at those nodes onto He_0..He_order."""
+    proj = _Projection(GermSpec((phi,)), order, n_quad)
+    porosities = phi.mean + phi.std * proj.xi_nodes[:, 0]
+    if not np.all((porosities > 0.0) & (porosities < 1.0)):
+        raise ValueError("porosity leaves (0, 1) at a collocation node; shrink its std")
+    return porosities, proj.project
 
 
 def build_strip_surrogate_batch(

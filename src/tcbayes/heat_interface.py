@@ -54,7 +54,6 @@ class InterfaceGeometry:
         (0.5, 0.75, 0.4),
     )
     wall_temp: float = 400.0
-    delta_z: float | None = None
     diffusivity: float = 1e-3
     t_constraint: float = 1.0
 
@@ -66,17 +65,16 @@ class InterfaceGeometry:
         for name in ("wall_temp", "diffusivity", "t_constraint"):
             if not getattr(self, name) > 0.0:  # also rejects NaN
                 raise ValueError(f"{name} must be positive")
-        if self.delta_z is None:
-            object.__setattr__(self, "delta_z", (self.d2 - self.d1) / (2 * self.n_strips))
-        if not self.delta_z > 0.0:
-            raise ValueError("delta_z must be positive")
-        if 2.0 * self.delta_z * self.n_strips > (self.d2 - self.d1) * (1.0 + 1e-12):
-            raise ValueError("strip footprints must tile (d1, d2) without overlap")
         for lo, hi, phi in self.section_porosities:
             if not (self.d1 - 1e-12 <= lo < hi <= self.d2 + 1e-12):
                 raise ValueError("porosity sections must lie inside (d1, d2)")
             if not 0.0 < phi < 1.0:
                 raise ValueError("section porosity must lie in (0, 1)")
+
+    @property
+    def delta_z(self) -> float:
+        """Half-width of a strip footprint: the strips tile (d1, d2)."""
+        return (self.d2 - self.d1) / (2 * self.n_strips)
 
     @property
     def strip_centers(self) -> np.ndarray:

@@ -54,6 +54,9 @@ __all__ = [
 
 CHAIN_CSV_HEADER = ("index", "theta", "accepted", "feasible", "log_post", "cumulative_seconds")
 PARTICLE_CSV_HEADER = ("generation", "particle_index", "theta", "cumulative_seconds")
+# cSVGD's AdaGrad-with-momentum step: accumulator decay and the guard on its root
+ADAGRAD_DECAY = 0.9
+ADAGRAD_FUDGE = 1e-6
 
 
 class InfeasibleStartError(ValueError):
@@ -294,16 +297,12 @@ def run_chmc(
     return MarkovChain(samples, accepted, feasible, log_post, seconds, seed, divergences=divergences)
 
 
-def _stein_direction(particles: np.ndarray, grads: np.ndarray, bandwidth_mode) -> np.ndarray:
+def _stein_direction(particles: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Stein direction under the RBF kernel with the median-heuristic bandwidth."""
     sq_dists = (particles[:, None] - particles[None, :]) ** 2
-    if bandwidth_mode == "median":
-        h = float(np.median(sq_dists)) / math.log(particles.size + 1)
-        if h <= 0.0:
-            h = 1.0
-    else:
-        h = float(bandwidth_mode)
-        if h <= 0.0:
-            raise ValueError("kernel bandwidth must be positive")
+    h = float(np.median(sq_dists)) / math.log(particles.size + 1)
+    if h <= 0.0:
+        h = 1.0
     kernel = np.exp(-sq_dists / h)
     attraction = kernel @ grads
     repulsion = (2.0 / h) * (particles * kernel.sum(axis=1) - kernel @ particles)
@@ -315,11 +314,8 @@ def run_csvgd(
     n_particles: int,
     n_generations: int,
     initial_particles=None,
-    kernel_bandwidth_mode="median",
-    step_schedule=0.1,
+    step_size: float = 0.1,
     seed: int = 0,
-    adagrad_decay: float = 0.9,
-    adagrad_fudge: float = 1e-6,
 ) -> ParticleHistory:
     """Stein variational descent with penalized gradients.
 
@@ -328,7 +324,7 @@ def run_csvgd(
     frozen generation state and the update is applied synchronously. Step
     adaption follows the AdaGrad-with-momentum rule of the reference SVGD
     implementation: the first generation seeds the accumulator with the
-    squared direction, later generations decay it.
+    squared direction, later generations decay it by ``ADAGRAD_DECAY``.
     """
     if n_particles < 1:
         raise ValueError("n_particles must be >= 1")
@@ -349,16 +345,15 @@ def run_csvgd(
     accumulator = None
     t0 = time.perf_counter()
     for gen in range(n_generations):
-        base = float(step_schedule(gen)) if callable(step_schedule) else float(step_schedule)
         grads = np.asarray(log_post_gradient_penalized(particles), dtype=float)
-        direction = _stein_direction(particles, grads, kernel_bandwidth_mode)
+        direction = _stein_direction(particles, grads)
         if accumulator is None:
             accumulator = direction**2
         else:
-            accumulator = adagrad_decay * accumulator + (1.0 - adagrad_decay) * direction**2
-        particles = particles + base * direction / (adagrad_fudge + np.sqrt(accumulator))
+            accumulator = ADAGRAD_DECAY * accumulator + (1.0 - ADAGRAD_DECAY) * direction**2
+        particles = particles + step_size * direction / (ADAGRAD_FUDGE + np.sqrt(accumulator))
         generations[gen + 1] = particles
-        steps[gen] = base
+        steps[gen] = step_size
         seconds[gen] = time.perf_counter() - t0
     return ParticleHistory(generations, steps, seed, seconds)
 

@@ -61,9 +61,8 @@ from .gpc import (
     DEFAULT_ORDER,
     GermSpec,
     GermVariable,
-    _strip_nodes,
-    build_strip_exit_batch,
     build_strip_surrogate_batch,
+    porosity_projection,
 )
 from .heat_interface import (
     DEFAULT_CFL,
@@ -252,7 +251,7 @@ class ScenarioConfig:
     geometry: InterfaceGeometry | None
     n_z: int
     cfl: float
-    order: int | None  # model 1 only, as n_quad
+    order: int | None  # model 1's porosity expansion, as n_quad
     n_quad: int | None
     n_steps: int
     constraint: ChanceConstraintSpec
@@ -313,7 +312,7 @@ class ScenarioConfig:
             raise ConfigError("surrogate n_quad must be at least order + 1")
         try:  # gpc's own check of the porosity at its collocation nodes
             if model == 1:
-                _strip_nodes(params, germ, order, n_quad, n_steps)
+                porosity_projection(germ.variables[1], order, n_quad)
         except ValueError as exc:
             raise ConfigError(f"config invalid at germ/phi: {exc}") from exc
 
@@ -575,7 +574,7 @@ class Scenario:
     def _surrogate(self, coeffs: np.ndarray):
         cfg = self.config
         if cfg.model == 1:
-            return StripExitConstraint(cfg.germ, cfg.order, coeffs)
+            return StripExitConstraint(cfg.germ, coeffs)
         return InterfaceMaxConstraint(self._assemble_interface(coeffs), cfg.pointwise)
 
     def exit_table(self) -> ChebyshevTable | None:
@@ -600,17 +599,20 @@ class Scenario:
         return table(float(theta))
 
     def _strip_exit_coeffs(self, thetas) -> np.ndarray:
-        """Strip fluid exit coefficients at many thetas in one march: (n_thetas,
-        K+1, K+1) for model 1's strip germ, (n_thetas, n_strips, 2) otherwise."""
+        """Strip fluid exit coefficients (c0, c1) at many thetas in one march:
+        (n_thetas, n_strips, 2) for models 2 and 3. Model 1 marches one strip
+        per node of its porosity rule and projects onto He_k(xi_phi):
+        (n_thetas, K+1, 2)."""
         cfg = self.config
         if cfg.model == 1:
-            return build_strip_exit_batch(
-                cfg.params, cfg.germ, thetas, cfg.order, cfg.n_quad, cfg.n_steps
-            )
-        return build_strip_surrogate_batch(
-            cfg.params, cfg.strip_means, cfg.strip_stds, cfg.geometry.strip_porosities(),
-            thetas, cfg.n_steps,
-        )
+            q = cfg.germ.variables[0]
+            porosities, project = porosity_projection(cfg.germ.variables[1], cfg.order, cfg.n_quad)
+            means, stds = np.full(porosities.size, q.mean), np.full(porosities.size, q.std)
+        else:
+            means, stds, porosities = cfg.strip_means, cfg.strip_stds, cfg.geometry.strip_porosities()
+            project = None
+        coeffs = build_strip_surrogate_batch(cfg.params, means, stds, porosities, thetas, cfg.n_steps)
+        return coeffs if project is None else project @ coeffs
 
     def oracle(self) -> ChanceConstraintOracle:
         if self._oracle is None:
@@ -798,7 +800,7 @@ class Scenario:
                 n_particles,
                 int(sampler["n_generations"]),
                 initial_particles=initial,
-                step_schedule=float(sampler["step_size"]),
+                step_size=float(sampler["step_size"]),
                 seed=seed,
             )
         return run_projected_svgd(

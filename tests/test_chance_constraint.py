@@ -24,9 +24,10 @@ from tcbayes.cli import resolve_config
 from tcbayes.gpc import (
     GermSpec,
     GermVariable,
-    build_strip_exit_batch,
     build_strip_surrogate,
+    build_strip_surrogate_batch,
     hermite_design,
+    porosity_projection,
 )
 from tcbayes.heat_interface import (
     InterfaceGeometry,
@@ -177,7 +178,7 @@ def test_failed_batch_falls_back_to_per_theta_builds(caplog, windows):
     assert got.intervals == ref.intervals
     np.testing.assert_array_equal(got.feasible, ref.feasible)
     nan_keys = {k for k, p in oracle._probabilities.items() if math.isnan(p)}
-    assert nan_keys == {k for k in oracle._probabilities if bad(k * oracle.cache_quantum)}
+    assert nan_keys == {k for k in oracle._probabilities if bad(k * chance_constraint.CACHE_QUANTUM)}
     assert nan_keys and oracle.build_failures == len(nan_keys)
     assert oracle.evaluations == len(oracle._probabilities)
     assert caplog.text.count("surrogate build failed") == len(nan_keys)
@@ -219,11 +220,8 @@ def test_scan_csv_roundtrip(tmp_path):
 def test_strip_exit_constraint_against_brute_force():
     q0 = 30845.0 * 0.015
     params = ModelParams(heat_flux_nominal=q0)
-    germ = GermSpec(
-        (GermVariable("q", q0, 0.03 * q0), GermVariable("phi", params.porosity, 0.01))
-    )
-    surrogate = build_strip_surrogate(params, germ, 540.0)
-    f2 = StripExitConstraint(germ, surrogate.order, surrogate.coeff_t_fluid[..., -1])
+    germ, (coeff,) = _model1_exits((540.0,))
+    f2 = StripExitConstraint(germ, coeff)
     spec = ChanceConstraintSpec(beta=343.2, alpha=0.95, n_prob_samples=40_000, seed=5)
     prob = satisfaction_probability(f2, spec)
 
@@ -485,7 +483,7 @@ def _reference_strip_probability(f2: StripExitConstraint, beta: float) -> float:
     form: the exit temperature's polynomial in xi_0 at each node of the
     32-node Gauss-Hermite rule in xi_1, weighted by that rule."""
     nodes, weights = chance_constraint.gauss_hermite_rule(32)
-    rows = f2._coeff @ hermite_design(f2.order, nodes).T
+    rows = (hermite_design(f2._coeff.shape[0] - 1, nodes) @ f2._coeff).T
     edges, satisfied = _root_segments(rows, beta)
     return float(min(1.0, weights @ (np.diff(_normal_cdf(edges)) @ satisfied)))
 
@@ -517,21 +515,12 @@ def test_scanned_probabilities_match_root_intervals(monkeypatch, name, interval)
 
 
 def test_non_affine_fields_fall_back_to_monte_carlo():
-    # model 1: a quadratic term in the flux germ at the tolerance keeps the
-    # kernel; above it Monte Carlo decides
+    # model 1's exit is affine in the flux by its layout: (K+1, 2) coefficients,
+    # one (c0, c1) pair per porosity degree, and no other shape
     germ, (coeff,) = _model1_exits((540.28,))
-    beta, scale = 343.2, np.abs(coeff).max()
-    tolerated, curved = coeff.copy(), coeff.copy()
-    tolerated[2, 0], curved[2, 0] = 1e-12 * scale, 1e-3 * scale
-    exact = StripExitConstraint(germ, 3, coeff).exact_probability(beta)
-    assert abs(StripExitConstraint(germ, 3, tolerated).exact_probability(beta) - exact) <= 1e-12
-    f2 = StripExitConstraint(germ, 3, curved)
-    assert f2.exact_probability(beta) is None
-    spec = ChanceConstraintSpec(beta=beta, alpha=0.95, n_prob_samples=20_000, seed=6)
-    oracle = ChanceConstraintOracle(spec, lambda theta: f2)
-    prob = oracle.probability(540.28)
-    assert prob == f2.probability(np.random.default_rng(6).standard_normal((20_000, 2)), beta)
-    assert oracle.counters()["mc_draws"] == 20_000
+    for bad in (coeff[:, :1], np.column_stack([coeff, coeff[:, 1]]), coeff[None], coeff[:0]):
+        with pytest.raises(ValueError, match=r"\(K\+1, 2\)"):
+            StripExitConstraint(germ, bad)
     # an interface field is affine by construction: c0 + c1 xi per strip
     isurr = Scenario(resolve_config("model2")).interface_surrogate(589.16015625)
     with pytest.raises(ValueError, match="n_strips, 2"):
@@ -598,12 +587,14 @@ PAIR_GERM = GermSpec((GermVariable("q", 0.0, 1.0), GermVariable("phi", 0.0, 1.0)
 _PAIR_DRAWS = np.random.default_rng(2025).standard_normal((200_000, 2))
 
 
-def _model1_exits(thetas, phi_std: float = 0.01, dim: int = 2) -> tuple[GermSpec, np.ndarray]:
-    q0 = 30845.0 * 0.015
-    params = ModelParams(heat_flux_nominal=q0)
-    variables = (GermVariable("q", q0, 0.03 * q0), GermVariable("phi", params.porosity, phi_std))
-    germ = GermSpec(variables[:dim])
-    return germ, build_strip_exit_batch(params, germ, np.asarray(thetas, dtype=float))
+def _model1_exits(thetas, phi_std: float = 0.01, q_std: float = 0.03 * 30845.0 * 0.015):
+    """The shipped model-1 germ, with the given stds, and its (K+1, 2) exit
+    coefficients at ``thetas``."""
+    config = resolve_config("model1")
+    q, phi = config.germ.variables
+    germ = GermSpec((GermVariable("q", q.mean, q_std), GermVariable("phi", phi.mean, phi_std)))
+    exits = Scenario(dataclasses.replace(config, germ=germ))._strip_exit_coeffs(np.asarray(thetas, float))
+    return germ, exits
 
 
 def test_exact_strip_exit_probability_matches_monte_carlo():
@@ -611,7 +602,7 @@ def test_exact_strip_exit_probability_matches_monte_carlo():
     germ, exits = _model1_exits(thetas)
     n = _PAIR_DRAWS.shape[0]
     for coeff in exits:
-        f2 = StripExitConstraint(germ, 3, coeff)
+        f2 = StripExitConstraint(germ, coeff)
         exact = f2.exact_probability(343.2)
         mc = f2.probability(_PAIR_DRAWS, 343.2)
         assert abs(exact - mc) <= 4.0 * _std_error(exact, n) + 1.0 / n
@@ -620,7 +611,7 @@ def test_exact_strip_exit_probability_matches_monte_carlo():
 def test_strip_exit_quadrature_converged(monkeypatch):
     germ, exits = _model1_exits((530.0, 540.28, 545.0, 560.0, 600.0))
     for coeff in exits:
-        f2 = StripExitConstraint(germ, 3, coeff)
+        f2 = StripExitConstraint(germ, coeff)
         p32 = f2.exact_probability(343.2)
         monkeypatch.setattr(chance_constraint, "_ETA_NODES", 64)
         p64 = f2.exact_probability(343.2)
@@ -629,42 +620,44 @@ def test_strip_exit_quadrature_converged(monkeypatch):
 
 
 def test_degenerate_phi_is_the_one_dimensional_path():
-    germ2, (coeff2,) = _model1_exits((540.0,), phi_std=0.0)
-    germ1, (coeff1,) = _model1_exits((540.0,), dim=1)
-    assert not coeff2[:, 1:].any()
+    # with phi std 0 every porosity-degree >= 1 row is exactly 0, and row 0 is
+    # the one-strip flux law at the mean porosity
+    germ, (coeff,) = _model1_exits((540.0,), phi_std=0.0)
+    q, phi = germ.variables
+    assert coeff.shape == (4, 2) and not coeff[1:].any()
+    (one_strip,) = build_strip_surrogate_batch(
+        resolve_config("model1").params, [q.mean], [q.std], [phi.mean], [540.0]
+    )
+    np.testing.assert_array_equal(coeff[:1], one_strip)
+    c0, c1 = coeff[0]
     for beta in (330.0, 343.2, 350.0):
-        # the same coefficients take the same one-row path bit for bit
-        one_row = StripExitConstraint(germ1, 3, coeff2[:, 0]).exact_probability(beta)
-        assert StripExitConstraint(germ2, 3, coeff2).exact_probability(beta) == one_row
-        # a 1-D build marches the same collocation nodes
-        built = StripExitConstraint(germ1, 3, coeff1).exact_probability(beta)
-        assert abs(built - one_row) <= 1e-12
+        # the same coefficients take the same path at order 0, bit for bit
+        one_row = StripExitConstraint(germ, coeff[:1]).exact_probability(beta)
+        assert StripExitConstraint(germ, coeff).exact_probability(beta) == one_row
+        # and that is the normal cdf of the one affine law
+        assert abs(one_row - 0.5 * math.erfc(-(beta - c0) / c1 / math.sqrt(2.0))) <= 1e-15
 
 
 def test_nan_threshold_gives_a_nan_probability():
     # min(1.0, nan) is 1.0: a NaN sum must not read as certain satisfaction
     germ, (coeff,) = _model1_exits((540.0,))
-    assert math.isnan(StripExitConstraint(germ, 3, coeff).exact_probability(math.nan))
+    assert math.isnan(StripExitConstraint(germ, coeff).exact_probability(math.nan))
     # and without any flux dependence
     flux_free = coeff.copy()
-    flux_free[1:] = 0.0
-    assert math.isnan(StripExitConstraint(germ, 3, flux_free).exact_probability(math.nan))
+    flux_free[:, 1] = 0.0
+    assert math.isnan(StripExitConstraint(germ, flux_free).exact_probability(math.nan))
 
 
 def test_degenerate_heat_flux_falls_back_to_monte_carlo():
     # with q std 0 the exit temperature is a cubic in xi_phi alone: every
     # conditional mass is 0 or 1, the two eta rules disagree, and the draws decide
-    q0 = 30845.0 * 0.015
-    params = ModelParams(heat_flux_nominal=q0)
-    phi = GermVariable("phi", params.porosity, 0.01)
-    pair = GermSpec((GermVariable("q", q0, 0.0), phi))
-    (coeff2,) = build_strip_exit_batch(params, pair, np.array([540.0]))
-    assert not coeff2[1:].any()
-    f2 = StripExitConstraint(pair, 3, coeff2)
+    pair, (coeff2,) = _model1_exits((540.0,), q_std=0.0)
+    assert not coeff2[:, 1].any()
+    f2 = StripExitConstraint(pair, coeff2)
     n = 50_000
     for beta in (340.6, 340.9, 341.2):
         # the normal mass of the root intervals of the cubic in xi_phi
-        edges, satisfied = _root_segments(coeff2[0][:, None], beta)
+        edges, satisfied = _root_segments(coeff2[:, :1], beta)
         expected = float(np.diff(_normal_cdf(edges)) @ satisfied[:, 0])
         assert 0.0 < expected < 1.0
         assert f2.exact_probability(beta) is None
@@ -677,24 +670,23 @@ def test_degenerate_heat_flux_falls_back_to_monte_carlo():
 
 @st.composite
 def _pair_tensors(draw) -> np.ndarray:
-    """Random (K+1, K+1) coefficients, mostly affine in xi_0 as a strip exit
-    temperature is in the heat flux. Some get a dominant linear term in xi_0
-    and a mild dependence on xi_1, as the exit temperature has on the porosity."""
+    """Random (K+1, 2) coefficients: row k holds the He_k(xi_1) terms of the
+    offset and slope of a law affine in xi_0, as a strip exit temperature is
+    in the heat flux. Some get a dominant slope and a mild dependence on xi_1,
+    as the exit temperature has on the porosity."""
     order = draw(st.integers(0, 4))
-    values = draw(st.lists(_coef, min_size=(order + 1) ** 2, max_size=(order + 1) ** 2))
-    coeff = np.array(values).reshape(order + 1, order + 1)
-    if draw(st.integers(0, 3)):
-        coeff[2:] = 0.0
+    coeff = np.array(draw(st.lists(_coef, min_size=2 * order + 2, max_size=2 * order + 2)))
+    coeff = coeff.reshape(order + 1, 2)
     if order > 0 and draw(st.booleans()):
-        coeff[1, 0] += 8.0
-        coeff[:, 1:] /= 64.0
+        coeff[0, 1] += 8.0
+        coeff[1:] /= 64.0
     return coeff
 
 
 @settings(max_examples=80, deadline=None)
 @given(_pair_tensors(), _beta, _beta)
 def test_exact_strip_exit_probability_property(coeff, b1, b2):
-    f2 = StripExitConstraint(PAIR_GERM, coeff.shape[0] - 1, coeff)
+    f2 = StripExitConstraint(PAIR_GERM, coeff)
     draws = _PAIR_DRAWS[:100_000]
     n = draws.shape[0]
     exact = {}
@@ -719,8 +711,8 @@ def test_unconverged_quadrature_falls_back_to_monte_carlo():
     # f2 = (xi_1 - 0.3)(1 + xi_0) is affine in xi_0, but at xi_1 = 0.3 both
     # a and b vanish: the satisfied mass of f2 <= 0 jumps from Phi(1) to
     # Phi(-1) there, and the quadrature fails
-    coeff = np.array([[-0.3, 1.0], [-0.3, 1.0]])
-    f2 = StripExitConstraint(PAIR_GERM, 1, coeff)
+    coeff = np.array([[-0.3, -0.3], [1.0, 1.0]])
+    f2 = StripExitConstraint(PAIR_GERM, coeff)
     assert f2.exact_probability(0.0) is None
     spec = ChanceConstraintSpec(beta=0.0, alpha=0.5, n_prob_samples=50_000, seed=3)
     oracle = ChanceConstraintOracle(spec, lambda theta: f2)
@@ -744,23 +736,31 @@ def _galerkin_flux_exit(config: ScenarioConfig, porosity: float, mean: float, st
 
 
 def _flux_curvature(scenario: Scenario, thetas, strips=slice(None)) -> np.ndarray:
-    """Per theta, the largest flux-degree >= 2 exit coefficient over the
-    largest exit coefficient, from one march of the strips.
+    """Per theta, the larger of the Galerkin reference's largest flux-degree
+    >= 2 exit coefficient and the gap between the builder's (c0, c1) and the
+    reference's degree 0-1 terms, over the reference's largest coefficient.
 
-    Models 2 and 3 are built at order 1, so their check reads the Galerkin
-    reference of each selected strip's flux germ, and also counts the gap
-    between the builder's (c0, c1) and the reference's degree 0-1 terms.
+    The reference is the Galerkin expansion of each selected strip's flux
+    germ. Model 1's strips are the nodes of its porosity rule, and its
+    (c0, c1) are compared with their degree 0-1 terms projected onto
+    He_k(xi_phi). Its full (q, phi) Galerkin tensor differs from that
+    projection at porosity truncation level, which ``test_gpc`` bounds.
     """
     coeffs = scenario._strip_exit_coeffs(thetas)
-    if scenario.config.model == 1:  # (theta, flux degree, phi degree)
-        return np.abs(coeffs[:, 2:]).max(axis=(1, 2)) / np.abs(coeffs).max(axis=(1, 2))
-    config = scenario.config
-    rows = np.stack([config.geometry.strip_porosities(), config.strip_means, config.strip_stds], 1)
+    config, project = scenario.config, None
+    if config.model == 1:
+        q, phi = config.germ.variables
+        porosities, project = porosity_projection(phi, config.order, config.n_quad)
+        rows = [(porosity, q.mean, q.std) for porosity in porosities]
+    else:
+        rows = np.stack([config.geometry.strip_porosities(), config.strip_means, config.strip_stds], 1)
+        rows, coeffs = rows[strips], coeffs[:, strips]
     reference = np.array([
-        [_galerkin_flux_exit(config, *row, theta) for row in rows[strips]] for theta in thetas
+        [_galerkin_flux_exit(config, *row, theta) for row in rows] for theta in thetas
     ])  # (theta, strip, flux degree)
     high = np.abs(reference[..., 2:]).max(axis=(1, 2))
-    gap = np.abs(coeffs[:, strips] - reference[..., :2]).max(axis=(1, 2))
+    expected = reference[..., :2] if project is None else project @ reference[..., :2]
+    gap = np.abs(coeffs - expected).max(axis=(1, 2))
     return np.maximum(high, gap) / np.abs(reference).max(axis=(1, 2))
 
 
@@ -803,7 +803,8 @@ def test_random_physics_keeps_the_exit_affine_in_the_flux(name, scales, theta):
 def _galerkin_exit_coeffs(config: ScenarioConfig, thetas) -> np.ndarray:
     """``Scenario._strip_exit_coeffs`` from the intrusive Galerkin march.
 
-    Model 1 builds its strip germ at each theta. Models 2 and 3 build strip 0's
+    Model 1 builds its (q, phi) germ at each theta and keeps the flux-degree
+    0-1 rows of the tensor, as (K+1, 2). Models 2 and 3 build strip 0's
     flux germ once per distinct porosity and theta, and carry its degree 0-1
     terms to every strip's germ by the affine law, which
     ``test_shipped_exit_temperatures_are_affine_in_the_flux`` checks strip by
@@ -812,7 +813,7 @@ def _galerkin_exit_coeffs(config: ScenarioConfig, thetas) -> np.ndarray:
     if config.model == 1:
         args = (config.order, config.n_quad, config.n_steps)
         return np.stack([
-            build_strip_surrogate(config.params, config.germ, theta, *args).coeff_t_fluid[..., -1]
+            build_strip_surrogate(config.params, config.germ, theta, *args).coeff_t_fluid[:2, :, -1].T
             for theta in thetas
         ])
     porosities, inverse = np.unique(config.geometry.strip_porosities(), return_inverse=True)

@@ -61,6 +61,19 @@ def test_missing_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("build-surrogate", "--theta", v) for v in ("-5", "0", "nan", "inf", "abc")]
+    + [("simulate-forward", "--theta", "-5"), ("simulate-forward", "--q", "nan"),
+       ("simulate-forward", "--phi", "1.5"), ("simulate-forward", "--phi", "0")],
+)
+def test_out_of_domain_argument_is_usage_error(command, flag, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", "model1", "--output", str(tmp_path), f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"{flag}: {value!r} is not" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_2(tiny_model1_dict, write_config, capsys):
     tiny_model1_dict["bogus"] = True
     path = write_config(tiny_model1_dict)
@@ -699,8 +712,10 @@ def test_build_surrogate_rejects_a_nan_theta(tiny_model1_dict, write_config, mon
     monkeypatch.setattr(gpc, "_galerkin_march", no_march)
     monkeypatch.setattr(gpc, "interface_state_batch", no_march)
     path = write_config(tiny_model1_dict)
-    assert main(["build-surrogate", "--config", path, "--theta", "nan"]) == 1
-    assert "ValueError: re must be positive" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["build-surrogate", "--config", path, "--theta", "nan"])
+    assert exc.value.code == 2
+    assert "--theta: 'nan' is not a positive finite number" in capsys.readouterr().err
 
 
 def test_scan_feasible_prints_intervals(tiny_model1_dict, write_config, tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcbayes import gpc
-from tcbayes.scenario import ScenarioConfig
+from tcbayes.scenario import Scenario, ScenarioConfig
 from tcbayes.porous_flow import (
     ModelParams,
     SingularDenominatorError,
@@ -22,13 +22,13 @@ from tcbayes.gpc import (
     GermSpec,
     GermVariable,
     _Projection,
-    build_strip_exit_batch,
     build_strip_surrogate,
     build_strip_surrogate_batch,
     evaluate_surrogate,
     gauss_hermite_rule,
     hermite_design,
     hermite_norms_squared,
+    porosity_projection,
     surrogate_moments,
 )
 
@@ -111,8 +111,6 @@ def test_inner_product_two_dimensional():
 def test_germ_validation():
     with pytest.raises(ValueError):
         GermVariable("q", 0.0, -1.0)
-    with pytest.raises(ValueError):
-        GermVariable("q", 0.0, 1.0, distribution="uniform")
     with pytest.raises(ValueError):
         GermSpec((GermVariable("q", 0.0, 1.0), GermVariable("q", 1.0, 1.0)))
     with pytest.raises(ValueError):
@@ -265,18 +263,35 @@ def test_per_row_re_batch_equals_per_theta_builds():
         build_strip_surrogate_batch(PARAMS, [Q0, Q0], [SIGMA_Q] * 2, [0.111] * 2, [540.0, 0.0])
 
 
+def _model1_exits(germ, res, order, n_quad, n_steps, params=PARAMS) -> np.ndarray:
+    """Model 1's exit coefficients (len(res), order+1, 2), as its scenario builds them."""
+    config = replace(
+        _shipped(1), params=params, germ=germ, order=order, n_quad=n_quad, n_steps=n_steps
+    )
+    return Scenario(config)._strip_exit_coeffs(res)
+
+
+def _matches_galerkin(got, want, tol):
+    """Model 1's (K+1, 2) ``got`` against the Galerkin tensor ``want`` (flux
+    degree, phi degree): (c0, c1) are its flux-degree 0-1 rows, and its
+    flux-degree >= 2 rows are negligible."""
+    flux = min(2, want.shape[0])
+    _within(got[:, :flux], want[:flux].T, tol)
+    assert np.abs(want[2:]).max(initial=0.0) <= FLUX_GERM_TOL * np.abs(want).max()
+
+
 def test_exit_batch_matches_full_history_builds():
     # model 1's bivariate germ at the 33 coarse scan thetas
     cfg = _shipped(1)
     thetas = np.linspace(*cfg.theta_range(), 33)
-    exits = build_strip_exit_batch(cfg.params, cfg.germ, thetas, cfg.order, cfg.n_quad, cfg.n_steps)
-    assert exits.shape == (thetas.size, cfg.order + 1, cfg.order + 1)
+    exits = _model1_exits(cfg.germ, thetas, cfg.order, cfg.n_quad, cfg.n_steps, cfg.params)
+    assert exits.shape == (thetas.size, cfg.order + 1, 2)
     for theta, got in zip(thetas, exits):
         s = build_strip_surrogate(cfg.params, cfg.germ, theta, cfg.order, cfg.n_quad, cfg.n_steps)
         want = s.coeff_t_fluid[..., -1]
-        _within(got, want, PHI_GERM_TOL)
+        _matches_galerkin(got, want, PHI_GERM_TOL)
         # the gap sits in the porosity-degree >= 2 terms
-        _within(got[:, :2], want[:, :2], FLUX_GERM_TOL)
+        _matches_galerkin(got[:2], want[:, :2], FLUX_GERM_TOL)
 
 
 @settings(max_examples=25, deadline=None)
@@ -288,14 +303,24 @@ def test_exit_batch_matches_full_history_builds():
     re=st.floats(300.0, 1000.0),
 )
 def test_square_design_collocation_is_the_galerkin_march(q_rel_std, phi_mean, phi_rel_std, order, re):
-    # with n_quad = order + 1 the design is square and project is its inverse,
-    # so each Galerkin step is the Euler step at every node
+    # with n_quad = order + 1 the porosity design is square and project is its
+    # inverse, so each Galerkin step is the Euler step at every node
     germ = GermSpec(
         (GermVariable("q", Q0, q_rel_std * Q0), GermVariable("phi", phi_mean, phi_rel_std * phi_mean))
     )
-    (got,) = build_strip_exit_batch(PARAMS, germ, [re], order, order + 1, n_steps=200)
+    (got,) = _model1_exits(germ, [re], order, order + 1, n_steps=200)
     s = build_strip_surrogate(PARAMS, germ, re, order, order + 1, n_steps=200)
-    _within(got, s.coeff_t_fluid[..., -1], 1e-12)
+    _matches_galerkin(got, s.coeff_t_fluid[..., -1], 1e-12)
+
+
+def test_porosity_projection_of_a_degenerate_germ_is_the_mean():
+    porosities, project = porosity_projection(GermVariable("phi", 0.2, 0.0), 3, 6)
+    np.testing.assert_array_equal(porosities, [0.2])
+    np.testing.assert_array_equal(project, [[1.0], [0.0], [0.0], [0.0]])
+    porosities, project = porosity_projection(GermVariable("phi", 0.2, 0.01), 3, 6)
+    assert porosities.shape == (6,) and project.shape == (4, 6)
+    with pytest.raises(ValueError, match="order"):
+        porosity_projection(GermVariable("phi", 0.2, 0.01), 3, 3)
 
 
 def test_nan_re_and_porosity_are_rejected_before_the_march(monkeypatch):
@@ -307,16 +332,16 @@ def test_nan_re_and_porosity_are_rejected_before_the_march(monkeypatch):
     params = ModelParams()
     germ = GermSpec((GermVariable("q", 450.0, 10.0),))
     with pytest.raises(ValueError, match="re must be positive"):
-        build_strip_exit_batch(params, germ, np.array([500.0, math.nan]))
+        _model1_exits(two_variable_germ(), np.array([500.0, math.nan]), 3, 6, 100)
     with pytest.raises(ValueError, match="re must be positive"):
         build_strip_surrogate(params, germ, math.nan)
     with pytest.raises(ValueError, match="re must be positive"):
         build_strip_surrogate_batch(params, [450.0], [10.0], [0.111], [500.0, math.nan])
     with pytest.raises(ValueError, match="porosities"):
         build_strip_surrogate_batch(params, [450.0], [10.0], [math.nan], [500.0])
-    nan_phi = GermSpec((GermVariable("q", 450.0, 10.0), GermVariable("phi", math.nan, 0.01)))
-    with pytest.raises(ValueError, match="porosity leaves"):
-        build_strip_exit_batch(params, nan_phi, np.array([500.0]))
+    for std in (0.0, 0.01):
+        with pytest.raises(ValueError, match="porosity leaves"):
+            porosity_projection(GermVariable("phi", math.nan, std), 3, 6)
 
 
 def test_quadrature_too_coarse_rejected():
@@ -332,8 +357,6 @@ def test_singular_guard_raises_from_both_builders():
         build_strip_surrogate_batch(
             PARAMS, [Q0], [SIGMA_Q], [PARAMS.porosity], [540.0], singular_eps=1e300
         )
-    with pytest.raises(SingularDenominatorError):
-        build_strip_exit_batch(PARAMS, two_variable_germ(), [540.0], singular_eps=1e300)
 
 
 @settings(max_examples=80, deadline=None)

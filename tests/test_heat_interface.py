@@ -52,12 +52,10 @@ def test_geometry_defaults_and_validation():
     with pytest.raises(ValueError):
         InterfaceGeometry(d1=0.8, d2=0.2)
     with pytest.raises(ValueError):
-        InterfaceGeometry(delta_z=0.01)  # overlapping footprints
-    with pytest.raises(ValueError):
         InterfaceGeometry(section_porosities=((0.25, 0.75, 1.5),))
 
 
-@pytest.mark.parametrize("key", ["wall_temp", "diffusivity", "t_constraint", "delta_z"])
+@pytest.mark.parametrize("key", ["wall_temp", "diffusivity", "t_constraint"])
 @pytest.mark.parametrize("value", [float("nan"), 0.0])
 def test_geometry_rejects_nonpositive_and_nan(key, value):
     with pytest.raises(ValueError, match=f"{key} must be positive"):
@@ -262,7 +260,7 @@ def test_footprint_response_keys_on_every_input():
     _, wall, unit = _footprint_response(**args)
     changed = [
         dict(geometry=dataclasses.replace(geo, wall_temp=390.0)),
-        dict(geometry=dataclasses.replace(geo, d1=0.2, d2=0.8, delta_z=None)),
+        dict(geometry=dataclasses.replace(geo, d1=0.2, d2=0.8)),
         dict(lam=2e-3),
         dict(t_end=0.5),
         dict(n_z=301),

@@ -140,16 +140,6 @@ def test_csvgd_penalty_reduces_infeasible_particles():
     assert n_penal < n_plain
 
 
-def test_csvgd_step_schedule_and_fixed_bandwidth():
-    schedule = lambda gen: 0.2 / (1 + gen)
-    history = run_csvgd(
-        lambda ts: -ts, 10, 5, kernel_bandwidth_mode=1.0, step_schedule=schedule, seed=8
-    )
-    assert np.allclose(history.step_sizes, [0.2, 0.1, 0.2 / 3, 0.05, 0.04])
-    with pytest.raises(ValueError):
-        run_csvgd(lambda ts: -ts, 10, 5, kernel_bandwidth_mode=0.0, seed=8)
-
-
 def test_csvgd_validation():
     with pytest.raises(ValueError):
         run_csvgd(lambda ts: -ts, 0, 5, seed=0)

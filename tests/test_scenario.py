@@ -12,7 +12,7 @@ import pytest
 from tcbayes import gpc
 from tcbayes.bayes import TABLE_NODES, TABLE_TOL, table_record
 from tcbayes.cli import resolve_config
-from tcbayes.gpc import build_strip_exit_batch
+from tcbayes.chance_constraint import CACHE_QUANTUM
 from tcbayes.porous_flow import SingularDenominatorError, forward_pressure_at_mean
 from tcbayes.samplers import MarkovChain, ParticleHistory
 from tcbayes.scenario import (
@@ -445,12 +445,7 @@ def test_out_of_range_theta_marches_alone(model, tiny_model1_dict, tiny_model2_d
     config = _tiny_config(model, tiny_model1_dict, tiny_model2_dict)
     scenario = Scenario(config)
     for theta in (250.0, 1200.0):
-        if model == 1:
-            want = build_strip_exit_batch(
-                config.params, config.germ, [theta], config.order, config.n_quad, config.n_steps
-            )[0]
-        else:
-            want = scenario._strip_exit_coeffs([theta])[0]
+        want = scenario._strip_exit_coeffs([theta])[0]
         np.testing.assert_array_equal(_factory_coeffs(scenario, theta), want)
     # no visit inside the range, so no table was built
     assert scenario._exit is None
@@ -474,15 +469,34 @@ def test_singular_table_node_leaves_every_theta_to_its_own_march(monkeypatch, ti
     scenario.scan()
     assert table_record(scenario.exit_table()) == "direct"
     oracle = scenario.oracle()
-    failed = [k * oracle.cache_quantum for k, p in oracle._probabilities.items() if math.isnan(p)]
+    failed = [k * CACHE_QUANTUM for k, p in oracle._probabilities.items() if math.isnan(p)]
     assert failed and all(window[0] < theta < window[1] for theta in failed)
     assert oracle.counters()["build_failures"] == len(failed)
     assert oracle.counters()["evaluations"] == len(oracle._probabilities)
     # every other visited theta marched alone, within roundoff of the table's P
     for key, prob in oracle._probabilities.items():
         if not math.isnan(prob):
-            want = tabled.oracle().probability(key * oracle.cache_quantum)
+            want = tabled.oracle().probability(key * CACHE_QUANTUM)
             assert abs(prob - want) <= 1e-11
+
+
+def test_surrogate_oracle_mode_asks_the_oracle_at_every_proposal(tiny_model1_dict):
+    tiny_model1_dict["constraint"]["oracle"] = "surrogate"
+    scenario = Scenario(ScenarioConfig.from_dict(tiny_model1_dict))
+    oracle, asked = scenario.oracle(), []
+    probability = oracle.probability
+
+    def recording(theta):
+        asked.append(theta)
+        return probability(theta)
+
+    oracle.probability = recording
+    chain = scenario.run_chain(0)
+    # the start, then every proposal, and no frozen scan in between
+    assert len(asked) == 1 + len(chain) and scenario._scan is None
+    assert set(chain.samples) <= set(asked) and oracle.evaluations > 1
+    alpha = scenario.config.constraint.alpha
+    assert all(probability(theta) >= alpha for theta in chain.samples)
 
 
 @pytest.mark.parametrize(
