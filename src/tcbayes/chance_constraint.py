@@ -196,6 +196,8 @@ class InterfaceMaxConstraint(F2Surrogate):
         left, right = isurr.unit_svd()
         _, sv, qt = np.linalg.svd(c1[:, None] * left, full_matrices=False)
         directions = sv[:, None] * (qt @ right)
+        # a node that no germ variable moves is fixed, as in the draws, not the SVD's roundoff
+        directions[:, np.abs(c1) @ np.abs(isurr.unit) == 0.0] = 0.0
         n_axes = max(1, int(np.count_nonzero(sv > math.sqrt(_ETA_TOL) * sv[0])))
         if n_axes > _MAX_AXES:
             return None

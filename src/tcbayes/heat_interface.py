@@ -3,19 +3,22 @@
 The interface coordinate z in [0, 1] carries solid walls outside a porous
 window (d1, d2); the window is tiled by pore footprints that take the strip
 exit temperatures. The field then relaxes under the linear heat equation
-with zero-flux boundaries, marched by the explicit central scheme with a
-mirror-ghost Neumann closure.
+with zero-flux boundaries, by the map of the explicit central scheme with a
+mirror-ghost Neumann closure. That map is diagonal in the type-I discrete
+cosine basis (DCT-I), so every diffusion, ``diffuse_field`` included, is
+one DCT-I (an ``rfft`` of the even extension), a per-mode growth factor and
+a second DCT-I. As in the march, a node that no jump of its row reaches
+within the steps keeps its value exactly, and so does a constant field.
 
 Diffusion is linear and does not depend on the strip values, so for one
 (geometry, diffusivity, time, grid, cfl) the wall field and one unit field
-per strip footprint are diffused once, through the eigenbasis of the
-marching operator, and cached. An ``InterfaceSurrogate`` (models with
-random heat flux) holds each strip's exit temperature c0 + c1 xi, exact in
-the flux germ, next to those cached responses and never forms per-mode
-fields: a realization is ``wall + (c0 + c1 * xi) @ unit``, where a shared
-germ's one variable drives every strip; for independent germs the thin SVD
-of the unit responses is cached with them, on first use.
-``diffuse_field`` marches a single field step by step.
+per strip footprint are diffused once and cached. An ``InterfaceSurrogate``
+(models with random heat flux) holds each strip's exit temperature
+c0 + c1 xi, exact in the flux germ, next to those cached responses and
+never forms per-mode fields: a realization is ``wall + (c0 + c1 * xi) @
+unit``, where a shared germ's one variable drives every strip; for
+independent germs the thin SVD of the unit responses is cached with them,
+on first use.
 """
 from __future__ import annotations
 
@@ -149,70 +152,62 @@ def assemble_initial_field(
     return InterfaceField(z_grid=z, values=values, time=0.0)
 
 
-def _diffuse_rows(rows: np.ndarray, r: float, n_full: int, r_rem: float) -> np.ndarray:
-    """March stacked fields with the explicit scheme; mirror-ghost ends.
-
-    ``rows`` has shape (n_fields, n_z). The update with ratio r keeps every
-    node a convex combination of its neighbors for r <= 1/2, so the discrete
-    maximum principle holds exactly; the trapezoid-weighted spatial mean is
-    conserved exactly by the ghost closure.
-    """
-    u = np.array(rows, dtype=float)
-    lap = np.empty_like(u)
-    for _ in range(n_full):
-        _ghost_step(u, lap, r)
-    if r_rem > 0.0:
-        _ghost_step(u, lap, r_rem)
-    return u
-
-
-def _ghost_step(u: np.ndarray, lap: np.ndarray, ratio: float) -> None:
-    lap[:, 1:-1] = u[:, :-2] - 2.0 * u[:, 1:-1] + u[:, 2:]
-    lap[:, 0] = 2.0 * (u[:, 1] - u[:, 0])
-    lap[:, -1] = 2.0 * (u[:, -2] - u[:, -1])
-    u += ratio * lap
+def _dct1(rows: np.ndarray) -> np.ndarray:
+    """Type-I discrete cosine transform of each row, by rfft of its even extension."""
+    return np.fft.rfft(np.concatenate([rows, rows[:, -2:0:-1]], axis=1), axis=1).real
 
 
 def _spectral_propagate(rows: np.ndarray, r: float, n_full: int, r_rem: float) -> np.ndarray:
-    """Apply the exact same marching map through the operator's eigenbasis.
+    """Apply the explicit marching map through the operator's eigenbasis.
 
-    The mirror-ghost update matrix has eigenvectors cos(k*pi*i/(n-1)) with
-    per-step factors 1 + r*mu_k, mu_k = -2(1 - cos(k*pi/(n-1))). Diagonalizing
-    replaces n_full sweeps with one change of basis; results agree with the
-    sweeps to roundoff.
+    ``rows`` has shape (n_fields, n_z). The mirror-ghost update matrix has
+    eigenvectors cos(k*pi*i/(n-1)) with per-step factors 1 + r*mu_k,
+    mu_k = -2(1 - cos(k*pi/(n-1))): n_full steps of ratio r and one of
+    ratio r_rem scale mode k by ``growth[k]``. The basis is the DCT-I, its
+    own inverse up to 2(n-1), so the map is two real FFTs, exact to roundoff.
     """
     n = rows.shape[1]
-    i = np.arange(n)
-    basis = np.cos(np.pi * np.outer(i, i) / (n - 1))
-    mu = -2.0 * (1.0 - np.cos(np.pi * i / (n - 1)))
+    mu = -2.0 * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
     growth = (1.0 + r * mu) ** n_full * (1.0 + r_rem * mu)
-    coeffs = np.linalg.solve(basis, rows.T)
-    return (basis @ (growth[:, None] * coeffs)).T
+    return _dct1(growth * _dct1(rows)) / (2 * (n - 1))
+
+
+def _diffuse(
+    rows: np.ndarray, z_grid: np.ndarray, lam: float, elapsed: float, cfl: float
+) -> np.ndarray:
+    """New array of ``rows`` diffused for ``elapsed`` time on ``z_grid``.
+
+    Both public entry points share its guards. As in the march, a node
+    farther than n_full + 1 nodes from every jump of its row keeps its value.
+    """
+    if not 0.0 < cfl <= 0.5:
+        raise ValueError("cfl must lie in (0, 0.5] for stability")
+    if not lam > 0.0:  # also rejects NaN
+        raise ValueError("lam must be positive")
+    if not 0.0 <= elapsed < np.inf:
+        raise ValueError("t_end must be finite and must not precede the field time")
+    if elapsed == 0.0:
+        return rows.copy()
+    n_full, r_rem = _march_plan(z_grid, lam, elapsed, cfl)
+    jumps = np.pad(np.cumsum(np.diff(rows, axis=1) != 0.0, axis=1), ((0, 0), (1, 0)))
+    i = np.arange(rows.shape[1])
+    near = jumps[:, np.minimum(i + n_full + 1, i[-1])] > jumps[:, np.maximum(i - n_full - 1, 0)]
+    return np.where(near, _spectral_propagate(rows, cfl, n_full, r_rem), rows)
 
 
 def _march_plan(z_grid: np.ndarray, lam: float, elapsed: float, cfl: float):
     dz = z_grid[1] - z_grid[0]
     dt = cfl * dz * dz / lam
     n_full = int(elapsed // dt)
-    rem = elapsed - n_full * dt
-    r_rem = lam * rem / (dz * dz)
-    return n_full, r_rem
+    return n_full, lam * (elapsed - n_full * dt) / (dz * dz)
 
 
 def diffuse_field(
     field: InterfaceField, lam: float, t_end: float, cfl: float = DEFAULT_CFL
 ) -> InterfaceField:
-    """Evolve a field to t_end under the heat equation with zero-flux ends."""
-    if not 0.0 < cfl <= 0.5:
-        raise ValueError("cfl must lie in (0, 0.5] for stability")
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    if t_end < field.time:
-        raise ValueError("t_end must not precede the field time")
-    if t_end == field.time:
-        return InterfaceField(field.z_grid.copy(), field.values.copy(), t_end)
-    n_full, r_rem = _march_plan(field.z_grid, lam, t_end - field.time, cfl)
-    values = _diffuse_rows(field.values[None, :], cfl, n_full, r_rem)[0]
+    """Evolve a field to t_end under the heat equation with zero-flux ends:
+    the explicit march with ratio ``cfl``, applied as a DCT-I by ``_diffuse``."""
+    values = _diffuse(field.values[None, :], field.z_grid, lam, t_end - field.time, cfl)[0]
     return InterfaceField(z_grid=field.z_grid.copy(), values=values, time=t_end)
 
 
@@ -234,8 +229,7 @@ def _footprint_response(
     rows[0] = initial.values
     idx, covered = _footprint_index(geometry, z)
     rows[1 + idx[covered], np.flatnonzero(covered)] = 1.0
-    if t_end > 0.0:
-        rows = _spectral_propagate(rows, cfl, *_march_plan(z, lam, t_end, cfl))
+    rows = _diffuse(rows, z, lam, t_end, cfl)
     for array in (z, rows):
         array.flags.writeable = False
     return z, rows[0], rows[1:]
@@ -309,8 +303,6 @@ def assemble_interface_from_coeffs(
     c0 + c1 xi in its flux germ. The germ has one variable shared by all
     strips or one per strip.
     """
-    if t_end < 0.0:
-        raise ValueError("t_end must be >= 0")
     key = (geometry, lam, t_end, n_z, cfl)
     z, wall, unit = _footprint_response(*key)
     coeffs = np.asarray(coeffs, dtype=float)

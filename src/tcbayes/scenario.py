@@ -467,6 +467,11 @@ def _parse_sampler(sampler_cfg: dict) -> dict:
         raise ConfigError(f"sampler '{kind}' requires {missing}")
     out = dict(sampler_cfg)
     out.setdefault("n_chains", 1)
+    if kind in ("csvgd", "projected_svgd") and out["n_chains"] != 1:
+        raise ConfigError(
+            "config invalid at sampler/n_chains: a particle sampler runs one ensemble, "
+            "so n_chains must be 1"
+        )
     out.setdefault("burn_in_fraction", DEFAULT_BURN_IN)
     out.setdefault("delta", 0.0)
     return out

@@ -937,6 +937,22 @@ def test_independent_germ_probability_within_monte_carlo_error(f2, beta):
         assert abs(exact - mc) <= 4.0 * _std_error(exact, len(draws)) + 1.0 / len(draws)
 
 
+
+@pytest.mark.parametrize("c0", [[0.0, 0.0, 0.0], [0.0, 0.125]])
+def test_nodes_no_germ_moves_hold_at_beta_equal_to_the_wall(c0):
+    # 0.5 s of diffusion leaves the end nodes at the wall temperature with zero
+    # unit response; at beta there they always hold, in the draws and in P
+    n_strips = len(c0)
+    geo = InterfaceGeometry(n_strips=n_strips, section_porosities=((0.25, 0.75, 0.2),), wall_temp=1e-3)
+    germ = GermSpec(tuple(GermVariable(f"q{s}", 0.0, 1.0) for s in range(n_strips)))
+    coeffs = np.column_stack([c0, np.full(n_strips, 0.125)])
+    f2 = InterfaceMaxConstraint(assemble_interface_from_coeffs(geo, coeffs, germ, 2e-3, 0.5, 80))
+    assert f2.isurr.wall[0] == f2.isurr.wall[-1] == 1e-3 and not f2.isurr.unit[:, [0, -1]].any()
+    draws = np.random.default_rng(2026).standard_normal((100_000, n_strips))
+    exact, mc = f2.exact_probability(1e-3), f2.probability(draws, 1e-3)
+    assert mc > 0.05
+    assert exact is None or abs(exact - mc) <= 4.0 * _std_error(exact, len(draws)) + 1.0 / len(draws)
+
 @pytest.mark.parametrize("theta", [496.875, 499.609375, 507.8125])
 def test_binding_keeps_every_column_that_sets_u(monkeypatch, theta):
     f2 = Scenario(resolve_config("model3")).surrogate_factory()(theta)

@@ -437,6 +437,28 @@ def test_diagnose_particles(tiny_model1_dict, write_config, tmp_path):
     assert 0.0 <= payload["infeasible_fraction"] <= 1.0
 
 
+@pytest.mark.parametrize("command", ["run", "sample"])
+@pytest.mark.parametrize("kind", ["csvgd", "projected_svgd"])
+def test_particle_sampler_with_two_chains_is_a_config_error(
+    kind, command, tiny_model1_dict, write_config, tmp_path, monkeypatch, capsys
+):
+    def no_march(*args, **kwargs):
+        raise AssertionError("n_chains must be rejected before any march")
+
+    monkeypatch.setattr(Scenario, "run_chain", no_march)
+    tiny_model1_dict["sampler"] = {
+        "kind": kind,
+        "n_particles": 8,
+        "n_generations": 12,
+        "step_size": 5.0,
+        "n_chains": 2,
+    }
+    out = str(tmp_path / "out")
+    assert main([command, "--config", write_config(tiny_model1_dict), "--output", out]) == 2
+    assert "sampler/n_chains" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "particles.csv"))
+
+
 def test_diagnose_particles_keeps_run_wall_seconds(tiny_model1_dict, write_config, tmp_path):
     tiny_model1_dict["sampler"] = {
         "kind": "csvgd",

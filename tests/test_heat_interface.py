@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from tcbayes import heat_interface
+from tcbayes.cli import resolve_config
 from tcbayes.gpc import GermSpec, GermVariable, hermite_design
 from tcbayes.heat_interface import (
     InterfaceField,
     InterfaceGeometry,
     InterfaceSurrogate,
-    _diffuse_rows,
     _footprint_index,
     _footprint_response,
     _footprint_svd,
@@ -25,6 +27,44 @@ from tcbayes.heat_interface import (
     diffuse_field,
     evaluate_interface_batch,
 )
+from tcbayes.scenario import Scenario
+
+
+def _diffuse_rows(rows: np.ndarray, r: float, n_full: int, r_rem: float) -> np.ndarray:
+    """March stacked fields with the explicit scheme; mirror-ghost ends.
+
+    The explicit-sweep reference for ``_spectral_propagate``. ``rows`` has
+    shape (n_fields, n_z). The update with ratio r keeps every node a convex
+    combination of its neighbors for r <= 1/2, so the discrete maximum
+    principle holds exactly; the trapezoid-weighted spatial mean is
+    conserved exactly by the ghost closure.
+    """
+    u = np.array(rows, dtype=float)
+    lap = np.empty_like(u)
+    for _ in range(n_full):
+        _ghost_step(u, lap, r)
+    if r_rem > 0.0:
+        _ghost_step(u, lap, r_rem)
+    return u
+
+
+def _ghost_step(u: np.ndarray, lap: np.ndarray, ratio: float) -> None:
+    lap[:, 1:-1] = u[:, :-2] - 2.0 * u[:, 1:-1] + u[:, 2:]
+    lap[:, 0] = 2.0 * (u[:, 1] - u[:, 0])
+    lap[:, -1] = 2.0 * (u[:, -2] - u[:, -1])
+    u += ratio * lap
+
+
+def _dense_propagate(rows: np.ndarray, r: float, n_full: int, r_rem: float) -> np.ndarray:
+    """The marching map through the dense (n_z, n_z) cosine eigenbasis and an
+    LU solve: the reference for the DCT-I in ``_spectral_propagate``."""
+    n = rows.shape[1]
+    i = np.arange(n)
+    basis = np.cos(np.pi * np.outer(i, i) / (n - 1))
+    mu = -2.0 * (1.0 - np.cos(np.pi * i / (n - 1)))
+    growth = (1.0 + r * mu) ** n_full * (1.0 + r_rem * mu)
+    coeffs = np.linalg.solve(basis, rows.T)
+    return (basis @ (growth[:, None] * coeffs)).T
 
 
 def trapezoid_mean(values: np.ndarray) -> float:
@@ -183,6 +223,115 @@ def test_spectral_path_matches_marching():
     marched = _diffuse_rows(rows, 0.4, n_full, r_rem)
     spectral = _spectral_propagate(rows, 0.4, n_full, r_rem)
     assert np.max(np.abs(marched - spectral)) <= 1e-9
+
+
+@pytest.mark.parametrize("n_z", [2, 3, 17, 600])
+@pytest.mark.parametrize("r, n_full, r_rem", [(0.4, 0, 0.3), (0.5, 40, 0.0), (0.4, 37, 0.17)])
+def test_dct_propagate_matches_dense_basis_and_sweeps(n_z, r, n_full, r_rem):
+    rows = np.random.default_rng(n_z).uniform(-210.0, 210.0, (4, n_z))
+    scale = np.max(np.abs(rows))
+    got = _spectral_propagate(rows, r, n_full, r_rem)
+    assert np.max(np.abs(got - _dense_propagate(rows, r, n_full, r_rem))) <= 1e-12 * scale
+    assert np.max(np.abs(got - _diffuse_rows(rows, r, n_full, r_rem))) <= 1e-12 * scale
+
+
+def test_dct_propagate_matches_dense_basis_on_the_shipped_march():
+    # model 2's footprint rows through its 89 700-step plan
+    config = resolve_config("model2")
+    geo = config.geometry
+    rows = _parent_rows(geo, synthetic_coeffs(3, True)[0], True, config.n_z)
+    z = np.linspace(0.0, 1.0, config.n_z)
+    plan = _march_plan(z, geo.diffusivity, geo.t_constraint, config.cfl)
+    assert plan[0] == 89_700
+    got = _spectral_propagate(rows, config.cfl, *plan)
+    want = _dense_propagate(rows, config.cfl, *plan)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(rows))
+
+
+
+def test_nodes_the_march_does_not_reach_keep_their_values():
+    # a footprint on nodes 30..39 under 0.5 s of diffusion: n_full + 1 steps
+    # reach no node of 0..30 - n_full - 2 or 40 + n_full + 1..79
+    z = np.linspace(0.0, 1.0, 80)
+    rows = np.zeros((2, 80))
+    rows[0], rows[0, 30:40], rows[1, 30:40] = 1e-3, 0.0, 1.0
+    n_full, r_rem = _march_plan(z, 2e-3, 0.5, 0.5)
+    far = (np.arange(80) < 29 - n_full) | (np.arange(80) > 40 + n_full)
+    assert n_full == 12 and r_rem > 0.0 and far.sum() == 44
+    got = heat_interface._diffuse(rows, z, 2e-3, 0.5, 0.5)
+    np.testing.assert_array_equal(got[:, far], rows[:, far])
+    np.testing.assert_array_equal(got[:, far], _diffuse_rows(rows, 0.5, n_full, r_rem)[:, far])
+    assert np.max(np.abs(got - _diffuse_rows(rows, 0.5, n_full, r_rem))) <= 1e-15
+    constant = diffuse_field(InterfaceField(z, np.full(80, 410.0), 0.0), 1e-3, 2.5)
+    np.testing.assert_array_equal(constant.values, 410.0)
+
+_GUARD_MESSAGES = {
+    "lam": "lam must be positive",
+    "cfl": "cfl must lie in",
+    "t_end": "t_end must be finite",
+}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("lam", 0.0), ("lam", -0.005), ("lam", float("nan")),
+        ("cfl", 0.0), ("cfl", 0.7), ("cfl", float("nan")),
+        ("t_end", -1.0), ("t_end", float("nan")), ("t_end", float("inf")),
+    ],
+)
+def test_both_entry_points_raise_the_same_diffusion_guard(key, value):
+    geo = InterfaceGeometry()
+    args = {"lam": 1e-3, "t_end": 1.0, "cfl": 0.4, key: value}
+    coeffs, germ = synthetic_coeffs(3, shared=True)
+    _footprint_response.cache_clear()
+    with pytest.raises(ValueError, match=_GUARD_MESSAGES[key]) as assembled:
+        assemble_interface_from_coeffs(
+            geo, coeffs, germ, args["lam"], args["t_end"], 300, args["cfl"]
+        )
+    assert _footprint_response.cache_info().currsize == 0
+    field = assemble_initial_field(geo, coeffs[:, 0], 300)
+    with pytest.raises(ValueError) as diffused:
+        diffuse_field(field, args["lam"], args["t_end"], args["cfl"])
+    assert str(diffused.value) == str(assembled.value)
+
+
+def test_shipped_model2_footprint_build_peaks_below_3_mb():
+    config = resolve_config("model2")
+    geo = config.geometry
+    _footprint_response.cache_clear()
+    tracemalloc.start()
+    try:
+        _footprint_response(geo, geo.diffusivity, geo.t_constraint, config.n_z, config.cfl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+
+
+@pytest.mark.parametrize("name", ["model2", "model3"])
+def test_shipped_scans_and_chains_keep_the_dense_basis_results(name, monkeypatch):
+    def scan_and_chains():
+        _footprint_response.cache_clear()
+        _footprint_svd.cache_clear()
+        scenario = Scenario(resolve_config(name))
+        return scenario.scan(), scenario.run_all_chains()
+
+    scan, chains = scan_and_chains()
+    monkeypatch.setattr(heat_interface, "_spectral_propagate", _dense_propagate)
+    try:
+        reference, reference_chains = scan_and_chains()
+    finally:
+        _footprint_response.cache_clear()
+        _footprint_svd.cache_clear()
+    np.testing.assert_array_equal(scan.thetas, reference.thetas)
+    np.testing.assert_array_equal(scan.feasible, reference.feasible)
+    assert scan.intervals == reference.intervals
+    np.testing.assert_allclose(scan.probabilities, reference.probabilities, rtol=0.0, atol=1e-11)
+    assert len(chains) == len(reference_chains)
+    for chain, want in zip(chains, reference_chains):
+        for column in ("samples", "accepted", "feasible", "log_post"):
+            assert getattr(chain, column).tobytes() == getattr(want, column).tobytes(), column
 
 
 def _coefficient_fields(isurr: InterfaceSurrogate) -> np.ndarray:
