@@ -1,10 +1,10 @@
 """Artifact formats: the CSV writer behind every CSV file, and a JSON writer.
 
 CSV cells are formatted by column kind, chosen once per column: integers
-and booleans as ``str(int)``, floats as ``repr`` (round-trips bit for bit),
-strings as they are, and object columns of numbers and ``None`` cell by
-cell, with ``""`` for ``None``. Every CSV ends its lines with LF on every
-platform.
+and booleans as ``str(int)``, floats as ``repr`` (round-trips bit for bit)
+and strings as they are. Any other kind, an object column included, is a
+``TypeError``: every cell the package writes is a number or a name. Every
+CSV ends its lines with LF on every platform.
 """
 from __future__ import annotations
 
@@ -13,14 +13,6 @@ import json
 import numpy as np
 
 CHUNK_ROWS = 4096
-
-
-def _object_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
 
 
 def _formatter(column: np.ndarray):
@@ -32,8 +24,6 @@ def _formatter(column: np.ndarray):
         return lambda values: map(repr, values)
     if kind == "U":
         return lambda values: values
-    if kind == "O":
-        return lambda values: map(_object_cell, values)
     raise TypeError(f"no CSV cell format for dtype {column.dtype}")
 
 

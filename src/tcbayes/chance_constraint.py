@@ -70,6 +70,9 @@ _AXIS_NODES = 401
 _AXIS_HALF = 8.5
 _MINOR_NODES = 2
 _CELLS = 64
+# largest |slope| of a node's cut along a Gauss-Hermite axis, against its slope
+# along the first axis: a steeper cut can bind only past the rule's few nodes
+_MINOR_SLOPE = 0.05
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,9 @@ class InterfaceMaxConstraint(F2Surrogate):
 
     def exact_probability(self, beta: float) -> float | None:
         """P with one node, or over the next principal axes of independent
-        germs; None past ``_MAX_AXES`` axes or where the rules disagree."""
+        germs; None past ``_MAX_AXES`` axes, where a Gauss-Hermite axis moves
+        some node's cut faster than ``_MINOR_SLOPE`` times the first axis,
+        or where the rules disagree."""
         isurr = self.isurr
         base, c1 = isurr.base_field, isurr.coeffs[:, 1]
         if isurr.shared or self.pointwise:
@@ -200,6 +205,8 @@ class InterfaceMaxConstraint(F2Surrogate):
         directions[:, np.abs(c1) @ np.abs(isurr.unit) == 0.0] = 0.0
         n_axes = max(1, int(np.count_nonzero(sv > math.sqrt(_ETA_TOL) * sv[0])))
         if n_axes > _MAX_AXES:
+            return None
+        if np.any(np.abs(directions[2:n_axes]) > _MINOR_SLOPE * np.abs(directions[0])):
             return None
         # axes 2..n_axes; the finer rule halves the trapezoid step, adds a node on
         # each other axis and axis n_axes + 1, so the gap also bounds the truncation

@@ -83,13 +83,14 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
 # artifacts
 
 def load_chain_csv(path: str):
-    """Read a chain or particle-history CSV back into its run type."""
-    particles = ",".join(PARTICLE_CSV_HEADER)
+    """Read a chain or particle-history CSV back into its run type; a cell
+    that is not a number is a ``ConfigError`` naming the file."""
     with open(path) as fh:
         header = fh.readline().strip()
-        # a particle history without generation times has empty time cells
-        empty_nan = {3: lambda cell: float(cell or "nan")} if header == particles else None
-        body = np.loadtxt(fh, delimiter=",", ndmin=2, converters=empty_nan)
+        try:
+            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path} does not parse as a run CSV: {exc}") from None
     if header == ",".join(CHAIN_CSV_HEADER):
         return MarkovChain(
             samples=body[:, 1],
@@ -97,18 +98,12 @@ def load_chain_csv(path: str):
             feasible=body[:, 3].astype(bool),
             log_post=body[:, 4],
             cumulative_seconds=body[:, 5],
-            seed=-1,
         )
-    if header == particles:
-        gens = body[:, 0].astype(int)
-        n_gen = gens.max()
-        n_particles = int((gens == 0).sum())
-        seconds = body[n_particles::n_particles, 3]
+    if header == ",".join(PARTICLE_CSV_HEADER):
+        n_particles = int((body[:, 0] == 0).sum())
         return ParticleHistory(
-            generations=body[:, 2].reshape(n_gen + 1, n_particles),
-            step_sizes=np.zeros(n_gen),
-            seed=-1,
-            cumulative_seconds=None if np.isnan(seconds).any() else seconds,
+            generations=body[:, 2].reshape(-1, n_particles),
+            cumulative_seconds=body[n_particles::n_particles, 3],
         )
     raise ConfigError(f"unrecognized chain CSV header in {path}: {header!r}")
 
@@ -455,8 +450,7 @@ def _cmd_compare(args) -> int:
     print(f"compare: {path}")
     print(f"{'sampler':<16}{'n_samples':>10}{'l2_error':>12}{'wall_s':>10}")
     for kind, n, err, wall in rows:
-        wall_text = "-" if wall is None else f"{wall:.2f}"
-        print(f"{kind:<16}{n:>10}{err:>12.4f}{wall_text:>10}")
+        print(f"{kind:<16}{n:>10}{err:>12.4f}{wall:>10.2f}")
     return 0
 
 

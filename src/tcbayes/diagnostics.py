@@ -181,13 +181,12 @@ def brooks_gelman_ratio(
     return series
 
 
-def _checkpoint_prefix(run, n: int) -> tuple[int, np.ndarray, float | None]:
+def _checkpoint_prefix(run, n: int) -> tuple[int, np.ndarray, float]:
     """(sample count, samples, wall seconds) behind checkpoint n.
 
     A chain gives its first n samples. A particle history gives the
     round(n / n_particles) generations after the initial ensemble (at
-    least one); its wall seconds are None when the run recorded no
-    generation times.
+    least one).
     """
     if isinstance(run, ParticleHistory):
         gen = max(1, int(round(n / run.n_particles)))
@@ -196,8 +195,7 @@ def _checkpoint_prefix(run, n: int) -> tuple[int, np.ndarray, float | None]:
                 f"checkpoint {n} exceeds {run.n_particles * run.n_generations} "
                 "recorded particle samples"
             )
-        seconds = run.cumulative_seconds
-        wall = float(seconds[gen - 1]) if seconds is not None else None
+        wall = float(run.cumulative_seconds[gen - 1])
         return gen * run.n_particles, run.generations[1 : gen + 1].ravel(), wall
     if n < 1 or n > len(run):
         raise CheckpointError(f"checkpoint {n} exceeds the chain's {len(run)} samples")
@@ -211,7 +209,7 @@ def l2_error_series(
     n_bins: int = DEFAULT_N_BINS,
     value_range: tuple[float, float] | None = None,
     burn_in: float = DEFAULT_BURN_IN,
-) -> list[tuple[int, float, float | None]]:
+) -> list[tuple[int, float, float]]:
     """(n_samples, relative L2 error, wall seconds) per checkpoint of a
     chain or a particle history."""
     series = []

@@ -18,7 +18,9 @@ Four strategies for sampling a posterior restricted to a feasible set S:
 Each sampler returns a complete run record and times itself with
 ``perf_counter`` from the start of its loop. A ``MarkovChain`` holds one
 wall time per step and a ``ParticleHistory`` one per update, both in
-``cumulative_seconds``, the column name of their CSV files.
+``cumulative_seconds``, the column name of their CSV files. A record holds
+only what is read back, not the seed or step size that made it. The two
+particle samplers share one ensemble loop and pass in only their update.
 
 ``penalized_gradient`` builds the penalty samplers' gradient from the
 scanned feasible intervals, next to ``interval_membership`` and
@@ -77,7 +79,6 @@ class MarkovChain:
     feasible: np.ndarray
     log_post: np.ndarray
     cumulative_seconds: np.ndarray
-    seed: int
     divergences: int = 0
     is_markov: bool = True
     metadata: dict = field(default_factory=dict, compare=False)
@@ -119,34 +120,25 @@ class ParticleHistory:
     """Particle trajectories of an SVGD-style run.
 
     ``generations`` has shape (n_generations + 1, n_particles); row 0 is the
-    initial ensemble. ``step_sizes`` records the base step per update and
-    ``cumulative_seconds`` the wall time after each update, counted from the
-    start of the sampler's loop; it is None for a run loaded from a file
-    without times.
+    initial ensemble. ``cumulative_seconds`` is the wall time after each
+    update, counted from the start of the sampler's loop.
     """
 
     generations: np.ndarray
-    step_sizes: np.ndarray
-    seed: int
-    cumulative_seconds: np.ndarray | None = None
+    cumulative_seconds: np.ndarray
 
     def __post_init__(self) -> None:
         gens = np.asarray(self.generations, dtype=float)
         if gens.ndim != 2:
             raise ValueError("generations must be a 2-d array (generation, particle)")
+        seconds = np.asarray(self.cumulative_seconds, dtype=float)
+        if seconds.shape != (gens.shape[0] - 1,):
+            raise ValueError("need one cumulative time per update")
         object.__setattr__(self, "generations", gens)
-        steps = np.asarray(self.step_sizes, dtype=float)
-        if steps.shape[0] != gens.shape[0] - 1:
-            raise ValueError("need one step size per update")
-        object.__setattr__(self, "step_sizes", steps)
-        if self.cumulative_seconds is not None:
-            seconds = np.asarray(self.cumulative_seconds, dtype=float)
-            if seconds.shape != steps.shape:
-                raise ValueError("need one cumulative time per update")
-            object.__setattr__(self, "cumulative_seconds", seconds)
+        object.__setattr__(self, "cumulative_seconds", seconds)
 
     def __len__(self) -> int:
-        """The number of updates, one per step size and recorded time."""
+        """The number of updates, one per recorded time."""
         return self.n_generations
 
     @property
@@ -170,10 +162,9 @@ class ParticleHistory:
 
     def to_csv(self, path: str) -> None:
         """One row per particle and generation; the wall time is 0.0 for the
-        initial ensemble, and empty without recorded ``cumulative_seconds``."""
+        initial ensemble."""
         n_rows, n = self.generations.shape
-        seconds = self.cumulative_seconds
-        times = np.full(n_rows, None) if seconds is None else np.concatenate(([0.0], seconds))
+        times = np.concatenate(([0.0], self.cumulative_seconds))
         columns = (
             np.repeat(np.arange(n_rows), n), np.tile(np.arange(n), n_rows),
             self.generations.ravel(), np.repeat(times, n),
@@ -222,7 +213,7 @@ def run_crw(
         samples[i] = theta
         log_post[i] = lp
         seconds[i] = time.perf_counter() - t0
-    return MarkovChain(samples, accepted, np.ones(n_samples, dtype=bool), log_post, seconds, seed)
+    return MarkovChain(samples, accepted, np.ones(n_samples, dtype=bool), log_post, seconds)
 
 
 def _leapfrog(theta, momentum, grad, step, n_steps, mass):
@@ -294,7 +285,7 @@ def run_chmc(
         feasible = np.fromiter(
             (bool(feasibility_oracle(t)) for t in samples), dtype=bool, count=n_samples
         )
-    return MarkovChain(samples, accepted, feasible, log_post, seconds, seed, divergences=divergences)
+    return MarkovChain(samples, accepted, feasible, log_post, seconds, divergences=divergences)
 
 
 def _stein_direction(particles: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -307,6 +298,34 @@ def _stein_direction(particles: np.ndarray, grads: np.ndarray) -> np.ndarray:
     attraction = kernel @ grads
     repulsion = (2.0 / h) * (particles * kernel.sum(axis=1) - kernel @ particles)
     return (attraction + repulsion) / particles.size
+
+
+def _run_ensemble(update, n_particles, n_generations, initial_particles, seed, start=None):
+    """The particle samplers' loop: ``initial_particles`` (copied) or seeded
+    standard normal draws, mapped by ``start`` before the clock starts, then
+    ``update`` of the last generation, each recorded with its wall time."""
+    if n_particles < 1:
+        raise ValueError("n_particles must be >= 1")
+    if n_generations < 1:
+        raise ValueError("n_generations must be >= 1")
+    if initial_particles is None:
+        particles = np.random.default_rng(seed).standard_normal(n_particles)
+    else:
+        particles = np.asarray(initial_particles, dtype=float).copy()
+        if particles.shape != (n_particles,):
+            raise ValueError("initial_particles must have shape (n_particles,)")
+    if start is not None:
+        particles = np.asarray(start(particles), dtype=float)
+
+    generations = np.empty((n_generations + 1, n_particles))
+    generations[0] = particles
+    seconds = np.empty(n_generations)
+    t0 = time.perf_counter()
+    for gen in range(n_generations):
+        particles = update(particles)
+        generations[gen + 1] = particles
+        seconds[gen] = time.perf_counter() - t0
+    return ParticleHistory(generations, seconds)
 
 
 def run_csvgd(
@@ -326,36 +345,19 @@ def run_csvgd(
     implementation: the first generation seeds the accumulator with the
     squared direction, later generations decay it by ``ADAGRAD_DECAY``.
     """
-    if n_particles < 1:
-        raise ValueError("n_particles must be >= 1")
-    if n_generations < 1:
-        raise ValueError("n_generations must be >= 1")
-    rng = np.random.default_rng(seed)
-    if initial_particles is None:
-        particles = rng.standard_normal(n_particles)
-    else:
-        particles = np.asarray(initial_particles, dtype=float).copy()
-        if particles.shape != (n_particles,):
-            raise ValueError("initial_particles must have shape (n_particles,)")
-
-    generations = np.empty((n_generations + 1, n_particles))
-    generations[0] = particles
-    steps = np.empty(n_generations)
-    seconds = np.empty(n_generations)
     accumulator = None
-    t0 = time.perf_counter()
-    for gen in range(n_generations):
+
+    def update(particles):
+        nonlocal accumulator
         grads = np.asarray(log_post_gradient_penalized(particles), dtype=float)
         direction = _stein_direction(particles, grads)
         if accumulator is None:
             accumulator = direction**2
         else:
             accumulator = ADAGRAD_DECAY * accumulator + (1.0 - ADAGRAD_DECAY) * direction**2
-        particles = particles + step_size * direction / (ADAGRAD_FUDGE + np.sqrt(accumulator))
-        generations[gen + 1] = particles
-        steps[gen] = step_size
-        seconds[gen] = time.perf_counter() - t0
-    return ParticleHistory(generations, steps, seed, seconds)
+        return particles + step_size * direction / (ADAGRAD_FUDGE + np.sqrt(accumulator))
+
+    return _run_ensemble(update, n_particles, n_generations, initial_particles, seed)
 
 
 def interval_projection(intervals):
@@ -459,32 +461,16 @@ def run_projected_svgd(
     the update is re-projected as a safeguard for non-convex S, so every
     recorded generation is feasible.
     """
-    if n_particles < 1:
-        raise ValueError("n_particles must be >= 1")
-    if n_generations < 1:
-        raise ValueError("n_generations must be >= 1")
-    rng = np.random.default_rng(seed)
-    if initial_particles is None:
-        particles = rng.standard_normal(n_particles)
-    else:
-        particles = np.asarray(initial_particles, dtype=float).copy()
-        if particles.shape != (n_particles,):
-            raise ValueError("initial_particles must have shape (n_particles,)")
-    particles = np.asarray(projection_onto_S(particles), dtype=float)
 
-    generations = np.empty((n_generations + 1, n_particles))
-    generations[0] = particles
-    steps = np.full(n_generations, float(step_size))
-    seconds = np.empty(n_generations)
-    t0 = time.perf_counter()
-    for gen in range(n_generations):
+    def update(particles):
         grads = np.asarray(log_post_gradient(particles), dtype=float)
         targets = np.asarray(projection_onto_S(particles + grads), dtype=float)
         particles = particles + step_size * (targets - particles)
-        particles = np.asarray(projection_onto_S(particles), dtype=float)
-        generations[gen + 1] = particles
-        seconds[gen] = time.perf_counter() - t0
-    return ParticleHistory(generations, steps, seed, seconds)
+        return np.asarray(projection_onto_S(particles), dtype=float)
+
+    return _run_ensemble(
+        update, n_particles, n_generations, initial_particles, seed, start=projection_onto_S
+    )
 
 
 def postprocess_feasible(chain: MarkovChain, feasibility_oracle) -> MarkovChain:
@@ -507,7 +493,6 @@ def postprocess_feasible(chain: MarkovChain, feasibility_oracle) -> MarkovChain:
         np.ones(kept, dtype=bool),
         chain.log_post[mask],
         chain.cumulative_seconds[mask],
-        chain.seed,
         divergences=chain.divergences,
         is_markov=False,
         metadata=metadata,

@@ -481,8 +481,10 @@ def load_observations(csv_path: str, provenance_path: str | None = None) -> Obse
     """Read an observation CSV (group,value) with its provenance sidecar.
 
     A malformed line or a value that is not a finite number raises
-    ConfigError naming the file and line; a missing or malformed sidecar,
-    or an entry without a positive ``noise_std``, one naming the sidecar.
+    ConfigError naming the file and line, and a file without observations
+    one naming the file. A missing or malformed sidecar (not an object whose
+    ``groups`` is a list of objects with a ``label``), or an entry without a
+    positive ``noise_std``, raises one naming the sidecar.
     """
     if provenance_path is None:
         provenance_path = csv_path.rsplit(".", 1)[0] + ".json"
@@ -491,6 +493,14 @@ def load_observations(csv_path: str, provenance_path: str | None = None) -> Obse
             meta = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"observation provenance {provenance_path}: {exc}") from exc
+    group_list = meta.get("groups", []) if isinstance(meta, dict) else None
+    if not isinstance(group_list, list) or not all(
+        isinstance(g, dict) and "label" in g for g in group_list
+    ):
+        raise ConfigError(
+            f"observation provenance {provenance_path}: expected an object whose "
+            "'groups' is a list of objects with a 'label'"
+        )
     values: dict[str, list[float]] = {}
     with open(csv_path) as fh:
         header = fh.readline().strip()
@@ -511,9 +521,11 @@ def load_observations(csv_path: str, provenance_path: str | None = None) -> Obse
                     f"number, got {line!r}"
                 )
             values.setdefault(label, []).append(value)
+    if not values:
+        raise ConfigError(f"{csv_path} holds no observation")
 
     groups = []
-    group_meta = {g["label"]: g for g in meta.get("groups", [])}
+    group_meta = {g["label"]: g for g in group_list}
     for label, group_values in values.items():
         info = group_meta.get(label)
         if info is None:

@@ -1,14 +1,13 @@
 """The one CSV writer: cell formats by column kind, chunking, and read-back."""
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from tcbayes.artifacts import CHUNK_ROWS, write_csv
 from tcbayes.cli import load_chain_csv
 from tcbayes.samplers import MarkovChain, ParticleHistory
+from tcbayes.scenario import ConfigError
 
 
 def test_each_column_kind_has_its_cell_format(tmp_path):
@@ -19,16 +18,18 @@ def test_each_column_kind_has_its_cell_format(tmp_path):
         flags.view(np.uint8),
         np.array([-0.0, np.inf, 1e-300]),
         ["a", "bc", ""],
-        [0.1, None, np.int64(4)],
     )
     path = tmp_path / "kinds.csv"
-    write_csv(str(path), ("i", "b", "u8", "f", "s", "o"), columns)
+    write_csv(str(path), ("i", "b", "u8", "f", "s"), columns)
     assert path.read_bytes() == (
-        b"i,b,u8,f,s,o\n"
-        b"0,1,1,-0.0,a,0.1\n"
-        b"-7,0,0,inf,bc,\n"
-        b"1099511627776,1,1,1e-300,,4\n"
+        b"i,b,u8,f,s\n"
+        b"0,1,1,-0.0,a\n"
+        b"-7,0,0,inf,bc\n"
+        b"1099511627776,1,1,1e-300,\n"
     )
+    # an object column, e.g. a None cell, has no cell format
+    with pytest.raises(TypeError, match="no CSV cell format"):
+        write_csv(str(path), ("o",), ([0.1, None, np.int64(4)],))
 
 
 @pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
@@ -62,7 +63,6 @@ def test_chain_file_reads_back_bit_for_bit(tmp_path):
         rng.random(n) < 0.9,
         log_post,
         np.cumsum(rng.random(n)) * 1e-5,
-        0,
     )
     path = str(tmp_path / "chain.csv")
     chain.to_csv(path)
@@ -77,15 +77,34 @@ def test_chain_file_reads_back_bit_for_bit(tmp_path):
 def test_particle_file_reads_back_bit_for_bit(tmp_path):
     rng = np.random.default_rng(4)
     generations = rng.normal(0.0, 1e3, (90, 50)) * 10.0 ** rng.integers(-9, 9, (90, 50))
-    history = ParticleHistory(generations, np.ones(89), 0)
+    history = ParticleHistory(generations, np.cumsum(rng.random(89)) * 1e-3)
     path = str(tmp_path / "particles.csv")
     history.to_csv(path)
     back = load_chain_csv(path)
     assert isinstance(back, ParticleHistory)
-    assert back.generations.tobytes() == history.generations.tobytes()
-    assert back.cumulative_seconds is None
-    # recorded generation times read back bit for bit
-    history = dataclasses.replace(history, cumulative_seconds=np.cumsum(rng.random(89)) * 1e-3)
-    history.to_csv(path)
-    seconds = load_chain_csv(path).cumulative_seconds
-    assert seconds.tobytes() == history.cumulative_seconds.tobytes()
+    for name in ("generations", "cumulative_seconds"):
+        assert getattr(back, name).tobytes() == getattr(history, name).tobytes(), name
+
+
+def _break_cell(path: str, line: int, column: int, cell: str) -> None:
+    lines = open(path).read().splitlines()
+    cells = lines[line].split(",")
+    cells[column] = cell
+    lines[line] = ",".join(cells)
+    open(path, "w").write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("cell", ["", "abc"])
+@pytest.mark.parametrize("kind", ["chain", "particles"])
+def test_cell_that_is_not_a_number_names_the_file(tmp_path, kind, cell):
+    rng = np.random.default_rng(5)
+    if kind == "chain":
+        flags = np.ones(6, bool)
+        run = MarkovChain(rng.normal(size=6), flags, flags, np.zeros(6), np.arange(6.0))
+    else:
+        run = ParticleHistory(rng.normal(size=(4, 3)), [0.1, 0.2, 0.3])
+    path = str(tmp_path / f"{kind}.csv")
+    run.to_csv(path)
+    _break_cell(path, 5, -1, cell)  # a time cell after the initial ensemble
+    with pytest.raises(ConfigError, match=f"{kind}.csv"):
+        load_chain_csv(path)

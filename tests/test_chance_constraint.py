@@ -953,6 +953,26 @@ def test_nodes_no_germ_moves_hold_at_beta_equal_to_the_wall(c0):
     assert mc > 0.05
     assert exact is None or abs(exact - mc) <= 4.0 * _std_error(exact, len(draws)) + 1.0 / len(draws)
 
+# (c0, c1, t_end, beta): three principal axes whose failures sit where the third
+# axis is near 4, past every node of its 2- and 3-node Gauss-Hermite rules
+_MINOR_AXIS_TAILS = [
+    ([0.0, 0.0, 1.125], [0.25, 0.25, 0.125], 0.5, 1.5),  # singular values 1, 0.81, 0.43
+    ([-1.625, -1.75, -2.875], [0.125, -0.625, -1.0], 5.0, -0.165),  # 1, 0.37, 0.064
+]
+
+
+@pytest.mark.parametrize("c0, c1, t_end, beta", _MINOR_AXIS_TAILS, ids=["sv-0.43", "sv-0.064"])
+def test_minor_axis_tail_is_not_understated(c0, c1, t_end, beta):
+    geo = InterfaceGeometry(n_strips=3, section_porosities=((0.25, 0.75, 0.2),), wall_temp=1e-3)
+    germ = GermSpec(tuple(GermVariable(f"q{s}", 0.0, 1.0) for s in range(3)))
+    coeffs = np.column_stack([c0, c1])
+    f2 = InterfaceMaxConstraint(assemble_interface_from_coeffs(geo, coeffs, germ, 2e-3, t_end, 80))
+    exact = f2.exact_probability(beta)
+    n = 1_000_000
+    mc = f2.probability(np.random.default_rng(2026).standard_normal((n, 3)), beta)
+    assert exact is None or abs(exact - mc) <= 4.0 * _std_error(exact, n) + 1.0 / n
+
+
 @pytest.mark.parametrize("theta", [496.875, 499.609375, 507.8125])
 def test_binding_keeps_every_column_that_sets_u(monkeypatch, theta):
     f2 = Scenario(resolve_config("model3")).surrogate_factory()(theta)

@@ -183,6 +183,35 @@ def test_bad_observation_sidecar_exits_2(sidecar, tiny_model1_dict, write_config
     assert not (out / "chain.csv").exists()
 
 
+# (CSV text after the header, or None to keep it; sidecar text, or None to keep it)
+_MALFORMED_OBSERVATION_DATA = {
+    "header-only": ("", None),
+    "sidecar-list": (None, "[]"),
+    "groups-not-a-list": (None, '{"groups": 5}'),
+    "group-not-an-object": (None, '{"groups": [1]}'),
+    "group-without-label": (None, '{"groups": [{"noise_std": 1.0}]}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_OBSERVATION_DATA))
+def test_malformed_observation_data_exits_2(case, tiny_model1_dict, write_config, tmp_path, capsys):
+    body, sidecar = _MALFORMED_OBSERVATION_DATA[case]
+    source = Scenario(ScenarioConfig.from_dict(tiny_model1_dict)).observations()
+    csv_path, json_path = tmp_path / "obs.csv", tmp_path / "obs.json"
+    source.to_csv(str(csv_path))
+    source.save_provenance(str(json_path))
+    if body is not None:
+        csv_path.write_text("group,value\n" + body)
+    if sidecar is not None:
+        json_path.write_text(sidecar)
+    tiny_model1_dict["data"] = {"path": str(csv_path)}
+    out = tmp_path / "out"
+    rc = main(["run", "--config", write_config(tiny_model1_dict), "--output", str(out)])
+    assert rc == 2
+    assert str(csv_path if body is not None else json_path) in capsys.readouterr().err
+    assert not (out / "chain.csv").exists()
+
+
 @pytest.mark.parametrize("key", ["order", "n_quad"])
 @pytest.mark.parametrize("model", [2, 3])
 def test_interface_model_with_expansion_settings_exits_2(

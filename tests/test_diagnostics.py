@@ -23,7 +23,7 @@ from tcbayes.samplers import MarkovChain, ParticleHistory, run_crw
 STD_NORMAL_LOGPOST = lambda t: -0.5 * t * t
 
 
-def _chain_from(samples: np.ndarray, seed: int = 0) -> MarkovChain:
+def _chain_from(samples: np.ndarray) -> MarkovChain:
     n = samples.shape[0]
     return MarkovChain(
         samples,
@@ -31,7 +31,6 @@ def _chain_from(samples: np.ndarray, seed: int = 0) -> MarkovChain:
         np.ones(n, bool),
         np.zeros(n),
         np.linspace(0.0, 1.0, n),
-        seed,
     )
 
 
@@ -196,7 +195,7 @@ def _history(n_particles: int = 10, n_generations: int = 20, seed: int = 0) -> P
     rng = np.random.default_rng(seed)
     generations = rng.normal(0.0, 1.0, (n_generations + 1, n_particles))
     seconds = [0.5 * (g + 1) for g in range(n_generations)]
-    return ParticleHistory(generations, np.ones(n_generations), seed, seconds)
+    return ParticleHistory(generations, seconds)
 
 
 def test_l2_error_series_of_a_particle_history():

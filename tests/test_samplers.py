@@ -1,14 +1,16 @@
 """Constrained samplers: moments, feasibility contracts, reproducibility."""
 from __future__ import annotations
 
-import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 
 from tcbayes.diagnostics import chain_histogram, reference_posterior, relative_l2_error
 from tcbayes.samplers import (
+    ADAGRAD_DECAY,
+    ADAGRAD_FUDGE,
     InfeasibleStartError,
     MarkovChain,
     ParticleHistory,
@@ -20,6 +22,7 @@ from tcbayes.samplers import (
     run_crw,
     run_csvgd,
     run_projected_svgd,
+    _stein_direction,
 )
 
 STD_NORMAL_LOGPOST = lambda t: -0.5 * t * t
@@ -117,7 +120,6 @@ def test_csvgd_single_mode_mean():
     history = run_csvgd(lambda ts: -ts, 100, 500, seed=0)
     assert abs(float(np.mean(history.final))) <= 0.05
     assert history.generations.shape == (501, 100)
-    assert np.all(history.step_sizes == 0.1)
 
 
 def test_csvgd_one_particle_is_gradient_ascent():
@@ -332,12 +334,8 @@ def _row_by_row_chain_csv(chain: MarkovChain) -> str:
 
 
 def _row_by_row_particle_csv(history: ParticleHistory) -> str:
-    """The one-line-per-particle writer; an empty time cell when the history
-    recorded no generation times."""
-    seconds = history.cumulative_seconds
-    times = [""] * history.generations.shape[0]
-    if seconds is not None:
-        times = [repr(float(t)) for t in (0.0, *seconds)]
+    """The one-line-per-particle writer; the initial ensemble's time is 0.0."""
+    times = [repr(float(t)) for t in (0.0, *history.cumulative_seconds)]
     lines = ["generation,particle_index,theta,cumulative_seconds"]
     for g in range(history.generations.shape[0]):
         for k in range(history.n_particles):
@@ -357,29 +355,102 @@ def test_chunked_csv_matches_row_by_row_writer(tmp_path, n):
         rng.random(n) < 0.9,
         log_post,
         np.cumsum(rng.random(n)) * 1e-5,
-        0,
     )
     path = tmp_path / "chain.csv"
     chain.to_csv(str(path))
     assert path.read_text() == _row_by_row_chain_csv(chain)
 
-    history = ParticleHistory(rng.normal(0.0, 1e3, (max(n // 50, 1), 50)), np.ones(max(n // 50, 1) - 1), 0)
+    n_rows = max(n // 50, 1)
+    history = ParticleHistory(rng.normal(0.0, 1e3, (n_rows, 50)), np.cumsum(rng.random(n_rows - 1)))
     path = tmp_path / "particles.csv"
-    history.to_csv(str(path))
-    assert path.read_text() == _row_by_row_particle_csv(history)
-    history = dataclasses.replace(
-        history, cumulative_seconds=np.cumsum(rng.random(history.n_generations))
-    )
     history.to_csv(str(path))
     assert path.read_text() == _row_by_row_particle_csv(history)
 
 
 def test_markov_chain_validation():
     with pytest.raises(ValueError):
-        MarkovChain(
-            np.zeros(3), np.zeros(2, bool), np.zeros(3, bool), np.zeros(3), np.zeros(3), 0
-        )
-    with pytest.raises(ValueError):
-        ParticleHistory(np.zeros((3, 2)), np.zeros(3), 0)
+        MarkovChain(np.zeros(3), np.zeros(2, bool), np.zeros(3, bool), np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError, match="one cumulative time per update"):
-        ParticleHistory(np.zeros((3, 2)), np.zeros(2), 0, np.zeros(3))
+        ParticleHistory(np.zeros((3, 2)), np.zeros(3))
+    with pytest.raises(TypeError):
+        ParticleHistory(np.zeros((3, 2)))  # the times are required
+
+
+def _reference_csvgd(
+    grad, n_particles, n_generations, initial_particles=None, step_size=0.1, seed=0
+):
+    """Reference: the cSVGD loop written out, which run_csvgd must match bit for bit."""
+    rng = np.random.default_rng(seed)
+    if initial_particles is None:
+        particles = rng.standard_normal(n_particles)
+    else:
+        particles = np.asarray(initial_particles, dtype=float).copy()
+    generations = np.empty((n_generations + 1, n_particles))
+    generations[0] = particles
+    accumulator = None
+    for gen in range(n_generations):
+        grads = np.asarray(grad(particles), dtype=float)
+        direction = _stein_direction(particles, grads)
+        if accumulator is None:
+            accumulator = direction**2
+        else:
+            accumulator = ADAGRAD_DECAY * accumulator + (1.0 - ADAGRAD_DECAY) * direction**2
+        particles = particles + step_size * direction / (ADAGRAD_FUDGE + np.sqrt(accumulator))
+        generations[gen + 1] = particles
+    return generations
+
+
+def _reference_projected_svgd(
+    grad, project, n_particles, n_generations, initial_particles=None, step_size=0.1, seed=0
+):
+    """Reference: the projected-SVGD loop written out, matched bit for bit."""
+    rng = np.random.default_rng(seed)
+    if initial_particles is None:
+        particles = rng.standard_normal(n_particles)
+    else:
+        particles = np.asarray(initial_particles, dtype=float).copy()
+    particles = np.asarray(project(particles), dtype=float)
+    generations = np.empty((n_generations + 1, n_particles))
+    generations[0] = particles
+    for gen in range(n_generations):
+        grads = np.asarray(grad(particles), dtype=float)
+        targets = np.asarray(project(particles + grads), dtype=float)
+        particles = particles + step_size * (targets - particles)
+        particles = np.asarray(project(particles), dtype=float)
+        generations[gen + 1] = particles
+    return generations
+
+
+@pytest.mark.parametrize("seed", [0, 3, 17])
+@pytest.mark.parametrize("n_particles, n_generations", [(1, 5), (7, 12), (40, 30)])
+@pytest.mark.parametrize("initial", [False, True])
+def test_ensemble_loop_matches_the_written_out_loops(seed, n_particles, n_generations, initial):
+    rng = np.random.default_rng(1000 + seed)
+    init = rng.normal(0.5, 2.0, n_particles) if initial else None
+    grad = lambda ts: -(ts - 0.3) * (1.0 + 0.1 * ts**2)
+    step = float(rng.uniform(0.05, 0.5))
+    kwargs = dict(initial_particles=init, step_size=step, seed=seed)
+    history = run_csvgd(grad, n_particles, n_generations, **kwargs)
+    expected = _reference_csvgd(grad, n_particles, n_generations, **kwargs)
+    assert history.generations.tobytes() == expected.tobytes()
+
+    project = interval_projection(((-1.0, 0.2), (0.9, 3.0)))
+    history = run_projected_svgd(grad, project, n_particles, n_generations, **kwargs)
+    expected = _reference_projected_svgd(grad, project, n_particles, n_generations, **kwargs)
+    assert history.generations.tobytes() == expected.tobytes()
+
+
+def test_projected_svgd_projects_the_start_before_the_clock():
+    project = interval_projection(((0.0, 1.0),))
+    calls = []
+
+    def slow_start(theta):
+        if not calls:
+            time.sleep(0.5)  # only the initial ensemble's projection is slow
+        calls.append(theta)
+        return project(theta)
+
+    init = np.array([-2.0, 0.5, 4.0])
+    history = run_projected_svgd(lambda ts: -ts, slow_start, 3, 1, init, seed=0)
+    assert np.array_equal(history.generations[0], [0.0, 0.5, 1.0])
+    assert len(calls) == 3 and history.cumulative_seconds[0] < 0.5
