@@ -396,8 +396,7 @@ class FeasibilityScan:
 
 def scan_feasible_boundary(
     theta_range: tuple[float, float],
-    spec: ChanceConstraintSpec,
-    surrogate_factory,
+    oracle: ChanceConstraintOracle,
     tol: float = 0.5,
     n_coarse: int = 33,
 ) -> FeasibilityScan:
@@ -407,21 +406,17 @@ def scan_feasible_boundary(
     width ``tol``; interval endpoints are taken on the feasible side of the
     final bracket, so membership in a returned interval implies feasibility
     up to the scan resolution. A non-interval coarse pattern simply yields
-    several intervals.
+    several intervals. The ``oracle`` carries the constraint spec, and its
+    cache keeps every probability the scan asked for.
     """
     lo, hi = theta_range
     if not lo < hi:
         raise ValueError("theta_range must be an increasing pair")
     if n_coarse < 2:
         raise ValueError("n_coarse must be >= 2")
-    oracle = (
-        surrogate_factory
-        if isinstance(surrogate_factory, ChanceConstraintOracle)
-        else ChanceConstraintOracle(spec, surrogate_factory)
-    )
     thetas = np.linspace(lo, hi, n_coarse)
     probs = np.array([oracle.probability(t) for t in thetas])
-    feas = np.array([p >= spec.alpha for p in probs])
+    feas = np.array([p >= oracle.spec.alpha for p in probs])
 
     def bisect(a: float, b: float) -> tuple[float, float]:
         # invariant: feasibility differs between a and b

@@ -70,28 +70,40 @@ def resolve_config(path_or_name: str) -> ScenarioConfig:
     )
 
 
-def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
-    replacements = {}
-    if getattr(args, "seed", None) is not None:
-        replacements["seed"] = args.seed
-    if getattr(args, "output", None) is not None:
-        replacements["output_dir"] = args.output
-    return dataclasses.replace(config, **replacements) if replacements else config
+def open_scenario(path_or_name: str, seed: int | None = None, output: str | None = None) -> Scenario:
+    """The scenario of a config path or shipped name, with ``--seed`` and ``--output`` if given."""
+    overrides = {"seed": seed, "output_dir": output}
+    return Scenario(dataclasses.replace(
+        resolve_config(path_or_name), **{key: v for key, v in overrides.items() if v is not None}
+    ))
 
 
 # ---------------------------------------------------------------------------
 # artifacts
 
 def load_chain_csv(path: str):
-    """Read a chain or particle-history CSV back into its run type; a cell
-    that is not a number is a ``ConfigError`` naming the file."""
+    """Read a chain or particle-history CSV back into its run type.
+
+    A file that is no whole run is a ``ConfigError`` naming it: an unknown
+    header, a cell that is not a number, a row whose column count is not
+    the header's, no row at all, or a particle file cut off inside a
+    generation (as a run killed while writing leaves it).
+    """
     with open(path) as fh:
         header = fh.readline().strip()
-        try:
-            body = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"{path} does not parse as a run CSV: {exc}") from None
-    if header == ",".join(CHAIN_CSV_HEADER):
+        rows = [line for line in fh if line.strip()]
+    columns = tuple(header.split(","))
+    if columns not in (CHAIN_CSV_HEADER, PARTICLE_CSV_HEADER):
+        raise ConfigError(f"unrecognized chain CSV header in {path}: {header!r}")
+    if not rows:
+        raise ConfigError(f"{path} holds a header and no row")
+    try:
+        body = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path} does not parse as a run CSV: {exc}") from None
+    if body.shape[1] != len(columns):
+        raise ConfigError(f"{path} has {body.shape[1]}-cell rows under a {len(columns)}-column header")
+    if columns == CHAIN_CSV_HEADER:
         return MarkovChain(
             samples=body[:, 1],
             accepted=body[:, 2].astype(bool),
@@ -99,16 +111,34 @@ def load_chain_csv(path: str):
             log_post=body[:, 4],
             cumulative_seconds=body[:, 5],
         )
-    if header == ",".join(PARTICLE_CSV_HEADER):
-        n_particles = int((body[:, 0] == 0).sum())
-        return ParticleHistory(
-            generations=body[:, 2].reshape(-1, n_particles),
-            cumulative_seconds=body[n_particles::n_particles, 3],
-        )
-    raise ConfigError(f"unrecognized chain CSV header in {path}: {header!r}")
+    n_particles = int((body[:, 0] == 0).sum())
+    if not n_particles or len(body) % n_particles:
+        raise ConfigError(f"{path} does not hold whole generations of {n_particles} particles")
+    return ParticleHistory(
+        generations=body[:, 2].reshape(-1, n_particles),
+        cumulative_seconds=body[n_particles::n_particles, 3],
+    )
 
 
-def _write_runs(results, out_dir: str) -> list[str]:
+class _Output:
+    """One command's output directory, made on creation, and the artifact
+    name -> path of each file written there under a name."""
+
+    def __init__(self, out_dir: str):
+        os.makedirs(out_dir, exist_ok=True)
+        self.out_dir = out_dir
+        self.artifacts: dict = {}
+
+    def write(self, filename: str, save, name: str | None = None) -> str:
+        """``save(path)`` for the file's path; only then record it as ``name``."""
+        path = os.path.join(self.out_dir, filename)
+        save(path)
+        if name is not None:
+            self.artifacts[name] = path
+        return path
+
+
+def _write_runs(results, out: _Output) -> list[str]:
     """Write the sampler runs as chain.csv, chain_NN.csv or particles.csv."""
     if isinstance(results[0], ParticleHistory):
         names = ["particles.csv"]
@@ -116,10 +146,7 @@ def _write_runs(results, out_dir: str) -> list[str]:
         names = ["chain.csv"]
     else:
         names = [f"chain_{i:02d}.csv" for i in range(len(results))]
-    paths = [os.path.join(out_dir, name) for name in names]
-    for result, path in zip(results, paths):
-        result.to_csv(path)
-    return paths
+    return [out.write(name, result.to_csv) for result, name in zip(results, names)]
 
 
 def _diagnostics(scenario: Scenario, runs, reference) -> dict:
@@ -137,18 +164,15 @@ def _diagnostics(scenario: Scenario, runs, reference) -> dict:
     )
 
 
-def _write_diagnostics(payload: dict, out_dir: str, artifacts: dict) -> None:
-    path = os.path.join(out_dir, "diagnostics.json")
-    write_json(path, payload)
-    artifacts["diagnostics"] = path
+def _write_diagnostics(payload: dict, out: _Output) -> None:
+    out.write("diagnostics.json", lambda path: write_json(path, payload), "diagnostics")
     for key, header in (
         ("l2_series", ("n_samples", "l2_error", "wall_seconds")),
         ("bg_series", ("n_samples", "ratio")),
     ):
         if payload.get(key):
-            path = os.path.join(out_dir, f"{key}.csv")
-            write_csv(path, header, list(zip(*payload[key])))
-            artifacts[key] = path
+            rows = list(zip(*payload[key]))
+            out.write(f"{key}.csv", lambda path: write_csv(path, header, rows), key)
 
 
 def _provenance(scenario: Scenario, command: str, artifacts: dict) -> dict:
@@ -174,7 +198,7 @@ def _provenance(scenario: Scenario, command: str, artifacts: dict) -> dict:
     }
 
 
-def _render_plots(out_dir: str, artifacts: dict) -> None:
+def _render_plots(out: _Output) -> None:
     try:
         import matplotlib
 
@@ -183,8 +207,8 @@ def _render_plots(out_dir: str, artifacts: dict) -> None:
     except ImportError:
         print("plots skipped: matplotlib is not installed", file=sys.stderr)
         return
-    hist = np.loadtxt(artifacts["histogram"], delimiter=",", skiprows=1, ndmin=2)
-    ref = np.loadtxt(artifacts["reference"], delimiter=",", skiprows=1, ndmin=2)
+    hist = np.loadtxt(out.artifacts["histogram"], delimiter=",", skiprows=1, ndmin=2)
+    ref = np.loadtxt(out.artifacts["reference"], delimiter=",", skiprows=1, ndmin=2)
     fig, ax = plt.subplots(figsize=(7, 4))
     widths = np.diff(hist[:, 0])
     width = widths[0] if widths.size else 1.0
@@ -193,22 +217,18 @@ def _render_plots(out_dir: str, artifacts: dict) -> None:
     ax.set_xlabel("Reynolds number")
     ax.set_ylabel("density")
     ax.legend()
-    path = os.path.join(out_dir, "posterior.svg")
-    fig.savefig(path)
+    out.write("posterior.svg", fig.savefig, "posterior_plot")
     plt.close(fig)
-    artifacts["posterior_plot"] = path
-    if "field_constraint" in artifacts:
+    if "field_constraint" in out.artifacts:
         fig, ax = plt.subplots(figsize=(7, 4))
         for key, label in (("field_initial", "t = 0"), ("field_constraint", "t = t_c")):
-            data = np.loadtxt(artifacts[key], delimiter=",", skiprows=1, ndmin=2)
+            data = np.loadtxt(out.artifacts[key], delimiter=",", skiprows=1, ndmin=2)
             ax.plot(data[:, 0], data[:, 1], label=label)
         ax.set_xlabel("z")
         ax.set_ylabel("temperature")
         ax.legend()
-        path = os.path.join(out_dir, "field.svg")
-        fig.savefig(path)
+        out.write("field.svg", fig.savefig, "field_plot")
         plt.close(fig)
-        artifacts["field_plot"] = path
 
 
 # ---------------------------------------------------------------------------
@@ -224,33 +244,25 @@ def run_scenario(
 
     Returns a dict mapping artifact names to paths.
     """
-    config = _apply_overrides(
-        resolve_config(config_path), argparse.Namespace(seed=seed, output=output_dir)
-    )
-    scenario = Scenario(config)
-    out = config.output_dir
-    os.makedirs(out, exist_ok=True)
-    artifacts: dict[str, str] = {}
+    scenario = open_scenario(config_path, seed, output_dir)
+    config = scenario.config
+    out = _Output(config.output_dir)
 
     obs = scenario.observations()
-    obs.to_csv(os.path.join(out, "observations.csv"))
-    obs.save_provenance(os.path.join(out, "observations.json"))
-    artifacts["observations"] = os.path.join(out, "observations.csv")
-    artifacts["observations_meta"] = os.path.join(out, "observations.json")
+    out.write("observations.csv", obs.to_csv, "observations")
+    out.write("observations.json", obs.save_provenance, "observations_meta")
 
     scan = scenario.scan()
-    scan.to_csv(os.path.join(out, "feasible_scan.csv"))
-    artifacts["feasible_scan"] = os.path.join(out, "feasible_scan.csv")
+    out.write("feasible_scan.csv", scan.to_csv, "feasible_scan")
     if not scan.intervals:
         raise RuntimeError("feasibility scan found no feasible Reynolds interval")
 
     results = _run_chains(scenario)
     paths = _write_runs(results, out)
-    artifacts["chains"] = paths[0] if len(paths) == 1 else paths
+    out.artifacts["chains"] = paths[0] if len(paths) == 1 else paths
 
     reference = scenario.reference()
-    reference.to_csv(os.path.join(out, "reference.csv"))
-    artifacts["reference"] = os.path.join(out, "reference.csv")
+    out.write("reference.csv", reference.to_csv, "reference")
 
     burn = float(config.sampler["burn_in_fraction"])
     histogram = chain_histogram(
@@ -259,26 +271,23 @@ def run_scenario(
         value_range=config.theta_range(),
         burn_in=burn,
     )
-    histogram.to_csv(os.path.join(out, "histogram.csv"))
-    artifacts["histogram"] = os.path.join(out, "histogram.csv")
+    out.write("histogram.csv", histogram.to_csv, "histogram")
 
-    _write_diagnostics(_diagnostics(scenario, results, reference), out, artifacts)
+    _write_diagnostics(_diagnostics(scenario, results, reference), out)
 
     if config.model in (2, 3):
         theta_hat = float(burned_in_samples(results[0], burn).mean())
         initial = scenario.mean_field_snapshot(theta_hat, t_end=0.0)
         constraint_time = scenario.mean_field_snapshot(theta_hat)
-        initial.to_csv(os.path.join(out, "field_initial.csv"))
-        constraint_time.to_csv(os.path.join(out, "field_constraint.csv"))
-        artifacts["field_initial"] = os.path.join(out, "field_initial.csv")
-        artifacts["field_constraint"] = os.path.join(out, "field_constraint.csv")
+        out.write("field_initial.csv", initial.to_csv, "field_initial")
+        out.write("field_constraint.csv", constraint_time.to_csv, "field_constraint")
 
     if plots:
-        _render_plots(out, artifacts)
+        _render_plots(out)
 
-    write_json(os.path.join(out, "provenance.json"), _provenance(scenario, "run", artifacts))
-    artifacts["provenance"] = os.path.join(out, "provenance.json")
-    return artifacts
+    provenance = _provenance(scenario, "run", out.artifacts)
+    out.write("provenance.json", lambda path: write_json(path, provenance), "provenance")
+    return out.artifacts
 
 
 def _run_chains(scenario: Scenario):
@@ -305,16 +314,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_simulate_forward(args) -> int:
-    config = _apply_overrides(resolve_config(args.config), args)
-    scenario = Scenario(config)
+    scenario = open_scenario(args.config, args.seed, args.output)
+    config = scenario.config
     theta = args.theta if args.theta is not None else scenario.theta_init()
     q = args.q if args.q is not None else scenario.default_flux()
     phi = args.phi if args.phi is not None else config.params.porosity
     trajectory = integrate_strip(config.params, q, phi, theta, n_steps=config.n_steps)
-    out = config.output_dir
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "trajectory.csv")
-    trajectory.to_csv(path)
+    path = _Output(config.output_dir).write("trajectory.csv", trajectory.to_csv)
     pressure = trajectory.t_fluid[-1] * trajectory.density[-1]
     print(f"trajectory: {path}")
     print(
@@ -325,26 +331,22 @@ def _cmd_simulate_forward(args) -> int:
 
 
 def _cmd_build_surrogate(args) -> int:
-    config = _apply_overrides(resolve_config(args.config), args)
-    scenario = Scenario(config)
+    scenario = open_scenario(args.config, args.seed, args.output)
+    constraint = scenario.config.constraint
     theta = args.theta if args.theta is not None else scenario.theta_init()
     started = time.perf_counter()
     surrogate = scenario.marched_surrogate(theta)
     built = time.perf_counter() - started
-    prob = satisfaction_probability(surrogate, config.constraint)
+    prob = satisfaction_probability(surrogate, constraint)
     print(f"surrogate at Re={theta:g} built in {built:.3f}s")
-    print(f"P(f2 <= T_max={config.constraint.beta:g}) = {prob:.6f}")
+    print(f"P(f2 <= T_max={constraint.beta:g}) = {prob:.6f}")
     return 0
 
 
 def _cmd_scan_feasible(args) -> int:
-    config = _apply_overrides(resolve_config(args.config), args)
-    scenario = Scenario(config)
+    scenario = open_scenario(args.config, args.seed, args.output)
     scan = scenario.scan()
-    out = config.output_dir
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "feasible_scan.csv")
-    scan.to_csv(path)
+    path = _Output(scenario.config.output_dir).write("feasible_scan.csv", scan.to_csv)
     print(f"scan: {path}")
     if scan.intervals:
         text = ", ".join(f"[{a:.3f}, {b:.3f}]" for a, b in scan.intervals)
@@ -355,41 +357,37 @@ def _cmd_scan_feasible(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    config = _apply_overrides(resolve_config(args.config), args)
-    scenario = Scenario(config)
-    out = config.output_dir
-    os.makedirs(out, exist_ok=True)
+    scenario = open_scenario(args.config, args.seed, args.output)
+    out = _Output(scenario.config.output_dir)
     results = _run_chains(scenario)
     paths = _write_runs(results, out)
     if isinstance(results[0], ParticleHistory):
-        artifacts = {"particles": paths[0]}
+        out.artifacts["particles"] = paths[0]
         print(
             f"particles.csv: {results[0].n_particles} particles x "
             f"{results[0].n_generations} generations"
         )
     else:
-        artifacts = {f"chain_{i}": path for i, path in enumerate(paths)}
+        out.artifacts.update((f"chain_{i}", path) for i, path in enumerate(paths))
         for result, path in zip(results, paths):
             print(
                 f"{os.path.basename(path)}: {len(result)} samples, acceptance "
                 f"{result.acceptance_rate:.3f}, feasible fraction {result.feasible_fraction:.3f}"
             )
-    write_json(os.path.join(out, "provenance.json"), _provenance(scenario, "sample", artifacts))
+    provenance = _provenance(scenario, "sample", out.artifacts)
+    out.write("provenance.json", lambda path: write_json(path, provenance))
     return 0
 
 
 def _cmd_diagnose(args) -> int:
-    config = _apply_overrides(resolve_config(args.config), args)
-    scenario = Scenario(config)
+    scenario = open_scenario(args.config, args.seed, args.output)
     runs = [load_chain_csv(p) for p in args.chains]
     if len(runs) > 1 and not all(isinstance(r, MarkovChain) for r in runs):
         raise ConfigError("diagnose needs either chain CSVs or a single particle CSV")
     payload = _diagnostics(scenario, runs, scenario.reference())
-    out = config.output_dir
-    os.makedirs(out, exist_ok=True)
-    artifacts: dict[str, str] = {}
-    _write_diagnostics(payload, out, artifacts)
-    for name, path in sorted(artifacts.items()):
+    out = _Output(scenario.config.output_dir)
+    _write_diagnostics(payload, out)
+    for name, path in sorted(out.artifacts.items()):
         print(f"{name}: {path}")
     return 0
 
@@ -416,7 +414,8 @@ def _compare_sampler_blocks(config: ScenarioConfig, requested: list[str]) -> dic
 
 
 def _cmd_compare(args) -> int:
-    config = _apply_overrides(resolve_config(args.config), args)
+    base = open_scenario(args.config, args.seed, args.output)
+    config = base.config
     requested = [s.strip() for s in args.samplers.split(",") if s.strip()]
     if not requested:
         raise ConfigError("--samplers must name at least one sampler")
@@ -428,7 +427,6 @@ def _cmd_compare(args) -> int:
     if sorted(checkpoints) != checkpoints or len(set(checkpoints)) != len(checkpoints):
         raise ConfigError("checkpoints must be strictly increasing")
 
-    base = Scenario(config)
     reference = base.reference()
     rows = []
     for kind in requested:
@@ -443,10 +441,10 @@ def _cmd_compare(args) -> int:
             burn_in=float(runner.config.sampler["burn_in_fraction"]),
         )
         rows.extend((kind, *row) for row in series)
-    out = config.output_dir
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "compare.csv")
-    write_csv(path, ("sampler", "n_samples", "l2_error", "wall_seconds"), list(zip(*rows)))
+    header = ("sampler", "n_samples", "l2_error", "wall_seconds")
+    path = _Output(config.output_dir).write(
+        "compare.csv", lambda path: write_csv(path, header, list(zip(*rows)))
+    )
     print(f"compare: {path}")
     print(f"{'sampler':<16}{'n_samples':>10}{'l2_error':>12}{'wall_s':>10}")
     for kind, n, err, wall in rows:
@@ -497,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="output directory (overrides config output_dir)")
         if seed:
             p.add_argument("--seed", type=int, help="master seed (overrides config seed)")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, seed=None)
         return p
 
     p = add("run", _cmd_run, "full pipeline with all artifacts")

@@ -114,15 +114,6 @@ class StripTrajectory:
         )
 
 
-def _check_inputs(phi: float, re: float, n_steps: int) -> None:
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if not 0.0 < phi < 1.0:
-        raise ValueError(f"phi must lie in (0, 1), got {phi}")
-    if not re > 0.0:  # also rejects NaN
-        raise ValueError(f"re must be positive, got {re}")
-
-
 def _rhs(params: ModelParams, q, phi, re) -> tuple:
     """Right-hand-side coefficients at (q, phi, re); floats or broadcastable arrays.
 
@@ -174,6 +165,36 @@ def _singular(denom: float, i: int, dx: float) -> SingularDenominatorError:
     )
 
 
+def _march(params: ModelParams, q, phi, re, n_steps: int, singular_eps: float, states=None):
+    """The scalar Euler march of one strip on floats; returns its exit state.
+
+    A ``states`` list gets each state (T_f, T_s, rho_f) after a step. The
+    singularity guard is tested at every step, finiteness only at the exit:
+    a NaN or infinite state stays non-finite to the end of the march.
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if not 0.0 < phi < 1.0:
+        raise ValueError(f"phi must lie in (0, 1), got {phi}")
+    if not re > 0.0:  # also rejects NaN
+        raise ValueError(f"re must be positive, got {re}")
+    rhs = _rhs(params, q, phi, re)
+    dx = 1.0 / n_steps
+    tf, ts, rho = _initial_state(params)
+    for i in range(n_steps):
+        try:
+            tf, ts, rho, denom = _euler_step(tf, ts, rho, rhs, dx)
+        except ZeroDivisionError:
+            raise _singular(0.0, i, dx) from None
+        if abs(denom) < singular_eps:
+            raise _singular(denom, i, dx)
+        if states is not None:
+            states.append((tf, ts, rho))
+    if not (math.isfinite(tf) and math.isfinite(ts) and math.isfinite(rho)):
+        raise NonFiniteStateError(f"non-finite state at the exit of a march at re={re!r}")
+    return tf, ts, rho
+
+
 def integrate_strip(
     params: ModelParams,
     q: float,
@@ -195,28 +216,12 @@ def integrate_strip(
         Number of Euler steps on [0, 1].
     singular_eps : float
         Guard on |phi^-2 - rho^2*T_f|; crossing it raises
-        SingularDenominatorError.
+        SingularDenominatorError. A state that turns NaN or infinite raises
+        NonFiniteStateError once the march reaches the exit (``_march``).
     """
-    _check_inputs(phi, re, n_steps)
-    rhs = _rhs(params, q, phi, re)
-    dx = 1.0 / n_steps
-    tf, ts, rho = _initial_state(params)
-    t_fluid = np.empty(n_steps + 1)
-    t_solid = np.empty(n_steps + 1)
-    density = np.empty(n_steps + 1)
-    t_fluid[0], t_solid[0], density[0] = tf, ts, rho
-
-    for i in range(n_steps):
-        try:
-            tf, ts, rho, denom = _euler_step(tf, ts, rho, rhs, dx)
-        except ZeroDivisionError:
-            raise _singular(0.0, i, dx) from None
-        if abs(denom) < singular_eps:
-            raise _singular(denom, i, dx)
-        if not (math.isfinite(tf) and math.isfinite(ts) and math.isfinite(rho)):
-            raise NonFiniteStateError(f"non-finite state at x={(i + 1) * dx:.6f}")
-        t_fluid[i + 1], t_solid[i + 1], density[i + 1] = tf, ts, rho
-
+    states = [_initial_state(params)]
+    _march(params, q, phi, re, n_steps, singular_eps, states)
+    t_fluid, t_solid, density = np.array(states).T
     return StripTrajectory(
         x_grid=np.linspace(0.0, 1.0, n_steps + 1),
         t_fluid=t_fluid,
@@ -282,21 +287,9 @@ def forward_pressure_at_mean(
 
     This is the likelihood evaluation point: integrate the strip at the mean
     heat flux and porosity, then read off the interface pressure. The loop
-    runs on plain floats, which is about forty times cheaper per call than a
-    one-element array march.
+    (``_march``) runs on plain floats, which is about forty times cheaper per
+    call than a one-element array march.
     """
     q, phi = xi_mean
-    _check_inputs(phi, re, n_steps)
-    rhs = _rhs(params, q, phi, re)
-    dx = 1.0 / n_steps
-    tf, ts, rho = _initial_state(params)
-    for i in range(n_steps):
-        try:
-            tf, ts, rho, denom = _euler_step(tf, ts, rho, rhs, dx)
-        except ZeroDivisionError:
-            raise _singular(0.0, i, dx) from None
-        if abs(denom) < singular_eps:
-            raise _singular(denom, i, dx)
-    if not (math.isfinite(tf) and math.isfinite(ts) and math.isfinite(rho)):
-        raise NonFiniteStateError("non-finite state during pressure evaluation")
+    tf, _, rho = _march(params, q, phi, re, n_steps, singular_eps)
     return tf * rho

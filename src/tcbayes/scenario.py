@@ -12,9 +12,13 @@ three shipped setups are
 * model 3: sixty strips with independent per-strip heat-flux germs.
 
 Configuration is a single strict-schema JSON document; keys starting with
-an underscore are ignored everywhere (notes). ``Scenario`` lazily builds
-observations, constraint oracles, boundary scans, posterior closures, and
-sampler runs from a validated ``ScenarioConfig``.
+an underscore are ignored everywhere (notes). ``Scenario`` wires a validated
+``ScenarioConfig`` into the inversion's stages: observations, the strip exit
+table, the forward tables, the constraint oracle and its boundary scan, the
+posterior and the reference density. Each stage is built on first use and
+kept in one memo, which ``Scenario.with_sampler`` clones share, so a stage
+is built once however many samplers run; the sampler runs themselves are
+not kept.
 """
 from __future__ import annotations
 
@@ -548,29 +552,23 @@ def load_observations(csv_path: str, provenance_path: str | None = None) -> Obse
 
 
 class Scenario:
-    """Lazily wired pipeline pieces for one validated configuration."""
+    """The pipeline stages of one validated configuration, each built once into one memo."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self._oracle: ChanceConstraintOracle | None = None
-        self._scan: FeasibilityScan | None = None
-        self._observations: ObservationSet | None = None
-        self._reference: ReferenceDensity | None = None
-        self._forward: dict | None = None
-        self._exit: tuple[ChebyshevTable | None] | None = None
-        self._posterior: Posterior | None = None
+        self._stages: dict = {}
 
     def with_sampler(self, sampler: dict) -> "Scenario":
-        """Clone with a different sampler block, sharing the built caches."""
+        """Clone with a different sampler block, sharing the built stages."""
         clone = Scenario(dataclasses.replace(self.config, sampler=_parse_sampler(sampler)))
-        clone._oracle = self._oracle
-        clone._scan = self._scan
-        clone._observations = self._observations
-        clone._reference = self._reference
-        clone._forward = self._forward
-        clone._exit = self._exit
-        clone._posterior = self._posterior
+        clone._stages = self._stages
         return clone
+
+    def _once(self, stage: str, build):
+        """The memo's ``stage``, from ``build()`` on first use; a None result is kept too."""
+        if stage not in self._stages:
+            self._stages[stage] = build()
+        return self._stages[stage]
 
     # constraint side ------------------------------------------------------
 
@@ -602,9 +600,9 @@ class Scenario:
         when that march fails or the table misses its check: every theta
         then marches alone.
         """
-        if self._exit is None:
-            self._exit = (build_table(self._strip_exit_coeffs, self.config.theta_range()),)
-        return self._exit[0]
+        return self._once(
+            "exit_table", lambda: build_table(self._strip_exit_coeffs, self.config.theta_range())
+        )
 
     def exit_coeffs(self, theta: float) -> np.ndarray:
         """Strip exit coefficients at one theta: read from the exit table
@@ -632,20 +630,15 @@ class Scenario:
         return coeffs if project is None else project @ coeffs
 
     def oracle(self) -> ChanceConstraintOracle:
-        if self._oracle is None:
-            self._oracle = ChanceConstraintOracle(self.config.constraint, self.surrogate_factory())
-        return self._oracle
+        return self._once("oracle", lambda: ChanceConstraintOracle(
+            self.config.constraint, self.surrogate_factory()
+        ))
 
     def scan(self) -> FeasibilityScan:
-        if self._scan is None:
-            self._scan = scan_feasible_boundary(
-                self.config.theta_range(),
-                self.config.constraint,
-                self.oracle(),
-                tol=self.config.scan.tol,
-                n_coarse=self.config.scan.n_coarse,
-            )
-        return self._scan
+        cfg = self.config
+        return self._once("scan", lambda: scan_feasible_boundary(
+            cfg.theta_range(), self.oracle(), tol=cfg.scan.tol, n_coarse=cfg.scan.n_coarse
+        ))
 
     def intervals(self) -> tuple[tuple[float, float], ...]:
         return self.scan().intervals
@@ -664,13 +657,13 @@ class Scenario:
     # data and posterior ---------------------------------------------------
 
     def observations(self) -> ObservationSet:
-        if self._observations is not None:
-            return self._observations
+        return self._once("observations", self._build_observations)
+
+    def _build_observations(self) -> ObservationSet:
         cfg = self.config
         data = cfg.data
         if data.path is not None:
-            self._observations = load_observations(data.path)
-            return self._observations
+            return load_observations(data.path)
         groups = data.groups or ({"label": "obs"},)
         merged: ObservationSet | None = None
         for i, group in enumerate(groups):
@@ -686,7 +679,6 @@ class Scenario:
                 label=group["label"],
             )
             merged = obs if merged is None else merged.merge(obs)
-        self._observations = merged
         return merged
 
     def forward_map(self) -> dict:
@@ -695,15 +687,13 @@ class Scenario:
         Built on first use, over ``theta_range()``; a point whose table fails
         its build check is left out, so its groups keep the direct march.
         """
-        if self._forward is None:
-            cfg = self.config
-            tables = {}
-            for group in self.observations().groups:
-                point = group.evaluation_point(cfg.params)
-                if point not in tables:
-                    tables[point] = build_pressure_table(cfg.params, point, cfg.theta_range())
-            self._forward = {point: table for point, table in tables.items() if table is not None}
-        return self._forward
+        return self._once("forward_tables", self._build_forward_map)
+
+    def _build_forward_map(self) -> dict:
+        cfg = self.config
+        points = dict.fromkeys(g.evaluation_point(cfg.params) for g in self.observations().groups)
+        tables = {p: build_pressure_table(cfg.params, p, cfg.theta_range()) for p in points}
+        return {point: table for point, table in tables.items() if table is not None}
 
     def forward_tables(self) -> dict:
         """Per group label: ``table_record`` of the group's forward table."""
@@ -715,12 +705,10 @@ class Scenario:
 
     def posterior(self) -> Posterior:
         """The unconstrained log posterior over the forward tables, built once."""
-        if self._posterior is None:
-            cfg = self.config
-            self._posterior = Posterior(
-                self.observations(), cfg.prior, cfg.params, cfg.classic_iid, self.forward_map()
-            )
-        return self._posterior
+        cfg = self.config
+        return self._once("posterior", lambda: Posterior(
+            self.observations(), cfg.prior, cfg.params, cfg.classic_iid, self.forward_map()
+        ))
 
     def log_posterior(self, theta: float) -> float:
         return self.posterior()(float(theta))
@@ -734,7 +722,7 @@ class Scenario:
         prior = self.config.prior
         support = (prior.low, prior.high) if prior.kind == "uniform" else None
         return penalized_gradient(
-            self.grad_log_posterior, self.feasibility(), self.intervals(), delta, support
+            self.posterior().grad, self.feasibility(), self.intervals(), delta, support
         )
 
     def initial_particles(self, n: int, seed: int) -> np.ndarray:
@@ -761,11 +749,12 @@ class Scenario:
         raise ConfigError("the prior puts too little mass on theta > 0 to draw particles")
 
     def reference(self) -> ReferenceDensity:
-        if self._reference is None:
-            lo, hi = self.config.theta_range()
-            grid = np.linspace(lo, hi, self.config.diagnostics.reference_nodes)
-            self._reference = reference_posterior(grid, self.log_posterior, self.feasibility())
-        return self._reference
+        cfg = self.config
+        return self._once("reference", lambda: reference_posterior(
+            np.linspace(*cfg.theta_range(), cfg.diagnostics.reference_nodes),
+            self.log_posterior,
+            self.feasibility(),
+        ))
 
     # samplers ------------------------------------------------------------
 
@@ -793,7 +782,7 @@ class Scenario:
             )
         if kind == "chmc":
             return run_chmc(
-                self.log_posterior,
+                self.posterior(),
                 self.penalized_grad(float(sampler["delta"])),
                 float(sampler["mass"]),
                 float(sampler["step"]),

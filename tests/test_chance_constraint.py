@@ -173,8 +173,10 @@ def test_failed_batch_falls_back_to_per_theta_builds(caplog, windows):
 
     oracle = ChanceConstraintOracle(spec, failing)
     with caplog.at_level("WARNING"):
-        got = scan_feasible_boundary((-15.0, 17.0), spec, oracle, tol=0.1, n_coarse=17)
-    ref = scan_feasible_boundary((-15.0, 17.0), spec, never_satisfied, tol=0.1, n_coarse=17)
+        got = scan_feasible_boundary((-15.0, 17.0), oracle, tol=0.1, n_coarse=17)
+    ref = scan_feasible_boundary(
+        (-15.0, 17.0), ChanceConstraintOracle(spec, never_satisfied), tol=0.1, n_coarse=17
+    )
     assert got.intervals == ref.intervals
     np.testing.assert_array_equal(got.feasible, ref.feasible)
     nan_keys = {k for k, p in oracle._probabilities.items() if math.isnan(p)}
@@ -187,7 +189,7 @@ def test_failed_batch_falls_back_to_per_theta_builds(caplog, windows):
 def test_scan_synthetic_upper_boundary():
     # f2 = theta + xi, beta = 0, alpha = 0.5: feasible exactly for theta <= 0
     spec = ChanceConstraintSpec(beta=0.0, alpha=0.5, n_prob_samples=200_000, seed=11)
-    scan = scan_feasible_boundary((-2.0, 2.0), spec, lambda t: _ShiftF2(t), tol=0.01)
+    scan = scan_feasible_boundary((-2.0, 2.0), ChanceConstraintOracle(spec, _ShiftF2), tol=0.01)
     assert len(scan.intervals) == 1
     lo, hi = scan.intervals[0]
     assert lo == -2.0
@@ -196,20 +198,22 @@ def test_scan_synthetic_upper_boundary():
 
 def test_scan_all_feasible_returns_full_range():
     spec = ChanceConstraintSpec(beta=10.0, alpha=0.5, n_prob_samples=100)
-    scan = scan_feasible_boundary((0.0, 1.0), spec, lambda t: _ConstF2(0.0), tol=0.1)
+    oracle = ChanceConstraintOracle(spec, lambda t: _ConstF2(0.0))
+    scan = scan_feasible_boundary((0.0, 1.0), oracle, tol=0.1)
     assert scan.intervals == ((0.0, 1.0),)
     assert np.all(scan.feasible)
 
 
 def test_scan_none_feasible_returns_empty():
     spec = ChanceConstraintSpec(beta=-10.0, alpha=0.5, n_prob_samples=100)
-    scan = scan_feasible_boundary((0.0, 1.0), spec, lambda t: _ConstF2(0.0), tol=0.1)
+    oracle = ChanceConstraintOracle(spec, lambda t: _ConstF2(0.0))
+    scan = scan_feasible_boundary((0.0, 1.0), oracle, tol=0.1)
     assert scan.intervals == ()
 
 
 def test_scan_csv_roundtrip(tmp_path):
     spec = ChanceConstraintSpec(beta=0.0, alpha=0.5, n_prob_samples=1000, seed=2)
-    scan = scan_feasible_boundary((-1.0, 1.0), spec, lambda t: _ShiftF2(t), tol=0.05)
+    scan = scan_feasible_boundary((-1.0, 1.0), ChanceConstraintOracle(spec, _ShiftF2), tol=0.05)
     path = tmp_path / "scan.csv"
     scan.to_csv(str(path))
     rows = path.read_text().strip().splitlines()

@@ -555,6 +555,46 @@ def test_diagnose_other_checkpoint_text_is_not_usage_error(
     assert "ValueError: corrupt checkpoint store" in capsys.readouterr().err
 
 
+def _cut_rows(lines):
+    return lines[:-1]  # a run killed inside its last generation
+
+
+def _header_only(lines):
+    return lines[:1]
+
+
+def _four_of_six_cells(lines):
+    return [lines[0], ",".join(lines[1].split(",")[:4])]
+
+
+@pytest.mark.parametrize(
+    "kind, damage",
+    [
+        ("particles", _cut_rows),
+        ("particles", _header_only),
+        ("chain", _header_only),
+        ("chain", _four_of_six_cells),
+    ],
+)
+def test_run_csv_that_is_no_whole_run_exits_2(
+    tiny_model1_dict, write_config, tmp_path, capsys, kind, damage
+):
+    if kind == "chain":
+        run = MarkovChain(np.array([700.0]), np.ones(1, bool), np.ones(1, bool), [-5.0], [0.1])
+    else:
+        run = ParticleHistory(np.linspace(600.0, 800.0, 12).reshape(4, 3), [0.1, 0.2, 0.3])
+    path = str(tmp_path / f"{kind}.csv")
+    run.to_csv(path)
+    lines = open(path).read().splitlines()
+    open(path, "w").write("\n".join(damage(lines)) + "\n")
+    with pytest.raises(ConfigError, match=f"{kind}.csv"):
+        load_chain_csv(path)
+    config = write_config(tiny_model1_dict)
+    rc = main(["diagnose", "--config", config, "--chains", path, "--output", str(tmp_path / "d")])
+    assert rc == 2
+    assert f"{kind}.csv" in capsys.readouterr().err
+
+
 def test_run_checkpoints_beyond_the_chain_exit_2(tiny_model1_dict, write_config, tmp_path, capsys):
     tiny_model1_dict["diagnostics"]["checkpoints"] = [100, 400]  # the chain has 300 samples
     path = write_config(tiny_model1_dict)

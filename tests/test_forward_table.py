@@ -221,7 +221,7 @@ def test_scenario_records_direct_for_a_singular_group(tiny_model2_dict, singular
         )
     )
     scenario = Scenario(ScenarioConfig.from_dict(tiny_model2_dict))
-    scenario._observations = obs
+    scenario._stages["observations"] = obs
     record = scenario.forward_tables()
     assert record["high_phi"] == "direct"
     assert record["low_phi"]["nodes"] == 32
@@ -238,7 +238,7 @@ def test_crw_chain_is_unchanged_by_the_table(tiny_model1_dict):
     config = ScenarioConfig.from_dict(tiny_model1_dict)
     tabled = Scenario(config)
     direct = Scenario(config)
-    direct._forward = {}
+    direct._stages["forward_tables"] = {}
     assert tabled.forward_tables()["obs"]["nodes"] == 32
     assert direct.forward_tables() == {"obs": "direct"}
     a, b = tabled.run_chain(seed=4), direct.run_chain(seed=4)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from tcbayes import gpc
+from tcbayes import scenario as scenario_module
 from tcbayes.bayes import TABLE_NODES, TABLE_TOL, table_record
 from tcbayes.cli import resolve_config
 from tcbayes.chance_constraint import CACHE_QUANTUM
@@ -448,7 +449,7 @@ def test_out_of_range_theta_marches_alone(model, tiny_model1_dict, tiny_model2_d
         want = scenario._strip_exit_coeffs([theta])[0]
         np.testing.assert_array_equal(_factory_coeffs(scenario, theta), want)
     # no visit inside the range, so no table was built
-    assert scenario._exit is None
+    assert "exit_table" not in scenario._stages
 
 
 def test_singular_table_node_leaves_every_theta_to_its_own_march(monkeypatch, tiny_model1_dict):
@@ -480,6 +481,44 @@ def test_singular_table_node_leaves_every_theta_to_its_own_march(monkeypatch, ti
             assert abs(prob - want) <= 1e-11
 
 
+def test_a_failed_exit_table_is_attempted_once(monkeypatch, tiny_model1_dict):
+    # the synthetic singular window of the test above; the chain asks the
+    # oracle at every proposal, so each one would retry an uncached failure
+    window = (625.0, 655.0)
+    real_march = gpc.interface_state_batch
+
+    def march(params, q, phi, re, *args, **kwargs):
+        re_arr = np.asarray(re)
+        if np.any((re_arr > window[0]) & (re_arr < window[1])):
+            raise SingularDenominatorError("synthetic singular denominator")
+        return real_march(params, q, phi, re, *args, **kwargs)
+
+    builds, real_build = [], scenario_module.build_table
+
+    def counting_build(*args):
+        builds.append(args)
+        return real_build(*args)
+
+    monkeypatch.setattr(gpc, "interface_state_batch", march)
+    monkeypatch.setattr(scenario_module, "build_table", counting_build)
+    tiny_model1_dict["constraint"]["oracle"] = "surrogate"
+    tiny_model1_dict["sampler"]["n_samples"] = 100
+    scenario = Scenario(ScenarioConfig.from_dict(tiny_model1_dict))
+    scenario.scan()
+    chain = scenario.run_chain(0)
+    assert scenario.exit_table() is None
+    assert len(builds) == 1 and len(chain) == 100
+
+
+def test_a_stage_a_clone_builds_is_shared_with_its_base(tiny_model1_dict):
+    base = Scenario(ScenarioConfig.from_dict(tiny_model1_dict))
+    chmc = {"kind": "chmc", "mass": 1.0, "step": 5.0, "max_leapfrog": 4, "n_samples": 10}
+    clone, other = base.with_sampler(chmc), base.with_sampler(chmc)
+    assert clone.posterior() is base.posterior() is other.posterior()
+    assert clone.forward_map() is base.forward_map() is other.forward_map()
+    assert clone.config.sampler["kind"] == "chmc" and base.config.sampler["kind"] == "crw"
+
+
 def test_surrogate_oracle_mode_asks_the_oracle_at_every_proposal(tiny_model1_dict):
     tiny_model1_dict["constraint"]["oracle"] = "surrogate"
     scenario = Scenario(ScenarioConfig.from_dict(tiny_model1_dict))
@@ -493,7 +532,7 @@ def test_surrogate_oracle_mode_asks_the_oracle_at_every_proposal(tiny_model1_dic
     oracle.probability = recording
     chain = scenario.run_chain(0)
     # the start, then every proposal, and no frozen scan in between
-    assert len(asked) == 1 + len(chain) and scenario._scan is None
+    assert len(asked) == 1 + len(chain) and "scan" not in scenario._stages
     assert set(chain.samples) <= set(asked) and oracle.evaluations > 1
     alpha = scenario.config.constraint.alpha
     assert all(probability(theta) >= alpha for theta in chain.samples)
