@@ -2,12 +2,14 @@
 
 CSV cells are formatted by column kind, chosen once per column: integers
 and booleans as ``str(int)``, floats as ``repr`` (round-trips bit for bit)
-and strings as they are. Any other kind, an object column included, is a
-``TypeError``: every cell the package writes is a number or a name. Every
-CSV ends its lines with LF on every platform.
+and strings as they are; a run of bit-identical floats is formatted once.
+Any other kind, an object column included, is a ``TypeError``: every cell
+the package writes is a number or a name. Every CSV ends its lines with
+LF on every platform.
 """
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -15,15 +17,26 @@ import numpy as np
 CHUNK_ROWS = 4096
 
 
+def _float_cells(values: np.ndarray):
+    """``repr`` of each float, computed once per run of cells with one bit
+    pattern (-0.0 == 0.0, but the two repr differently), such as the theta
+    and log_post a rejected chain step repeats."""
+    bits = values.view(f"i{values.itemsize}")
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    counts = np.diff(np.append(starts, values.size)).tolist()
+    cells = map(repr, values[starts].tolist())
+    return itertools.chain.from_iterable(map(itertools.repeat, cells, counts))
+
+
 def _formatter(column: np.ndarray):
-    """Map a list of a column's values (from ``.tolist()``) to its cells."""
+    """Map a slice of a column to an iterable of its cells."""
     kind = column.dtype.kind
     if kind in "iu":
-        return lambda values: map(str, values)
+        return lambda values: map(str, values.tolist())
     if kind == "f":
-        return lambda values: map(repr, values)
+        return _float_cells
     if kind == "U":
-        return lambda values: values
+        return lambda values: values.tolist()
     raise TypeError(f"no CSV cell format for dtype {column.dtype}")
 
 
@@ -45,9 +58,7 @@ def write_csv(path: str, header, columns) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n_rows, CHUNK_ROWS):
-            cells = [
-                fmt(c[start : start + CHUNK_ROWS].tolist()) for c, fmt in zip(columns, formats)
-            ]
+            cells = [fmt(c[start : start + CHUNK_ROWS]) for c, fmt in zip(columns, formats)]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

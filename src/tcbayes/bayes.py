@@ -27,7 +27,6 @@ from .porous_flow import (
     NonFiniteStateError,
     SingularDenominatorError,
     forward_pressure_at_mean,
-    interface_state_batch,
 )
 
 _FORWARD_FAILURES = (SingularDenominatorError, NonFiniteStateError)
@@ -233,31 +232,28 @@ def chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * (np.arange(n) + 0.5) / n)
 
 
-def build_table(march, theta_range: tuple[float, float]) -> ChebyshevTable | None:
-    """Chebyshev table of a theta-batched march over ``theta_range``, or None.
-
-    ``march(thetas)`` returns the values at every theta, shape
-    (len(thetas), ...). One call covers the TABLE_NODES nodes, the
-    midpoints between them and the two range ends. The table is kept only
-    if the march does not fail and, at every midpoint and end,
-    max|table - march| / max|march| is at most TABLE_TOL (for a scalar
-    table, the relative error); otherwise None tells the caller to keep
-    the direct march.
-    """
+def table_thetas(theta_range: tuple[float, float]) -> np.ndarray | None:
+    """The TABLE_NODES nodes of a table over ``theta_range``, then its check
+    points: the midpoints between them and both ends. None if theta <= 0
+    is in range."""
     lo, hi = theta_range
     if not 0.0 < lo < hi:
         return None
     nodes = chebyshev_nodes(lo, hi, TABLE_NODES)
-    checks = np.concatenate([0.5 * (nodes[:-1] + nodes[1:]), [lo, hi]])
-    try:
-        values = np.asarray(march(np.concatenate([nodes, checks])), dtype=float)
-    except (ValueError, *_FORWARD_FAILURES):
-        return None
-    table = ChebyshevTable(lo, hi, values[:TABLE_NODES])
+    return np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:]), [lo, hi]])
+
+
+def fit_table(theta_range: tuple[float, float], values: np.ndarray) -> ChebyshevTable | None:
+    """Chebyshev table of the marched ``values`` (n_thetas, ...) at
+    ``table_thetas(theta_range)``, kept only if at every check point
+    max|table - march| / max|march| is at most TABLE_TOL (for a scalar
+    table, the relative error); otherwise None: keep the direct march.
+    """
+    table = ChebyshevTable(*theta_range, values[:TABLE_NODES])
     with np.errstate(divide="ignore", invalid="ignore"):
         errors = [
             np.abs(table(float(t)) - direct).max() / np.abs(direct).max()
-            for t, direct in zip(checks, values[TABLE_NODES:])
+            for t, direct in zip(table_thetas(theta_range)[TABLE_NODES:], values[TABLE_NODES:])
         ]
     error = float(np.max(errors))
     if not error <= TABLE_TOL:
@@ -271,21 +267,6 @@ def table_record(table: ChebyshevTable | None) -> dict | str:
     if table is None:
         return "direct"
     return {"nodes": table.n_nodes, "terms": table.terms, "max_rel_error": table.max_rel_error}
-
-
-def build_pressure_table(
-    params: ModelParams,
-    point: tuple[float, float],
-    theta_range: tuple[float, float],
-) -> ChebyshevTable | None:
-    """Chebyshev table of F(theta) at one evaluation point, or None (see ``build_table``)."""
-    q, phi = point
-
-    def march(thetas: np.ndarray) -> np.ndarray:
-        tf, _, rho = interface_state_batch(params, q, phi, thetas)
-        return tf * rho
-
-    return build_table(march, theta_range)
 
 
 class Posterior:
@@ -319,6 +300,12 @@ class Posterior:
         tables = {} if tables is None else tables
         self.params = params
         self.prior = prior
+        # log_prior's constant terms, by its expressions
+        if prior.kind == "gaussian":
+            self._prior_norm = -math.log(math.sqrt(2.0 * math.pi) * prior.std)
+        else:
+            self._prior_norm = -math.log(prior.high - prior.low)
+        self._prior_floor = math.log(prior.floor)
         groups = []
         for group in obs.groups:
             point = group.evaluation_point(params)
@@ -351,15 +338,26 @@ class Posterior:
         total = 0.0
         try:
             for point, table, lo, hi, n, ybar, ybar_rem, ss, norm, scale in self._groups:
-                misfit = (self._pressure(point, table, lo, hi, theta) - ybar) - ybar_rem
+                if lo <= theta <= hi:
+                    pressure = table(theta)
+                else:
+                    pressure = forward_pressure_at_mean(self.params, point, theta)
+                misfit = (pressure - ybar) - ybar_rem
                 total += norm - scale * (n * misfit * misfit + ss)
         except _FORWARD_FAILURES:
             return -math.inf
         return total
 
     def __call__(self, theta: float) -> float:
-        """Unnormalized log posterior without the feasibility indicator."""
-        return log_prior(theta, self.prior) + self.log_likelihood(theta)
+        """Unnormalized log posterior without the feasibility indicator:
+        ``log_prior`` from the constants computed once, plus ``log_likelihood``."""
+        prior = self.prior
+        if prior.kind == "gaussian":
+            z = (theta - prior.mean) / prior.std
+            return self._prior_norm - 0.5 * z * z + self.log_likelihood(theta)
+        if prior.low <= theta <= prior.high:
+            return self._prior_norm + self.log_likelihood(theta)
+        return self._prior_floor + self.log_likelihood(theta)
 
     def grad(self, theta: float, fd_step: float = DEFAULT_FD_STEP) -> float:
         """d/dtheta of the log posterior.

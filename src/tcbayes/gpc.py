@@ -2,13 +2,14 @@
 
 Probabilists' Hermite basis in standardized Gaussian germ variables,
 Gauss-Hermite quadrature, and the strip exit expansions the constraint
-surrogates read, all marched through ``porous_flow.interface_state_batch``.
+surrogates read, all marched by ``porous_flow``'s batched Euler kernel.
 
 The temperature march is linear in (T_f, T_s), and its coefficients
 depend on (phi, re) but not on the flux, which enters only the source, so
-T_f(1) = A(phi, re) + B(phi, re) q exactly. ``build_strip_surrogate_batch``
-marches two fluxes per distinct porosity and re for A and B, and gives
-each strip's germ q = mean + std xi its exact order-1 expansion (c0, c1).
+T_f(1) = A(phi, re) + B(phi, re) q exactly. ``strip_exit_law`` names the
+two fluxes per distinct porosity to march for A and B, and gives each
+strip's germ q = mean + std xi its exact order-1 expansion (c0, c1) from
+their exit T_f; ``build_strip_surrogate_batch`` marches them at many re.
 Models 2 and 3 pass their strips. Model 1 passes one strip per node of
 ``porosity_projection``, the Gauss-Hermite rule of its porosity germ, and
 projects those (c0, c1) onto He_k(xi_phi) of the given order: an
@@ -45,6 +46,7 @@ __all__ = [
     "gauss_hermite_rule",
     "build_strip_surrogate",
     "build_strip_surrogate_batch",
+    "strip_exit_law",
     "porosity_projection",
     "evaluate_surrogate",
     "surrogate_moments",
@@ -321,6 +323,35 @@ def porosity_projection(phi: GermVariable, order: int, n_quad: int) -> tuple[np.
     return porosities, proj.project
 
 
+def strip_exit_law(q_means: np.ndarray, q_stds: np.ndarray, porosities: np.ndarray):
+    """The elements to march for many strips' exact flux expansions, and the
+    map ``coeffs`` from their exit T_f, (..., 2, n_phis), to (..., n_strips, 2).
+
+    T_f(1) = A(phi, re) + B(phi, re) q, so a strip with heat-flux germ
+    q = mean + std xi has the order-1 expansion c0 = A + B mean, c1 = B std.
+    The elements, ``q`` and ``phi`` of shape (2, n_phis), are two fluxes,
+    the ends min(mean - std) and max(mean + std) of the germs, at every
+    distinct porosity.
+    """
+    q_means, q_stds, porosities = (np.asarray(v, float) for v in (q_means, q_stds, porosities))
+    if q_means.ndim != 1 or not q_means.shape == q_stds.shape == porosities.shape:
+        raise ValueError("q_means, q_stds and porosities must be 1-D of equal length")
+    if not np.all((porosities > 0.0) & (porosities < 1.0)):
+        raise ValueError("porosities must lie in (0, 1)")
+    phis, inverse = np.unique(porosities, return_inverse=True)
+    ends = np.array([np.min(q_means - q_stds), np.max(q_means + q_stds)])
+    span = ends[1] - ends[0]
+
+    def coeffs(tf: np.ndarray) -> np.ndarray:
+        rise = (tf[..., 1, :] - tf[..., 0, :])[..., inverse]
+        slope = rise / span if span > 0.0 else np.zeros_like(rise)
+        intercept = tf[..., 0, inverse] - slope * ends[0]
+        return np.stack([intercept + slope * q_means, slope * q_stds], axis=-1)
+
+    q, phi = np.broadcast_arrays(ends[:, None], phis)
+    return q, phi, coeffs
+
+
 def build_strip_surrogate_batch(
     params: ModelParams,
     q_means: np.ndarray,
@@ -330,31 +361,12 @@ def build_strip_surrogate_batch(
     n_steps: int = DEFAULT_N_STEPS,
     singular_eps: float = DEFAULT_SINGULAR_EPS,
 ) -> np.ndarray:
-    """Exact flux expansions of many strips' exit T_f at many re.
-
-    T_f(1) = A(phi, re) + B(phi, re) q, so a strip with heat-flux germ
-    q = mean + std xi has the order-1 expansion c0 = A + B mean, c1 = B std.
-    One ``interface_state_batch`` march gives A and B: two fluxes, the ends
-    min(mean - std) and max(mean + std) of the strips' germs, at every
-    distinct porosity and re. Returns shape (len(res), n_strips, 2).
-    """
+    """Exact flux expansions (len(res), n_strips, 2) of many strips' exit T_f:
+    the ``strip_exit_law`` elements marched at every re."""
     res = _check_re(res).ravel()
-    q_means, q_stds, porosities = (np.asarray(v, float) for v in (q_means, q_stds, porosities))
-    if q_means.ndim != 1 or not q_means.shape == q_stds.shape == porosities.shape:
-        raise ValueError("q_means, q_stds and porosities must be 1-D of equal length")
-    if not np.all((porosities > 0.0) & (porosities < 1.0)):
-        raise ValueError("porosities must lie in (0, 1)")
-
-    phis, inverse = np.unique(porosities, return_inverse=True)
-    ends = np.array([np.min(q_means - q_stds), np.max(q_means + q_stds)])
-    tf, _, _ = interface_state_batch(
-        params, ends[:, None], phis, res[:, None, None], n_steps, singular_eps
-    )  # (len(res), 2, len(phis))
-    span = ends[1] - ends[0]
-    rise = (tf[:, 1] - tf[:, 0])[:, inverse]
-    slope = rise / span if span > 0.0 else np.zeros_like(rise)
-    intercept = tf[:, 0, inverse] - slope * ends[0]
-    return np.stack([intercept + slope * q_means, slope * q_stds], axis=-1)
+    q, phi, coeffs = strip_exit_law(q_means, q_stds, porosities)
+    tf, _, _ = interface_state_batch(params, q, phi, res[:, None, None], n_steps, singular_eps)
+    return coeffs(tf)
 
 
 def evaluate_surrogate(s: StripSurrogate, x_index: int, q, phi) -> tuple[np.ndarray, np.ndarray]:

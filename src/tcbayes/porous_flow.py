@@ -20,6 +20,7 @@ __all__ = [
     "SingularDenominatorError",
     "NonFiniteStateError",
     "integrate_strip",
+    "march_batch",
     "interface_state_batch",
     "forward_pressure_at_mean",
 ]
@@ -231,24 +232,21 @@ def integrate_strip(
     )
 
 
-def interface_state_batch(
+def march_batch(
     params: ModelParams,
     q: np.ndarray,
     phi: np.ndarray,
     re: float | np.ndarray,
     n_steps: int = DEFAULT_N_STEPS,
     singular_eps: float = DEFAULT_SINGULAR_EPS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Terminal states (T_f, T_s, rho_f at x=1) for a batch of (q, phi, re) draws.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exit states (T_f, T_s, rho_f) of the broadcast (q, phi, re), as
+    (3, *shape), and which elements hit the density guard, as (*shape).
 
-    Vectorized Euler march behind the forward tables and every strip exit
-    expansion (``gpc`` marches its flux ends or collocation nodes through it);
-    returns only the interface values, not the trajectories. Broadcasts q,
-    phi and re against each other. Each element equals the scalar march bit
-    for bit; a guard hit by any element raises for the whole batch. Large
-    batches are marched ``_MARCH_CHUNK`` elements at a time, so the step
-    temporaries stay in cache; the elements do not interact, so chunking
-    changes no bit.
+    No element raises. Each step writes into buffers allocated once, in
+    ``_euler_step``'s operation order, so every element equals the scalar
+    march bit for bit. ``_MARCH_CHUNK`` elements march at a time, so the
+    buffers stay in cache; chunking changes no bit.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -258,22 +256,65 @@ def interface_state_batch(
         raise ValueError("phi draws must lie in (0, 1)")
     if not np.all(re > 0.0):
         raise ValueError("re must be positive")
-    rhs = [np.ravel(v) if np.ndim(v) else v for v in _rhs(params, q, phi, re)]
+    shape = q.shape
+    q, phi, re = q.ravel(), phi.ravel(), re.ravel()
     dx = 1.0 / n_steps
-    out = np.empty((3, q.size))
+    states = np.empty((3, q.size))
+    singular = np.zeros(q.size, dtype=bool)
+    buffers = np.empty((4, min(q.size, _MARCH_CHUNK)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for lo in range(0, q.size, _MARCH_CHUNK):
             part = slice(lo, lo + _MARCH_CHUNK)
-            part_rhs = tuple(v[part] if np.ndim(v) else v for v in rhs)
-            tf, ts, rho = (np.full(out[0, part].shape, v) for v in _initial_state(params))
+            rhs = _rhs(params, q[part], phi[part], re[part])
+            a_fluid, a_solid, source, darcy, forch, t_hg, phi_inv2 = rhs
+            dx_fluid = dx * a_fluid
+            states[:, part] = np.array(_initial_state(params))[:, None]
+            tf, ts, rho = states[:, part]
+            diff, denom, growth, heat = buffers[:, : tf.size]
             for _ in range(n_steps):
-                tf, ts, rho, denom = _euler_step(tf, ts, rho, part_rhs, dx)
-                if np.any(np.abs(denom) < singular_eps):
-                    raise SingularDenominatorError("density denominator below epsilon in batch")
-            out[:, part] = tf, ts, rho
-    if not np.all(np.isfinite(out)):
+                np.subtract(ts, tf, out=diff)
+                np.multiply(rho, rho, out=denom)
+                denom *= tf
+                np.subtract(phi_inv2, denom, out=denom)
+                np.multiply(a_fluid, rho, out=growth)
+                growth *= rho
+                growth *= diff
+                growth += darcy
+                growth += forch
+                growth /= denom
+                np.subtract(tf, t_hg, out=heat)
+                heat *= a_solid
+                heat += source
+                heat *= dx
+                ts += heat
+                diff *= dx_fluid
+                tf += diff
+                growth *= dx
+                growth *= rho
+                rho += growth
+                # fmin skips NaN, which would hide a guard hit in another element
+                if np.fmin.reduce(np.abs(denom, out=denom)) < singular_eps:
+                    singular[part] |= denom < singular_eps
+    return states.reshape((3, *shape)), singular.reshape(shape)
+
+
+def interface_state_batch(
+    params: ModelParams,
+    q: np.ndarray,
+    phi: np.ndarray,
+    re: float | np.ndarray,
+    n_steps: int = DEFAULT_N_STEPS,
+    singular_eps: float = DEFAULT_SINGULAR_EPS,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Terminal states (T_f, T_s, rho_f at x=1) of ``march_batch``, which
+    raises SingularDenominatorError if any element hit the guard, else
+    NonFiniteStateError if any is non-finite."""
+    states, singular = march_batch(params, q, phi, re, n_steps, singular_eps)
+    if singular.any():
+        raise SingularDenominatorError("density denominator below epsilon in batch")
+    if not np.all(np.isfinite(states)):
         raise NonFiniteStateError("non-finite state in batch integration")
-    return tuple(v.reshape(q.shape)[()] for v in out)
+    return tuple(v[()] for v in states)
 
 
 def forward_pressure_at_mean(

@@ -18,7 +18,9 @@ table, the forward tables, the constraint oracle and its boundary scan, the
 posterior and the reference density. Each stage is built on first use and
 kept in one memo, which ``Scenario.with_sampler`` clones share, so a stage
 is built once however many samplers run; the sampler runs themselves are
-not kept.
+not kept. One batched Euler march per scenario (``Scenario._tables``)
+gives every Chebyshev table: the strip exit table and each observation
+group's forward table. Only thetas outside the tables' range march alone.
 """
 from __future__ import annotations
 
@@ -39,10 +41,10 @@ from .bayes import (
     ObservationSet,
     Posterior,
     PriorSpec,
-    build_pressure_table,
-    build_table,
+    fit_table,
     generate_observations,
     table_record,
+    table_thetas,
 )
 from .chance_constraint import (
     ChanceConstraintOracle,
@@ -67,6 +69,7 @@ from .gpc import (
     GermVariable,
     build_strip_surrogate_batch,
     porosity_projection,
+    strip_exit_law,
 )
 from .heat_interface import (
     DEFAULT_CFL,
@@ -76,7 +79,7 @@ from .heat_interface import (
     InterfaceSurrogate,
     assemble_interface_from_coeffs,
 )
-from .porous_flow import DEFAULT_N_STEPS, ModelParams
+from .porous_flow import DEFAULT_N_STEPS, ModelParams, march_batch
 from .samplers import (
     interval_membership,
     interval_projection,
@@ -593,16 +596,9 @@ class Scenario:
         return InterfaceMaxConstraint(self._assemble_interface(coeffs), cfg.pointwise)
 
     def exit_table(self) -> ChebyshevTable | None:
-        """Chebyshev table over ``theta_range()`` of the strip exit coefficients.
-
-        Built on first use from one march of the strips over
-        the table's nodes and check points (``bayes.build_table``). None
-        when that march fails or the table misses its check: every theta
-        then marches alone.
-        """
-        return self._once(
-            "exit_table", lambda: build_table(self._strip_exit_coeffs, self.config.theta_range())
-        )
+        """Chebyshev table over ``theta_range()`` of the strip exit coefficients
+        (``_tables``), or None: every theta then marches alone."""
+        return self._once("exit_table", lambda: self._once("tables", self._tables)[0])
 
     def exit_coeffs(self, theta: float) -> np.ndarray:
         """Strip exit coefficients at one theta: read from the exit table
@@ -613,21 +609,61 @@ class Scenario:
             return self._strip_exit_coeffs([theta])[0]
         return table(float(theta))
 
-    def _strip_exit_coeffs(self, thetas) -> np.ndarray:
-        """Strip fluid exit coefficients (c0, c1) at many thetas in one march:
-        (n_thetas, n_strips, 2) for models 2 and 3. Model 1 marches one strip
-        per node of its porosity rule and projects onto He_k(xi_phi):
-        (n_thetas, K+1, 2)."""
+    def _strips(self):
+        """Flux means, stds and porosities of the marched strips, and the
+        matrix projecting their (c0, c1) onto model 1's He_k(xi_phi) or None."""
         cfg = self.config
         if cfg.model == 1:
             q = cfg.germ.variables[0]
             porosities, project = porosity_projection(cfg.germ.variables[1], cfg.order, cfg.n_quad)
             means, stds = np.full(porosities.size, q.mean), np.full(porosities.size, q.std)
-        else:
-            means, stds, porosities = cfg.strip_means, cfg.strip_stds, cfg.geometry.strip_porosities()
-            project = None
-        coeffs = build_strip_surrogate_batch(cfg.params, means, stds, porosities, thetas, cfg.n_steps)
+            return means, stds, porosities, project
+        return cfg.strip_means, cfg.strip_stds, cfg.geometry.strip_porosities(), None
+
+    def _strip_exit_coeffs(self, thetas) -> np.ndarray:
+        """Strip fluid exit coefficients (c0, c1) at many thetas in one march:
+        (n_thetas, n_strips, 2) for models 2 and 3. Model 1 marches one strip
+        per node of its porosity rule and projects onto He_k(xi_phi):
+        (n_thetas, K+1, 2)."""
+        cfg, (*strips, project) = self.config, self._strips()
+        coeffs = build_strip_surrogate_batch(cfg.params, *strips, thetas, cfg.n_steps)
         return coeffs if project is None else project @ coeffs
+
+    def _tables(self) -> tuple:
+        """The exit table and the forward tables (point -> table), from one
+        ``march_batch`` call at every ``table_thetas`` theta over the strip
+        exit law's elements (``gpc.strip_exit_law``) and each group's
+        evaluation point. A table with an element that hits the guard or
+        goes non-finite is None (a forward one is left out); the others are
+        still built."""
+        cfg = self.config
+        theta_range = cfg.theta_range()
+        thetas = table_thetas(theta_range)
+        if thetas is None:
+            return None, {}
+        *strips, project = self._strips()
+        exit_q, exit_phi, exit_law = strip_exit_law(*strips)
+        points = dict.fromkeys(g.evaluation_point(cfg.params) for g in self.observations().groups)
+        points = [p for p in points if 0.0 < p[1] < 1.0]  # the others fail in their direct march
+        n = exit_q.size
+        q = np.concatenate([exit_q.ravel(), [p[0] for p in points]])
+        phi = np.concatenate([exit_phi.ravel(), [p[1] for p in points]])
+        # the exit law marches the config's steps and F the default: one call in
+        # every shipped config
+        steps = np.repeat([cfg.n_steps, DEFAULT_N_STEPS], [n, len(points)])
+        states, ok = np.empty((3, thetas.size, q.size)), np.empty(q.size, bool)
+        for n_steps in set(steps.tolist()):
+            k = steps == n_steps
+            states[:, :, k], hit = march_batch(cfg.params, q[k], phi[k], thetas[:, None], n_steps)
+            ok[k] = ~(hit | ~np.isfinite(states[:, :, k]).all(axis=0)).any(axis=0)
+        tf, _, rho = states
+        exit_table = None
+        if ok[:n].all():
+            coeffs = exit_law(tf[:, :n].reshape(thetas.size, *exit_q.shape))
+            exit_table = fit_table(theta_range, coeffs if project is None else project @ coeffs)
+        pressures = {p: tf[:, k] * rho[:, k] for k, p in enumerate(points, n) if ok[k]}
+        forward = {p: fit_table(theta_range, values) for p, values in pressures.items()}
+        return exit_table, {p: table for p, table in forward.items() if table is not None}
 
     def oracle(self) -> ChanceConstraintOracle:
         return self._once("oracle", lambda: ChanceConstraintOracle(
@@ -682,18 +718,9 @@ class Scenario:
         return merged
 
     def forward_map(self) -> dict:
-        """Evaluation point -> Chebyshev table of F, one per distinct group point.
-
-        Built on first use, over ``theta_range()``; a point whose table fails
-        its build check is left out, so its groups keep the direct march.
-        """
-        return self._once("forward_tables", self._build_forward_map)
-
-    def _build_forward_map(self) -> dict:
-        cfg = self.config
-        points = dict.fromkeys(g.evaluation_point(cfg.params) for g in self.observations().groups)
-        tables = {p: build_pressure_table(cfg.params, p, cfg.theta_range()) for p in points}
-        return {point: table for point, table in tables.items() if table is not None}
+        """Evaluation point -> Chebyshev table of F over ``theta_range()``
+        (``_tables``); a point without one keeps the direct march."""
+        return self._once("forward_tables", lambda: self._once("tables", self._tables)[1])
 
     def forward_tables(self) -> dict:
         """Per group label: ``table_record`` of the group's forward table."""

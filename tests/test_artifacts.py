@@ -42,6 +42,18 @@ def test_rows_around_the_chunk_size(tmp_path, n):
     assert path.read_text() == expected
 
 
+def test_runs_of_repeated_floats_keep_every_cell(tmp_path):
+    # runs of one value, -0.0 next to 0.0 (equal values, different bits and
+    # cells), NaN, infinities, and a run across the chunk boundary
+    head = [1.5, 1.5, -0.0, 0.0, 0.0, -0.0, np.nan, np.nan, np.inf, np.inf, -np.inf, 2.0]
+    values = np.array(head + [0.1] * (CHUNK_ROWS - len(head) - 3) + [np.pi] * 7 + [5e-324, -0.0])
+    assert values[CHUNK_ROWS - 3 : CHUNK_ROWS + 4].tolist() == [np.pi] * 7
+    path = tmp_path / "runs.csv"
+    write_csv(str(path), ("v", "w"), (values, values[::-1].copy()))
+    expected = "v,w\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(values.tolist(), values[::-1].tolist()))
+    assert path.read_text() == expected
+
+
 def test_header_only_and_shape_checks(tmp_path):
     path = tmp_path / "empty.csv"
     write_csv(str(path), ("a", "b"), (np.zeros(0), np.zeros(0, dtype=int)))

@@ -13,7 +13,8 @@ import sys
 import numpy as np
 import pytest
 
-from tcbayes import gpc
+from tcbayes import gpc, porous_flow
+from tcbayes import scenario as scenario_module
 from tcbayes.cli import load_chain_csv, main, packaged_config_text, resolve_config
 from tcbayes.samplers import MarkovChain, ParticleHistory
 from tcbayes.scenario import ConfigError, Scenario, ScenarioConfig
@@ -775,25 +776,44 @@ def test_build_surrogate_interface_prints_probability(
     assert not list(tmp_path.rglob("*.npz"))
 
 
-@pytest.mark.parametrize("model", [1, 2, 3])
-def test_shipped_run_marches_the_strips_once(model, tmp_path, monkeypatch):
-    real_march = gpc.interface_state_batch
-    marches = []
+@pytest.fixture
+def kernel_calls(monkeypatch) -> list:
+    """The thetas of every batched Euler march, at each caller's binding of the kernel."""
+    real_kernel, calls = porous_flow.march_batch, []
 
     def counting(*args, **kwargs):
-        marches.append(args[3])
-        return real_march(*args, **kwargs)
+        calls.append(np.unique(np.broadcast_arrays(*args[1:4])[2]))
+        return real_kernel(*args, **kwargs)
 
+    for module in (porous_flow, scenario_module):
+        monkeypatch.setattr(module, "march_batch", counting)
+    return calls
+
+
+@pytest.mark.parametrize("model", [1, 2, 3])
+def test_shipped_run_marches_the_strips_once(model, tmp_path, monkeypatch, kernel_calls):
     def no_galerkin(*args, **kwargs):
         raise AssertionError("a run builds its expansions by collocation")
 
-    monkeypatch.setattr(gpc, "interface_state_batch", counting)
     monkeypatch.setattr(gpc, "_galerkin_march", no_galerkin)
     out = str(tmp_path / "out")
     assert main(["run", "--config", f"model{model}", "--output", out, "--seed", "0"]) == 0
-    # the exit table's march over its 32 nodes, 31 midpoints and 2 ends
-    assert len(marches) == 1
-    assert np.unique(marches[0]).size == 65
+    # one march of every table, the exit table's and each group's forward
+    # table, over the 32 nodes, 31 midpoints and 2 ends
+    assert len(kernel_calls) == 1
+    assert kernel_calls[0].size == 65
+    with open(os.path.join(out, "provenance.json")) as fh:
+        provenance = json.load(fh)
+    assert "terms" in provenance["exit_table"]
+    assert all("terms" in record for record in provenance["forward_tables"].values())
+
+
+@pytest.mark.parametrize("theta", ["700", "1200"])
+def test_build_surrogate_marches_its_theta_alone(theta, kernel_calls, capsys):
+    # inside theta_range and outside it: one march of the one theta, no table stage
+    assert main(["build-surrogate", "--config", "model2", "--theta", theta]) == 0
+    assert "built in" in capsys.readouterr().out
+    assert [calls.tolist() for calls in kernel_calls] == [[float(theta)]]
 
 
 def test_build_surrogate_rejects_a_nan_theta(tiny_model1_dict, write_config, monkeypatch, capsys):

@@ -13,14 +13,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcbayes import bayes, porous_flow
+from tcbayes import scenario as scenario_module
 from tcbayes.bayes import (
     ChebyshevTable,
     ObservationGroup,
     ObservationSet,
     Posterior,
     PriorSpec,
-    build_pressure_table,
     chebyshev_nodes,
+    fit_table,
+    table_thetas,
 )
 from tcbayes.cli import main
 from tcbayes.porous_flow import (
@@ -36,6 +38,19 @@ PARAMS = ModelParams()
 POINT = (462.675, 0.111)
 RANGE = (300.0, 1000.0)
 _TABLES: dict = {}
+
+
+def build_pressure_table(params, point, theta_range) -> ChebyshevTable | None:
+    """The table of F at one point from its own march, or None, with the
+    failure semantics of a scenario's tables."""
+    thetas = table_thetas(theta_range)
+    if thetas is None:
+        return None
+    try:
+        tf, _, rho = interface_state_batch(params, *point, thetas)
+    except (SingularDenominatorError, NonFiniteStateError):
+        return None
+    return fit_table(theta_range, tf * rho)
 
 
 def _table() -> ChebyshevTable:
@@ -184,15 +199,23 @@ _BAD_PHI = 0.3
 
 @pytest.fixture
 def singular_at_bad_phi(monkeypatch):
-    """Every march at porosity _BAD_PHI hits the singular-denominator guard."""
-    real_step = porous_flow._euler_step
+    """Every march at porosity _BAD_PHI hits the singular-denominator guard:
+    the scalar march through its step, the batched kernel through its record,
+    at the binding of each caller."""
+    real_step, real_batch = porous_flow._euler_step, porous_flow.march_batch
     bad_inv2 = 1.0 / (_BAD_PHI * _BAD_PHI)
 
     def step(tf, ts, rho, rhs, dx):
         tf, ts, rho, denom = real_step(tf, ts, rho, rhs, dx)
-        return tf, ts, rho, np.where(np.asarray(rhs[-1]) == bad_inv2, 0.0, denom)
+        return tf, ts, rho, 0.0 if rhs[-1] == bad_inv2 else denom
+
+    def batch(params, q, phi, re, *args):
+        states, singular = real_batch(params, q, phi, re, *args)
+        return states, singular | (np.broadcast_arrays(q, phi, re)[1] == _BAD_PHI)
 
     monkeypatch.setattr(porous_flow, "_euler_step", step)
+    for module in (porous_flow, scenario_module):
+        monkeypatch.setattr(module, "march_batch", batch)
 
 
 def test_singular_group_keeps_inf_and_nan(singular_at_bad_phi):
@@ -227,6 +250,32 @@ def test_scenario_records_direct_for_a_singular_group(tiny_model2_dict, singular
     assert record["low_phi"]["nodes"] == 32
     assert scenario.log_posterior(700.0) == -math.inf
     assert math.isnan(scenario.grad_log_posterior(700.0))
+
+
+def test_a_singular_group_leaves_the_other_tables_built(tiny_model2_dict, monkeypatch):
+    config = ScenarioConfig.from_dict(tiny_model2_dict)
+    healthy = Scenario(config)
+    want_exit, want_forward = healthy.exit_table(), healthy.forward_map()
+    # only the high_phi group's element, moved to _BAD_PHI, hits the guard
+    tiny_model2_dict["data"]["groups"][1]["porosity"] = _BAD_PHI
+    good, bad = (462.675, 0.111), (462.675, _BAD_PHI)
+    real_batch = scenario_module.march_batch
+
+    def batch(params, q, phi, re, *args):
+        states, singular = real_batch(params, q, phi, re, *args)
+        q, phi, _ = np.broadcast_arrays(q, phi, re)
+        return states, singular | ((q == bad[0]) & (phi == bad[1]))
+
+    monkeypatch.setattr(scenario_module, "march_batch", batch)
+    scenario = Scenario(ScenarioConfig.from_dict(tiny_model2_dict))
+    assert scenario.forward_tables()["high_phi"] == "direct"
+    # the exit table and the other group's table are built as without the failure
+    exit_table, forward = scenario.exit_table(), scenario.forward_map()
+    assert set(forward) == {good}
+    for got, want in ((exit_table, want_exit), (forward[good], want_forward[good])):
+        assert (got.terms, got.max_rel_error) == (want.terms, want.max_rel_error)
+        for theta in np.linspace(300.0, 1000.0, 29):
+            assert np.array_equal(got(float(theta)), want(float(theta)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from tcbayes.porous_flow import (
     forward_pressure_at_mean,
     integrate_strip,
     interface_state_batch,
+    march_batch,
 )
 
 # Frozen self-convergence reference: default parameter set integrated once at
@@ -112,6 +113,35 @@ def test_chunked_batch_march_equals_unchunked(monkeypatch):
         interface_state_batch(p, hot, phis, res, n_steps=200)
     with pytest.raises(SingularDenominatorError):
         interface_state_batch(p, qs, phis, res, n_steps=200, singular_eps=1e300)
+
+
+def _denominators(p: ModelParams, q: float, phi: float, n_steps: int) -> list[float]:
+    """|phi^-2 - rho^2 T_f| at each step of the scalar march."""
+    rhs = porous_flow._rhs(p, q, phi, 405.0)
+    state, out = porous_flow._initial_state(p), []
+    for _ in range(n_steps):
+        *state, denom = porous_flow._euler_step(*state, rhs, 1.0 / n_steps)
+        out.append(abs(denom))
+    return out
+
+
+def test_a_nan_element_does_not_hide_a_guard_hit():
+    p = ModelParams()
+    # element 0 has a NaN flux: its denominator turns NaN from step 2 on;
+    # element 1 crosses the guard only at step 2, next to that NaN
+    eps = 8.5e8
+    nan_run = _denominators(p, float("nan"), 0.5, 10)
+    hit_run = _denominators(p, p.heat_flux_nominal, p.porosity, 10)
+    assert min(nan_run[:2]) >= eps and np.isnan(nan_run[2:]).all()
+    assert [k for k, d in enumerate(hit_run) if d < eps] == [2]
+    q, phi = np.array([np.nan, p.heat_flux_nominal]), np.array([0.5, p.porosity])
+    states, singular = march_batch(p, q, phi, 405.0, n_steps=10, singular_eps=eps)
+    assert singular.tolist() == [False, True]
+    assert np.isnan(states[:, 0]).all()
+    with pytest.raises(SingularDenominatorError):
+        interface_state_batch(p, q, phi, 405.0, n_steps=10, singular_eps=eps)
+    with pytest.raises(SingularDenominatorError):
+        forward_pressure_at_mean(p, (q[1], phi[1]), 405.0, n_steps=10, singular_eps=eps)
 
 
 def test_interface_pressure_is_terminal_product():

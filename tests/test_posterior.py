@@ -15,14 +15,16 @@ from tcbayes.bayes import (
     ObservationSet,
     Posterior,
     PriorSpec,
-    build_pressure_table,
+    fit_table,
     log_prior,
+    table_thetas,
 )
 from tcbayes.porous_flow import (
     ModelParams,
     NonFiniteStateError,
     SingularDenominatorError,
     forward_pressure_at_mean,
+    interface_state_batch,
 )
 from tcbayes.samplers import run_crw
 from tcbayes.scenario import Scenario, ScenarioConfig
@@ -35,7 +37,8 @@ _TABLES: dict = {}
 
 def _tables() -> dict:
     if not _TABLES:
-        _TABLES[TABLED] = build_pressure_table(PARAMS, TABLED, (300.0, 1000.0))
+        tf, _, rho = interface_state_batch(PARAMS, *TABLED, table_thetas((300.0, 1000.0)))
+        _TABLES[TABLED] = fit_table((300.0, 1000.0), tf * rho)
     return _TABLES
 
 
@@ -165,6 +168,28 @@ def test_posterior_is_the_prior_plus_the_likelihood():
             assert posterior(theta) == log_prior(theta, prior) + posterior.log_likelihood(theta)
         assert posterior.log_likelihood(0.0) == posterior(0.0) == -math.inf
         assert math.isnan(posterior.grad(-1.0))
+
+
+def test_posterior_with_its_prior_constants_is_float_equal_to_the_sum():
+    # the grid has theta <= 0, thetas outside a uniform support inside the
+    # table's range [300, 1000], and thetas outside that range
+    obs = ObservationSet((
+        ObservationGroup("tabled", np.array([5.99e5, 5.995e5]), 80.0, *TABLED),
+        ObservationGroup("marched", np.array([6.0e5]), 50.0, *MARCHED),
+    ))
+    priors = (
+        PriorSpec("uniform", low=400.0, high=900.0),
+        PriorSpec("uniform", low=300.0, high=1000.0, floor=1e-20),
+        PriorSpec("gaussian", mean=600.0, std=200.0),
+    )
+    grid = (-50.0, 0.0, 5e-324, 150.0, 300.0, 350.0, 400.0, 650.0, 900.0, 950.0, 1000.0, 1400.0)
+    for prior in priors:
+        for classic_iid in (False, True):
+            posterior = Posterior(obs, prior, PARAMS, classic_iid, _tables())
+            for theta in grid:
+                want = log_prior(theta, prior) + posterior.log_likelihood(theta)
+                assert posterior(theta) == want, (prior, theta)
+            assert math.isnan(posterior(math.nan)) == (prior.kind == "gaussian")
 
 
 # ---------------------------------------------------------------------------

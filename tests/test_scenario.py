@@ -11,10 +11,14 @@ import pytest
 
 from tcbayes import gpc
 from tcbayes import scenario as scenario_module
-from tcbayes.bayes import TABLE_NODES, TABLE_TOL, table_record
+from tcbayes.bayes import TABLE_NODES, TABLE_TOL, fit_table, table_record, table_thetas
 from tcbayes.cli import resolve_config
 from tcbayes.chance_constraint import CACHE_QUANTUM
-from tcbayes.porous_flow import SingularDenominatorError, forward_pressure_at_mean
+from tcbayes.porous_flow import (
+    SingularDenominatorError,
+    forward_pressure_at_mean,
+    interface_state_batch,
+)
 from tcbayes.samplers import MarkovChain, ParticleHistory
 from tcbayes.scenario import (
     ConfigError,
@@ -426,6 +430,27 @@ def _factory_coeffs(scenario: Scenario, theta: float) -> np.ndarray:
     return surrogate._coeff if scenario.config.model == 1 else surrogate.isurr.coeffs
 
 
+def assert_same_table(got, want) -> None:
+    """Two Chebyshev tables hold the same numbers."""
+    assert (got.lo, got.hi, got.terms, got.max_rel_error) == (want.lo, want.hi, want.terms, want.max_rel_error)
+    for theta in np.linspace(got.lo, got.hi, 41):
+        assert np.array_equal(got(float(theta)), want(float(theta)))
+
+
+@pytest.mark.parametrize("model", [1, 2, 3])
+def test_one_march_builds_the_tables_of_separate_marches(model, tiny_model1_dict, tiny_model2_dict):
+    scenario = Scenario(_tiny_config(model, tiny_model1_dict, tiny_model2_dict))
+    config = scenario.config
+    theta_range = config.theta_range()
+    thetas = table_thetas(theta_range)
+    assert_same_table(scenario.exit_table(), fit_table(theta_range, scenario._strip_exit_coeffs(thetas)))
+    points = {g.evaluation_point(config.params) for g in scenario.observations().groups}
+    assert set(scenario.forward_map()) == points
+    for point, table in scenario.forward_map().items():
+        tf, _, rho = interface_state_batch(config.params, *point, thetas)
+        assert_same_table(table, fit_table(theta_range, tf * rho))
+
+
 @pytest.mark.parametrize("model", [1, 2, 3])
 def test_exit_table_matches_the_direct_march(model, tiny_model1_dict, tiny_model2_dict):
     scenario = Scenario(_tiny_config(model, tiny_model1_dict, tiny_model2_dict))
@@ -449,23 +474,41 @@ def test_out_of_range_theta_marches_alone(model, tiny_model1_dict, tiny_model2_d
         want = scenario._strip_exit_coeffs([theta])[0]
         np.testing.assert_array_equal(_factory_coeffs(scenario, theta), want)
     # no visit inside the range, so no table was built
-    assert "exit_table" not in scenario._stages
+    assert "exit_table" not in scenario._stages and "tables" not in scenario._stages
 
 
-def test_singular_table_node_leaves_every_theta_to_its_own_march(monkeypatch, tiny_model1_dict):
-    # (625, 655) holds the table node 632.8 and the coarse scan theta 650
-    window = (625.0, 655.0)
-    real_march = gpc.interface_state_batch
+# (625, 655) holds the table node 632.8 and the coarse scan theta 650
+_WINDOW = (625.0, 655.0)
+
+
+def _singular_in_window(monkeypatch) -> list:
+    """Every march at a theta in _WINDOW hits the guard: the scenario's one
+    march records it for each element there, a one-theta march raises.
+    Returns the list that collects the thetas of each of the scenario's marches."""
+    real_batch, real_march, marches = scenario_module.march_batch, gpc.interface_state_batch, []
+
+    def batch(params, q, phi, re, *args):
+        marches.append(re)
+        states, singular = real_batch(params, q, phi, re, *args)
+        thetas = np.broadcast_arrays(q, phi, re)[2]
+        return states, singular | ((thetas > _WINDOW[0]) & (thetas < _WINDOW[1]))
 
     def march(params, q, phi, re, *args, **kwargs):
         re_arr = np.asarray(re)
-        if np.any((re_arr > window[0]) & (re_arr < window[1])):
+        if np.any((re_arr > _WINDOW[0]) & (re_arr < _WINDOW[1])):
             raise SingularDenominatorError("synthetic singular denominator")
         return real_march(params, q, phi, re, *args, **kwargs)
 
+    monkeypatch.setattr(scenario_module, "march_batch", batch)
+    monkeypatch.setattr(gpc, "interface_state_batch", march)
+    return marches
+
+
+def test_singular_table_node_leaves_every_theta_to_its_own_march(monkeypatch, tiny_model1_dict):
+    window = _WINDOW
     tabled = Scenario(ScenarioConfig.from_dict(tiny_model1_dict))
     tabled.scan()
-    monkeypatch.setattr(gpc, "interface_state_batch", march)
+    _singular_in_window(monkeypatch)
     scenario = Scenario(ScenarioConfig.from_dict(tiny_model1_dict))
     scenario.scan()
     assert table_record(scenario.exit_table()) == "direct"
@@ -484,30 +527,16 @@ def test_singular_table_node_leaves_every_theta_to_its_own_march(monkeypatch, ti
 def test_a_failed_exit_table_is_attempted_once(monkeypatch, tiny_model1_dict):
     # the synthetic singular window of the test above; the chain asks the
     # oracle at every proposal, so each one would retry an uncached failure
-    window = (625.0, 655.0)
-    real_march = gpc.interface_state_batch
-
-    def march(params, q, phi, re, *args, **kwargs):
-        re_arr = np.asarray(re)
-        if np.any((re_arr > window[0]) & (re_arr < window[1])):
-            raise SingularDenominatorError("synthetic singular denominator")
-        return real_march(params, q, phi, re, *args, **kwargs)
-
-    builds, real_build = [], scenario_module.build_table
-
-    def counting_build(*args):
-        builds.append(args)
-        return real_build(*args)
-
-    monkeypatch.setattr(gpc, "interface_state_batch", march)
-    monkeypatch.setattr(scenario_module, "build_table", counting_build)
+    builds = _singular_in_window(monkeypatch)
     tiny_model1_dict["constraint"]["oracle"] = "surrogate"
     tiny_model1_dict["sampler"]["n_samples"] = 100
     scenario = Scenario(ScenarioConfig.from_dict(tiny_model1_dict))
     scenario.scan()
     chain = scenario.run_chain(0)
     assert scenario.exit_table() is None
-    assert len(builds) == 1 and len(chain) == 100
+    # one table stage: the exit law marches the config's 400 steps, the
+    # forward model the default 1000, so the stage makes two calls
+    assert len(builds) == 2 and len(chain) == 100
 
 
 def test_a_stage_a_clone_builds_is_shared_with_its_base(tiny_model1_dict):
