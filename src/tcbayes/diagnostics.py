@@ -242,9 +242,11 @@ def diagnostics_summary(
     """JSON-ready run summary: L2 series, BG series, acceptance, feasibility.
 
     ``runs`` is a list of chains or one particle history (alone or as a
-    one-element list). A particle history has no acceptance rate and no BG
-    series; its infeasible fraction counts the particles recorded after the
-    initial ensemble that lie outside ``intervals``.
+    one-element list). The L2 series is of the first run (``runs[0]``)
+    only, however many chains there are. A particle history has no
+    acceptance rate and no BG series; its infeasible fraction counts the
+    particles recorded after the initial ensemble that lie outside
+    ``intervals``.
     """
     runs = [runs] if isinstance(runs, ParticleHistory) else list(runs)
     if not runs:

@@ -1,23 +1,23 @@
 """Polynomial chaos machinery for the strip model.
 
 Probabilists' Hermite basis in standardized Gaussian germ variables,
-Gauss-Hermite quadrature, and the strip exit expansions the constraint
-surrogates read, all marched by ``porous_flow``'s batched Euler kernel.
+Gauss-Hermite quadrature, and the strip exit law the constraint surrogates
+read.
 
 The temperature march is linear in (T_f, T_s), and its coefficients
 depend on (phi, re) but not on the flux, which enters only the source, so
 T_f(1) = A(phi, re) + B(phi, re) q exactly. ``strip_exit_law`` names the
 two fluxes per distinct porosity to march for A and B, and gives each
 strip's germ q = mean + std xi its exact order-1 expansion (c0, c1) from
-their exit T_f; ``build_strip_surrogate_batch`` marches them at many re.
-Models 2 and 3 pass their strips. Model 1 passes one strip per node of
-``porosity_projection``, the Gauss-Hermite rule of its porosity germ, and
-projects those (c0, c1) onto He_k(xi_phi) of the given order: an
+their exit T_f; ``Scenario`` marches them at many re with ``porous_flow``'s
+batched kernel. Models 2 and 3 pass their strips. Model 1 passes one strip
+per node of ``porosity_projection``, the Gauss-Hermite rule of its porosity
+germ, and projects those (c0, c1) onto He_k(xi_phi) of the given order: an
 anisotropic expansion, degree 1 in the flux and degree K in the porosity
 (non-intrusive spectral projection; Xiu, *Numerical Methods for Stochastic
 Computations*, 2010, ch. 7). ``build_strip_surrogate`` keeps the
 intrusive Galerkin march (``_galerkin_march``) with the full x history of
-one strip, as the reference the tests hold the builder to.
+one strip, as the reference the tests hold the exit law to.
 """
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ from .porous_flow import (
     NonFiniteStateError,
     SingularDenominatorError,
     _rhs,
-    interface_state_batch,
 )
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "hermite_norms_squared",
     "gauss_hermite_rule",
     "build_strip_surrogate",
-    "build_strip_surrogate_batch",
     "strip_exit_law",
     "porosity_projection",
     "evaluate_surrogate",
@@ -265,13 +263,6 @@ def _galerkin_march(
     return coeff_tf, coeff_ts
 
 
-def _check_re(re) -> np.ndarray:
-    re = np.asarray(re, dtype=float)
-    if not np.all(re > 0.0):  # also rejects NaN
-        raise ValueError(f"re must be positive, got {re}")
-    return re
-
-
 def _strip_nodes(
     params: ModelParams, germ: GermSpec, order: int, n_quad: int, n_steps: int
 ) -> tuple[_Projection, np.ndarray, np.ndarray]:
@@ -296,7 +287,8 @@ def build_strip_surrogate(
 ) -> StripSurrogate:
     """March the Galerkin coefficient system for one strip at fixed re and
     keep the coefficients at every x node."""
-    _check_re(re)
+    if not re > 0.0:  # also rejects NaN
+        raise ValueError(f"re must be positive, got {re}")
     proj, q_nodes, phi_nodes = _strip_nodes(params, germ, order, n_quad, n_steps)
     coeff_tf, coeff_ts = _galerkin_march(
         params, q_nodes, phi_nodes, re, proj, n_steps, singular_eps
@@ -350,23 +342,6 @@ def strip_exit_law(q_means: np.ndarray, q_stds: np.ndarray, porosities: np.ndarr
 
     q, phi = np.broadcast_arrays(ends[:, None], phis)
     return q, phi, coeffs
-
-
-def build_strip_surrogate_batch(
-    params: ModelParams,
-    q_means: np.ndarray,
-    q_stds: np.ndarray,
-    porosities: np.ndarray,
-    res: np.ndarray,
-    n_steps: int = DEFAULT_N_STEPS,
-    singular_eps: float = DEFAULT_SINGULAR_EPS,
-) -> np.ndarray:
-    """Exact flux expansions (len(res), n_strips, 2) of many strips' exit T_f:
-    the ``strip_exit_law`` elements marched at every re."""
-    res = _check_re(res).ravel()
-    q, phi, coeffs = strip_exit_law(q_means, q_stds, porosities)
-    tf, _, _ = interface_state_batch(params, q, phi, res[:, None, None], n_steps, singular_eps)
-    return coeffs(tf)
 
 
 def evaluate_surrogate(s: StripSurrogate, x_index: int, q, phi) -> tuple[np.ndarray, np.ndarray]:

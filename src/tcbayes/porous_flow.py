@@ -3,7 +3,8 @@
 Two coupled temperature ODEs (fluid and solid) plus an algebraic density
 closure are marched in the normalized coordinate x in [0, 1] with explicit
 Euler. The observable exposed to the inverse problem is the interface
-pressure p = T_f(1) * rho_f(1).
+pressure p = T_f(1) * rho_f(1). One step, ``_euler_step``, states the law:
+the scalar march runs it on floats and ``march_batch`` on arrays.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ __all__ = [
 
 DEFAULT_N_STEPS = 1000
 DEFAULT_SINGULAR_EPS = 1e-12
-# elements per chunk of the batched march: its step temporaries fit in cache
+# elements per chunk of the batched march: its ``_euler_step`` temporaries fit in cache
 _MARCH_CHUNK = 16384
 
 
@@ -142,22 +143,38 @@ def _initial_state(params: ModelParams) -> tuple[float, float, float]:
     return params.coolant_temp, params.solid_temp, params.reservoir_pressure / params.coolant_temp
 
 
-def _euler_step(tf, ts, rho, rhs: tuple, dx: float):
-    """One explicit Euler step of (T_f, T_s, rho_f), on floats or arrays alike.
+def _euler_step(tf, ts, rho, rhs: tuple, dx: float, dx_fluid):
+    """One explicit Euler step of (T_f, T_s, rho_f), the one statement of
+    the law; ``dx_fluid`` is ``dx * a_fluid``, formed once per march.
 
-    Returns the new state and the density denominator phi^-2 - rho^2*T_f of
-    the old one, which the caller tests against the singularity guard. A
-    denominator of exactly 0.0 raises ZeroDivisionError on floats.
+    Its augmented assignments rebind floats and update arrays in place, so
+    an array element equals the float step bit for bit. Returns the new
+    state and the old state's density denominator phi^-2 - rho^2*T_f for
+    the caller's singularity guard; a float one of exactly 0.0 raises
+    ZeroDivisionError.
     """
     a_fluid, a_solid, source, darcy, forch, t_hg, phi_inv2 = rhs
-    denom = phi_inv2 - rho * rho * tf
-    growth = (a_fluid * rho * rho * (ts - tf) + darcy + forch) / denom
-    return (
-        tf + dx * a_fluid * (ts - tf),
-        ts + dx * (a_solid * (tf - t_hg) + source),
-        rho + dx * growth * rho,
-        denom,
-    )
+    diff = ts - tf
+    denom = rho * rho
+    denom *= tf
+    denom = phi_inv2 - denom
+    growth = a_fluid * rho
+    growth *= rho
+    growth *= diff
+    growth += darcy
+    growth += forch
+    growth /= denom
+    heat = tf - t_hg
+    heat *= a_solid
+    heat += source
+    heat *= dx
+    ts += heat
+    diff *= dx_fluid
+    tf += diff
+    growth *= dx
+    growth *= rho
+    rho += growth
+    return tf, ts, rho, denom
 
 
 def _singular(denom: float, i: int, dx: float) -> SingularDenominatorError:
@@ -181,10 +198,11 @@ def _march(params: ModelParams, q, phi, re, n_steps: int, singular_eps: float, s
         raise ValueError(f"re must be positive, got {re}")
     rhs = _rhs(params, q, phi, re)
     dx = 1.0 / n_steps
+    dx_fluid = dx * rhs[0]
     tf, ts, rho = _initial_state(params)
     for i in range(n_steps):
         try:
-            tf, ts, rho, denom = _euler_step(tf, ts, rho, rhs, dx)
+            tf, ts, rho, denom = _euler_step(tf, ts, rho, rhs, dx, dx_fluid)
         except ZeroDivisionError:
             raise _singular(0.0, i, dx) from None
         if abs(denom) < singular_eps:
@@ -243,10 +261,10 @@ def march_batch(
     """Exit states (T_f, T_s, rho_f) of the broadcast (q, phi, re), as
     (3, *shape), and which elements hit the density guard, as (*shape).
 
-    No element raises. Each step writes into buffers allocated once, in
-    ``_euler_step``'s operation order, so every element equals the scalar
-    march bit for bit. ``_MARCH_CHUNK`` elements march at a time, so the
-    buffers stay in cache; chunking changes no bit.
+    No element raises. Each step goes through ``_euler_step`` on views of
+    the exit-state array, so every element equals the scalar march bit for
+    bit. ``_MARCH_CHUNK`` elements march at a time, so the step temporaries
+    stay in cache; chunking changes no bit.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -261,37 +279,15 @@ def march_batch(
     dx = 1.0 / n_steps
     states = np.empty((3, q.size))
     singular = np.zeros(q.size, dtype=bool)
-    buffers = np.empty((4, min(q.size, _MARCH_CHUNK)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for lo in range(0, q.size, _MARCH_CHUNK):
             part = slice(lo, lo + _MARCH_CHUNK)
             rhs = _rhs(params, q[part], phi[part], re[part])
-            a_fluid, a_solid, source, darcy, forch, t_hg, phi_inv2 = rhs
-            dx_fluid = dx * a_fluid
+            dx_fluid = dx * rhs[0]
             states[:, part] = np.array(_initial_state(params))[:, None]
             tf, ts, rho = states[:, part]
-            diff, denom, growth, heat = buffers[:, : tf.size]
             for _ in range(n_steps):
-                np.subtract(ts, tf, out=diff)
-                np.multiply(rho, rho, out=denom)
-                denom *= tf
-                np.subtract(phi_inv2, denom, out=denom)
-                np.multiply(a_fluid, rho, out=growth)
-                growth *= rho
-                growth *= diff
-                growth += darcy
-                growth += forch
-                growth /= denom
-                np.subtract(tf, t_hg, out=heat)
-                heat *= a_solid
-                heat += source
-                heat *= dx
-                ts += heat
-                diff *= dx_fluid
-                tf += diff
-                growth *= dx
-                growth *= rho
-                rho += growth
+                *_, denom = _euler_step(tf, ts, rho, rhs, dx, dx_fluid)
                 # fmin skips NaN, which would hide a guard hit in another element
                 if np.fmin.reduce(np.abs(denom, out=denom)) < singular_eps:
                     singular[part] |= denom < singular_eps

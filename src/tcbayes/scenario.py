@@ -67,7 +67,6 @@ from .gpc import (
     DEFAULT_ORDER,
     GermSpec,
     GermVariable,
-    build_strip_surrogate_batch,
     porosity_projection,
     strip_exit_law,
 )
@@ -79,7 +78,7 @@ from .heat_interface import (
     InterfaceSurrogate,
     assemble_interface_from_coeffs,
 )
-from .porous_flow import DEFAULT_N_STEPS, ModelParams, march_batch
+from .porous_flow import DEFAULT_N_STEPS, ModelParams, interface_state_batch, march_batch
 from .samplers import (
     interval_membership,
     interval_projection,
@@ -491,7 +490,8 @@ def load_observations(csv_path: str, provenance_path: str | None = None) -> Obse
     ConfigError naming the file and line, and a file without observations
     one naming the file. A missing or malformed sidecar (not an object whose
     ``groups`` is a list of objects with a ``label``), or an entry without a
-    positive ``noise_std``, raises one naming the sidecar.
+    positive ``noise_std`` or with a ``porosity`` outside (0, 1), raises one
+    naming the sidecar.
     """
     if provenance_path is None:
         provenance_path = csv_path.rsplit(".", 1)[0] + ".json"
@@ -537,6 +537,12 @@ def load_observations(csv_path: str, provenance_path: str | None = None) -> Obse
         info = group_meta.get(label)
         if info is None:
             raise ConfigError(f"observation group {label!r} missing from provenance")
+        porosity = info.get("porosity")
+        if porosity is not None and not (isinstance(porosity, (int, float)) and 0 < porosity < 1):
+            raise ConfigError(
+                f"observation provenance {provenance_path}: group {label!r} needs a "
+                f"porosity in (0, 1), got {porosity!r}"
+            )
         try:
             groups.append(ObservationGroup(
                 label,
@@ -621,12 +627,15 @@ class Scenario:
         return cfg.strip_means, cfg.strip_stds, cfg.geometry.strip_porosities(), None
 
     def _strip_exit_coeffs(self, thetas) -> np.ndarray:
-        """Strip fluid exit coefficients (c0, c1) at many thetas in one march:
-        (n_thetas, n_strips, 2) for models 2 and 3. Model 1 marches one strip
-        per node of its porosity rule and projects onto He_k(xi_phi):
-        (n_thetas, K+1, 2)."""
+        """Strip fluid exit coefficients (c0, c1) at many thetas in one march
+        of the strip exit law's elements: (n_thetas, n_strips, 2) for models 2
+        and 3. Model 1 marches one strip per node of its porosity rule and
+        projects onto He_k(xi_phi): (n_thetas, K+1, 2)."""
         cfg, (*strips, project) = self.config, self._strips()
-        coeffs = build_strip_surrogate_batch(cfg.params, *strips, thetas, cfg.n_steps)
+        q, phi, exit_law = strip_exit_law(*strips)
+        thetas = np.ravel(thetas)[:, None, None]
+        tf, _, _ = interface_state_batch(cfg.params, q, phi, thetas, cfg.n_steps)
+        coeffs = exit_law(tf)
         return coeffs if project is None else project @ coeffs
 
     def _tables(self) -> tuple:

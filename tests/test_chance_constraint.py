@@ -26,9 +26,9 @@ from tcbayes.gpc import (
     GermSpec,
     GermVariable,
     build_strip_surrogate,
-    build_strip_surrogate_batch,
     hermite_design,
     porosity_projection,
+    strip_exit_law,
 )
 from tcbayes.heat_interface import (
     InterfaceGeometry,
@@ -630,9 +630,9 @@ def test_degenerate_phi_is_the_one_dimensional_path():
     germ, (coeff,) = _model1_exits((540.0,), phi_std=0.0)
     q, phi = germ.variables
     assert coeff.shape == (4, 2) and not coeff[1:].any()
-    (one_strip,) = build_strip_surrogate_batch(
-        resolve_config("model1").params, [q.mean], [q.std], [phi.mean], [540.0]
-    )
+    exit_q, exit_phi, exit_law = strip_exit_law([q.mean], [q.std], [phi.mean])
+    tf, _, _ = interface_state_batch(resolve_config("model1").params, exit_q, exit_phi, 540.0)
+    one_strip = exit_law(tf)
     np.testing.assert_array_equal(coeff[:1], one_strip)
     c0, c1 = coeff[0]
     for beta in (330.0, 343.2, 350.0):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -181,6 +182,25 @@ def test_bad_observation_sidecar_exits_2(sidecar, tiny_model1_dict, write_config
     rc = main(["run", "--config", write_config(tiny_model1_dict), "--output", str(out)])
     assert rc == 2
     assert f"observation provenance {json_path}" in capsys.readouterr().err
+    assert not (out / "chain.csv").exists()
+
+
+@pytest.mark.parametrize("porosity", [1.5, 0.0, math.nan, "0.2"])
+def test_sidecar_porosity_outside_0_1_exits_2(porosity, tiny_model1_dict, write_config, tmp_path, capsys):
+    source = Scenario(ScenarioConfig.from_dict(tiny_model1_dict)).observations()
+    csv_path, json_path = tmp_path / "obs.csv", tmp_path / "obs.json"
+    source.to_csv(str(csv_path))
+    source.save_provenance(str(json_path))
+    meta = json.loads(json_path.read_text())
+    meta["groups"][0]["porosity"] = porosity
+    json_path.write_text(json.dumps(meta))
+    tiny_model1_dict["data"] = {"path": str(csv_path)}
+    out = tmp_path / "out"
+    rc = main(["run", "--config", write_config(tiny_model1_dict), "--output", str(out)])
+    assert rc == 2
+    label = meta["groups"][0]["label"]
+    want = f"observation provenance {json_path}: group {label!r} needs a porosity in (0, 1)"
+    assert want in capsys.readouterr().err
     assert not (out / "chain.csv").exists()
 
 
@@ -821,7 +841,7 @@ def test_build_surrogate_rejects_a_nan_theta(tiny_model1_dict, write_config, mon
         raise AssertionError("a NaN theta must be rejected before the march")
 
     monkeypatch.setattr(gpc, "_galerkin_march", no_march)
-    monkeypatch.setattr(gpc, "interface_state_batch", no_march)
+    monkeypatch.setattr(scenario_module, "interface_state_batch", no_march)
     path = write_config(tiny_model1_dict)
     with pytest.raises(SystemExit) as exc:
         main(["build-surrogate", "--config", path, "--theta", "nan"])

@@ -199,23 +199,16 @@ _BAD_PHI = 0.3
 
 @pytest.fixture
 def singular_at_bad_phi(monkeypatch):
-    """Every march at porosity _BAD_PHI hits the singular-denominator guard:
-    the scalar march through its step, the batched kernel through its record,
-    at the binding of each caller."""
-    real_step, real_batch = porous_flow._euler_step, porous_flow.march_batch
+    """Every march at porosity _BAD_PHI hits the singular-denominator guard
+    through ``_euler_step``, the one step of the scalar and batched marches."""
+    real_step = porous_flow._euler_step
     bad_inv2 = 1.0 / (_BAD_PHI * _BAD_PHI)
 
-    def step(tf, ts, rho, rhs, dx):
-        tf, ts, rho, denom = real_step(tf, ts, rho, rhs, dx)
-        return tf, ts, rho, 0.0 if rhs[-1] == bad_inv2 else denom
-
-    def batch(params, q, phi, re, *args):
-        states, singular = real_batch(params, q, phi, re, *args)
-        return states, singular | (np.broadcast_arrays(q, phi, re)[1] == _BAD_PHI)
+    def step(tf, ts, rho, rhs, *dx):
+        tf, ts, rho, denom = real_step(tf, ts, rho, rhs, *dx)
+        return tf, ts, rho, np.where(rhs[-1] == bad_inv2, 0.0, denom)
 
     monkeypatch.setattr(porous_flow, "_euler_step", step)
-    for module in (porous_flow, scenario_module):
-        monkeypatch.setattr(module, "march_batch", batch)
 
 
 def test_singular_group_keeps_inf_and_nan(singular_at_bad_phi):

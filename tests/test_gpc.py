@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcbayes import gpc
+from tcbayes import gpc, porous_flow
 from tcbayes.scenario import Scenario, ScenarioConfig
 from tcbayes.porous_flow import (
+    DEFAULT_SINGULAR_EPS,
     ModelParams,
     SingularDenominatorError,
     integrate_strip,
@@ -23,12 +24,12 @@ from tcbayes.gpc import (
     GermVariable,
     _Projection,
     build_strip_surrogate,
-    build_strip_surrogate_batch,
     evaluate_surrogate,
     gauss_hermite_rule,
     hermite_design,
     hermite_norms_squared,
     porosity_projection,
+    strip_exit_law,
     surrogate_moments,
 )
 
@@ -205,16 +206,26 @@ def _affine_matches_galerkin(got, params, mean, std, porosity, re):
     np.testing.assert_allclose(got, want[:2], rtol=0.0, atol=FLUX_GERM_TOL * scale)
 
 
+def _strip_exits(params, q_means, q_stds, porosities, res, singular_eps=DEFAULT_SINGULAR_EPS):
+    """Exact flux expansions (len(res), n_strips, 2) of many strips' exit T_f:
+    the ``strip_exit_law`` elements marched at every re, as
+    ``Scenario._strip_exit_coeffs`` marches them."""
+    q, phi, exit_law = strip_exit_law(q_means, q_stds, porosities)
+    res = np.ravel(res)[:, None, None]
+    tf, _, _ = interface_state_batch(params, q, phi, res, singular_eps=singular_eps)
+    return exit_law(tf)
+
+
 def test_batch_build_matches_single_univariate():
     q_means = np.array([Q0, 1.1 * Q0])
     q_stds = np.array([SIGMA_Q, 2.0 * SIGMA_Q])
     porosities = np.array([0.111, 0.4])
-    (ctf,) = build_strip_surrogate_batch(PARAMS, q_means, q_stds, porosities, [540.0])
+    (ctf,) = _strip_exits(PARAMS, q_means, q_stds, porosities, [540.0])
     assert ctf.shape == (2, 2)
     for b in range(2):
         _affine_matches_galerkin(ctf[b], PARAMS, q_means[b], q_stds[b], porosities[b], 540.0)
     for q, phi, re in ((Q0, 0.111, 540.0), (1.2 * Q0, 0.4, 800.0), (0.8 * Q0, 0.25, 380.0)):
-        ((ctf1,),) = build_strip_surrogate_batch(PARAMS, [q], [SIGMA_Q], [phi], [re])
+        ((ctf1,),) = _strip_exits(PARAMS, [q], [SIGMA_Q], [phi], [re])
         _affine_matches_galerkin(ctf1, PARAMS, q, SIGMA_Q, phi, re)
 
 
@@ -224,11 +235,11 @@ def test_zero_std_strips_are_the_deterministic_march():
     porosities = np.array([0.111, 0.4, 0.25])
     res = np.array([350.0, 540.0, 900.0])
     tf, _, _ = interface_state_batch(PARAMS, q_means, porosities, res[:, None])
-    ctf = build_strip_surrogate_batch(PARAMS, q_means, [0.0, SIGMA_Q, 0.0], porosities, res)
+    ctf = _strip_exits(PARAMS, q_means, [0.0, SIGMA_Q, 0.0], porosities, res)
     assert np.all(ctf[:, ::2, 1] == 0.0)
     np.testing.assert_allclose(ctf[:, ::2, 0], tf[:, ::2], rtol=1e-12, atol=0.0)
     # every std 0 and one mean: a zero span, a zero slope, and the march itself
-    ctf = build_strip_surrogate_batch(PARAMS, [Q0] * 3, np.zeros(3), porosities, res)
+    ctf = _strip_exits(PARAMS, [Q0] * 3, np.zeros(3), porosities, res)
     tf, _, _ = interface_state_batch(PARAMS, Q0, porosities, res[:, None])
     assert np.all(ctf[..., 1] == 0.0)
     np.testing.assert_array_equal(ctf[..., 0], tf)
@@ -247,20 +258,20 @@ def _shipped(model: int) -> ScenarioConfig:
 def test_per_row_re_batch_equals_per_theta_builds():
     # model 2's strips at several thetas, in one march
     cfg = _shipped(2)
-    strips = (cfg.strip_means, cfg.strip_stds, cfg.geometry.strip_porosities())
+    scenario = Scenario(cfg)
     thetas = np.linspace(*cfg.theta_range(), 9)
-    ctf = build_strip_surrogate_batch(cfg.params, *strips, thetas, cfg.n_steps)
+    ctf = scenario._strip_exit_coeffs(thetas)
     assert ctf.shape == (thetas.size, cfg.geometry.n_strips, 2)
     for theta, row in zip(thetas, ctf):
         # elementwise march, so a theta's rows do not depend on the other thetas
-        (one,) = build_strip_surrogate_batch(cfg.params, *strips, [theta], cfg.n_steps)
+        (one,) = scenario._strip_exit_coeffs([theta])
         np.testing.assert_array_equal(row, one)
     with pytest.raises(ValueError, match="equal length"):
-        build_strip_surrogate_batch(PARAMS, [Q0, Q0], [SIGMA_Q] * 3, [0.111] * 2, [540.0])
+        _strip_exits(PARAMS, [Q0, Q0], [SIGMA_Q] * 3, [0.111] * 2, [540.0])
     with pytest.raises(ValueError, match="equal length"):
-        build_strip_surrogate_batch(PARAMS, [[Q0]], [[SIGMA_Q]], [[0.111]], [540.0])
+        _strip_exits(PARAMS, [[Q0]], [[SIGMA_Q]], [[0.111]], [540.0])
     with pytest.raises(ValueError, match="re must be positive"):
-        build_strip_surrogate_batch(PARAMS, [Q0, Q0], [SIGMA_Q] * 2, [0.111] * 2, [540.0, 0.0])
+        scenario._strip_exit_coeffs([540.0, 0.0])
 
 
 def _model1_exits(germ, res, order, n_quad, n_steps, params=PARAMS) -> np.ndarray:
@@ -327,8 +338,9 @@ def test_nan_re_and_porosity_are_rejected_before_the_march(monkeypatch):
     def no_march(*args, **kwargs):
         raise AssertionError("a NaN input must be rejected before the march")
 
+    # every scalar and batched strip march steps through _euler_step
     monkeypatch.setattr(gpc, "_galerkin_march", no_march)
-    monkeypatch.setattr(gpc, "interface_state_batch", no_march)
+    monkeypatch.setattr(porous_flow, "_euler_step", no_march)
     params = ModelParams()
     germ = GermSpec((GermVariable("q", 450.0, 10.0),))
     with pytest.raises(ValueError, match="re must be positive"):
@@ -336,9 +348,9 @@ def test_nan_re_and_porosity_are_rejected_before_the_march(monkeypatch):
     with pytest.raises(ValueError, match="re must be positive"):
         build_strip_surrogate(params, germ, math.nan)
     with pytest.raises(ValueError, match="re must be positive"):
-        build_strip_surrogate_batch(params, [450.0], [10.0], [0.111], [500.0, math.nan])
+        _strip_exits(params, [450.0], [10.0], [0.111], [500.0, math.nan])
     with pytest.raises(ValueError, match="porosities"):
-        build_strip_surrogate_batch(params, [450.0], [10.0], [math.nan], [500.0])
+        _strip_exits(params, [450.0], [10.0], [math.nan], [500.0])
     for std in (0.0, 0.01):
         with pytest.raises(ValueError, match="porosity leaves"):
             porosity_projection(GermVariable("phi", math.nan, std), 3, 6)
@@ -354,9 +366,7 @@ def test_singular_guard_raises_from_both_builders():
     with pytest.raises(SingularDenominatorError):
         build_strip_surrogate(PARAMS, two_variable_germ(), 540.0, singular_eps=1e300)
     with pytest.raises(SingularDenominatorError):
-        build_strip_surrogate_batch(
-            PARAMS, [Q0], [SIGMA_Q], [PARAMS.porosity], [540.0], singular_eps=1e300
-        )
+        _strip_exits(PARAMS, [Q0], [SIGMA_Q], [PARAMS.porosity], [540.0], singular_eps=1e300)
 
 
 @settings(max_examples=80, deadline=None)

@@ -117,10 +117,10 @@ def test_chunked_batch_march_equals_unchunked(monkeypatch):
 
 def _denominators(p: ModelParams, q: float, phi: float, n_steps: int) -> list[float]:
     """|phi^-2 - rho^2 T_f| at each step of the scalar march."""
-    rhs = porous_flow._rhs(p, q, phi, 405.0)
+    rhs, dx = porous_flow._rhs(p, q, phi, 405.0), 1.0 / n_steps
     state, out = porous_flow._initial_state(p), []
     for _ in range(n_steps):
-        *state, denom = porous_flow._euler_step(*state, rhs, 1.0 / n_steps)
+        *state, denom = porous_flow._euler_step(*state, rhs, dx, dx * rhs[0])
         out.append(abs(denom))
     return out
 
@@ -142,6 +142,38 @@ def test_a_nan_element_does_not_hide_a_guard_hit():
         interface_state_batch(p, q, phi, 405.0, n_steps=10, singular_eps=eps)
     with pytest.raises(SingularDenominatorError):
         forward_pressure_at_mean(p, (q[1], phi[1]), 405.0, n_steps=10, singular_eps=eps)
+
+
+def test_the_scalar_and_batched_marches_take_the_one_step(monkeypatch):
+    p = ModelParams()
+    real_step, calls = porous_flow._euler_step, []
+
+    def counting(*args):
+        calls.append(type(args[0]))
+        return real_step(*args)
+
+    monkeypatch.setattr(porous_flow, "_euler_step", counting)
+    forward_pressure_at_mean(p, (p.heat_flux_nominal, p.porosity), 405.0, n_steps=25)
+    assert calls == [float] * 25
+    calls.clear()
+    march_batch(p, p.heat_flux_nominal, np.array([0.111, 0.2, 0.4]), 405.0, n_steps=25)
+    assert calls == [np.ndarray] * 25
+
+
+def test_an_array_step_updates_its_state_in_place_as_the_float_step():
+    p = ModelParams()
+    q, phi, re = np.array([30845.0, 25000.0, 34000.0]), np.array([0.111, 0.2, 0.4]), 405.0
+    dx = 1.0 / 50
+    state = np.array([[300.0, 310.0, 320.0], [330.0, 325.0, 315.0], [1900.0, 2000.0, 1950.0]])
+    tf, ts, rho = state.copy()
+    rhs = porous_flow._rhs(p, q, phi, re)
+    *stepped, denom = porous_flow._euler_step(tf, ts, rho, rhs, dx, dx * rhs[0])
+    assert all(a is b for a, b in zip(stepped, (tf, ts, rho)))
+    for k in range(3):
+        rhs_k = porous_flow._rhs(p, float(q[k]), float(phi[k]), re)
+        want = porous_flow._euler_step(*state[:, k].tolist(), rhs_k, dx, dx * rhs_k[0])
+        assert all(type(v) is float for v in want)
+        assert (tf[k], ts[k], rho[k], denom[k]) == want
 
 
 def test_interface_pressure_is_terminal_product():

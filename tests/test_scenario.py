@@ -9,7 +9,6 @@ import math
 import numpy as np
 import pytest
 
-from tcbayes import gpc
 from tcbayes import scenario as scenario_module
 from tcbayes.bayes import TABLE_NODES, TABLE_TOL, fit_table, table_record, table_thetas
 from tcbayes.cli import resolve_config
@@ -485,7 +484,8 @@ def _singular_in_window(monkeypatch) -> list:
     """Every march at a theta in _WINDOW hits the guard: the scenario's one
     march records it for each element there, a one-theta march raises.
     Returns the list that collects the thetas of each of the scenario's marches."""
-    real_batch, real_march, marches = scenario_module.march_batch, gpc.interface_state_batch, []
+    real_batch, real_march = scenario_module.march_batch, scenario_module.interface_state_batch
+    marches = []
 
     def batch(params, q, phi, re, *args):
         marches.append(re)
@@ -500,7 +500,7 @@ def _singular_in_window(monkeypatch) -> list:
         return real_march(params, q, phi, re, *args, **kwargs)
 
     monkeypatch.setattr(scenario_module, "march_batch", batch)
-    monkeypatch.setattr(gpc, "interface_state_batch", march)
+    monkeypatch.setattr(scenario_module, "interface_state_batch", march)
     return marches
 
 
