@@ -1,7 +1,7 @@
 """Artifact formats: the CSV writer behind every CSV file, and a JSON writer.
 
 CSV cells are formatted by column kind, chosen once per column: integers
-and booleans as ``str(int)``, floats as ``repr`` (round-trips bit for bit)
+as ``str``, booleans as ``0``/``1``, floats as ``repr`` (round-trips bit for bit)
 and strings as they are; a run of bit-identical floats is formatted once.
 Any other kind, an object column included, is a ``TypeError``: every cell
 the package writes is a number or a name. Every CSV ends its lines with
@@ -33,6 +33,8 @@ def _formatter(column: np.ndarray):
     kind = column.dtype.kind
     if kind in "iu":
         return lambda values: map(str, values.tolist())
+    if kind == "b":
+        return lambda values: map(("0", "1").__getitem__, values.tolist())
     if kind == "f":
         return _float_cells
     if kind == "U":
@@ -47,8 +49,6 @@ def write_csv(path: str, header, columns) -> None:
     column is alive at once.
     """
     columns = [np.asarray(c) for c in columns]
-    # 0/1 cells without a copy
-    columns = [c.view(np.uint8) if c.dtype == bool else c for c in columns]
     if len(header) != len(columns):
         raise ValueError("need one header name per column")
     n_rows = len(columns[0]) if columns else 0

@@ -24,6 +24,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import sys
 import time
 from importlib import resources
@@ -138,17 +139,6 @@ class _Output:
         return path
 
 
-def _write_runs(results, out: _Output) -> list[str]:
-    """Write the sampler runs as chain.csv, chain_NN.csv or particles.csv."""
-    if isinstance(results[0], ParticleHistory):
-        names = ["particles.csv"]
-    elif len(results) == 1:
-        names = ["chain.csv"]
-    else:
-        names = [f"chain_{i:02d}.csv" for i in range(len(results))]
-    return [out.write(name, result.to_csv) for result, name in zip(results, names)]
-
-
 def _diagnostics(scenario: Scenario, runs, reference) -> dict:
     cfg = scenario.config
     return diagnostics_summary(
@@ -257,8 +247,7 @@ def run_scenario(
     if not scan.intervals:
         raise RuntimeError("feasibility scan found no feasible Reynolds interval")
 
-    results = _run_chains(scenario)
-    paths = _write_runs(results, out)
+    results, paths = _run_chains(scenario, out)
     out.artifacts["chains"] = paths[0] if len(paths) == 1 else paths
 
     reference = scenario.reference()
@@ -290,15 +279,69 @@ def run_scenario(
     return out.artifacts
 
 
-def _run_chains(scenario: Scenario):
+def _run_chains(scenario: Scenario, out: _Output) -> tuple[list, list[str]]:
+    """Run the scenario's chains and write each as chain.csv, chain_NN.csv or
+    particles.csv; returns the runs and paths in chain order, as a serial run
+    gives them apart from timing cells. The last chains run at once in forked
+    workers, one per CPU beyond this process's own; the parent runs the rest,
+    chain 0 first, and all of them without ``os.fork``, with one CPU, or with
+    the surrogate oracle, whose cache the chains share in order."""
+    scenario.posterior(), scenario.feasibility(), scenario.intervals()  # workers inherit them
+    seeds = scenario.chain_seeds()
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    spare = cpus - 1 if hasattr(os, "fork") and scenario.config.oracle_mode != "surrogate" else 0
+
+    def sample(i: int):
+        run = scenario.run_chain(seeds[i])
+        name = f"chain_{i:02d}.csv" if len(seeds) > 1 else "chain.csv"
+        return run, out.write("particles.csv" if isinstance(run, ParticleHistory) else name, run.to_csv)
+
+    results, workers, parent = [None] * len(seeds), {}, list(range(len(seeds)))
     try:
-        return scenario.run_all_chains()
+        while len(parent) > 1 and len(workers) < spare:
+            i = parent.pop()
+            workers[i] = _fork(sample, i)
+        for i in parent:
+            results[i] = sample(i)
+        for i, (_, pipe) in sorted(workers.items()):
+            reply = pipe.read()
+            if not reply:
+                raise RuntimeError(f"the worker of chain {i} ended without a result")
+            ok, results[i] = pickle.loads(reply)
+            if not ok:
+                raise results[i]
     except InfeasibleStartError as exc:
         intervals = ", ".join(f"[{a:.1f}, {b:.1f}]" for a, b in scenario.intervals())
         raise InfeasibleStartError(
             f"{exc} (scanned feasible interval(s): {intervals or 'none'}; "
             "set sampler.theta_init inside one)"
         ) from exc
+    finally:  # a worker whose reply was read has nothing left to do
+        for pid, pipe in workers.values():
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL; the signal module's import costs 2 ms of start-up
+            os.waitpid(pid, 0)
+    return [run for run, _ in results], [path for _, path in results]
+
+
+def _fork(sample, i: int):
+    """Fork a worker that pickles ``(True, sample(i))`` or ``(False, exception)``
+    into a pipe and exits; returns its pid and the pipe's read end."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            try:
+                reply = True, sample(i)
+            except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+                reply = False, exc
+            with os.fdopen(write, "wb") as pipe:
+                pickle.dump(reply, pipe)
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +402,7 @@ def _cmd_scan_feasible(args) -> int:
 def _cmd_sample(args) -> int:
     scenario = open_scenario(args.config, args.seed, args.output)
     out = _Output(scenario.config.output_dir)
-    results = _run_chains(scenario)
-    paths = _write_runs(results, out)
+    results, paths = _run_chains(scenario, out)
     if isinstance(results[0], ParticleHistory):
         out.artifacts["particles"] = paths[0]
         print(

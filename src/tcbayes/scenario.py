@@ -490,8 +490,8 @@ def load_observations(csv_path: str, provenance_path: str | None = None) -> Obse
     ConfigError naming the file and line, and a file without observations
     one naming the file. A missing or malformed sidecar (not an object whose
     ``groups`` is a list of objects with a ``label``), or an entry without a
-    positive ``noise_std`` or with a ``porosity`` outside (0, 1), raises one
-    naming the sidecar.
+    positive ``noise_std``, with a ``porosity`` outside (0, 1) or with a
+    ``heat_flux`` that is not a finite number, raises one naming the sidecar.
     """
     if provenance_path is None:
         provenance_path = csv_path.rsplit(".", 1)[0] + ".json"
@@ -537,12 +537,14 @@ def load_observations(csv_path: str, provenance_path: str | None = None) -> Obse
         info = group_meta.get(label)
         if info is None:
             raise ConfigError(f"observation group {label!r} missing from provenance")
-        porosity = info.get("porosity")
-        if porosity is not None and not (isinstance(porosity, (int, float)) and 0 < porosity < 1):
-            raise ConfigError(
-                f"observation provenance {provenance_path}: group {label!r} needs a "
-                f"porosity in (0, 1), got {porosity!r}"
-            )
+        for key, valid, needs in (("porosity", lambda v: 0 < v < 1, "a porosity in (0, 1)"),
+                                  ("heat_flux", math.isfinite, "a finite heat_flux")):
+            value = info.get(key)
+            if value is not None and not (isinstance(value, (int, float)) and valid(value)):
+                raise ConfigError(
+                    f"observation provenance {provenance_path}: group {label!r} needs "
+                    f"{needs}, got {value!r}"
+                )
         try:
             groups.append(ObservationGroup(
                 label,

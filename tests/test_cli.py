@@ -204,6 +204,27 @@ def test_sidecar_porosity_outside_0_1_exits_2(porosity, tiny_model1_dict, write_
     assert not (out / "chain.csv").exists()
 
 
+@pytest.mark.parametrize("heat_flux", ["abc", math.nan, math.inf, [462.675]])
+def test_sidecar_heat_flux_not_a_finite_number_exits_2(
+    heat_flux, tiny_model1_dict, write_config, tmp_path, capsys
+):
+    source = Scenario(ScenarioConfig.from_dict(tiny_model1_dict)).observations()
+    csv_path, json_path = tmp_path / "obs.csv", tmp_path / "obs.json"
+    source.to_csv(str(csv_path))
+    source.save_provenance(str(json_path))
+    meta = json.loads(json_path.read_text())
+    meta["groups"][0]["heat_flux"] = heat_flux
+    json_path.write_text(json.dumps(meta))
+    tiny_model1_dict["data"] = {"path": str(csv_path)}
+    out = tmp_path / "out"
+    rc = main(["run", "--config", write_config(tiny_model1_dict), "--output", str(out)])
+    assert rc == 2
+    label = meta["groups"][0]["label"]
+    want = f"observation provenance {json_path}: group {label!r} needs a finite heat_flux"
+    assert want in capsys.readouterr().err
+    assert not (out / "chain.csv").exists()
+
+
 # (CSV text after the header, or None to keep it; sidecar text, or None to keep it)
 _MALFORMED_OBSERVATION_DATA = {
     "header-only": ("", None),
@@ -433,6 +454,80 @@ def test_run_model2_writes_fields_and_bg(tiny_model2_dict, write_config, tmp_pat
     assert z[0] == 0.0 and z[-1] == 1.0 and len(z) == 120
     # multi-chain Markov runs get a shrink-ratio series
     assert os.path.exists(os.path.join(out, "bg_series.csv"))
+
+
+def _allow_cpus(monkeypatch, n: int) -> list:
+    """Report ``n`` CPUs to the chain runner; the returned list gathers the pid of
+    every worker forked."""
+    forked, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forked
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_chains_match_serial_chains(tiny_model2_dict, write_config, tmp_path, monkeypatch):
+    tiny_model2_dict["sampler"]["n_chains"] = 3
+    path = write_config(tiny_model2_dict)
+    outputs = {}
+    for cpus, n_workers in ((3, 2), (1, 0)):
+        forked = _allow_cpus(monkeypatch, cpus)
+        outputs[cpus] = out = tmp_path / f"cpus{cpus}"
+        assert main(["run", "--config", path, "--output", str(out)]) == 0
+        assert len(forked) == n_workers
+        _no_child_left()
+    for name in ("chain_00.csv", "chain_01.csv", "chain_02.csv"):
+        forked, serial = (load_chain_csv(str(outputs[cpus] / name)) for cpus in (3, 1))
+        for column in ("samples", "accepted", "log_post"):
+            assert getattr(forked, column).tobytes() == getattr(serial, column).tobytes()
+    prov = json.loads((outputs[3] / "provenance.json").read_text())
+    assert prov["artifacts"]["chains"] == ["chain_00.csv", "chain_01.csv", "chain_02.csv"]
+    for name in ("provenance.json", "histogram.csv", "bg_series.csv", "reference.csv"):
+        assert (outputs[3] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize(
+    "where, error, code",
+    [("worker", "infeasible", 3), ("parent", "infeasible", 3), ("worker", "config", 2)],
+)
+def test_a_failing_chain_exits_and_leaves_no_process(
+    where, error, code, tiny_model2_dict, write_config, tmp_path, monkeypatch, capsys
+):
+    tiny_model2_dict["sampler"]["n_chains"] = 3
+    path = write_config(tiny_model2_dict)
+    parent, run_chain = os.getpid(), Scenario.run_chain
+
+    def failing_run_chain(self, seed):
+        if (os.getpid() == parent) == (where == "parent"):
+            if error == "config":
+                raise ConfigError("bad sampler block")
+            # an infeasible start, below the scanned interval [300, 1000]
+            self = self.with_sampler(dict(self.config.sampler, theta_init=200.0))
+        return run_chain(self, seed)
+
+    monkeypatch.setattr(Scenario, "run_chain", failing_run_chain)
+    forked = _allow_cpus(monkeypatch, 3)
+    assert main(["run", "--config", path, "--output", str(tmp_path / "out")]) == code
+    assert len(forked) == 2
+    _no_child_left()
+    err = capsys.readouterr().err
+    if error == "infeasible":
+        assert "scanned feasible interval(s)" in err and "theta_init" in err
+    else:
+        assert "bad sampler block" in err
 
 
 @pytest.mark.skipif(importlib.util.find_spec("matplotlib") is None, reason="needs matplotlib")

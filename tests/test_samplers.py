@@ -260,6 +260,46 @@ def test_projected_svgd_always_feasible():
     assert np.all(history.generations >= 0.5)
 
 
+def _reference_crw(posterior, feasible, proposal_std, n_samples, theta, seed):
+    """The cRW loop without its clock or bound locals: the reference for the
+    draws it makes and their order."""
+    rng = np.random.default_rng(seed)
+    lp = float(posterior(theta))
+    samples, accepted, log_post = np.empty(n_samples), np.zeros(n_samples, bool), np.empty(n_samples)
+    for i in range(n_samples):
+        proposal = theta + proposal_std * rng.standard_normal()
+        if feasible(proposal):
+            lp_prop = float(posterior(proposal))
+            if math.log(rng.random()) < lp_prop - lp:
+                theta, lp = proposal, lp_prop
+                accepted[i] = True
+        samples[i], log_post[i] = theta, lp
+    return samples, accepted, log_post
+
+
+@pytest.mark.parametrize("seed", [0, 7, 31])
+def test_crw_keeps_its_draw_order(seed):
+    inside = interval_membership(((-0.5, 2.0),))
+    chain = run_crw(STD_NORMAL_LOGPOST, inside, 1.3, 400, 0.1, seed=seed)
+    samples, accepted, log_post = _reference_crw(STD_NORMAL_LOGPOST, inside, 1.3, 400, 0.1, seed)
+    assert chain.samples.tobytes() == samples.tobytes()
+    assert chain.accepted.tobytes() == accepted.tobytes()
+    assert chain.log_post.tobytes() == log_post.tobytes()
+
+
+def test_sampler_times_are_whole_nanoseconds():
+    runs = (
+        run_crw(STD_NORMAL_LOGPOST, lambda t: True, 2.4, 300, 0.0, seed=1),
+        run_chmc(STD_NORMAL_LOGPOST, STD_NORMAL_GRAD, 1.0, 0.3, 10, 100, 0.0, seed=1),
+        run_csvgd(lambda ts: -ts, 10, 20, seed=1),
+    )
+    for run in runs:
+        seconds = run.cumulative_seconds
+        nanoseconds = np.round(seconds * 1e9)
+        assert np.array_equal(nanoseconds / 1e9, seconds)
+        assert seconds[0] >= 0.0 and np.all(np.diff(seconds) >= 0.0)
+
+
 def test_seed_reproducibility_all_samplers():
     crw = lambda s: run_crw(STD_NORMAL_LOGPOST, lambda t: True, 2.4, 500, 0.0, seed=s)
     chmc = lambda s: run_chmc(STD_NORMAL_LOGPOST, STD_NORMAL_GRAD, 1.0, 0.3, 10, 200, 0.0, seed=s)
