@@ -20,9 +20,12 @@ CHUNK_ROWS = 4096
 def _float_cells(values: np.ndarray):
     """``repr`` of each float, computed once per run of cells with one bit
     pattern (-0.0 == 0.0, but the two repr differently), such as the theta
-    and log_post a rejected chain step repeats."""
+    and log_post a rejected chain step repeats; once per cell where runs
+    exceed 3/4 of the cells (a time column): a run then costs more than its repr."""
     bits = values.view(f"i{values.itemsize}")
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    if 4 * starts.size > 3 * values.size:
+        return map(repr, values.tolist())
     counts = np.diff(np.append(starts, values.size)).tolist()
     cells = map(repr, values[starts].tolist())
     return itertools.chain.from_iterable(map(itertools.repeat, cells, counts))

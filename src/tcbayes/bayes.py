@@ -195,9 +195,9 @@ class ChebyshevTable:
     trailing run of coefficients whose summed magnitude (the largest entry
     of each) is below ``TABLE_TOL / 100`` of the largest node value is
     dropped: |T_j| <= 1 on [lo, hi], so no value moves by more than that.
-    Evaluated by the Clenshaw recurrence, on plain floats for a scalar
-    table and on arrays otherwise. ``terms`` counts the coefficients kept;
-    ``max_rel_error`` is the error measured when the table was built.
+    Evaluated by the Clenshaw recurrence, on arrays for an array table; a
+    scalar table takes a float, or an array of thetas bit for bit as floats.
+    ``terms`` counts the kept coefficients; ``max_rel_error`` is the build error.
     """
 
     def __init__(self, lo: float, hi: float, node_values):
@@ -286,7 +286,7 @@ class Posterior:
     from the direct march otherwise (for the gradient, at both ends of its
     difference); a march failure gives -inf (NaN for
     the gradient), as does theta <= 0. ``tables`` maps an evaluation point
-    to a table of F built for ``params``.
+    to a table of F built for ``params``; a call also takes an ndarray.
     """
 
     def __init__(
@@ -323,7 +323,9 @@ class Posterior:
             else:
                 norm = -math.log(math.sqrt(2.0 * math.pi) * sigma)
                 scale = 1.0 / (2.0 * n * sigma**2)
-            groups.append((point, table, lo, hi, n, ybar, ybar_rem, ss, norm, scale))
+            # the table's Clenshaw constants, for ``__call__`` to run inline
+            inline = (table._center, table._scale, table._c0, table._tail) if table else (None,) * 4
+            groups.append((point, table, lo, hi, n, ybar, ybar_rem, ss, norm, scale, *inline))
         self._groups = tuple(groups)
 
     def _pressure(self, point, table, lo, hi, theta: float) -> float:
@@ -337,27 +339,68 @@ class Posterior:
             return -math.inf
         total = 0.0
         try:
-            for point, table, lo, hi, n, ybar, ybar_rem, ss, norm, scale in self._groups:
-                if lo <= theta <= hi:
-                    pressure = table(theta)
-                else:
-                    pressure = forward_pressure_at_mean(self.params, point, theta)
-                misfit = (pressure - ybar) - ybar_rem
+            for point, table, lo, hi, n, ybar, ybar_rem, ss, norm, scale, *_ in self._groups:
+                misfit = (self._pressure(point, table, lo, hi, theta) - ybar) - ybar_rem
                 total += norm - scale * (n * misfit * misfit + ss)
         except _FORWARD_FAILURES:
             return -math.inf
         return total
 
-    def __call__(self, theta: float) -> float:
+    def __call__(self, theta):
         """Unnormalized log posterior without the feasibility indicator:
-        ``log_prior`` from the constants computed once, plus ``log_likelihood``."""
+        ``log_prior`` from the constants computed once, plus ``log_likelihood``
+        with each table's recurrence written out; an ndarray goes to ``_on_array``."""
+        if isinstance(theta, np.ndarray):
+            return self._on_array(theta)
         prior = self.prior
         if prior.kind == "gaussian":
             z = (theta - prior.mean) / prior.std
-            return self._prior_norm - 0.5 * z * z + self.log_likelihood(theta)
-        if prior.low <= theta <= prior.high:
-            return self._prior_norm + self.log_likelihood(theta)
-        return self._prior_floor + self.log_likelihood(theta)
+            log_prior = self._prior_norm - 0.5 * z * z
+        elif prior.low <= theta <= prior.high:
+            log_prior = self._prior_norm
+        else:
+            log_prior = self._prior_floor
+        if not theta > 0.0:  # also rejects NaN from diverged trajectories
+            return log_prior - math.inf
+        total = 0.0
+        try:
+            for (point, _, lo, hi, n, ybar, ybar_rem, ss, norm, scale,
+                 center, t_scale, c0, tail) in self._groups:
+                if lo <= theta <= hi:
+                    t = (theta - center) * t_scale
+                    t2 = t + t
+                    b1 = b2 = 0.0
+                    for c in tail:
+                        b1, b2 = c + t2 * b1 - b2, b1
+                    pressure = c0 + t * b1 - b2
+                else:
+                    pressure = forward_pressure_at_mean(self.params, point, theta)
+                misfit = (pressure - ybar) - ybar_rem
+                total += norm - scale * (n * misfit * misfit + ss)
+        except _FORWARD_FAILURES:
+            total = -math.inf
+        return log_prior + total
+
+    def _on_array(self, thetas: np.ndarray) -> np.ndarray:
+        """``self`` at each theta, bit for bit: one array pass of each table
+        over the thetas in every table's range, the float operations in
+        their order; one float call for each other theta."""
+        thetas = thetas.astype(float)
+        inside = np.logical_and.reduce([(g[2] <= thetas) & (thetas <= g[3]) for g in self._groups])
+        out = np.empty(thetas.shape)
+        out[~inside] = [self(theta) for theta in thetas[~inside].tolist()]
+        x, prior, total = thetas[inside], self.prior, 0.0
+        if x.size:
+            for _, table, _, _, n, ybar, ybar_rem, ss, norm, scale, *_ in self._groups:
+                misfit = (table(x) - ybar) - ybar_rem
+                total += norm - scale * (n * misfit * misfit + ss)
+            if prior.kind == "gaussian":
+                z = (x - prior.mean) / prior.std
+                out[inside] = self._prior_norm - 0.5 * z * z + total
+            else:
+                support = (prior.low <= x) & (x <= prior.high)
+                out[inside] = np.where(support, self._prior_norm, self._prior_floor) + total
+        return out
 
     def grad(self, theta: float, fd_step: float = DEFAULT_FD_STEP) -> float:
         """d/dtheta of the log posterior.
@@ -376,7 +419,7 @@ class Posterior:
         else:
             grad = 0.0  # flat inside the support; the floor outside is flat too
         try:
-            for point, table, lo, hi, n, ybar, ybar_rem, _, _, scale in self._groups:
+            for point, table, lo, hi, n, ybar, ybar_rem, _, _, scale, *_ in self._groups:
                 if not lo <= theta <= hi:
                     # both ends marched, as for an untabled group: a table value at
                     # theta + fd_step would add its 1e-12 error divided by fd_step

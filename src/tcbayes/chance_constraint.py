@@ -141,15 +141,16 @@ class StripExitConstraint(F2Surrogate):
     def exact_probability(self, beta: float) -> float | None:
         """P(f2 <= beta) from the affine dependence on the flux germ xi_q,
         summed by Gauss-Hermite quadrature over xi_phi; None when the slope
-        b(eta) vanishes at a node (the conditional mass jumps there, which
-        no rule pair certifies: with a q std of 0 it is 0 or 1 at every
-        node), or the two rules differ by more than ``_ETA_TOL``.
+        b(eta) is not of one strict sign on the nodes (the conditional mass
+        jumps where b vanishes or turns, and two rules can agree on a wrong
+        value: with a q std of 0 it is 0 or 1 at every node), or the two
+        rules differ by more than ``_ETA_TOL``.
         """
         if math.isnan(beta):
             return math.nan  # every comparison with NaN is False: P would read 0
         nodes, weights = _rule_pair((_ETA_NODES,), (2 * _ETA_NODES,), trapezoid=False)
         a, b = self._affine(nodes[:, 0])
-        if not b.all():
+        if not ((b > 0.0).all() or (b < 0.0).all()):
             return None
         return _converged(_interval_mass(a[:, None], b[:, None], beta, weights))
 

@@ -20,6 +20,7 @@ resolve to the shipped scenario files.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import math
@@ -247,29 +248,25 @@ def run_scenario(
     if not scan.intervals:
         raise RuntimeError("feasibility scan found no feasible Reynolds interval")
 
-    results, paths = _run_chains(scenario, out)
+    def write_before_join(first) -> None:
+        """reference.csv, the first run's histogram.csv and, for models 2-3,
+        the field CSVs at its mean: written while the chain workers sample."""
+        burn = float(config.sampler["burn_in_fraction"])
+        out.write("reference.csv", scenario.reference().to_csv, "reference")
+        histogram = chain_histogram(
+            first, n_bins=config.diagnostics.n_bins, value_range=config.theta_range(), burn_in=burn
+        )
+        out.write("histogram.csv", histogram.to_csv, "histogram")
+        if config.model in (2, 3):
+            theta_hat = float(burned_in_samples(first, burn).mean())
+            initial = scenario.mean_field_snapshot(theta_hat, t_end=0.0)
+            constraint_time = scenario.mean_field_snapshot(theta_hat)
+            out.write("field_initial.csv", initial.to_csv, "field_initial")
+            out.write("field_constraint.csv", constraint_time.to_csv, "field_constraint")
+
+    results, paths = _run_chains(scenario, out, write_before_join)
     out.artifacts["chains"] = paths[0] if len(paths) == 1 else paths
-
-    reference = scenario.reference()
-    out.write("reference.csv", reference.to_csv, "reference")
-
-    burn = float(config.sampler["burn_in_fraction"])
-    histogram = chain_histogram(
-        results[0],
-        n_bins=config.diagnostics.n_bins,
-        value_range=config.theta_range(),
-        burn_in=burn,
-    )
-    out.write("histogram.csv", histogram.to_csv, "histogram")
-
-    _write_diagnostics(_diagnostics(scenario, results, reference), out)
-
-    if config.model in (2, 3):
-        theta_hat = float(burned_in_samples(results[0], burn).mean())
-        initial = scenario.mean_field_snapshot(theta_hat, t_end=0.0)
-        constraint_time = scenario.mean_field_snapshot(theta_hat)
-        out.write("field_initial.csv", initial.to_csv, "field_initial")
-        out.write("field_constraint.csv", constraint_time.to_csv, "field_constraint")
+    _write_diagnostics(_diagnostics(scenario, results, scenario.reference()), out)
 
     if plots:
         _render_plots(out)
@@ -279,13 +276,14 @@ def run_scenario(
     return out.artifacts
 
 
-def _run_chains(scenario: Scenario, out: _Output) -> tuple[list, list[str]]:
+def _run_chains(scenario: Scenario, out: _Output, before_join=None) -> tuple[list, list[str]]:
     """Run the scenario's chains and write each as chain.csv, chain_NN.csv or
     particles.csv; returns the runs and paths in chain order, as a serial run
     gives them apart from timing cells. The last chains run at once in forked
     workers, one per CPU beyond this process's own; the parent runs the rest,
     chain 0 first, and all of them without ``os.fork``, with one CPU, or with
-    the surrogate oracle, whose cache the chains share in order."""
+    the surrogate oracle, whose cache the chains share in order. Between its
+    own chains and the workers' replies it calls ``before_join(chain 0's run)``."""
     scenario.posterior(), scenario.feasibility(), scenario.intervals()  # workers inherit them
     seeds = scenario.chain_seeds()
     affinity = getattr(os, "sched_getaffinity", None)
@@ -304,6 +302,8 @@ def _run_chains(scenario: Scenario, out: _Output) -> tuple[list, list[str]]:
             workers[i] = _fork(sample, i)
         for i in parent:
             results[i] = sample(i)
+        if before_join is not None:
+            before_join(results[0][0])
         for i, (_, pipe) in sorted(workers.items()):
             reply = pipe.read()
             if not reply:
@@ -327,11 +327,19 @@ def _run_chains(scenario: Scenario, out: _Output) -> tuple[list, list[str]]:
 
 def _fork(sample, i: int):
     """Fork a worker that pickles ``(True, sample(i))`` or ``(False, exception)``
-    into a pipe and exits; returns its pid and the pipe's read end."""
+    into a pipe and exits; returns its pid and the pipe's read end. The
+    worker dies with the forking process (on Linux), or exits if it is gone."""
     read, write = os.pipe()
+    parent = os.getpid()
     pid = os.fork()
     if pid == 0:
         try:
+            if sys.platform.startswith("linux"):
+                prctl = ctypes.CDLL(None).prctl
+                prctl.argtypes, prctl.restype = (ctypes.c_int,) + (ctypes.c_ulong,) * 4, ctypes.c_int
+                prctl(1, 9, 0, 0, 0)  # PR_SET_PDEATHSIG, SIGKILL
+            if os.getppid() != parent:
+                os._exit(1)
             try:
                 reply = True, sample(i)
             except Exception as exc:  # noqa: BLE001 - re-raised in the parent

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv
+from .bayes import Posterior
 from .samplers import MarkovChain, ParticleHistory, interval_membership
 
 DEFAULT_N_BINS = 50
@@ -51,11 +52,15 @@ class ReferenceDensity:
 def reference_posterior(grid, log_unconstrained_posterior, feasibility_oracle=None) -> ReferenceDensity:
     """Pointwise chi_S(theta) * exp(logpost(theta)), trapezoid-normalized.
 
+    A ``bayes.Posterior`` takes the grid in one call, any other callable one call a node.
     The log values are shifted by their feasible maximum before
     exponentiation so the normalizer stays representable.
     """
     grid = np.asarray(grid, dtype=float)
-    log_vals = np.array([float(log_unconstrained_posterior(t)) for t in grid])
+    if isinstance(log_unconstrained_posterior, Posterior):
+        log_vals = log_unconstrained_posterior(grid)
+    else:
+        log_vals = np.array([float(log_unconstrained_posterior(t)) for t in grid])
     if feasibility_oracle is None:
         feasible = np.ones(grid.shape, dtype=bool)
     else:

@@ -790,7 +790,7 @@ class Scenario:
         cfg = self.config
         return self._once("reference", lambda: reference_posterior(
             np.linspace(*cfg.theta_range(), cfg.diagnostics.reference_nodes),
-            self.log_posterior,
+            self.posterior(),
             self.feasibility(),
         ))
 

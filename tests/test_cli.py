@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -528,6 +529,45 @@ def test_a_failing_chain_exits_and_leaves_no_process(
         assert "scanned feasible interval(s)" in err and "theta_init" in err
     else:
         assert "bad sampler block" in err
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a process that is neither gone nor a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the parent-death signal is Linux's")
+def test_a_worker_dies_with_its_run():
+    script = (
+        "import time\n"
+        "from tcbayes.cli import _fork\n"
+        "pid, _ = _fork(lambda i: time.sleep(60), 0)\n"
+        "print(pid, flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True)
+    worker = None
+    try:
+        worker = int(run.stdout.readline())
+        run.kill()
+        run.wait()
+        for _ in range(100):
+            if not _running(worker):
+                break
+            time.sleep(0.05)
+        assert not _running(worker)
+    finally:
+        run.kill()
+        run.wait()
+        run.stdout.close()
+        if worker is not None and _running(worker):
+            os.kill(worker, 9)
 
 
 @pytest.mark.skipif(importlib.util.find_spec("matplotlib") is None, reason="needs matplotlib")

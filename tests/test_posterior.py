@@ -19,6 +19,7 @@ from tcbayes.bayes import (
     log_prior,
     table_thetas,
 )
+from tcbayes.diagnostics import reference_posterior
 from tcbayes.porous_flow import (
     ModelParams,
     NonFiniteStateError,
@@ -217,3 +218,66 @@ def test_crw_chain_matches_per_observation_formula(model, seed, tiny_model1_dict
     np.testing.assert_array_equal(chain.samples, frozen.samples)
     np.testing.assert_array_equal(chain.accepted, frozen.accepted)
     np.testing.assert_allclose(chain.log_post, frozen.log_post, rtol=0.0, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the array call and the inline recurrence against the float call
+# ---------------------------------------------------------------------------
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_posterior_on_an_array_is_the_float_calls_bit_for_bit():
+    # thetas inside and outside the table's range [300, 1000], theta <= 0,
+    # NaN and, for the uniform priors, thetas in the table's range outside
+    # the support, where the floor holds; with a group without a table every
+    # theta takes the float call
+    tabled = ObservationGroup("tabled", np.array([5.99e5, 5.995e5]), 80.0, *TABLED)
+    marched = ObservationGroup("marched", np.array([6.0e5]), 50.0, *MARCHED)
+    grid = np.concatenate([
+        np.random.default_rng(5).uniform(300.0, 1000.0, 200),
+        [-50.0, 0.0, 5e-324, 150.0, 299.9, 300.0, 400.0, 900.0, 1000.0, 1000.1, 1400.0, math.nan],
+    ])
+    priors = (
+        PriorSpec("uniform", low=400.0, high=900.0),
+        PriorSpec("uniform", low=300.0, high=1000.0, floor=1e-20),
+        PriorSpec("gaussian", mean=600.0, std=200.0),
+    )
+    for groups, thetas in (((tabled,), grid), ((tabled, marched), grid[-24:])):
+        for prior in priors:
+            for classic_iid in (False, True):
+                posterior = Posterior(ObservationSet(groups), prior, PARAMS, classic_iid, _tables())
+                want = [posterior(theta) for theta in thetas.tolist()]
+                assert _bits(posterior(thetas)) == _bits(want), (len(groups), prior, classic_iid)
+
+
+def test_inline_recurrence_is_the_table_call():
+    table = _tables()[TABLED]
+    thetas = np.random.default_rng(9).uniform(300.0, 1000.0, 10_000)
+    # one observation near F, so that a pressure one ulp off moves the misfit
+    obs = ObservationSet((ObservationGroup("g", np.array([table(650.0) + 0.25]), 1.0, *TABLED),))
+    prior = PriorSpec("uniform", low=300.0, high=1000.0)
+    posterior = Posterior(obs, prior, PARAMS, tables=_tables())
+    inline = [posterior(theta) for theta in thetas.tolist()]
+    through_table = [log_prior(theta, prior) + posterior.log_likelihood(theta) for theta in thetas.tolist()]
+    assert _bits(inline) == _bits(through_table)
+    assert _bits(table(thetas)) == _bits([table(theta) for theta in thetas.tolist()])
+
+
+def _tiny_model3(tiny_model2_dict) -> dict:
+    tiny_model2_dict["model"] = 3
+    tiny_model2_dict["germ"] = {"strips": [{"mean": 450.0 + i, "std": 14.0} for i in range(4)]}
+    return tiny_model2_dict
+
+
+@pytest.mark.parametrize("model", [1, 2, 3])
+def test_reference_grid_is_the_per_node_reference(model, tiny_model1_dict, tiny_model2_dict):
+    config = {1: tiny_model1_dict, 2: tiny_model2_dict, 3: _tiny_model3(tiny_model2_dict)}[model]
+    scenario = Scenario(ScenarioConfig.from_dict(config))
+    reference = scenario.reference()
+    per_node = reference_posterior(reference.grid, scenario.log_posterior, scenario.feasibility())
+    assert _bits(reference.grid) == _bits(per_node.grid)
+    assert _bits(reference.density) == _bits(per_node.density)
+    assert reference.normalizer == per_node.normalizer
