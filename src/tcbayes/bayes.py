@@ -13,6 +13,11 @@ The per-group log likelihood is
 with the 1/N inside the exponent, which tempers the data misfit by the group
 size. ``classic_iid=True`` switches to the standard product-of-Gaussians form
 -N*log(sqrt(2*pi)*sigma) - 1/(2*sigma^2) * sum_i (...)^2.
+
+The prior (``_prior_laws``), a group's term (``_group_laws``) and the
+Clenshaw recurrence (``ChebyshevTable.__call__``) are each written once,
+in operations that act alike on a float and an ndarray: ``Posterior``'s
+float call, array call and gradient all go through them.
 """
 from __future__ import annotations
 
@@ -58,8 +63,8 @@ class PriorSpec:
             raise ValueError(f"unknown prior kind {self.kind!r}")
         if self.kind == "gaussian" and not self.std > 0.0:
             raise ValueError("gaussian prior requires std > 0")
-        if self.kind == "uniform" and not self.low < self.high:
-            raise ValueError("uniform prior requires low < high")
+        if self.kind == "uniform" and not (self.low < self.high and math.isfinite(self.high - self.low)):
+            raise ValueError("uniform prior requires low < high, a finite width apart")
         if not 0.0 < self.floor < 1.0:
             raise ValueError("floor must be in (0, 1)")
 
@@ -273,9 +278,10 @@ class Posterior:
     """Unnormalized log posterior of theta and its gradient for one data set.
 
     Built once per scenario. Each observation group is reduced to its
-    evaluation point, that point's Chebyshev table (or None), its size n,
-    mean ybar, sum of squared deviations ss, log normaliser c and misfit
-    scale k, so a call costs one forward value per group:
+    evaluation point, that point's Chebyshev table (or None) and the closures
+    of ``_group_laws`` over its size n, mean ybar, sum of squared deviations
+    ss, log normaliser c and misfit scale k, so a call costs one forward
+    value per group:
 
         log p(theta) = log prior + sum_g [c_g - k_g * (n_g*(F_g - ybar_g)^2 + ss_g)]
 
@@ -289,117 +295,53 @@ class Posterior:
     to a table of F built for ``params``; a call also takes an ndarray.
     """
 
-    def __init__(
-        self,
-        obs: ObservationSet,
-        prior: PriorSpec,
-        params: ModelParams,
-        classic_iid: bool = False,
-        tables: dict | None = None,
-    ):
-        tables = {} if tables is None else tables
+    def __init__(self, obs: ObservationSet, prior: PriorSpec, params: ModelParams,
+                 classic_iid: bool = False, tables: dict | None = None):
         self.params = params
-        self.prior = prior
-        # log_prior's constant terms, by its expressions
-        if prior.kind == "gaussian":
-            self._prior_norm = -math.log(math.sqrt(2.0 * math.pi) * prior.std)
-        else:
-            self._prior_norm = -math.log(prior.high - prior.low)
-        self._prior_floor = math.log(prior.floor)
+        self._log_prior, self._grad_log_prior = _prior_laws(prior)
         groups = []
         for group in obs.groups:
             point = group.evaluation_point(params)
-            table = tables.get(point)
+            table = (tables or {}).get(point)
             lo, hi = (math.inf, -math.inf) if table is None else (table.lo, table.hi)
-            values = group.values
-            n = values.size
-            ybar = float(np.mean(values))
-            ybar_rem = math.fsum(values - ybar) / n
-            ss = math.fsum(((values - ybar) - ybar_rem) ** 2)
-            sigma = group.noise_std
-            if classic_iid:
-                norm = -n * math.log(math.sqrt(2.0 * math.pi) * sigma)
-                scale = 1.0 / (2.0 * sigma**2)
-            else:
-                norm = -math.log(math.sqrt(2.0 * math.pi) * sigma)
-                scale = 1.0 / (2.0 * n * sigma**2)
-            # the table's Clenshaw constants, for ``__call__`` to run inline
-            inline = (table._center, table._scale, table._c0, table._tail) if table else (None,) * 4
-            groups.append((point, table, lo, hi, n, ybar, ybar_rem, ss, norm, scale, *inline))
+            # the table's bound method: a call skips the instance's call slot
+            table = None if table is None else table.__call__
+            groups.append((point, table, lo, hi, *_group_laws(group.values, group.noise_std, classic_iid)))
         self._groups = tuple(groups)
 
-    def _pressure(self, point, table, lo, hi, theta: float) -> float:
-        if lo <= theta <= hi:
-            return table(theta)
-        return forward_pressure_at_mean(self.params, point, theta)
-
-    def log_likelihood(self, theta: float) -> float:
-        """Sum of the per-group log likelihoods; -inf on forward failure or theta <= 0."""
-        if not theta > 0.0:  # also rejects NaN from diverged trajectories
-            return -math.inf
-        total = 0.0
-        try:
-            for point, table, lo, hi, n, ybar, ybar_rem, ss, norm, scale, *_ in self._groups:
-                misfit = (self._pressure(point, table, lo, hi, theta) - ybar) - ybar_rem
-                total += norm - scale * (n * misfit * misfit + ss)
-        except _FORWARD_FAILURES:
-            return -math.inf
-        return total
-
     def __call__(self, theta):
-        """Unnormalized log posterior without the feasibility indicator:
-        ``log_prior`` from the constants computed once, plus ``log_likelihood``
-        with each table's recurrence written out; an ndarray goes to ``_on_array``."""
-        if isinstance(theta, np.ndarray):
+        """Unnormalized log posterior without the feasibility indicator;
+        an ndarray goes to ``_on_array``."""
+        # isinstance is quick to say yes and slow to say no: a float asks once
+        if not isinstance(theta, float) and isinstance(theta, np.ndarray):
             return self._on_array(theta)
-        prior = self.prior
-        if prior.kind == "gaussian":
-            z = (theta - prior.mean) / prior.std
-            log_prior = self._prior_norm - 0.5 * z * z
-        elif prior.low <= theta <= prior.high:
-            log_prior = self._prior_norm
-        else:
-            log_prior = self._prior_floor
+        log_prior = self._log_prior(theta)
         if not theta > 0.0:  # also rejects NaN from diverged trajectories
             return log_prior - math.inf
         total = 0.0
         try:
-            for (point, _, lo, hi, n, ybar, ybar_rem, ss, norm, scale,
-                 center, t_scale, c0, tail) in self._groups:
+            for point, table, lo, hi, term, _ in self._groups:
                 if lo <= theta <= hi:
-                    t = (theta - center) * t_scale
-                    t2 = t + t
-                    b1 = b2 = 0.0
-                    for c in tail:
-                        b1, b2 = c + t2 * b1 - b2, b1
-                    pressure = c0 + t * b1 - b2
+                    total += term(table(theta))
                 else:
-                    pressure = forward_pressure_at_mean(self.params, point, theta)
-                misfit = (pressure - ybar) - ybar_rem
-                total += norm - scale * (n * misfit * misfit + ss)
+                    total += term(forward_pressure_at_mean(self.params, point, theta))
         except _FORWARD_FAILURES:
             total = -math.inf
         return log_prior + total
 
     def _on_array(self, thetas: np.ndarray) -> np.ndarray:
-        """``self`` at each theta, bit for bit: one array pass of each table
-        over the thetas in every table's range, the float operations in
-        their order; one float call for each other theta."""
+        """``self`` at each theta, bit for bit: the thetas in every table's
+        range in one array pass through the same laws; one float call for
+        each other theta."""
         thetas = thetas.astype(float)
         inside = np.logical_and.reduce([(g[2] <= thetas) & (thetas <= g[3]) for g in self._groups])
         out = np.empty(thetas.shape)
         out[~inside] = [self(theta) for theta in thetas[~inside].tolist()]
-        x, prior, total = thetas[inside], self.prior, 0.0
+        x, total = thetas[inside], 0.0
         if x.size:
-            for _, table, _, _, n, ybar, ybar_rem, ss, norm, scale, *_ in self._groups:
-                misfit = (table(x) - ybar) - ybar_rem
-                total += norm - scale * (n * misfit * misfit + ss)
-            if prior.kind == "gaussian":
-                z = (x - prior.mean) / prior.std
-                out[inside] = self._prior_norm - 0.5 * z * z + total
-            else:
-                support = (prior.low <= x) & (x <= prior.high)
-                out[inside] = np.where(support, self._prior_norm, self._prior_floor) + total
+            for _, table, _, _, term, _ in self._groups:
+                total += term(table(x))
+            out[inside] = self._log_prior(x) + total
         return out
 
     def grad(self, theta: float, fd_step: float = DEFAULT_FD_STEP) -> float:
@@ -413,30 +355,65 @@ class Posterior:
         """
         if not theta > 0.0:
             return math.nan
-        prior = self.prior
-        if prior.kind == "gaussian":
-            grad = -(theta - prior.mean) / prior.std**2
-        else:
-            grad = 0.0  # flat inside the support; the floor outside is flat too
+        grad = self._grad_log_prior(theta)
         try:
-            for point, table, lo, hi, n, ybar, ybar_rem, _, _, scale, *_ in self._groups:
+            for point, table, lo, hi, _, slope in self._groups:
                 if not lo <= theta <= hi:
                     # both ends marched, as for an untabled group: a table value at
                     # theta + fd_step would add its 1e-12 error divided by fd_step
                     lo, hi = math.inf, -math.inf
-                pressure = self._pressure(point, table, lo, hi, theta)
-                pressure_h = self._pressure(point, table, lo, hi, theta + fd_step)
-                residual_sum = n * ((ybar - pressure) + ybar_rem)
-                grad += 2.0 * scale * residual_sum * (pressure_h - pressure) / fd_step
+                pressure, pressure_h = [
+                    table(x) if lo <= x <= hi else forward_pressure_at_mean(self.params, point, x)
+                    for x in (theta, theta + fd_step)
+                ]
+                grad += slope(pressure) * (pressure_h - pressure) / fd_step
         except _FORWARD_FAILURES:
             return math.nan
         return grad
 
 
-def log_prior(theta: float, prior: PriorSpec) -> float:
+def _prior_laws(prior: PriorSpec):
+    """The log prior density of theta and its derivative, with the prior's
+    constants bound once; the same operations on a float and an ndarray.
+    A uniform density is 1/(high - low) on [low, high] and ``floor`` off it
+    (NaN included): a bool times a finite level is that level or a signed
+    zero, so the sum is exactly one level. Both levels are flat."""
     if prior.kind == "gaussian":
-        z = (theta - prior.mean) / prior.std
-        return -math.log(math.sqrt(2.0 * math.pi) * prior.std) - 0.5 * z * z
-    if prior.low <= theta <= prior.high:
-        return -math.log(prior.high - prior.low)
-    return math.log(prior.floor)
+        mean, std, var = prior.mean, prior.std, prior.std**2
+        norm = -math.log(math.sqrt(2.0 * math.pi) * std)
+
+        def log_prior(theta):
+            z = (theta - mean) / std
+            return norm - 0.5 * z * z
+
+        return log_prior, lambda theta: -(theta - mean) / var
+    low, high = prior.low, prior.high
+    norm, floor = -math.log(high - low), math.log(prior.floor)
+
+    def log_prior(theta):
+        inside = (low <= theta) & (theta <= high)
+        return norm * inside + floor * (1 - inside)
+
+    return log_prior, lambda theta: 0.0
+
+
+def _group_laws(values: np.ndarray, sigma: float, classic_iid: bool):
+    """A group's log likelihood at its forward value F and its derivative in
+    F, on a float or an ndarray: c - k * (n*m*m + ss) with
+    m = (F - ybar) - ybar_rem, and 2*k times the residual sum."""
+    n = values.size
+    ybar = float(np.mean(values))
+    ybar_rem = math.fsum(values - ybar) / n
+    ss = math.fsum(((values - ybar) - ybar_rem) ** 2)
+    if classic_iid:
+        norm = -n * math.log(math.sqrt(2.0 * math.pi) * sigma)
+        scale = 1.0 / (2.0 * sigma**2)
+    else:
+        norm = -math.log(math.sqrt(2.0 * math.pi) * sigma)
+        scale = 1.0 / (2.0 * n * sigma**2)
+
+    def term(pressure):
+        misfit = (pressure - ybar) - ybar_rem
+        return norm - scale * (n * misfit * misfit + ss)
+
+    return term, lambda pressure: 2.0 * scale * (n * ((ybar - pressure) + ybar_rem))

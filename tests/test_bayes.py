@@ -12,8 +12,8 @@ from tcbayes.bayes import (
     ObservationSet,
     Posterior,
     PriorSpec,
+    _prior_laws,
     generate_observations,
-    log_prior,
 )
 from tcbayes.porous_flow import ModelParams, forward_pressure_at_mean
 
@@ -22,12 +22,17 @@ PARAMS = ModelParams(heat_flux_nominal=Q0)
 XI_MEAN = (Q0, PARAMS.porosity)
 SIGMA_L = 80.0
 THETA_TRUE = 700.0
-# the likelihood does not depend on the prior a Posterior is built with
-PRIOR = PriorSpec("uniform", low=300.0, high=1000.0)
 
 
 def _obs(n_obs=5, seed=0, noise=SIGMA_L, theta=THETA_TRUE):
     return generate_observations(PARAMS, theta, XI_MEAN, noise, n_obs, seed)
+
+
+def _log_likelihood(obs, theta, classic_iid=False):
+    # the posterior under a flat prior of width 1 around theta, whose log
+    # density -log(1) is -0.0: the log likelihood exactly
+    unit = PriorSpec("uniform", low=theta - 0.5, high=theta + 0.5)
+    return Posterior(obs, unit, PARAMS, classic_iid)(theta)
 
 
 def test_zero_residual_single_observation():
@@ -35,12 +40,9 @@ def test_zero_residual_single_observation():
     group = ObservationGroup("g", np.array([pressure]), SIGMA_L)
     obs = ObservationSet((group,))
     expected = -math.log(math.sqrt(2.0 * math.pi) * SIGMA_L)
-    assert Posterior(obs, PRIOR, PARAMS).log_likelihood(THETA_TRUE) == pytest.approx(
-        expected, abs=1e-12
-    )
+    assert _log_likelihood(obs, THETA_TRUE) == pytest.approx(expected, abs=1e-12)
     # with N=1 the tempered and classic forms coincide
-    classic = Posterior(obs, PRIOR, PARAMS, classic_iid=True)
-    assert classic.log_likelihood(THETA_TRUE) == pytest.approx(expected, abs=1e-12)
+    assert _log_likelihood(obs, THETA_TRUE, classic_iid=True) == pytest.approx(expected, abs=1e-12)
 
 
 def test_group_additivity_exact():
@@ -50,8 +52,8 @@ def test_group_additivity_exact():
     )
     merged = a.merge(b)
     theta = 520.0
-    total = Posterior(merged, PRIOR, PARAMS).log_likelihood(theta)
-    parts = [Posterior(part, PRIOR, PARAMS).log_likelihood(theta) for part in (a, b)]
+    total = _log_likelihood(merged, theta)
+    parts = [_log_likelihood(part, theta) for part in (a, b)]
     assert total == parts[0] + parts[1]
 
 
@@ -62,23 +64,18 @@ def test_tempered_vs_classic_forms():
     res_sq = float(np.sum((obs.groups[0].values - pressure) ** 2))
     tempered = -math.log(math.sqrt(2 * math.pi) * SIGMA_L) - res_sq / (2 * 8 * SIGMA_L**2)
     classic = -8 * math.log(math.sqrt(2 * math.pi) * SIGMA_L) - res_sq / (2 * SIGMA_L**2)
-    assert Posterior(obs, PRIOR, PARAMS).log_likelihood(theta) == pytest.approx(
-        tempered, rel=1e-12
-    )
-    assert Posterior(obs, PRIOR, PARAMS, classic_iid=True).log_likelihood(theta) == pytest.approx(
-        classic, rel=1e-12
-    )
+    assert _log_likelihood(obs, theta) == pytest.approx(tempered, rel=1e-12)
+    assert _log_likelihood(obs, theta, classic_iid=True) == pytest.approx(classic, rel=1e-12)
 
 
 def test_prior_values():
-    gauss = PriorSpec("gaussian", mean=600.0, std=200.0)
-    assert log_prior(600.0, gauss) == pytest.approx(
-        -math.log(math.sqrt(2 * math.pi) * 200.0), abs=1e-14
-    )
+    log_gauss, _ = _prior_laws(PriorSpec("gaussian", mean=600.0, std=200.0))
+    assert log_gauss(600.0) == pytest.approx(-math.log(math.sqrt(2 * math.pi) * 200.0), abs=1e-14)
     uni = PriorSpec("uniform", low=300.0, high=1000.0)
-    assert log_prior(650.0, uni) == pytest.approx(math.log(1.0 / 700.0), abs=1e-14)
-    assert log_prior(1200.0, uni) == math.log(uni.floor)
-    assert log_prior(1200.0, uni) < -600.0
+    log_uni, _ = _prior_laws(uni)
+    assert log_uni(650.0) == pytest.approx(math.log(1.0 / 700.0), abs=1e-14)
+    assert log_uni(1200.0) == math.log(uni.floor)
+    assert log_uni(1200.0) < -600.0
 
 
 def test_prior_validation():
@@ -86,6 +83,9 @@ def test_prior_validation():
         PriorSpec("gaussian", mean=0.0, std=0.0)
     with pytest.raises(ValueError):
         PriorSpec("uniform", low=2.0, high=1.0)
+    # a width that overflows would make the log density -inf inside the support
+    with pytest.raises(ValueError, match="finite width"):
+        PriorSpec("uniform", low=-1e308, high=1e308)
     with pytest.raises(ValueError):
         PriorSpec("lognormal")
 

@@ -1,4 +1,5 @@
-"""The closed-form Posterior against the per-observation formula it replaces."""
+"""The closed-form Posterior against the per-observation formula it replaces,
+and against the closed form as it was written before its laws were shared."""
 
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from tcbayes.bayes import (
     Posterior,
     PriorSpec,
     fit_table,
-    log_prior,
     table_thetas,
 )
 from tcbayes.diagnostics import reference_posterior
@@ -58,7 +58,7 @@ def _forward(params, point, theta, tables):
 
 
 def reference_log_posterior(theta, obs, prior, params, classic_iid, tables):
-    lp = log_prior(theta, prior)
+    lp = frozen_log_prior(theta, prior)
     if not theta > 0.0:
         return lp - math.inf
     total = 0.0
@@ -93,6 +93,71 @@ def reference_grad(theta, obs, prior, params, classic_iid, tables, fd_step=DEFAU
                 grad += residual_sum * dpressure / sigma**2
             else:
                 grad += residual_sum * dpressure / (n * sigma**2)
+    except _FAILURES:
+        return math.nan
+    return grad
+
+
+# ---------------------------------------------------------------------------
+# the closed form, frozen as it was before the prior, the group term and the
+# Clenshaw recurrence were each written once
+# ---------------------------------------------------------------------------
+
+
+def frozen_log_prior(theta, prior):
+    if prior.kind == "gaussian":
+        z = (theta - prior.mean) / prior.std
+        return -math.log(math.sqrt(2.0 * math.pi) * prior.std) - 0.5 * z * z
+    if prior.low <= theta <= prior.high:
+        return -math.log(prior.high - prior.low)
+    return math.log(prior.floor)
+
+
+def _frozen_group(group, classic_iid):
+    values = group.values
+    n = values.size
+    ybar = float(np.mean(values))
+    ybar_rem = math.fsum(values - ybar) / n
+    ss = math.fsum(((values - ybar) - ybar_rem) ** 2)
+    sigma = group.noise_std
+    if classic_iid:
+        norm = -n * math.log(math.sqrt(2.0 * math.pi) * sigma)
+        scale = 1.0 / (2.0 * sigma**2)
+    else:
+        norm = -math.log(math.sqrt(2.0 * math.pi) * sigma)
+        scale = 1.0 / (2.0 * n * sigma**2)
+    return n, ybar, ybar_rem, ss, norm, scale
+
+
+def frozen_log_likelihood(theta, obs, params, classic_iid, tables):
+    if not theta > 0.0:
+        return -math.inf
+    total = 0.0
+    try:
+        for group in obs.groups:
+            n, ybar, ybar_rem, ss, norm, scale = _frozen_group(group, classic_iid)
+            misfit = (_forward(params, group.evaluation_point(params), theta, tables) - ybar) - ybar_rem
+            total += norm - scale * (n * misfit * misfit + ss)
+    except _FAILURES:
+        return -math.inf
+    return total
+
+
+def frozen_grad(theta, obs, prior, params, classic_iid, tables, fd_step=DEFAULT_FD_STEP):
+    if not theta > 0.0:
+        return math.nan
+    grad = -(theta - prior.mean) / prior.std**2 if prior.kind == "gaussian" else 0.0
+    try:
+        for group in obs.groups:
+            n, ybar, ybar_rem, _, _, scale = _frozen_group(group, classic_iid)
+            point = group.evaluation_point(params)
+            table = tables.get(point)
+            # outside the table's range both ends are marched
+            marched = {} if table is None or not table.lo <= theta <= table.hi else tables
+            pressure = _forward(params, point, theta, marched)
+            pressure_h = _forward(params, point, theta + fd_step, marched)
+            residual_sum = n * ((ybar - pressure) + ybar_rem)
+            grad += 2.0 * scale * residual_sum * (pressure_h - pressure) / fd_step
     except _FAILURES:
         return math.nan
     return grad
@@ -166,8 +231,9 @@ def test_posterior_is_the_prior_plus_the_likelihood():
     for prior in priors:
         posterior = Posterior(obs, prior, PARAMS, tables=_tables())
         for theta in (350.0, 640.0, 990.0):
-            assert posterior(theta) == log_prior(theta, prior) + posterior.log_likelihood(theta)
-        assert posterior.log_likelihood(0.0) == posterior(0.0) == -math.inf
+            want = frozen_log_prior(theta, prior) + frozen_log_likelihood(theta, obs, PARAMS, False, _tables())
+            assert posterior(theta) == want
+        assert frozen_log_likelihood(0.0, obs, PARAMS, False, _tables()) == posterior(0.0) == -math.inf
         assert math.isnan(posterior.grad(-1.0))
 
 
@@ -188,8 +254,8 @@ def test_posterior_with_its_prior_constants_is_float_equal_to_the_sum():
         for classic_iid in (False, True):
             posterior = Posterior(obs, prior, PARAMS, classic_iid, _tables())
             for theta in grid:
-                want = log_prior(theta, prior) + posterior.log_likelihood(theta)
-                assert posterior(theta) == want, (prior, theta)
+                likelihood = frozen_log_likelihood(theta, obs, PARAMS, classic_iid, _tables())
+                assert posterior(theta) == frozen_log_prior(theta, prior) + likelihood, (prior, theta)
             assert math.isnan(posterior(math.nan)) == (prior.kind == "gaussian")
 
 
@@ -253,6 +319,36 @@ def test_posterior_on_an_array_is_the_float_calls_bit_for_bit():
                 assert _bits(posterior(thetas)) == _bits(want), (len(groups), prior, classic_iid)
 
 
+def test_float_call_and_gradient_are_the_frozen_ones_bit_for_bit():
+    # the array test's thetas, and thetas whose difference step crosses an
+    # end of the table's range; with a group without a table, both ends are
+    # marched. Three observations, so that n is not a power of two and a
+    # regrouped product shows
+    tabled = ObservationGroup("tabled", np.array([5.99e5, 5.995e5, 6.001e5]), 80.0, *TABLED)
+    marched = ObservationGroup("marched", np.array([6.0e5]), 50.0, *MARCHED)
+    grid = np.concatenate([
+        np.random.default_rng(5).uniform(300.0, 1000.0, 200),
+        [299.9995, 999.9995, -50.0, 0.0, 5e-324, 150.0, 299.9, 300.0, 400.0, 900.0, 1000.0, 1000.1, 1400.0,
+         math.nan],
+    ]).tolist()
+    priors = (
+        PriorSpec("uniform", low=400.0, high=900.0),
+        PriorSpec("uniform", low=300.0, high=1000.0, floor=1e-20),
+        PriorSpec("gaussian", mean=600.0, std=200.0),
+    )
+    for groups, thetas in (((tabled,), grid), ((tabled, marched), grid[-26:])):
+        for prior in priors:
+            for classic_iid in (False, True):
+                obs = ObservationSet(groups)
+                args = (obs, PARAMS, classic_iid, _tables())
+                posterior = Posterior(obs, prior, PARAMS, classic_iid, _tables())
+                want = [frozen_log_prior(theta, prior) + frozen_log_likelihood(theta, *args) for theta in thetas]
+                assert _bits([posterior(theta) for theta in thetas]) == _bits(want)
+                want = [frozen_grad(theta, obs, prior, PARAMS, classic_iid, _tables()) for theta in thetas]
+                got = [posterior.grad(theta) for theta in thetas]
+                assert _bits(got) == _bits(want), (len(groups), prior, classic_iid)
+
+
 def test_inline_recurrence_is_the_table_call():
     table = _tables()[TABLED]
     thetas = np.random.default_rng(9).uniform(300.0, 1000.0, 10_000)
@@ -261,7 +357,10 @@ def test_inline_recurrence_is_the_table_call():
     prior = PriorSpec("uniform", low=300.0, high=1000.0)
     posterior = Posterior(obs, prior, PARAMS, tables=_tables())
     inline = [posterior(theta) for theta in thetas.tolist()]
-    through_table = [log_prior(theta, prior) + posterior.log_likelihood(theta) for theta in thetas.tolist()]
+    through_table = [
+        frozen_log_prior(theta, prior) + frozen_log_likelihood(theta, obs, PARAMS, False, _tables())
+        for theta in thetas.tolist()
+    ]
     assert _bits(inline) == _bits(through_table)
     assert _bits(table(thetas)) == _bits([table(theta) for theta in thetas.tolist()])
 
