@@ -27,14 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .porous_flow import (
-    ModelParams,
-    NonFiniteStateError,
-    SingularDenominatorError,
-    forward_pressure_at_mean,
-)
-
-_FORWARD_FAILURES = (SingularDenominatorError, NonFiniteStateError)
+from .porous_flow import MARCH_FAILURES, ModelParams, forward_pressure_at_mean
 
 DEFAULT_UNIFORM_FLOOR = 1e-300
 DEFAULT_FD_STEP = 1e-3
@@ -325,7 +318,7 @@ class Posterior:
                     total += term(table(theta))
                 else:
                     total += term(forward_pressure_at_mean(self.params, point, theta))
-        except _FORWARD_FAILURES:
+        except MARCH_FAILURES:
             total = -math.inf
         return log_prior + total
 
@@ -367,7 +360,7 @@ class Posterior:
                     for x in (theta, theta + fd_step)
                 ]
                 grad += slope(pressure) * (pressure_h - pressure) / fd_step
-        except _FORWARD_FAILURES:
+        except MARCH_FAILURES:
             return math.nan
         return grad
 

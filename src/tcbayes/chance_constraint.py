@@ -14,11 +14,12 @@ m of an outer rule, {a_mz + b_mz h <= beta for all z} is one interval
 (l_m, u_m) in an inner standard normal h, and
 P = sum_m w_m (Phi(u_m) - Phi(l_m)). Model 2 is one node; model 1 has
 h = xi_q and Gauss-Hermite nodes in xi_phi; model 3 has h along the
-field's first principal axis and nodes over the next ones. Each rule comes
-as a pair, and P is accepted where the two agree to ``_ETA_TOL``; elsewhere
-Monte Carlo decides, on ``n_prob_samples`` seeded germ draws that the oracle
-draws once and reuses for every theta. ``probability(xi, beta)`` keeps that
-estimate for every constraint, for cross-checks.
+field's first principal axis and nodes over the next ones. Each rule, a
+``gpc.tensor_rule``, comes as a pair, and P is accepted where the two
+agree to ``_ETA_TOL``; elsewhere Monte Carlo decides, on ``n_prob_samples``
+seeded germ draws that the oracle draws once and reuses for every theta.
+``probability(xi, beta)`` keeps that estimate for every constraint, for
+cross-checks.
 
 The boundary scan asks the oracle for many thetas, and each needs a
 surrogate, whose costly part is the march of the strips. The strip
@@ -31,7 +32,6 @@ and compute P at the thetas the bisection visits.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -39,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv
-from .gpc import GermSpec, gauss_hermite_rule, hermite_design
+from .gpc import GermSpec, gauss_hermite_rule, hermite_design, tensor_rule
 from .heat_interface import InterfaceSurrogate, evaluate_interface_batch
-from .porous_flow import NonFiniteStateError, SingularDenominatorError
+from .porous_flow import MARCH_FAILURES
 
 __all__ = [
     "ChanceConstraintSpec",
@@ -56,7 +56,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-BUILD_FAILURES = (SingularDenominatorError, NonFiniteStateError)
+BUILD_FAILURES = MARCH_FAILURES
 # width of the theta bins the oracle caches one probability for
 CACHE_QUANTUM = 1e-6
 _EVAL_CHUNK = 8192
@@ -269,10 +269,10 @@ def _binding(cut: np.ndarray, slope: np.ndarray, nodes: np.ndarray) -> np.ndarra
 
 @functools.cache
 def _rule_pair(coarse: tuple, fine: tuple, trapezoid: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of two tensor rules stacked, (M, len(fine)), the coarse rule's
-    padded with zero columns, and their weights as the rows of a (2, M)
-    matrix. Read-only. Axis i of a rule takes the Gauss-Hermite rule of its
-    size; with ``trapezoid`` the first takes the uniform trapezoid rule on
+    """Nodes of two ``gpc.tensor_rule`` products stacked, (M, len(fine)), the
+    coarse rule's padded with zero columns, and their weights as the rows of a
+    (2, M) matrix. Read-only. Axis i of a rule takes the Gauss-Hermite rule of
+    its size; with ``trapezoid`` the first takes the uniform trapezoid rule on
     [-_AXIS_HALF, _AXIS_HALF], which copes with the kinks of u along it.
     """
     def tensor(sizes):
@@ -280,8 +280,7 @@ def _rule_pair(coarse: tuple, fine: tuple, trapezoid: bool) -> tuple[np.ndarray,
         if trapezoid and sizes:
             h = np.linspace(-_AXIS_HALF, _AXIS_HALF, sizes[0])
             rules.insert(0, (h, (h[1] - h[0]) * np.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)))
-        weights = np.array([math.prod(w) for w in itertools.product(*(w for _, w in rules))])
-        nodes = np.array(list(itertools.product(*(x for x, _ in rules)))).reshape(len(weights), -1)
+        nodes, weights = tensor_rule(rules)
         return np.pad(nodes, ((0, 0), (0, len(fine) - len(sizes)))), weights
 
     (c_nodes, c_weights), (f_nodes, f_weights) = tensor(coarse), tensor(fine)

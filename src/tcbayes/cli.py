@@ -445,21 +445,18 @@ def _cmd_diagnose(args) -> int:
 def _compare_sampler_blocks(config: ScenarioConfig, requested: list[str]) -> dict:
     compare_cfg = config.raw.get("compare", {})
     blocks = {
-        kind: dict(block)
+        kind: block
         for kind, block in compare_cfg.get("samplers", {}).items()
         if not kind.startswith("_")
     }
-    own = dict(config.sampler)
-    blocks.setdefault(own["kind"], own)
+    blocks.setdefault(config.sampler["kind"], config.sampler)
     out = {}
     for kind in requested:
         if kind not in blocks:
             raise ConfigError(
                 f"no hyperparameters for sampler {kind!r}; add them under compare.samplers"
             )
-        block = dict(blocks[kind])
-        block["kind"] = kind
-        out[kind] = block
+        out[kind] = dict(blocks[kind], kind=kind)  # a copy: the config's blocks stay as read
     return out
 
 
@@ -506,8 +503,20 @@ def _cmd_compare(args) -> int:
 # parser
 
 def comma_separated_ints(text: str) -> list[int]:
-    """argparse type of ``--checkpoints``: its ValueError is a usage error (exit 2)."""
-    return [int(c) for c in text.split(",")] if text else []
+    """argparse type of ``--checkpoints``: counts of at least 1; its
+    ValueError is a usage error (exit 2)."""
+    counts = [int(c) for c in text.split(",")] if text else []
+    if min(counts, default=1) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} holds a count below 1")
+    return counts
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type of ``--seed``: a non-negative integer, as a config seed
+    is; its ValueError is a usage error (exit 2)."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return int(text)
 
 
 def _float_where(test, words: str):
@@ -544,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="config path or shipped scenario name")
         p.add_argument("--output", help="output directory (overrides config output_dir)")
         if seed:
-            p.add_argument("--seed", type=int, help="master seed (overrides config seed)")
+            p.add_argument("--seed", type=non_negative_int, help="master seed (overrides config seed)")
         p.set_defaults(handler=handler, seed=None)
         return p
 

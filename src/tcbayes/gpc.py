@@ -1,8 +1,8 @@
 """Polynomial chaos machinery for the strip model.
 
 Probabilists' Hermite basis in standardized Gaussian germ variables,
-Gauss-Hermite quadrature, and the strip exit law the constraint surrogates
-read.
+Gauss-Hermite quadrature with its one product rule (``tensor_rule``, which
+a germ's projection reads), and the strip exit law the surrogates read.
 
 The temperature march is linear in (T_f, T_s), and its coefficients
 depend on (phi, re) but not on the flux, which enters only the source, so
@@ -21,6 +21,7 @@ one strip, as the reference the tests hold the exit law to.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .porous_flow import (
     ModelParams,
     NonFiniteStateError,
     SingularDenominatorError,
+    _initial_state,
     _rhs,
 )
 
@@ -43,6 +45,7 @@ __all__ = [
     "hermite_design",
     "hermite_norms_squared",
     "gauss_hermite_rule",
+    "tensor_rule",
     "build_strip_surrogate",
     "strip_exit_law",
     "porosity_projection",
@@ -151,8 +154,22 @@ class StripSurrogate:
             raise ValueError(f"coefficient arrays must have shape {expected}")
 
 
+def tensor_rule(rules) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (M, len(rules)), the last axis fastest, and weights (M,) of the
+    product of the 1-D rules ``(nodes, weights)``; no rule gives one node."""
+    weights = functools.reduce(np.kron, (w for _, w in rules), np.ones(1))
+    nodes = np.array(list(itertools.product(*(x for x, _ in rules))))
+    return nodes.reshape(len(weights), len(rules)), weights
+
+
+def _product_norms(order: int, dim: int) -> np.ndarray:
+    """Squared norms of the ``dim``-variable Hermite products, in ``tensor_rule``'s order."""
+    return functools.reduce(np.kron, [hermite_norms_squared(order)] * dim, np.ones(1))
+
+
 class _Projection:
-    """Shared quadrature/design/projection operators for one germ and order."""
+    """Quadrature, design and projection operators for one germ and order: the
+    product rule (``tensor_rule``) and the Kronecker product of the variables' designs."""
 
     def __init__(self, germ: GermSpec, order: int, n_quad: int):
         if order < 0:
@@ -163,40 +180,14 @@ class _Projection:
                 "need n_quad >= order + 1"
             )
         nodes1d, weights1d = gauss_hermite_rule(n_quad)
-        per_dim_nodes = []
-        per_dim_weights = []
-        per_dim_design = []
-        for var in germ.variables:
-            if var.std == 0.0:
-                # degenerate variable: single node at the mean, constant mode only
-                design = np.zeros((1, order + 1))
-                design[0, 0] = 1.0
-                per_dim_nodes.append(np.zeros(1))
-                per_dim_weights.append(np.ones(1))
-                per_dim_design.append(design)
-            else:
-                per_dim_nodes.append(nodes1d)
-                per_dim_weights.append(weights1d)
-                per_dim_design.append(hermite_design(order, nodes1d))
-
-        node_grids = np.meshgrid(*per_dim_nodes, indexing="ij")
-        self.xi_nodes = np.stack([g.ravel() for g in node_grids], axis=-1)  # (M, dim)
-        weight_grids = np.meshgrid(*per_dim_weights, indexing="ij")
-        self.weights = np.prod(np.stack([g.ravel() for g in weight_grids]), axis=0)
-
-        norms1d = hermite_norms_squared(order)
-        multi = list(itertools.product(range(order + 1), repeat=germ.dim))
-        self.norms2 = np.array([np.prod([norms1d[k] for k in idx]) for idx in multi])
-
-        sizes = [len(nodes) for nodes in per_dim_nodes]
-        idx_grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
-        n_nodes = self.xi_nodes.shape[0]
-        design = np.ones((n_nodes, len(multi)))
-        for c, idx in enumerate(multi):
-            for d, k in enumerate(idx):
-                design[:, c] *= per_dim_design[d][idx_grids[d].ravel(), k]
-        self.design = design  # (M, C): reconstruction at quadrature nodes
-        self.project = (design * self.weights[:, None]).T / self.norms2[:, None]  # (C, M)
+        # a degenerate variable takes one node, at its mean, and the constant mode only
+        spread = [var.std != 0.0 for var in germ.variables]
+        rules = [(nodes1d, weights1d) if s else (np.zeros(1), np.ones(1)) for s in spread]
+        designs = [hermite_design(order, nodes1d) if s else np.eye(1, order + 1) for s in spread]
+        self.xi_nodes, self.weights = tensor_rule(rules)  # (M, dim), (M,)
+        self.norms2 = _product_norms(order, germ.dim)
+        self.design = functools.reduce(np.kron, designs, np.ones((1, 1)))  # (M, C)
+        self.project = (self.design * self.weights[:, None]).T / self.norms2[:, None]  # (C, M)
 
 
 def _physical_nodes(
@@ -242,9 +233,8 @@ def _galerkin_march(
     dx = 1.0 / n_steps
     coeff_tf = np.zeros((n_steps + 1, proj.design.shape[1]))
     coeff_ts = np.zeros_like(coeff_tf)
-    coeff_tf[0, 0] = params.coolant_temp
-    coeff_ts[0, 0] = params.solid_temp
-    rho = np.full(q_nodes.shape, params.reservoir_pressure / params.coolant_temp)
+    coeff_tf[0, 0], coeff_ts[0, 0], rho0 = _initial_state(params)
+    rho = np.full(q_nodes.shape, rho0)
     for i in range(n_steps):
         tf = proj.design @ coeff_tf[i]
         ts = proj.design @ coeff_ts[i]
@@ -263,19 +253,6 @@ def _galerkin_march(
     return coeff_tf, coeff_ts
 
 
-def _strip_nodes(
-    params: ModelParams, germ: GermSpec, order: int, n_quad: int, n_steps: int
-) -> tuple[_Projection, np.ndarray, np.ndarray]:
-    """Projection and collocation (q, phi) of one strip germ, with input checks."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    proj = _Projection(germ, order, n_quad)
-    q_nodes, phi_nodes = _physical_nodes(params, germ, proj.xi_nodes)
-    if not np.all((phi_nodes > 0.0) & (phi_nodes < 1.0)):
-        raise ValueError("porosity leaves (0, 1) at a collocation node; shrink its std")
-    return proj, q_nodes, phi_nodes
-
-
 def build_strip_surrogate(
     params: ModelParams,
     germ: GermSpec,
@@ -289,7 +266,12 @@ def build_strip_surrogate(
     keep the coefficients at every x node."""
     if not re > 0.0:  # also rejects NaN
         raise ValueError(f"re must be positive, got {re}")
-    proj, q_nodes, phi_nodes = _strip_nodes(params, germ, order, n_quad, n_steps)
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    proj = _Projection(germ, order, n_quad)
+    q_nodes, phi_nodes = _physical_nodes(params, germ, proj.xi_nodes)
+    if not np.all((phi_nodes > 0.0) & (phi_nodes < 1.0)):
+        raise ValueError("porosity leaves (0, 1) at a collocation node; shrink its std")
     coeff_tf, coeff_ts = _galerkin_march(
         params, q_nodes, phi_nodes, re, proj, n_steps, singular_eps
     )
@@ -381,9 +363,7 @@ def surrogate_moments(
     """
     coeff = {"t_fluid": s.coeff_t_fluid, "t_solid": s.coeff_t_solid}[field][..., x_index]
     flat = coeff.ravel()
-    norms1d = hermite_norms_squared(s.order)
-    multi = itertools.product(range(s.order + 1), repeat=s.germ.dim)
-    norms2 = np.array([np.prod([norms1d[k] for k in idx]) for idx in multi])
+    norms2 = _product_norms(s.order, s.germ.dim)
     mean = float(flat[0])
     var = float(np.sum(flat[1:] ** 2 * norms2[1:]))
     return mean, var

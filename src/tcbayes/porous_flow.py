@@ -20,6 +20,7 @@ __all__ = [
     "StripTrajectory",
     "SingularDenominatorError",
     "NonFiniteStateError",
+    "MARCH_FAILURES",
     "integrate_strip",
     "march_batch",
     "interface_state_batch",
@@ -38,6 +39,9 @@ class SingularDenominatorError(ArithmeticError):
 
 class NonFiniteStateError(ArithmeticError):
     """A state variable became NaN or infinite during integration."""
+
+
+MARCH_FAILURES = (SingularDenominatorError, NonFiniteStateError)  # read as infeasible
 
 
 @dataclass(frozen=True)

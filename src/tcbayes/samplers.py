@@ -395,7 +395,8 @@ def interval_membership(intervals):
     spans = tuple((float(lo), float(hi)) for lo, hi in intervals)
 
     def member(theta):
-        if isinstance(theta, np.ndarray):
+        # isinstance is quick to say yes and slow to say no: a float asks once
+        if not isinstance(theta, float) and isinstance(theta, np.ndarray):
             inside = np.zeros(theta.shape, dtype=bool)
             for lo, hi in spans:
                 inside |= (theta >= lo) & (theta <= hi)

@@ -140,7 +140,7 @@ _LIMITS = {
     "maxItems": ("array", lambda v, n: len(v) > n, "has more items than"),
 }
 _KEYWORDS = {"type", "enum", *_LIMITS, "properties", "patternProperties", "additionalProperties",
-             "required", "items", "oneOf", "$schema", "title", "description", "definitions"}
+             "required", "items", "oneOf", "allOf", "$schema", "title", "description", "definitions"}
 
 
 def schema_errors(instance, schema: dict, root: dict | None = None, path: tuple = ()):
@@ -180,6 +180,9 @@ def schema_errors(instance, schema: dict, root: dict | None = None, path: tuple 
         elif keyword == "items" and isinstance(instance, list):
             for index, item in enumerate(instance):
                 yield from schema_errors(item, value, root, path + (index,))
+        elif keyword == "allOf":
+            for sub in value:
+                yield from schema_errors(instance, sub, root, path)
         elif keyword == "oneOf":
             n_valid = sum(next(schema_errors(instance, sub, root, path), None) is None
                           for sub in value)
@@ -251,9 +254,6 @@ class ScenarioConfig:
     model: int
     params: ModelParams
     germ: GermSpec
-    # per-strip flux germs of models 2 and 3; equality reads the same numbers in germ
-    strip_means: np.ndarray | None = dataclasses.field(compare=False)
-    strip_stds: np.ndarray | None = dataclasses.field(compare=False)
     geometry: InterfaceGeometry | None
     n_z: int
     cfl: float
@@ -298,12 +298,13 @@ class ScenarioConfig:
             raise ConfigError(f"invalid model_params: {exc}") from exc
 
         germ_cfg = cfg["germ"]
-        geometry = _parse_geometry(cfg.get("geometry"), model)
+        geo_cfg = cfg.get("geometry") or {}
+        geometry = _parse_geometry(geo_cfg, model)
         # model_params and geometry name their own bad fields; the rest is checked here
         where = next(_non_finite_paths(cfg), None)
         if where is not None:
             raise ConfigError(f"config invalid at {where}: numbers must be finite")
-        germ, strip_means, strip_stds = _parse_germ(germ_cfg, model, geometry)
+        germ = _parse_germ(germ_cfg, model, geometry)
 
         surr = cfg.get("surrogate", {})
         if model != 1 and {"order", "n_quad"} & surr.keys():
@@ -351,13 +352,10 @@ class ScenarioConfig:
             **_given(diag_cfg, n_bins=int, confidence=float, reference_nodes=int, checkpoints=tuple)
         )
 
-        geo_cfg = cfg.get("geometry") or {}
         return ScenarioConfig(
             model=model,
             params=params,
             germ=germ,
-            strip_means=strip_means,
-            strip_stds=strip_stds,
             geometry=geometry,
             n_z=int(geo_cfg.get("n_z", DEFAULT_N_Z)),
             cfl=float(geo_cfg.get("cfl", DEFAULT_CFL)),
@@ -389,17 +387,13 @@ class ScenarioConfig:
         return (max(lo, 1.0), hi)
 
 
-def _parse_geometry(geo_cfg: dict | None, model: int) -> InterfaceGeometry | None:
+def _parse_geometry(geo_cfg: dict, model: int) -> InterfaceGeometry | None:
     if model == 1:
         if geo_cfg:
             raise ConfigError("model-1 configs must not carry geometry")
         return None
-    if geo_cfg is None:
-        geo_cfg = {}
-    kwargs = {}
-    for key in ("d1", "d2", "n_strips", "wall_temp", "diffusivity", "t_constraint"):
-        if key in geo_cfg:
-            kwargs[key] = geo_cfg[key]
+    keys = ("d1", "d2", "n_strips", "wall_temp", "diffusivity", "t_constraint")
+    kwargs = {key: geo_cfg[key] for key in keys if key in geo_cfg}
     if "sections" in geo_cfg:
         kwargs["section_porosities"] = tuple(tuple(sec) for sec in geo_cfg["sections"])
     try:
@@ -412,36 +406,28 @@ def _gaussian(name: str, block: dict) -> GermVariable:
     return GermVariable(name, float(block["mean"]), float(block["std"]))
 
 
-def _parse_germ(germ_cfg, model, geometry):
-    """The germ and, for models 2 and 3, the per-strip heat-flux means and stds."""
+def _parse_germ(germ_cfg, model, geometry) -> GermSpec:
+    """The germ: model 1's (q, phi), model 2's shared flux q, model 3's q per strip."""
     has_q = "q" in germ_cfg
     has_phi = "phi" in germ_cfg
     has_strips = "strips" in germ_cfg
     if model == 1:
         if not (has_q and has_phi) or has_strips:
             raise ConfigError("model 1 requires germ variables 'q' and 'phi'")
-        germ = GermSpec((_gaussian("q", germ_cfg["q"]), _gaussian("phi", germ_cfg["phi"])))
-        return germ, None, None
-    n = geometry.n_strips
+        return GermSpec((_gaussian("q", germ_cfg["q"]), _gaussian("phi", germ_cfg["phi"])))
     if model == 2:
         if not has_q or has_phi or has_strips:
             raise ConfigError("model 2 requires exactly one shared germ variable 'q'")
-        qvar = _gaussian("q", germ_cfg["q"])
-        return GermSpec((qvar,)), np.full(n, qvar.mean), np.full(n, qvar.std)
+        return GermSpec((_gaussian("q", germ_cfg["q"]),))
+    n = geometry.n_strips
     if not has_strips or has_q or has_phi:
         raise ConfigError("model 3 requires per-strip germ distributions under 'strips'")
     strips = germ_cfg["strips"]
     if isinstance(strips, dict):
-        means, stds = strip_flux_profile(strips, n)
-    else:
-        if len(strips) != n:
-            raise ConfigError(f"model 3 needs {n} strip distributions, got {len(strips)}")
-        means = np.array([float(s["mean"]) for s in strips])
-        stds = np.array([float(s["std"]) for s in strips])
-    germ = GermSpec(tuple(
-        GermVariable(f"q_{i:02d}", float(means[i]), float(stds[i])) for i in range(n)
-    ))
-    return germ, means, stds
+        strips = [{"mean": m, "std": s} for m, s in zip(*strip_flux_profile(strips, n))]
+    elif len(strips) != n:
+        raise ConfigError(f"model 3 needs {n} strip distributions, got {len(strips)}")
+    return GermSpec(tuple(_gaussian(f"q_{i:02d}", strip) for i, strip in enumerate(strips)))
 
 
 def _parse_data(data_cfg: dict) -> DataConfig:
@@ -617,33 +603,36 @@ class Scenario:
             return self._strip_exit_coeffs([theta])[0]
         return table(float(theta))
 
-    def _strips(self):
-        """Flux means, stds and porosities of the marched strips, and the
-        matrix projecting their (c0, c1) onto model 1's He_k(xi_phi) or None."""
+    def _exit_law(self):
+        """The elements ``q``, ``phi`` of ``gpc.strip_exit_law`` for the strips
+        and flux germs of ``config.germ`` (model 2's one germ on every strip),
+        and the map from their exit T_f to the strip exit coefficients. Model
+        1's strips are the nodes of its porosity rule, and its map projects
+        their (c0, c1) onto He_k(xi_phi)."""
         cfg = self.config
         if cfg.model == 1:
-            q = cfg.germ.variables[0]
-            porosities, project = porosity_projection(cfg.germ.variables[1], cfg.order, cfg.n_quad)
-            means, stds = np.full(porosities.size, q.mean), np.full(porosities.size, q.std)
-            return means, stds, porosities, project
-        return cfg.strip_means, cfg.strip_stds, cfg.geometry.strip_porosities(), None
+            q, phi = cfg.germ.variables
+            flux, (porosities, project) = (q,), porosity_projection(phi, cfg.order, cfg.n_quad)
+        else:
+            flux, porosities, project = cfg.germ.variables, cfg.geometry.strip_porosities(), None
+        means, stds = np.resize([(v.mean, v.std) for v in flux], (porosities.size, 2)).T
+        q, phi, coeffs = strip_exit_law(means, stds, porosities)
+        return q, phi, coeffs if project is None else lambda tf: project @ coeffs(tf)
 
     def _strip_exit_coeffs(self, thetas) -> np.ndarray:
         """Strip fluid exit coefficients (c0, c1) at many thetas in one march
         of the strip exit law's elements: (n_thetas, n_strips, 2) for models 2
         and 3. Model 1 marches one strip per node of its porosity rule and
         projects onto He_k(xi_phi): (n_thetas, K+1, 2)."""
-        cfg, (*strips, project) = self.config, self._strips()
-        q, phi, exit_law = strip_exit_law(*strips)
+        q, phi, exit_law = self._exit_law()
         thetas = np.ravel(thetas)[:, None, None]
-        tf, _, _ = interface_state_batch(cfg.params, q, phi, thetas, cfg.n_steps)
-        coeffs = exit_law(tf)
-        return coeffs if project is None else project @ coeffs
+        tf, _, _ = interface_state_batch(self.config.params, q, phi, thetas, self.config.n_steps)
+        return exit_law(tf)
 
     def _tables(self) -> tuple:
         """The exit table and the forward tables (point -> table), from one
         ``march_batch`` call at every ``table_thetas`` theta over the strip
-        exit law's elements (``gpc.strip_exit_law``) and each group's
+        exit law's elements (``_exit_law``) and each group's
         evaluation point. A table with an element that hits the guard or
         goes non-finite is None (a forward one is left out); the others are
         still built."""
@@ -652,8 +641,7 @@ class Scenario:
         thetas = table_thetas(theta_range)
         if thetas is None:
             return None, {}
-        *strips, project = self._strips()
-        exit_q, exit_phi, exit_law = strip_exit_law(*strips)
+        exit_q, exit_phi, exit_law = self._exit_law()
         points = dict.fromkeys(g.evaluation_point(cfg.params) for g in self.observations().groups)
         points = [p for p in points if 0.0 < p[1] < 1.0]  # the others fail in their direct march
         n = exit_q.size
@@ -671,7 +659,7 @@ class Scenario:
         exit_table = None
         if ok[:n].all():
             coeffs = exit_law(tf[:, :n].reshape(thetas.size, *exit_q.shape))
-            exit_table = fit_table(theta_range, coeffs if project is None else project @ coeffs)
+            exit_table = fit_table(theta_range, coeffs)
         pressures = {p: tf[:, k] * rho[:, k] for k, p in enumerate(points, n) if ok[k]}
         forward = {p: fit_table(theta_range, values) for p, values in pressures.items()}
         return exit_table, {p: table for p, table in forward.items() if table is not None}

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -743,6 +744,13 @@ def _galerkin_flux_exit(config: ScenarioConfig, porosity: float, mean: float, st
     return build_strip_surrogate(params, germ, theta, 3, 6, config.n_steps).coeff_t_fluid[:, -1]
 
 
+def _strip_flux(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-strip heat-flux germ means and stds of model 2 (its one shared germ
+    on every strip) or model 3, read from the config's germ."""
+    variables = config.germ.variables * (config.geometry.n_strips if config.model == 2 else 1)
+    return np.array([v.mean for v in variables]), np.array([v.std for v in variables])
+
+
 def _flux_curvature(scenario: Scenario, thetas, strips=slice(None)) -> np.ndarray:
     """Per theta, the larger of the Galerkin reference's largest flux-degree
     >= 2 exit coefficient and the gap between the builder's (c0, c1) and the
@@ -761,7 +769,7 @@ def _flux_curvature(scenario: Scenario, thetas, strips=slice(None)) -> np.ndarra
         porosities, project = porosity_projection(phi, config.order, config.n_quad)
         rows = [(porosity, q.mean, q.std) for porosity in porosities]
     else:
-        rows = np.stack([config.geometry.strip_porosities(), config.strip_means, config.strip_stds], 1)
+        rows = np.stack([config.geometry.strip_porosities(), *_strip_flux(config)], 1)
         rows, coeffs = rows[strips], coeffs[:, strips]
     reference = np.array([
         [_galerkin_flux_exit(config, *row, theta) for row in rows] for theta in thetas
@@ -825,14 +833,15 @@ def _galerkin_exit_coeffs(config: ScenarioConfig, thetas) -> np.ndarray:
             for theta in thetas
         ])
     porosities, inverse = np.unique(config.geometry.strip_porosities(), return_inverse=True)
-    mean, std = config.strip_means[0], config.strip_stds[0]
+    means, stds = _strip_flux(config)
+    mean, std = means[0], stds[0]
     reference = np.array([
         [_galerkin_flux_exit(config, phi, mean, std, theta)[:2] for phi in porosities]
         for theta in thetas
     ])[:, inverse]
     slope = reference[..., 1] / std
     intercept = reference[..., 0] - slope * mean
-    return np.stack([intercept + slope * config.strip_means, slope * config.strip_stds], axis=-1)
+    return np.stack([intercept + slope * means, slope * stds], axis=-1)
 
 
 @pytest.mark.parametrize(
@@ -1018,3 +1027,33 @@ def test_shared_germ_scan_builds_no_principal_axes(tiny_model2_dict):
     _footprint_svd.cache_clear()
     Scenario(ScenarioConfig.from_dict(tiny_model2_dict)).scan()
     assert _footprint_svd.cache_info().currsize == 0
+
+
+def _frozen_rule_pair(coarse: tuple, fine: tuple, trapezoid: bool):
+    """``_rule_pair`` as it stood before ``gpc.tensor_rule``: its products by
+    ``itertools.product`` and ``math.prod``."""
+    def tensor(sizes):
+        rules = [chance_constraint.gauss_hermite_rule(n) for n in sizes[int(trapezoid) :]]
+        if trapezoid and sizes:
+            h = np.linspace(-chance_constraint._AXIS_HALF, chance_constraint._AXIS_HALF, sizes[0])
+            rules.insert(0, (h, (h[1] - h[0]) * np.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)))
+        weights = np.array([math.prod(w) for w in itertools.product(*(w for _, w in rules))])
+        nodes = np.array(list(itertools.product(*(x for x, _ in rules)))).reshape(len(weights), -1)
+        return np.pad(nodes, ((0, 0), (0, len(fine) - len(sizes)))), weights
+
+    (c_nodes, c_weights), (f_nodes, f_weights) = tensor(coarse), tensor(fine)
+    nodes = np.concatenate([c_nodes, f_nodes])
+    weights = np.zeros((2, nodes.shape[0]))
+    weights[0, : len(c_weights)], weights[1, len(c_weights) :] = c_weights, f_weights
+    return nodes, weights
+
+
+@pytest.mark.parametrize(
+    "coarse, fine, trapezoid",
+    [((32,), (64,), False), ((401,), (801, 2), True), ((401, 2), (801, 3, 2), True), ((), (801,), True)],
+)
+def test_rule_pair_is_the_frozen_product_build_bit_for_bit(coarse, fine, trapezoid):
+    got = chance_constraint._rule_pair(coarse, fine, trapezoid)
+    for array, want in zip(got, _frozen_rule_pair(coarse, fine, trapezoid)):
+        assert array.shape == want.shape and not array.flags.writeable
+        np.testing.assert_array_equal(array.view(np.int64), want.view(np.int64))

@@ -846,6 +846,28 @@ def test_compare_malformed_checkpoints_are_usage_errors(text, tiny_model1_dict, 
     assert "argument --checkpoints" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["0", "50,0", "-5"])
+def test_compare_checkpoints_below_one_are_usage_errors(text, tiny_model1_dict, write_config, capsys):
+    path = write_config(tiny_model1_dict)
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--config", path, "--samplers", "crw", "--checkpoints", text])
+    assert exc.value.code == 2
+    assert "argument --checkpoints" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, seed", [("run", "-1"), ("sample", "-3"), ("compare", "-1"),
+                                           ("run", "1.5"), ("sample", "abc")])
+def test_a_seed_that_is_no_non_negative_integer_is_a_usage_error(command, seed, tiny_model1_dict,
+                                                                 write_config, tmp_path, capsys):
+    path = write_config(tiny_model1_dict)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", path, "--output", str(tmp_path / "o"), "--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed:" in err and (f"{seed!r} is negative" in err) == seed.startswith("-")
+    assert not (tmp_path / "o").exists()
+
+
 def test_compare_rejects_checkpoint_beyond_chain(tiny_model1_dict, write_config, tmp_path):
     path = write_config(tiny_model1_dict)
     rc = main(

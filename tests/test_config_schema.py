@@ -10,7 +10,7 @@ import random
 import pytest
 
 from tcbayes.cli import PACKAGED_SCENARIOS, packaged_config_text
-from tcbayes.scenario import _KEYWORDS, _load_schema, schema_errors
+from tcbayes.scenario import _KEYWORDS, ConfigError, ScenarioConfig, _load_schema, schema_errors
 
 
 def _schema_keywords(schema: dict):
@@ -22,7 +22,7 @@ def _schema_keywords(schema: dict):
                 yield from _schema_keywords(subschema)
         elif keyword == "items":
             yield from _schema_keywords(value)
-        elif keyword == "oneOf":
+        elif keyword in ("oneOf", "allOf"):
             for subschema in value:
                 yield from _schema_keywords(subschema)
 
@@ -31,7 +31,7 @@ def test_packaged_schema_uses_only_implemented_keywords():
     used = set(_schema_keywords(_load_schema()))
     assert used - {"$ref"} <= _KEYWORDS
     # the walk reached every kind of subschema
-    assert {"oneOf", "$ref", "items", "exclusiveMaximum", "maxItems", "enum"} <= used
+    assert {"oneOf", "allOf", "$ref", "items", "exclusiveMaximum", "maxItems", "enum"} <= used
 
 
 @pytest.mark.parametrize(
@@ -63,10 +63,39 @@ def test_unimplemented_schema_keyword_raises(schema, instance):
         ({"exclusiveMinimum": 0}, 0, False),
         ({"minimum": 0}, True, True),  # a bound applies to numbers only
         ({"minItems": 2}, "a", True),
+        ({"allOf": [{"type": "number"}, {"minimum": 0}]}, -1, False),
+        ({"allOf": [{"type": "number"}, {"minimum": 0}]}, 1, True),
+        ({"allOf": [{"required": ["a"]}, {"required": ["b"]}]}, {"a": 1}, False),
     ],
 )
 def test_draft7_corner_cases(schema, instance, valid):
     assert (next(schema_errors(instance, schema), None) is None) == valid
+
+
+def test_all_of_checks_each_subschema_at_the_same_path():
+    schema = {"properties": {"s": {"allOf": [{"properties": {"x": {"minimum": 0}}},
+                                              {"required": ["k"]}]}}}
+    assert list(schema_errors({"s": {"x": -1}}, schema)) == [
+        (("s", "x"), "-1 is less than the minimum of 0"),
+        (("s",), "'k' is a required property"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda s: s.pop("kind"), "config invalid at sampler: 'kind' is a required property"),
+        (lambda s: s.update(proposal_std=-1.0),
+         "config invalid at sampler/proposal_std: -1.0 is less than or equal to the minimum of 0"),
+        (lambda s: s.update(bogus=1), "config invalid at sampler: unexpected key 'bogus'"),
+    ],
+)
+def test_sampler_block_messages(edit, message):
+    config = json.loads(packaged_config_text("model1"))
+    edit(config["sampler"])
+    with pytest.raises(ConfigError) as exc:
+        ScenarioConfig.from_dict(config)
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

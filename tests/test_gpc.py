@@ -1,6 +1,7 @@
 """Hermite basis, quadrature, and strip surrogate construction."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 from importlib import resources
@@ -382,3 +383,80 @@ def test_projection_is_idempotent(stds, order, extra_nodes):
     p = proj.design @ proj.project
     scale = np.max(np.abs(p))
     np.testing.assert_allclose(p @ p, p, rtol=0.0, atol=1e-12 * scale)
+
+
+# ---------------------------------------------------------------------------
+# product rules against frozen copies of the meshgrid and per-column builders
+# ---------------------------------------------------------------------------
+
+
+def _frozen_projection(germ: GermSpec, order: int, n_quad: int) -> dict:
+    """``_Projection.__init__`` as it stood before ``tensor_rule``: meshgrids
+    of the per-variable rules and a per-column product of their designs."""
+    nodes1d, weights1d = gauss_hermite_rule(n_quad)
+    per_dim_nodes, per_dim_weights, per_dim_design = [], [], []
+    for var in germ.variables:
+        if var.std == 0.0:
+            design = np.zeros((1, order + 1))
+            design[0, 0] = 1.0
+            per_dim_nodes.append(np.zeros(1))
+            per_dim_weights.append(np.ones(1))
+            per_dim_design.append(design)
+        else:
+            per_dim_nodes.append(nodes1d)
+            per_dim_weights.append(weights1d)
+            per_dim_design.append(hermite_design(order, nodes1d))
+    node_grids = np.meshgrid(*per_dim_nodes, indexing="ij")
+    xi_nodes = np.stack([g.ravel() for g in node_grids], axis=-1)
+    weight_grids = np.meshgrid(*per_dim_weights, indexing="ij")
+    weights = np.prod(np.stack([g.ravel() for g in weight_grids]), axis=0)
+    norms1d = hermite_norms_squared(order)
+    multi = list(itertools.product(range(order + 1), repeat=germ.dim))
+    norms2 = np.array([np.prod([norms1d[k] for k in idx]) for idx in multi])
+    sizes = [len(nodes) for nodes in per_dim_nodes]
+    idx_grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
+    design = np.ones((xi_nodes.shape[0], len(multi)))
+    for c, idx in enumerate(multi):
+        for d, k in enumerate(idx):
+            design[:, c] *= per_dim_design[d][idx_grids[d].ravel(), k]
+    project = (design * weights[:, None]).T / norms2[:, None]
+    return {"xi_nodes": xi_nodes, "weights": weights, "norms2": norms2, "design": design,
+            "project": project}
+
+
+def _bits(array: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(array, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize(
+    "stds",
+    [(1.0,), (0.0,), (2.5, 0.01), (0.0, 3.0), (1.0, 0.0), (0.5, 1.5, 30.0), (0.5, 0.0, 2.0),
+     (0.0, 0.0, 0.0)],
+)
+def test_projection_is_the_frozen_meshgrid_build_bit_for_bit(stds):
+    germ = GermSpec(tuple(GermVariable(f"v{d}", 1.0, std) for d, std in enumerate(stds)))
+    for order in range(5):
+        for n_quad in range(order + 1, order + 4):
+            proj, frozen = _Projection(germ, order, n_quad), _frozen_projection(germ, order, n_quad)
+            for name, want in frozen.items():
+                got = getattr(proj, name)
+                assert got.shape == want.shape, (name, order, n_quad)
+                np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=f"{name} {order} {n_quad}")
+
+
+@pytest.mark.parametrize("stds", [(SIGMA_Q,), (SIGMA_Q, SIGMA_PHI), (SIGMA_Q, 0.0)])
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_surrogate_moments_norms_are_the_frozen_loop(stds, order):
+    names = ("q", "phi")[: len(stds)]
+    means = (Q0, PARAMS.porosity)
+    germ = GermSpec(tuple(GermVariable(n, m, s) for n, m, s in zip(names, means, stds)))
+    s = build_strip_surrogate(PARAMS, germ, 540.0, order=order, n_quad=order + 2, n_steps=40)
+    for field in ("t_fluid", "t_solid"):
+        flat = getattr(s, f"coeff_{field}")[..., -1].ravel()
+        # surrogate_moments' norms loop as it stood before the Kronecker product
+        norms1d = hermite_norms_squared(s.order)
+        multi = itertools.product(range(s.order + 1), repeat=s.germ.dim)
+        norms2 = np.array([np.prod([norms1d[k] for k in idx]) for idx in multi])
+        mean, var = surrogate_moments(s, -1, field)
+        assert (mean, var) == (float(flat[0]), float(np.sum(flat[1:] ** 2 * norms2[1:])))
+        assert np.array_equal(_bits(gpc._product_norms(order, germ.dim)), _bits(norms2))

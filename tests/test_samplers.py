@@ -172,6 +172,15 @@ def test_interval_membership():
     assert arr.dtype == bool and np.array_equal(arr, [[False, True], [True, False]])
     assert member(np.nan) is False
     assert not interval_membership(())(0.5)
+    # a float, an np.float64, a 0-d and an n-d array each take their own answer type
+    for theta, inside in ((0.5, True), (1.5, False), (6.0, True), (math.nan, False)):
+        assert member(theta) is inside and member(np.float64(theta)) is inside
+        zero_d = member(np.array(theta))
+        assert isinstance(zero_d, np.ndarray) and zero_d.shape == () and zero_d.dtype == bool
+        assert bool(zero_d) is inside
+    many = np.array([0.5, 1.5, 6.0, math.nan, -0.0, 5.0 - 1e-12]).reshape(2, 3)
+    assert np.array_equal(member(many), [[True, False, True], [False, True, False]])
+    assert member(2) is False and member(5) is True  # an int is a scalar too
 
 
 def test_penalized_gradient_branches():

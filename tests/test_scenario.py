@@ -13,6 +13,7 @@ from tcbayes import scenario as scenario_module
 from tcbayes.bayes import TABLE_NODES, TABLE_TOL, fit_table, table_record, table_thetas
 from tcbayes.cli import resolve_config
 from tcbayes.chance_constraint import CACHE_QUANTUM
+from tcbayes.gpc import porosity_projection, strip_exit_law
 from tcbayes.porous_flow import (
     SingularDenominatorError,
     forward_pressure_at_mean,
@@ -474,6 +475,50 @@ def test_out_of_range_theta_marches_alone(model, tiny_model1_dict, tiny_model2_d
         np.testing.assert_array_equal(_factory_coeffs(scenario, theta), want)
     # no visit inside the range, so no table was built
     assert "exit_table" not in scenario._stages and "tables" not in scenario._stages
+
+
+def _frozen_strip_exit_coeffs(config: ScenarioConfig, thetas) -> np.ndarray:
+    """``Scenario._strip_exit_coeffs`` as it stood on ``Scenario._strips``,
+    with models 2 and 3's per-strip flux means and stds parsed from the
+    config document as ``ScenarioConfig.strip_means``/``strip_stds`` were."""
+    if config.model == 1:
+        q, phi = config.germ.variables
+        porosities, project = porosity_projection(phi, config.order, config.n_quad)
+        means, stds = np.full(porosities.size, q.mean), np.full(porosities.size, q.std)
+    else:
+        germ_cfg, n = config.raw["germ"], config.geometry.n_strips
+        porosities, project = config.geometry.strip_porosities(), None
+        if config.model == 2:
+            means, stds = np.full(n, float(germ_cfg["q"]["mean"])), np.full(n, float(germ_cfg["q"]["std"]))
+        elif isinstance(germ_cfg["strips"], dict):
+            means, stds = strip_flux_profile(germ_cfg["strips"], n)
+        else:
+            means = np.array([float(s["mean"]) for s in germ_cfg["strips"]])
+            stds = np.array([float(s["std"]) for s in germ_cfg["strips"]])
+    q, phi, exit_law = strip_exit_law(means, stds, porosities)
+    thetas = np.ravel(thetas)[:, None, None]
+    tf, _, _ = interface_state_batch(config.params, q, phi, thetas, config.n_steps)
+    coeffs = exit_law(tf)
+    return coeffs if project is None else project @ coeffs
+
+
+@pytest.mark.parametrize("name", ["model1", "model2", "model3"])
+def test_strip_exit_coeffs_are_the_frozen_strips_build_bit_for_bit(name):
+    config = resolve_config(name)
+    scenario = Scenario(config)
+    thetas = (300.0, 700.0, 1200.0)
+    want = _frozen_strip_exit_coeffs(config, thetas)
+    for got in (scenario._strip_exit_coeffs(thetas), [scenario._strip_exit_coeffs([t])[0] for t in thetas]):
+        np.testing.assert_array_equal(np.asarray(got).view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("model", [1, 2, 3])
+def test_tiny_strip_exit_coeffs_are_the_frozen_strips_build(model, tiny_model1_dict, tiny_model2_dict):
+    # model 3 with an explicit list of strip germs, as the shipped config is a rule
+    config = _tiny_config(model, tiny_model1_dict, tiny_model2_dict)
+    thetas = (300.0, 700.0, 1200.0)
+    got = Scenario(config)._strip_exit_coeffs(thetas)
+    np.testing.assert_array_equal(got.view(np.int64), _frozen_strip_exit_coeffs(config, thetas).view(np.int64))
 
 
 # (625, 655) holds the table node 632.8 and the coarse scan theta 650
