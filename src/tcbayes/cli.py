@@ -201,9 +201,8 @@ def _render_plots(out: _Output) -> None:
     hist = np.loadtxt(out.artifacts["histogram"], delimiter=",", skiprows=1, ndmin=2)
     ref = np.loadtxt(out.artifacts["reference"], delimiter=",", skiprows=1, ndmin=2)
     fig, ax = plt.subplots(figsize=(7, 4))
-    widths = np.diff(hist[:, 0])
-    width = widths[0] if widths.size else 1.0
-    ax.bar(hist[:, 0], hist[:, 1], width=width, align="center", alpha=0.6, label="samples")
+    left, right, height = hist.T
+    ax.bar(left, height, width=right - left, align="edge", alpha=0.6, label="samples")
     ax.plot(ref[:, 0], ref[:, 1], color="k", lw=1.5, label="reference")
     ax.set_xlabel("Reynolds number")
     ax.set_ylabel("density")

@@ -1,6 +1,8 @@
 """The one CSV writer: cell formats by column kind, chunking, and read-back."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,12 +29,17 @@ def test_each_column_kind_has_its_cell_format(tmp_path):
         b"-7,0,0,inf,bc\n"
         b"1099511627776,1,1,1e-300,\n"
     )
-    # an object column, e.g. a None cell, has no cell format
+    written = path.read_bytes()
+    # an object column, e.g. a None cell, has no cell format: the error comes
+    # before the file is opened, so the file written before stays as it was
     with pytest.raises(TypeError, match="no CSV cell format"):
-        write_csv(str(path), ("o",), ([0.1, None, np.int64(4)],))
+        write_csv(str(path), ("f", "o"), (np.zeros(3), [0.1, None, np.int64(4)]))
+    assert path.read_bytes() == written
 
 
-@pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+@pytest.mark.parametrize(
+    "n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 4 * CHUNK_ROWS - 1, 4 * CHUNK_ROWS, 4 * CHUNK_ROWS + 1]
+)
 def test_rows_around_the_chunk_size(tmp_path, n):
     rng = np.random.default_rng(n)
     values = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-300, 300, n)
@@ -120,3 +127,87 @@ def test_cell_that_is_not_a_number_names_the_file(tmp_path, kind, cell):
     _break_cell(path, 5, -1, cell)  # a time cell after the initial ensemble
     with pytest.raises(ConfigError, match=f"{kind}.csv"):
         load_chain_csv(path)
+
+
+# A frozen copy of the writer the one-list-per-column-slice writer replaced:
+# two float paths (one repr per run of bit-identical cells, spread by
+# itertools.repeat, or one repr per cell where runs exceed 3/4 of the cells),
+# a formatter closure per column kind, and 4096-row chunks.
+def _frozen_float_cells(values):
+    bits = values.view(f"i{values.itemsize}")
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    if 4 * starts.size > 3 * values.size:
+        return map(repr, values.tolist())
+    counts = np.diff(np.append(starts, values.size)).tolist()
+    cells = map(repr, values[starts].tolist())
+    return itertools.chain.from_iterable(map(itertools.repeat, cells, counts))
+
+
+def _frozen_formatter(column):
+    kind = column.dtype.kind
+    if kind in "iu":
+        return lambda values: map(str, values.tolist())
+    if kind == "b":
+        return lambda values: map(("0", "1").__getitem__, values.tolist())
+    if kind == "f":
+        return _frozen_float_cells
+    if kind == "U":
+        return lambda values: values.tolist()
+    raise TypeError(f"no CSV cell format for dtype {column.dtype}")
+
+
+def _frozen_write_csv(path, header, columns):
+    columns = [np.asarray(c) for c in columns]
+    n_rows = len(columns[0]) if columns else 0
+    formats = [_frozen_formatter(c) for c in columns]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_rows, 4096):
+            cells = [fmt(c[start : start + 4096]) for c, fmt in zip(columns, formats)]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _crw_like_columns(rng, n):
+    """A chain's columns whose rejected steps (about 40 %) repeat theta and
+    log_post, and whose time column has no two equal cells."""
+    accepted = rng.random(n) < 0.6
+    accepted[0] = True
+    moves = np.flatnonzero(accepted)
+    last = np.maximum.accumulate(np.where(accepted, np.arange(n), 0))
+    theta = np.zeros(n)
+    theta[moves] = 600.0 + np.cumsum(rng.normal(0.0, 30.0, moves.size))
+    log_post = np.zeros(n)
+    log_post[moves] = rng.normal(-3.0, 2.0, moves.size)
+    return (
+        np.arange(n), theta[last], accepted, rng.random(n) < 0.9, log_post[last],
+        np.cumsum(rng.random(n)) * 1e-5,
+    )
+
+
+def _special_floats(rng, n):
+    specials = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0])
+    return specials[np.repeat(rng.integers(0, specials.size, n), rng.integers(1, 4, n))[:n]]
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 4095, 4096, 4097, 25_000])
+def test_writer_writes_the_frozen_writers_bytes(tmp_path, n):
+    rng = np.random.default_rng(n)
+    chain = _crw_like_columns(rng, n)
+    assert 0.3 < 1.0 - chain[2].mean() < 0.5
+    words = np.array(["crw", "chmc", "csvgd", ""])
+    others = (
+        _special_floats(rng, n),
+        rng.normal(0.0, 1e3, n).astype(np.float32),
+        np.repeat(rng.normal(size=n).astype(np.float32), 2)[:n],
+        rng.integers(-(2**62), 2**62, n, dtype=np.int64),
+        rng.integers(0, 256, n).astype(np.uint8),
+        rng.random(n) < 0.5,
+        words[rng.integers(0, words.size, n)],
+    )
+    columns = chain + others
+    header = tuple(f"c{i}" for i in range(len(columns)))
+    ours, frozen = tmp_path / "ours.csv", tmp_path / "frozen.csv"
+    write_csv(str(ours), header, columns)
+    _frozen_write_csv(str(frozen), header, columns)
+    # line lists, so a failure names its first differing row without a long diff
+    assert ours.read_bytes().split(b"\n") == frozen.read_bytes().split(b"\n")

@@ -578,6 +578,43 @@ def test_run_plots(tiny_model1_dict, write_config, tmp_path):
     assert os.path.exists(os.path.join(out, "posterior.svg"))
 
 
+def test_run_plots_draw_histogram_heights_over_their_bins(
+    tiny_model1_dict, write_config, tmp_path, monkeypatch
+):
+    # a recording stand-in for matplotlib, so the drawn bars are checked without it
+    bars = []
+
+    class Axes:
+        def bar(self, x, height, width, align, **kwargs):
+            bars.append((np.asarray(x), np.asarray(height), np.broadcast_to(width, np.shape(x)), align))
+
+        def __getattr__(self, name):
+            return lambda *args, **kwargs: None
+
+    class Figure:
+        def savefig(self, path):
+            open(path, "w").close()
+
+    pyplot = type(sys)("matplotlib.pyplot")
+    pyplot.subplots = lambda **kwargs: (Figure(), Axes())
+    pyplot.close = lambda fig: None
+    matplotlib = type(sys)("matplotlib")
+    matplotlib.use = lambda backend: None
+    matplotlib.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", write_config(tiny_model1_dict), "--output", out, "--plots"]) == 0
+    assert os.path.exists(os.path.join(out, "posterior.svg"))
+    hist = np.loadtxt(os.path.join(out, "histogram.csv"), delimiter=",", skiprows=1, ndmin=2)
+    ((x, height, width, align),) = bars
+    assert align == "edge"
+    assert x.tolist() == hist[:, 0].tolist()
+    assert height.tolist() == hist[:, 2].tolist()
+    assert width.tolist() == (hist[:, 1] - hist[:, 0]).tolist()
+
+
 # ---------------------------------------------------------------------------
 # sample / diagnose round trip
 # ---------------------------------------------------------------------------
