@@ -123,9 +123,6 @@ class ObservationSet:
         if len(set(labels)) != len(labels):
             raise ValueError("group labels must be unique")
 
-    def merge(self, other: "ObservationSet") -> "ObservationSet":
-        return ObservationSet(self.groups + other.groups)
-
     def to_csv(self, path: str) -> None:
         labels = [g.label for g in self.groups for _ in range(g.values.size)]
         write_csv(path, ("group", "value"), (labels, np.concatenate([g.values for g in self.groups])))
@@ -147,33 +144,26 @@ class ObservationSet:
 
 
 def generate_observations(
-    params: ModelParams,
+    truth: float,
     theta_true: float,
     xi_true: tuple[float, float],
     noise_std: float,
     n_obs: int,
     seed: int,
     label: str = "obs",
-    heat_flux: float | None = None,
-    porosity: float | None = None,
 ) -> ObservationSet:
-    """Synthetic pressures: one forward run at (theta*, xi*) plus white noise.
-
-    ``xi_true`` is the (heat flux, porosity) pair the data are generated at;
-    ``heat_flux``/``porosity`` are the evaluation point stored on the group
-    for later likelihood calls (default: same as xi_true).
+    """Synthetic pressures: the noise-free pressure ``truth`` of a forward
+    run at (theta*, xi*) plus white noise. ``xi_true``, the (heat flux,
+    porosity) pair the data are generated at, is the group's evaluation
+    point for later likelihood calls.
     """
     if n_obs < 1:
         raise ValueError("n_obs must be >= 1")
-    truth = forward_pressure_at_mean(params, xi_true, theta_true)
-    rng = np.random.default_rng(seed)
-    values = truth + noise_std * rng.standard_normal(n_obs)
     group = ObservationGroup(
         label,
-        values,
+        truth + noise_std * np.random.default_rng(seed).standard_normal(n_obs),
         noise_std,
-        heat_flux=xi_true[0] if heat_flux is None else heat_flux,
-        porosity=xi_true[1] if porosity is None else porosity,
+        *xi_true,
         provenance={
             "theta_true": theta_true,
             "xi_true": list(xi_true),
@@ -281,15 +271,18 @@ class Posterior:
     which equals the per-observation sum in the module docstring.
     ybar is kept as a double plus its rounding remainder, so F - ybar and
     the residual sum n*(ybar - F) keep the precision of the per-observation
-    differences. F_g comes from the table when theta lies in its range and
-    from the direct march otherwise (for the gradient, at both ends of its
-    difference); a march failure gives -inf (NaN for
-    the gradient), as does theta <= 0. ``tables`` maps an evaluation point
-    to a table of F built for ``params``; a call also takes an ndarray.
+    differences. F_g comes from the point's table in its range, else from
+    the first of its extension ``pieces`` that holds theta (for ``grad``,
+    both ends of its difference), else from the direct march; a march
+    failure gives -inf (NaN for the gradient), as does theta <= 0.
+    ``tables`` maps an evaluation point to a table of F built for
+    ``params``, ``pieces`` to a tuple of tables over other ranges; a call
+    also takes an ndarray.
     """
 
     def __init__(self, obs: ObservationSet, prior: PriorSpec, params: ModelParams,
-                 classic_iid: bool = False, tables: dict | None = None):
+                 classic_iid: bool = False, tables: dict | None = None,
+                 pieces: dict | None = None):
         self.params = params
         self._log_prior, self._grad_log_prior = _prior_laws(prior)
         groups = []
@@ -299,7 +292,8 @@ class Posterior:
             lo, hi = (math.inf, -math.inf) if table is None else (table.lo, table.hi)
             # the table's bound method: a call skips the instance's call slot
             table = None if table is None else table.__call__
-            groups.append((point, table, lo, hi, *_group_laws(group.values, group.noise_std, classic_iid)))
+            groups.append((point, table, lo, hi, (pieces or {}).get(point, ()),
+                           *_group_laws(group.values, group.noise_std, classic_iid)))
         self._groups = tuple(groups)
 
     def __call__(self, theta):
@@ -313,11 +307,12 @@ class Posterior:
             return log_prior - math.inf
         total = 0.0
         try:
-            for point, table, lo, hi, term, _ in self._groups:
+            for point, table, lo, hi, pieces, term, _ in self._groups:
                 if lo <= theta <= hi:
                     total += term(table(theta))
                 else:
-                    total += term(forward_pressure_at_mean(self.params, point, theta))
+                    piece = _holding(pieces, theta, theta)
+                    total += term(self._direct(point, theta) if piece is None else piece(theta))
         except MARCH_FAILURES:
             total = -math.inf
         return log_prior + total
@@ -332,7 +327,7 @@ class Posterior:
         out[~inside] = [self(theta) for theta in thetas[~inside].tolist()]
         x, total = thetas[inside], 0.0
         if x.size:
-            for _, table, _, _, term, _ in self._groups:
+            for _, table, _, _, _, term, _ in self._groups:
                 total += term(table(x))
             out[inside] = self._log_prior(x) + total
         return out
@@ -349,20 +344,30 @@ class Posterior:
         if not theta > 0.0:
             return math.nan
         grad = self._grad_log_prior(theta)
+        theta_h = theta + fd_step
         try:
-            for point, table, lo, hi, _, slope in self._groups:
-                if not lo <= theta <= hi:
-                    # both ends marched, as for an untabled group: a table value at
-                    # theta + fd_step would add its 1e-12 error divided by fd_step
-                    lo, hi = math.inf, -math.inf
-                pressure, pressure_h = [
-                    table(x) if lo <= x <= hi else forward_pressure_at_mean(self.params, point, x)
-                    for x in (theta, theta + fd_step)
-                ]
+            for point, table, lo, hi, pieces, _, slope in self._groups:
+                if lo <= theta and theta_h <= hi:
+                    pressure, pressure_h = table(theta), table(theta_h)
+                elif (piece := _holding(pieces, theta, theta_h)) is not None:
+                    pressure, pressure_h = piece(theta), piece(theta_h)
+                else:
+                    # each end not in the table marched: values from two tables
+                    # would add their 1e-12 errors divided by fd_step
+                    pressure = table(theta) if lo <= theta <= hi else self._direct(point, theta)
+                    pressure_h = self._direct(point, theta_h)
                 grad += slope(pressure) * (pressure_h - pressure) / fd_step
         except MARCH_FAILURES:
             return math.nan
         return grad
+
+    def _direct(self, point, theta: float) -> float:
+        return forward_pressure_at_mean(self.params, point, theta)
+
+
+def _holding(pieces: tuple, lo: float, hi: float) -> ChebyshevTable | None:
+    """The first of ``pieces`` whose range holds [lo, hi], or None."""
+    return next((piece for piece in pieces if piece.lo <= lo and hi <= piece.hi), None)
 
 
 def _prior_laws(prior: PriorSpec):

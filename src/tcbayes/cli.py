@@ -86,14 +86,18 @@ def open_scenario(path_or_name: str, seed: int | None = None, output: str | None
 def load_chain_csv(path: str):
     """Read a chain or particle-history CSV back into its run type.
 
-    A file that is no whole run is a ``ConfigError`` naming it: an unknown
-    header, a cell that is not a number, a row whose column count is not
-    the header's, no row at all, or a particle file cut off inside a
-    generation (as a run killed while writing leaves it).
+    A file that is no whole run is a ``ConfigError`` naming it: one that
+    cannot be read, an unknown header, a cell that is not a number, a row
+    whose column count is not the header's, no row at all, or a particle
+    file cut off inside a generation (as a run killed while writing leaves
+    it).
     """
-    with open(path) as fh:
-        header = fh.readline().strip()
-        rows = [line for line in fh if line.strip()]
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            rows = [line for line in fh if line.strip()]
+    except OSError as exc:
+        raise ConfigError(f"cannot read run CSV {path}: {exc}") from exc
     columns = tuple(header.split(","))
     if columns not in (CHAIN_CSV_HEADER, PARTICLE_CSV_HEADER):
         raise ConfigError(f"unrecognized chain CSV header in {path}: {header!r}")

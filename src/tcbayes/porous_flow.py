@@ -3,12 +3,12 @@
 Two coupled temperature ODEs (fluid and solid) plus an algebraic density
 closure are marched in the normalized coordinate x in [0, 1] with explicit
 Euler. The observable exposed to the inverse problem is the interface
-pressure p = T_f(1) * rho_f(1). One step, ``_euler_step``, states the law:
-the scalar march runs it on floats and ``march_batch`` on arrays.
+pressure p = T_f(1) * rho_f(1). One step, ``_euler_step``, states the law,
+and one loop, ``march_batch``, steps it on arrays of strips; a single strip
+is a one-element march.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,26 +121,18 @@ class StripTrajectory:
 
 
 def _rhs(params: ModelParams, q, phi, re) -> tuple:
-    """Right-hand-side coefficients at (q, phi, re); floats or broadcastable arrays.
-
-    A subnormal float ``re`` can underflow a denominator to 0.0; that is a
-    non-finite coefficient, reported as NonFiniteStateError like a blown-up
-    state rather than as a bare ZeroDivisionError.
-    """
+    """Right-hand-side coefficients at (q, phi, re); floats or broadcastable arrays."""
     solid_cap = (1.0 - phi) * params.kappa_solid
-    try:
-        return (
-            params.nusselt / (params.prandtl * re),
-            params.kappa_fluid / solid_cap * re * params.prandtl,
-            q / solid_cap,
-            params.length**2 / (re * params.permeability_darcy),
-            params.length / params.forchheimer,
-            params.hot_gas_temp,
-            # not phi**-2: a SIMD array power may round differently from libm pow
-            1.0 / (phi * phi),
-        )
-    except ZeroDivisionError:
-        raise NonFiniteStateError(f"non-finite right-hand side at re={re!r}") from None
+    return (
+        params.nusselt / (params.prandtl * re),
+        params.kappa_fluid / solid_cap * re * params.prandtl,
+        q / solid_cap,
+        params.length**2 / (re * params.permeability_darcy),
+        params.length / params.forchheimer,
+        params.hot_gas_temp,
+        # not phi**-2: a SIMD array power may round differently from libm pow
+        1.0 / (phi * phi),
+    )
 
 
 def _initial_state(params: ModelParams) -> tuple[float, float, float]:
@@ -151,11 +143,10 @@ def _euler_step(tf, ts, rho, rhs: tuple, dx: float, dx_fluid):
     """One explicit Euler step of (T_f, T_s, rho_f), the one statement of
     the law; ``dx_fluid`` is ``dx * a_fluid``, formed once per march.
 
-    Its augmented assignments rebind floats and update arrays in place, so
-    an array element equals the float step bit for bit. Returns the new
+    Its augmented assignments update arrays in place (and rebind floats,
+    so an array element equals the float step bit for bit). Returns the new
     state and the old state's density denominator phi^-2 - rho^2*T_f for
-    the caller's singularity guard; a float one of exactly 0.0 raises
-    ZeroDivisionError.
+    the caller's singularity guard.
     """
     a_fluid, a_solid, source, darcy, forch, t_hg, phi_inv2 = rhs
     diff = ts - tf
@@ -181,43 +172,6 @@ def _euler_step(tf, ts, rho, rhs: tuple, dx: float, dx_fluid):
     return tf, ts, rho, denom
 
 
-def _singular(denom: float, i: int, dx: float) -> SingularDenominatorError:
-    return SingularDenominatorError(
-        f"density denominator {denom!r} below epsilon at x={i * dx:.6f}"
-    )
-
-
-def _march(params: ModelParams, q, phi, re, n_steps: int, singular_eps: float, states=None):
-    """The scalar Euler march of one strip on floats; returns its exit state.
-
-    A ``states`` list gets each state (T_f, T_s, rho_f) after a step. The
-    singularity guard is tested at every step, finiteness only at the exit:
-    a NaN or infinite state stays non-finite to the end of the march.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if not 0.0 < phi < 1.0:
-        raise ValueError(f"phi must lie in (0, 1), got {phi}")
-    if not re > 0.0:  # also rejects NaN
-        raise ValueError(f"re must be positive, got {re}")
-    rhs = _rhs(params, q, phi, re)
-    dx = 1.0 / n_steps
-    dx_fluid = dx * rhs[0]
-    tf, ts, rho = _initial_state(params)
-    for i in range(n_steps):
-        try:
-            tf, ts, rho, denom = _euler_step(tf, ts, rho, rhs, dx, dx_fluid)
-        except ZeroDivisionError:
-            raise _singular(0.0, i, dx) from None
-        if abs(denom) < singular_eps:
-            raise _singular(denom, i, dx)
-        if states is not None:
-            states.append((tf, ts, rho))
-    if not (math.isfinite(tf) and math.isfinite(ts) and math.isfinite(rho)):
-        raise NonFiniteStateError(f"non-finite state at the exit of a march at re={re!r}")
-    return tf, ts, rho
-
-
 def integrate_strip(
     params: ModelParams,
     q: float,
@@ -240,11 +194,12 @@ def integrate_strip(
     singular_eps : float
         Guard on |phi^-2 - rho^2*T_f|; crossing it raises
         SingularDenominatorError. A state that turns NaN or infinite raises
-        NonFiniteStateError once the march reaches the exit (``_march``).
+        NonFiniteStateError (``interface_state_batch``).
     """
-    states = [_initial_state(params)]
-    _march(params, q, phi, re, n_steps, singular_eps, states)
-    t_fluid, t_solid, density = np.array(states).T
+    states = np.empty((n_steps + 1, 3, 1))
+    states[0, :, 0] = _initial_state(params)
+    interface_state_batch(params, q, phi, re, n_steps, singular_eps, states[1:])
+    t_fluid, t_solid, density = states[:, :, 0].T
     return StripTrajectory(
         x_grid=np.linspace(0.0, 1.0, n_steps + 1),
         t_fluid=t_fluid,
@@ -261,14 +216,16 @@ def march_batch(
     re: float | np.ndarray,
     n_steps: int = DEFAULT_N_STEPS,
     singular_eps: float = DEFAULT_SINGULAR_EPS,
+    record: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exit states (T_f, T_s, rho_f) of the broadcast (q, phi, re), as
     (3, *shape), and which elements hit the density guard, as (*shape).
 
     No element raises. Each step goes through ``_euler_step`` on views of
-    the exit-state array, so every element equals the scalar march bit for
-    bit. ``_MARCH_CHUNK`` elements march at a time, so the step temporaries
-    stay in cache; chunking changes no bit.
+    the exit-state array, so an element's march does not depend on the
+    others. ``_MARCH_CHUNK`` elements march at a time, so the step
+    temporaries stay in cache; chunking changes no bit. A ``record`` array
+    (n_steps, 3, n_elements) gets the state after each step.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -289,12 +246,14 @@ def march_batch(
             rhs = _rhs(params, q[part], phi[part], re[part])
             dx_fluid = dx * rhs[0]
             states[:, part] = np.array(_initial_state(params))[:, None]
-            tf, ts, rho = states[:, part]
-            for _ in range(n_steps):
+            tf, ts, rho = state = states[:, part]
+            for i in range(n_steps):
                 *_, denom = _euler_step(tf, ts, rho, rhs, dx, dx_fluid)
                 # fmin skips NaN, which would hide a guard hit in another element
                 if np.fmin.reduce(np.abs(denom, out=denom)) < singular_eps:
                     singular[part] |= denom < singular_eps
+                if record is not None:
+                    record[i, :, part] = state
     return states.reshape((3, *shape)), singular.reshape(shape)
 
 
@@ -305,11 +264,12 @@ def interface_state_batch(
     re: float | np.ndarray,
     n_steps: int = DEFAULT_N_STEPS,
     singular_eps: float = DEFAULT_SINGULAR_EPS,
+    record: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Terminal states (T_f, T_s, rho_f at x=1) of ``march_batch``, which
     raises SingularDenominatorError if any element hit the guard, else
     NonFiniteStateError if any is non-finite."""
-    states, singular = march_batch(params, q, phi, re, n_steps, singular_eps)
+    states, singular = march_batch(params, q, phi, re, n_steps, singular_eps, record)
     if singular.any():
         raise SingularDenominatorError("density denominator below epsilon in batch")
     if not np.all(np.isfinite(states)):
@@ -326,11 +286,10 @@ def forward_pressure_at_mean(
 ) -> float:
     """Pressure observable F(re) with the germ frozen at its mean.
 
-    This is the likelihood evaluation point: integrate the strip at the mean
-    heat flux and porosity, then read off the interface pressure. The loop
-    (``_march``) runs on plain floats, which is about forty times cheaper per
-    call than a one-element array march.
+    This is the likelihood evaluation point: a one-element march of the
+    strip at the mean heat flux and porosity, read off as the interface
+    pressure. The scenario's forward tables give F wherever the samplers
+    go, so this runs only beyond every table.
     """
-    q, phi = xi_mean
-    tf, _, rho = _march(params, q, phi, re, n_steps, singular_eps)
-    return tf * rho
+    tf, _, rho = interface_state_batch(params, *xi_mean, re, n_steps, singular_eps)
+    return float(tf * rho)

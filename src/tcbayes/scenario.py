@@ -19,8 +19,9 @@ posterior and the reference density. Each stage is built on first use and
 kept in one memo, which ``Scenario.with_sampler`` clones share, so a stage
 is built once however many samplers run; the sampler runs themselves are
 not kept. One batched Euler march per scenario (``Scenario._tables``)
-gives every Chebyshev table: the strip exit table and each observation
-group's forward table. Only thetas outside the tables' range march alone.
+gives every Chebyshev table (the strip exit table, each observation group's
+forward table and its extension pieces) and the synthetic data's noise-free
+pressures. Only thetas beyond every table march alone.
 """
 from __future__ import annotations
 
@@ -278,6 +279,8 @@ class ScenarioConfig:
         try:
             with open(path) as fh:
                 raw = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return ScenarioConfig.from_dict(raw)
@@ -438,7 +441,7 @@ def _parse_data(data_cfg: dict) -> DataConfig:
         missing = [k for k in ("theta_true", "noise_std") if data_cfg.get(k) is None]
         if missing:
             raise ConfigError(f"data block needs {missing} (or a 'path' to existing data)")
-    groups = tuple(data_cfg.get("groups", ()))
+    groups = tuple(data_cfg.get("groups", ())) or ({"label": "obs"},)
     labels = [g["label"] for g in groups]
     if len(set(labels)) != len(labels):
         raise ConfigError("data group labels must be unique")
@@ -473,11 +476,12 @@ def load_observations(csv_path: str, provenance_path: str | None = None) -> Obse
     """Read an observation CSV (group,value) with its provenance sidecar.
 
     A malformed line or a value that is not a finite number raises
-    ConfigError naming the file and line, and a file without observations
-    one naming the file. A missing or malformed sidecar (not an object whose
-    ``groups`` is a list of objects with a ``label``), or an entry without a
-    positive ``noise_std``, with a ``porosity`` outside (0, 1) or with a
-    ``heat_flux`` that is not a finite number, raises one naming the sidecar.
+    ConfigError naming the file and line, and an unreadable file or one
+    without observations one naming the file. A missing or malformed sidecar
+    (not an object whose ``groups`` is a list of objects with a ``label``),
+    or an entry without a positive ``noise_std``, with a ``porosity``
+    outside (0, 1) or with a ``heat_flux`` that is not a finite number,
+    raises one naming the sidecar.
     """
     if provenance_path is None:
         provenance_path = csv_path.rsplit(".", 1)[0] + ".json"
@@ -494,26 +498,29 @@ def load_observations(csv_path: str, provenance_path: str | None = None) -> Obse
             f"observation provenance {provenance_path}: expected an object whose "
             "'groups' is a list of objects with a 'label'"
         )
+    try:
+        with open(csv_path) as fh:
+            header, *lines = fh.readlines() or [""]
+    except OSError as exc:
+        raise ConfigError(f"observation CSV {csv_path}: {exc}") from exc
+    if header.strip() != "group,value":
+        raise ConfigError(f"unexpected observation CSV header: {header.strip()!r}")
     values: dict[str, list[float]] = {}
-    with open(csv_path) as fh:
-        header = fh.readline().strip()
-        if header != "group,value":
-            raise ConfigError(f"unexpected observation CSV header: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            label, _, cell = line.partition(",")
-            try:
-                value = float(cell)
-            except ValueError:  # a line without a comma too
-                value = math.nan
-            if not math.isfinite(value):
-                raise ConfigError(
-                    f"{csv_path}, line {lineno}: expected 'group,value' with a finite "
-                    f"number, got {line!r}"
-                )
-            values.setdefault(label, []).append(value)
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        label, _, cell = line.partition(",")
+        try:
+            value = float(cell)
+        except ValueError:  # a line without a comma too
+            value = math.nan
+        if not math.isfinite(value):
+            raise ConfigError(
+                f"{csv_path}, line {lineno}: expected 'group,value' with a finite "
+                f"number, got {line!r}"
+            )
+        values.setdefault(label, []).append(value)
     if not values:
         raise ConfigError(f"{csv_path} holds no observation")
 
@@ -630,39 +637,61 @@ class Scenario:
         return exit_law(tf)
 
     def _tables(self) -> tuple:
-        """The exit table and the forward tables (point -> table), from one
-        ``march_batch`` call at every ``table_thetas`` theta over the strip
-        exit law's elements (``_exit_law``) and each group's
-        evaluation point. A table with an element that hits the guard or
-        goes non-finite is None (a forward one is left out); the others are
-        still built."""
-        cfg = self.config
-        theta_range = cfg.theta_range()
-        thetas = table_thetas(theta_range)
-        if thetas is None:
-            return None, {}
+        """The exit table, the forward tables (point -> table), their extension
+        pieces (point -> tuple of tables) and each data group's (point,
+        noise-free pressure), from one ``march_batch`` call over flat
+        (q, phi, re) elements: the strip exit law's (``_exit_law``) and the
+        evaluation points at every ``table_thetas`` theta over
+        ``theta_range()`` = (lo, hi), the points alone at those of the pieces
+        [lo/9, lo/3], [lo/3, lo] and [hi, 2*hi] and at ``data.theta_true``.
+        A table with an element that hits the guard or goes non-finite is
+        None (a forward table or piece is left out); the others are still
+        built. A truth that fails, and each one of loaded data, is None."""
+        cfg, data = self.config, self.config.data
+        lo, hi = theta_range = cfg.theta_range()
+        ranges = (theta_range, (lo / 9.0, lo / 3.0), (lo / 3.0, lo), (hi, 2.0 * hi))
+        if data.path is None:
+            group_points = [(float(g.get("heat_flux", self.default_flux())),
+                             float(g.get("porosity", cfg.params.porosity))) for g in data.groups]
+        else:  # the loaded observation file
+            group_points = [g.evaluation_point(cfg.params) for g in self.observations().groups]
+        points = list(dict.fromkeys(group_points))
         exit_q, exit_phi, exit_law = self._exit_law()
-        points = dict.fromkeys(g.evaluation_point(cfg.params) for g in self.observations().groups)
-        points = [p for p in points if 0.0 < p[1] < 1.0]  # the others fail in their direct march
         n = exit_q.size
+        # the exit law marches the config's steps and F the default: one march
+        # in every shipped config
         q = np.concatenate([exit_q.ravel(), [p[0] for p in points]])
         phi = np.concatenate([exit_phi.ravel(), [p[1] for p in points]])
-        # the exit law marches the config's steps and F the default: one call in
-        # every shipped config
         steps = np.repeat([cfg.n_steps, DEFAULT_N_STEPS], [n, len(points)])
-        states, ok = np.empty((3, thetas.size, q.size)), np.empty(q.size, bool)
+        # a block of thetas per range, then the truth's: the main range's march
+        # every element, the others the points; lo > 0 gives every range its thetas
+        main_thetas = table_thetas(theta_range)
+        thetas = [] if main_thetas is None else [main_thetas, *map(table_thetas, ranges[1:])]
+        truth = [data.theta_true] if data.path is None else []
+        blocks = zip([*thetas, np.array(truth)], (0, n, n, n)[:len(thetas)] + (n,))
+        grids = [np.broadcast_arrays(t[:, None], q[k:], phi[k:], steps[k:]) for t, k in blocks]
+        re, q, phi, steps = (np.concatenate([g[i].ravel() for g in grids]) for i in range(4))
+        states, hit = np.empty((3, re.size)), np.empty(re.size, bool)
         for n_steps in set(steps.tolist()):
             k = steps == n_steps
-            states[:, :, k], hit = march_batch(cfg.params, q[k], phi[k], thetas[:, None], n_steps)
-            ok[k] = ~(hit | ~np.isfinite(states[:, :, k]).all(axis=0)).any(axis=0)
-        tf, _, rho = states
-        exit_table = None
-        if ok[:n].all():
-            coeffs = exit_law(tf[:, :n].reshape(thetas.size, *exit_q.shape))
-            exit_table = fit_table(theta_range, coeffs)
-        pressures = {p: tf[:, k] * rho[:, k] for k, p in enumerate(points, n) if ok[k]}
-        forward = {p: fit_table(theta_range, values) for p, values in pressures.items()}
-        return exit_table, {p: table for p, table in forward.items() if table is not None}
+            states[:, k], hit[k] = march_batch(cfg.params, q[k], phi[k], re[k], n_steps)
+        ends = np.cumsum([g[0].size for g in grids])[:-1]
+        tf, pressure, failed = (  # per block, (n_thetas, n_elements)
+            [part.reshape(g[0].shape) for part, g in zip(np.split(v, ends), grids)]
+            for v in (states[0], states[0] * states[2], hit | ~np.isfinite(states).all(axis=0))
+        )
+        exit_table, forward, pieces = None, {}, {}
+        if thetas and not failed[0][:, :n].any():
+            exit_table = fit_table(theta_range, exit_law(tf[0][:, :n].reshape(-1, *exit_q.shape)))
+        for j, p in enumerate(points if thetas else ()):
+            main, *extension = (None if failed[b][:, k].any() else fit_table(r, pressure[b][:, k])
+                                for b, (r, k) in enumerate(zip(ranges, (n + j, j, j, j))))
+            if main is not None:
+                forward[p] = main
+            pieces[p] = tuple(t for t in extension if t is not None)
+        truths = {p: None if failed[-1][0, j] else float(pressure[-1][0, j])
+                  for j, p in enumerate(points) if truth}
+        return exit_table, forward, pieces, [(p, truths.get(p)) for p in group_points]
 
     def oracle(self) -> ChanceConstraintOracle:
         return self._once("oracle", lambda: ChanceConstraintOracle(
@@ -695,30 +724,30 @@ class Scenario:
         return self._once("observations", self._build_observations)
 
     def _build_observations(self) -> ObservationSet:
-        cfg = self.config
-        data = cfg.data
+        """The loaded observation file, or one synthetic group per config
+        data group around its noise-free pressure from ``_tables``."""
+        cfg, data = self.config, self.config.data
         if data.path is not None:
             return load_observations(data.path)
-        groups = data.groups or ({"label": "obs"},)
-        merged: ObservationSet | None = None
-        for i, group in enumerate(groups):
-            flux = float(group.get("heat_flux", self.default_flux()))
-            porosity = float(group.get("porosity", cfg.params.porosity))
-            obs = generate_observations(
-                cfg.params,
+        groups, truths = [], self._once("tables", self._tables)[3]
+        for i, (group, (point, truth)) in enumerate(zip(data.groups, truths)):
+            if truth is None:  # its march alone raises the failure
+                interface_state_batch(cfg.params, *point, data.theta_true)
+            groups += generate_observations(
+                truth,
                 data.theta_true,
-                (flux, porosity),
+                point,
                 float(group.get("noise_std", data.noise_std)),
                 int(group.get("n_obs", data.n_obs)),
                 data.seed + i,
                 label=group["label"],
-            )
-            merged = obs if merged is None else merged.merge(obs)
-        return merged
+            ).groups
+        return ObservationSet(groups)
 
     def forward_map(self) -> dict:
         """Evaluation point -> Chebyshev table of F over ``theta_range()``
-        (``_tables``); a point without one keeps the direct march."""
+        (``_tables``); a point without one reads its extension pieces or
+        marches."""
         return self._once("forward_tables", lambda: self._once("tables", self._tables)[1])
 
     def forward_tables(self) -> dict:
@@ -730,10 +759,12 @@ class Scenario:
         }
 
     def posterior(self) -> Posterior:
-        """The unconstrained log posterior over the forward tables, built once."""
+        """The unconstrained log posterior over the forward tables and their
+        extension pieces, built once."""
         cfg = self.config
         return self._once("posterior", lambda: Posterior(
-            self.observations(), cfg.prior, cfg.params, cfg.classic_iid, self.forward_map()
+            self.observations(), cfg.prior, cfg.params, cfg.classic_iid, self.forward_map(),
+            self._once("tables", self._tables)[2],
         ))
 
     def log_posterior(self, theta: float) -> float:

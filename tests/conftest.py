@@ -123,3 +123,16 @@ def tiny_scenario():
     from tcbayes.scenario import Scenario, ScenarioConfig
 
     return Scenario(ScenarioConfig.from_dict(copy.deepcopy(_TINY_MODEL1)))
+
+
+@pytest.fixture
+def scalar_forward(monkeypatch):
+    """The posterior's direct march on the frozen scalar loop of
+    ``test_porous_flow``: bit for bit the one-element batch, and far cheaper,
+    for tests that march one theta at a time in loops."""
+    from test_porous_flow import frozen_forward
+
+    from tcbayes import bayes
+
+    monkeypatch.setattr(bayes, "forward_pressure_at_mean", frozen_forward)
+    return frozen_forward

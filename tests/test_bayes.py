@@ -15,7 +15,9 @@ from tcbayes.bayes import (
     _prior_laws,
     generate_observations,
 )
-from tcbayes.porous_flow import ModelParams, forward_pressure_at_mean
+from tcbayes import bayes
+from tcbayes.porous_flow import ModelParams
+from test_porous_flow import frozen_forward as forward_pressure_at_mean
 
 Q0 = 30845.0 * 0.015
 PARAMS = ModelParams(heat_flux_nominal=Q0)
@@ -24,8 +26,18 @@ SIGMA_L = 80.0
 THETA_TRUE = 700.0
 
 
-def _obs(n_obs=5, seed=0, noise=SIGMA_L, theta=THETA_TRUE):
-    return generate_observations(PARAMS, theta, XI_MEAN, noise, n_obs, seed)
+@pytest.fixture(autouse=True, scope="module")
+def _scalar_forward():
+    """Every posterior here marches each theta alone: on the frozen scalar
+    loop, bit for bit the one-element batch and far cheaper."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bayes, "forward_pressure_at_mean", forward_pressure_at_mean)
+        yield
+
+
+def _obs(n_obs=5, seed=0, noise=SIGMA_L, theta=THETA_TRUE, xi=XI_MEAN, label="obs"):
+    truth = forward_pressure_at_mean(PARAMS, xi, theta)
+    return generate_observations(truth, theta, xi, noise, n_obs, seed, label)
 
 
 def _log_likelihood(obs, theta, classic_iid=False):
@@ -47,10 +59,8 @@ def test_zero_residual_single_observation():
 
 def test_group_additivity_exact():
     a = _obs(n_obs=4, seed=1)
-    b = generate_observations(
-        PARAMS, THETA_TRUE, (Q0, 0.4), SIGMA_L, 3, seed=2, label="other"
-    )
-    merged = a.merge(b)
+    b = _obs(n_obs=3, seed=2, xi=(Q0, 0.4), label="other")
+    merged = ObservationSet(a.groups + b.groups)
     theta = 520.0
     total = _log_likelihood(merged, theta)
     parts = [_log_likelihood(part, theta) for part in (a, b)]
@@ -179,10 +189,8 @@ def test_gradient_uniform_prior_is_likelihood_only():
 @pytest.mark.parametrize("classic", [False, True])
 def test_gradient_matches_central_difference(classic):
     obs_a = _obs(n_obs=6, seed=13)
-    obs_b = generate_observations(
-        PARAMS, THETA_TRUE, (Q0, 0.4), SIGMA_L, 6, seed=14, label="sec1"
-    )
-    obs = obs_a.merge(obs_b)
+    obs_b = _obs(n_obs=6, seed=14, xi=(Q0, 0.4), label="sec1")
+    obs = ObservationSet(obs_a.groups + obs_b.groups)
     prior = PriorSpec("gaussian", mean=600.0, std=200.0)
     rng = np.random.default_rng(15)
     h = 1e-3

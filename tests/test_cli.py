@@ -17,6 +17,7 @@ import pytest
 
 from tcbayes import gpc, porous_flow
 from tcbayes import scenario as scenario_module
+from tcbayes.bayes import table_thetas
 from tcbayes.cli import load_chain_csv, main, packaged_config_text, resolve_config
 from tcbayes.samplers import MarkovChain, ParticleHistory
 from tcbayes.scenario import ConfigError, Scenario, ScenarioConfig
@@ -788,6 +789,39 @@ def test_run_csv_that_is_no_whole_run_exits_2(
     assert f"{kind}.csv" in capsys.readouterr().err
 
 
+def test_a_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert main(["scan-feasible", "--config", str(tmp_path)]) == 2
+    assert f"cannot read config {tmp_path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["missing.csv", "a_directory"])
+def test_an_unreadable_run_csv_exits_2(name, tiny_model1_dict, write_config, tmp_path, capsys):
+    path = tmp_path / name
+    if name == "a_directory":
+        path.mkdir()
+    with pytest.raises(ConfigError, match=f"cannot read run CSV {path}"):
+        load_chain_csv(str(path))
+    config = write_config(tiny_model1_dict)
+    rc = main(["diagnose", "--config", config, "--chains", str(path), "--output", str(tmp_path / "d")])
+    assert rc == 2
+    assert f"cannot read run CSV {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "scan-feasible"])
+def test_a_missing_observation_csv_beside_its_sidecar_exits_2(
+    command, tiny_model1_dict, write_config, tmp_path, capsys
+):
+    Scenario(ScenarioConfig.from_dict(tiny_model1_dict)).observations().save_provenance(
+        str(tmp_path / "obs.json")
+    )
+    csv_path = tmp_path / "obs.csv"
+    tiny_model1_dict["data"] = {"path": str(csv_path)}
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tiny_model1_dict), "--output", str(out)]) == 2
+    assert f"observation CSV {csv_path}" in capsys.readouterr().err
+    assert not (out / "chain.csv").exists()
+
+
 def test_run_checkpoints_beyond_the_chain_exit_2(tiny_model1_dict, write_config, tmp_path, capsys):
     tiny_model1_dict["diagnostics"]["checkpoints"] = [100, 400]  # the chain has 300 samples
     path = write_config(tiny_model1_dict)
@@ -1013,9 +1047,14 @@ def test_shipped_run_marches_the_strips_once(model, tmp_path, monkeypatch, kerne
     out = str(tmp_path / "out")
     assert main(["run", "--config", f"model{model}", "--output", out, "--seed", "0"]) == 0
     # one march of every table, the exit table's and each group's forward
-    # table, over the 32 nodes, 31 midpoints and 2 ends
+    # table, over the 32 nodes, 31 midpoints and 2 ends of theta_range and of
+    # each extension piece, and of the data's truth at theta_true; no theta
+    # marches alone
+    (lo, hi), theta_true = (300.0, 1000.0), 700.0
+    ranges = ((lo, hi), (lo / 9.0, lo / 3.0), (lo / 3.0, lo), (hi, 2.0 * hi))
+    want = np.unique(np.concatenate([table_thetas(r) for r in ranges] + [[theta_true]]))
     assert len(kernel_calls) == 1
-    assert kernel_calls[0].size == 65
+    assert np.array_equal(kernel_calls[0], want)
     with open(os.path.join(out, "provenance.json")) as fh:
         provenance = json.load(fh)
     assert "terms" in provenance["exit_table"]

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from tcbayes import bayes, porous_flow
 from tcbayes import scenario as scenario_module
 from tcbayes.bayes import (
+    TABLE_NODES,
+    TABLE_TOL,
     ChebyshevTable,
     ObservationGroup,
     ObservationSet,
@@ -24,7 +26,7 @@ from tcbayes.bayes import (
     fit_table,
     table_thetas,
 )
-from tcbayes.cli import main
+from tcbayes.cli import main, resolve_config
 from tcbayes.porous_flow import (
     ModelParams,
     NonFiniteStateError,
@@ -33,6 +35,7 @@ from tcbayes.porous_flow import (
     interface_state_batch,
 )
 from tcbayes.scenario import Scenario, ScenarioConfig
+from test_porous_flow import frozen_forward
 
 PARAMS = ModelParams()
 POINT = (462.675, 0.111)
@@ -75,9 +78,7 @@ _draw = st.tuples(
 def test_batched_march_equals_scalar_march_bit_for_bit(draws, n_steps):
     theta, q, phi = (np.array(column) for column in zip(*draws))
     try:
-        scalar = [
-            forward_pressure_at_mean(PARAMS, (qi, pi), ti, n_steps=n_steps) for ti, qi, pi in draws
-        ]
+        scalar = [frozen_forward(PARAMS, (qi, pi), ti, n_steps=n_steps) for ti, qi, pi in draws]
     except (SingularDenominatorError, NonFiniteStateError):
         with pytest.raises((SingularDenominatorError, NonFiniteStateError)):
             interface_state_batch(PARAMS, q, phi, theta, n_steps=n_steps)
@@ -90,7 +91,7 @@ def test_batched_march_broadcasts_over_re():
     thetas = np.array([350.0, 700.0, 950.0])
     tf, ts, rho = interface_state_batch(PARAMS, POINT[0], POINT[1], thetas, n_steps=200)
     assert tf.shape == ts.shape == rho.shape == (3,)
-    expected = [forward_pressure_at_mean(PARAMS, POINT, t, n_steps=200) for t in thetas]
+    expected = [frozen_forward(PARAMS, POINT, t, n_steps=200) for t in thetas]
     np.testing.assert_array_equal(tf * rho, expected)
 
 
@@ -137,7 +138,7 @@ def test_table_build_record():
 @settings(max_examples=60, deadline=None)
 @given(st.floats(300.0, 1000.0))
 def test_table_matches_direct_march(theta):
-    direct = forward_pressure_at_mean(PARAMS, POINT, theta)
+    direct = frozen_forward(PARAMS, POINT, theta)
     assert abs(_table()(theta) - direct) <= 1e-12 * abs(direct)
 
 
@@ -256,8 +257,9 @@ def test_a_singular_group_leaves_the_other_tables_built(tiny_model2_dict, monkey
 
     def batch(params, q, phi, re, *args):
         states, singular = real_batch(params, q, phi, re, *args)
-        q, phi, _ = np.broadcast_arrays(q, phi, re)
-        return states, singular | ((q == bad[0]) & (phi == bad[1]))
+        q, phi, re = np.broadcast_arrays(q, phi, re)
+        # only the table elements: the data's truth at theta_true = 700 does not fail
+        return states, singular | ((q == bad[0]) & (phi == bad[1]) & (re != 700.0))
 
     monkeypatch.setattr(scenario_module, "march_batch", batch)
     scenario = Scenario(ScenarioConfig.from_dict(tiny_model2_dict))
@@ -276,7 +278,7 @@ def test_a_singular_group_leaves_the_other_tables_built(tiny_model2_dict, monkey
 # ---------------------------------------------------------------------------
 
 
-def test_crw_chain_is_unchanged_by_the_table(tiny_model1_dict):
+def test_crw_chain_is_unchanged_by_the_table(tiny_model1_dict, scalar_forward):
     config = ScenarioConfig.from_dict(tiny_model1_dict)
     tabled = Scenario(config)
     direct = Scenario(config)
@@ -344,3 +346,107 @@ def test_particle_compare_is_finite_at_seed_13(tiny_model1_dict, write_config, t
         rows = [line.split(",") for line in fh.read().splitlines()[1:]]
     assert len(rows) == 4
     assert all(math.isfinite(float(row[2])) for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# the extension pieces and the truths in the one table march
+# ---------------------------------------------------------------------------
+
+
+def test_seed0_compare_of_model1_makes_no_direct_march(monkeypatch, tmp_path):
+    marched = []
+
+    def counting(params, point, theta, *args):
+        marched.append(theta)
+        return forward_pressure_at_mean(params, point, theta, *args)
+
+    monkeypatch.setattr(bayes, "forward_pressure_at_mean", counting)
+    assert main(["compare", "--config", "model1", "--seed", "0", "--output", str(tmp_path / "cmp")]) == 0
+    assert marched == []
+
+
+@pytest.mark.parametrize("name", ["model1", "model2", "model3"])
+def test_shipped_extension_pieces_are_the_march_at_their_check_points(name):
+    scenario = Scenario(resolve_config(name))
+    params = scenario.config.params
+    lo, hi = scenario.config.theta_range()
+    pieces = scenario._once("tables", scenario._tables)[2]
+    points = {g.evaluation_point(params) for g in scenario.observations().groups}
+    assert set(pieces) == points
+    for point, tables in pieces.items():
+        assert [(t.lo, t.hi) for t in tables] == [(lo / 9.0, lo / 3.0), (lo / 3.0, lo), (hi, 2.0 * hi)]
+        for table in tables:
+            checks = table_thetas((table.lo, table.hi))[TABLE_NODES:]
+            direct = np.array([frozen_forward(params, point, theta) for theta in checks])
+            got = np.array([table(float(theta)) for theta in checks])
+            assert np.abs(got - direct).max() <= TABLE_TOL * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("name", ["model1", "model2", "model3"])
+def test_shipped_truths_are_the_frozen_scalar_march_bit_for_bit(name):
+    scenario = Scenario(resolve_config(name))
+    params, theta_true = scenario.config.params, scenario.config.data.theta_true
+    groups = scenario.observations().groups
+    assert len(groups) == (2 if name == "model2" else 1)
+    for group in groups:
+        want = frozen_forward(params, group.evaluation_point(params), theta_true)
+        assert group.provenance["pressure_true"] == want
+
+
+def _lower_piece() -> ChebyshevTable:
+    if "lower" not in _TABLES:
+        tf, _, rho = interface_state_batch(PARAMS, *POINT, table_thetas((100.0, 300.0)))
+        _TABLES["lower"] = fit_table((100.0, 300.0), tf * rho)
+    return _TABLES["lower"]
+
+
+def test_a_difference_step_that_leaves_its_piece_marches_both_ends(monkeypatch):
+    posterior = Posterior(_group_obs(POINT), _PRIOR, PARAMS, tables={POINT: _table()},
+                          pieces={POINT: (_lower_piece(),)})
+    marched = []
+
+    def counting(params, point, theta):
+        marched.append(theta)
+        return frozen_forward(params, point, theta)
+
+    monkeypatch.setattr(bayes, "forward_pressure_at_mean", counting)
+    # inside the piece, both ends of the difference come from it
+    for theta in (150.0, 299.9):
+        posterior(theta)
+        posterior.grad(theta)
+    assert marched == []
+    # theta + fd_step crosses into the main table: both ends are marched
+    theta = 299.9995
+    posterior.grad(theta)
+    assert marched == [theta, theta + bayes.DEFAULT_FD_STEP]
+    # beyond every table, the direct march
+    marched.clear()
+    posterior(40.0)
+    assert marched == [40.0]
+
+
+@pytest.mark.parametrize("failure", [SingularDenominatorError, NonFiniteStateError])
+def test_a_failing_truth_raises_its_failure_and_keeps_every_table(failure, tiny_model1_dict, monkeypatch):
+    config = ScenarioConfig.from_dict(tiny_model1_dict)
+    healthy = Scenario(config)
+    want_exit, want_forward = healthy.exit_table(), healthy.forward_map()
+    # only the truth marches at theta_true = 700: no table theta is 700
+    truth_fluid = PARAMS.nusselt / (PARAMS.prandtl * config.data.theta_true)
+    real_step = porous_flow._euler_step
+
+    def step(tf, ts, rho, rhs, *dx):
+        tf, ts, rho, denom = real_step(tf, ts, rho, rhs, *dx)
+        at_truth = rhs[0] == truth_fluid
+        if failure is NonFiniteStateError:
+            tf[at_truth] = math.inf
+            return tf, ts, rho, denom
+        return tf, ts, rho, np.where(at_truth, 0.0, denom)
+
+    monkeypatch.setattr(porous_flow, "_euler_step", step)
+    scenario = Scenario(config)
+    with pytest.raises(failure):
+        scenario.observations()
+    assert scenario.exit_table().terms == want_exit.terms
+    assert set(scenario.forward_map()) == set(want_forward)
+    for point, table in scenario.forward_map().items():
+        assert (table.terms, table.max_rel_error) == (want_forward[point].terms, want_forward[point].max_rel_error)

@@ -1,5 +1,8 @@
-"""Forward strip model: fixed points, convergence, frozen reference values."""
+"""Forward strip model: fixed points, convergence, frozen reference values,
+and the one batched march against a frozen copy of the scalar loop."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ from dataclasses import replace
 
 from tcbayes import porous_flow
 from tcbayes.porous_flow import (
+    DEFAULT_N_STEPS,
+    DEFAULT_SINGULAR_EPS,
     ModelParams,
     NonFiniteStateError,
     SingularDenominatorError,
@@ -21,6 +26,87 @@ from tcbayes.porous_flow import (
 REF_N_STEPS = 10**6
 REF_T_FLUID_1 = 3180.76059666
 REF_PRESSURE = 595117.29470231
+
+
+# ---------------------------------------------------------------------------
+# the scalar Euler march on floats, frozen as it stood before every march went
+# through ``march_batch``: the reference for the batched loop, and a one-theta
+# march far cheaper than a one-element batch, for tests that march in loops
+# ---------------------------------------------------------------------------
+
+
+def _singular(denom: float, i: int, dx: float) -> SingularDenominatorError:
+    return SingularDenominatorError(
+        f"density denominator {denom!r} below epsilon at x={i * dx:.6f}"
+    )
+
+
+def frozen_march(params, q, phi, re, n_steps=DEFAULT_N_STEPS, singular_eps=DEFAULT_SINGULAR_EPS,
+                 states=None):
+    """The scalar Euler march of one strip on floats; returns its exit state.
+
+    A ``states`` list gets each state (T_f, T_s, rho_f) after a step. The
+    singularity guard is tested at every step, finiteness only at the exit:
+    a NaN or infinite state stays non-finite to the end of the march.
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if not 0.0 < phi < 1.0:
+        raise ValueError(f"phi must lie in (0, 1), got {phi}")
+    if not re > 0.0:  # also rejects NaN
+        raise ValueError(f"re must be positive, got {re}")
+    try:  # a subnormal float re underflows a denominator to 0.0
+        rhs = porous_flow._rhs(params, q, phi, re)
+    except ZeroDivisionError:
+        raise NonFiniteStateError(f"non-finite right-hand side at re={re!r}") from None
+    dx = 1.0 / n_steps
+    dx_fluid = dx * rhs[0]
+    tf, ts, rho = porous_flow._initial_state(params)
+    for i in range(n_steps):
+        try:
+            tf, ts, rho, denom = porous_flow._euler_step(tf, ts, rho, rhs, dx, dx_fluid)
+        except ZeroDivisionError:
+            raise _singular(0.0, i, dx) from None
+        if abs(denom) < singular_eps:
+            raise _singular(denom, i, dx)
+        if states is not None:
+            states.append((tf, ts, rho))
+    if not (math.isfinite(tf) and math.isfinite(ts) and math.isfinite(rho)):
+        raise NonFiniteStateError(f"non-finite state at the exit of a march at re={re!r}")
+    return tf, ts, rho
+
+
+def frozen_forward(params, xi_mean, re, n_steps=DEFAULT_N_STEPS, singular_eps=DEFAULT_SINGULAR_EPS):
+    """``forward_pressure_at_mean`` as it stood on the frozen scalar march."""
+    tf, _, rho = frozen_march(params, *xi_mean, re, n_steps, singular_eps)
+    return tf * rho
+
+
+@pytest.mark.parametrize(
+    "q, phi, re, n_steps",
+    [
+        (462.675, 0.111, 700.0, 1000),
+        (30845.0, 0.111, 405.0, 1000),
+        (25000.0, 0.2, 350.0, 300),
+        (34000.0, 0.4, 950.0, 777),
+        (462.675, 0.4, 40.0, 200),
+        (462.675, 0.111, 1400.0, 1),
+        (0.0, 0.111, 2000.0, 25),
+    ],
+)
+def test_strip_states_are_the_frozen_march_bit_for_bit(q, phi, re, n_steps):
+    p = ModelParams()
+    want = [porous_flow._initial_state(p)]
+    frozen_march(p, q, phi, re, n_steps, states=want)
+    traj = integrate_strip(p, q, phi, re, n_steps)
+    got = np.stack([traj.t_fluid, traj.t_solid, traj.density], axis=1)
+    assert got.tobytes() == np.array(want).tobytes()
+    # a guard hit raises the frozen loop's failure
+    eps = min(abs(porous_flow._rhs(p, q, phi, re)[-1] - rho * rho * tf) for tf, _, rho in want[:-1]) * 1.5
+    with pytest.raises(SingularDenominatorError):
+        frozen_march(p, q, phi, re, n_steps, singular_eps=eps)
+    with pytest.raises(SingularDenominatorError):
+        integrate_strip(p, q, phi, re, n_steps, singular_eps=eps)
 
 
 def test_initial_conditions_exact():
@@ -40,19 +126,24 @@ def test_zero_flux_equal_temperatures_is_fixed_point():
     assert np.all(traj.t_solid == p.hot_gas_temp)
 
 
+# The two tests below step the Euler law of ``_euler_step`` up to 10**6
+# times through the frozen scalar loop, whose states ``integrate_strip``
+# equals bit for bit (``test_strip_states_are_the_frozen_march_bit_for_bit``):
+# a one-element batch costs about 20 us a step.
+
+
 def test_frozen_high_resolution_reference():
     p = ModelParams()
-    traj = integrate_strip(p, p.heat_flux_nominal, p.porosity, p.reynolds_nominal, n_steps=REF_N_STEPS)
-    assert traj.t_fluid[-1] == pytest.approx(REF_T_FLUID_1, rel=1e-10)
-    assert traj.t_fluid[-1] * traj.density[-1] == pytest.approx(REF_PRESSURE, rel=1e-10)
+    tf, _, rho = frozen_march(p, p.heat_flux_nominal, p.porosity, p.reynolds_nominal, n_steps=REF_N_STEPS)
+    assert tf == pytest.approx(REF_T_FLUID_1, rel=1e-10)
+    assert tf * rho == pytest.approx(REF_PRESSURE, rel=1e-10)
 
 
 def test_euler_first_order_self_convergence():
     p = ModelParams()
 
     def tf1(n):
-        traj = integrate_strip(p, p.heat_flux_nominal, p.porosity, p.reynolds_nominal, n_steps=n)
-        return traj.t_fluid[-1]
+        return frozen_march(p, p.heat_flux_nominal, p.porosity, p.reynolds_nominal, n_steps=n)[0]
 
     errs = [abs(tf1(n) - tf1(2 * n)) for n in (1000, 10000, 100000)]
     assert errs[0] > errs[1] > errs[2]
@@ -153,8 +244,12 @@ def test_the_scalar_and_batched_marches_take_the_one_step(monkeypatch):
         return real_step(*args)
 
     monkeypatch.setattr(porous_flow, "_euler_step", counting)
+    # one theta is a one-element batch: no march steps floats
     forward_pressure_at_mean(p, (p.heat_flux_nominal, p.porosity), 405.0, n_steps=25)
-    assert calls == [float] * 25
+    assert calls == [np.ndarray] * 25
+    calls.clear()
+    integrate_strip(p, p.heat_flux_nominal, p.porosity, 405.0, n_steps=25)
+    assert calls == [np.ndarray] * 25
     calls.clear()
     march_batch(p, p.heat_flux_nominal, np.array([0.111, 0.2, 0.4]), 405.0, n_steps=25)
     assert calls == [np.ndarray] * 25

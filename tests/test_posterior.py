@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tcbayes import bayes
 from tcbayes.bayes import (
     DEFAULT_FD_STEP,
     ObservationGroup,
@@ -24,16 +25,25 @@ from tcbayes.porous_flow import (
     ModelParams,
     NonFiniteStateError,
     SingularDenominatorError,
-    forward_pressure_at_mean,
     interface_state_batch,
 )
 from tcbayes.samplers import run_crw
 from tcbayes.scenario import Scenario, ScenarioConfig
+from test_porous_flow import frozen_forward as forward_pressure_at_mean
 
 PARAMS = ModelParams()
 TABLED = (462.675, 0.111)
 MARCHED = (462.675, 0.4)
 _TABLES: dict = {}
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _scalar_forward():
+    """The posterior's direct march on the frozen scalar loop, as in the
+    references below: bit for bit the one-element batch and far cheaper."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bayes, "forward_pressure_at_mean", forward_pressure_at_mean)
+        yield
 
 
 def _tables() -> dict:

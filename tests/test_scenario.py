@@ -569,7 +569,7 @@ def test_singular_table_node_leaves_every_theta_to_its_own_march(monkeypatch, ti
             assert abs(prob - want) <= 1e-11
 
 
-def test_a_failed_exit_table_is_attempted_once(monkeypatch, tiny_model1_dict):
+def test_a_failed_exit_table_is_attempted_once(monkeypatch, tiny_model1_dict, scalar_forward):
     # the synthetic singular window of the test above; the chain asks the
     # oracle at every proposal, so each one would retry an uncached failure
     builds = _singular_in_window(monkeypatch)
