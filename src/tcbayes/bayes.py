@@ -22,6 +22,7 @@ float call, array call and gradient all go through them.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,18 +273,19 @@ class Posterior:
     ybar is kept as a double plus its rounding remainder, so F - ybar and
     the residual sum n*(ybar - F) keep the precision of the per-observation
     differences. F_g comes from the point's table in its range, else from
-    the first of its extension ``pieces`` that holds theta (for ``grad``,
-    both ends of its difference), else from the direct march; a march
-    failure gives -inf (NaN for the gradient), as does theta <= 0.
-    ``tables`` maps an evaluation point to a table of F built for
-    ``params``, ``pieces`` to a tuple of tables over other ranges; a call
-    also takes an ndarray.
+    the first of its extension pieces that holds theta (for ``grad``, both
+    ends of its difference), else from the direct march; a march failure
+    gives -inf (NaN for the gradient), as does theta <= 0. ``tables`` maps
+    an evaluation point to a table of F built for ``params``; ``pieces``,
+    called only beyond a table, returns a map from a point to a tuple of
+    tables over other ranges. A call also takes an ndarray.
     """
 
     def __init__(self, obs: ObservationSet, prior: PriorSpec, params: ModelParams,
                  classic_iid: bool = False, tables: dict | None = None,
-                 pieces: dict | None = None):
+                 pieces: Callable[[], dict] | None = None):
         self.params = params
+        self._pieces = pieces
         self._log_prior, self._grad_log_prior = _prior_laws(prior)
         groups = []
         for group in obs.groups:
@@ -292,8 +294,7 @@ class Posterior:
             lo, hi = (math.inf, -math.inf) if table is None else (table.lo, table.hi)
             # the table's bound method: a call skips the instance's call slot
             table = None if table is None else table.__call__
-            groups.append((point, table, lo, hi, (pieces or {}).get(point, ()),
-                           *_group_laws(group.values, group.noise_std, classic_iid)))
+            groups.append((point, table, lo, hi, *_group_laws(group.values, group.noise_std, classic_iid)))
         self._groups = tuple(groups)
 
     def __call__(self, theta):
@@ -307,12 +308,13 @@ class Posterior:
             return log_prior - math.inf
         total = 0.0
         try:
-            for point, table, lo, hi, pieces, term, _ in self._groups:
+            for point, table, lo, hi, term, _ in self._groups:
                 if lo <= theta <= hi:
                     total += term(table(theta))
+                elif (piece := self._piece(point, theta, theta)) is not None:
+                    total += term(piece(theta))
                 else:
-                    piece = _holding(pieces, theta, theta)
-                    total += term(self._direct(point, theta) if piece is None else piece(theta))
+                    total += term(forward_pressure_at_mean(self.params, point, theta))
         except MARCH_FAILURES:
             total = -math.inf
         return log_prior + total
@@ -327,7 +329,7 @@ class Posterior:
         out[~inside] = [self(theta) for theta in thetas[~inside].tolist()]
         x, total = thetas[inside], 0.0
         if x.size:
-            for _, table, _, _, _, term, _ in self._groups:
+            for _, table, _, _, term, _ in self._groups:
                 total += term(table(x))
             out[inside] = self._log_prior(x) + total
         return out
@@ -346,28 +348,26 @@ class Posterior:
         grad = self._grad_log_prior(theta)
         theta_h = theta + fd_step
         try:
-            for point, table, lo, hi, pieces, _, slope in self._groups:
+            for point, table, lo, hi, _, slope in self._groups:
                 if lo <= theta and theta_h <= hi:
                     pressure, pressure_h = table(theta), table(theta_h)
-                elif (piece := _holding(pieces, theta, theta_h)) is not None:
+                elif (piece := self._piece(point, theta, theta_h)) is not None:
                     pressure, pressure_h = piece(theta), piece(theta_h)
                 else:
                     # each end not in the table marched: values from two tables
                     # would add their 1e-12 errors divided by fd_step
-                    pressure = table(theta) if lo <= theta <= hi else self._direct(point, theta)
-                    pressure_h = self._direct(point, theta_h)
+                    pressure = (table(theta) if lo <= theta <= hi
+                                else forward_pressure_at_mean(self.params, point, theta))
+                    pressure_h = forward_pressure_at_mean(self.params, point, theta_h)
                 grad += slope(pressure) * (pressure_h - pressure) / fd_step
         except MARCH_FAILURES:
             return math.nan
         return grad
 
-    def _direct(self, point, theta: float) -> float:
-        return forward_pressure_at_mean(self.params, point, theta)
-
-
-def _holding(pieces: tuple, lo: float, hi: float) -> ChebyshevTable | None:
-    """The first of ``pieces`` whose range holds [lo, hi], or None."""
-    return next((piece for piece in pieces if piece.lo <= lo and hi <= piece.hi), None)
+    def _piece(self, point, lo: float, hi: float) -> ChebyshevTable | None:
+        """The first extension piece of ``point`` whose range holds [lo, hi], or None."""
+        pieces = self._pieces().get(point, ()) if self._pieces else ()
+        return next((piece for piece in pieces if piece.lo <= lo and hi <= piece.hi), None)
 
 
 def _prior_laws(prior: PriorSpec):

@@ -51,7 +51,7 @@ from .samplers import (
     MarkovChain,
     ParticleHistory,
 )
-from .scenario import ConfigError, Scenario, ScenarioConfig
+from .scenario import ConfigError, Scenario, ScenarioConfig, read_text
 
 PACKAGED_SCENARIOS = ("model1", "model2", "model3")
 
@@ -87,17 +87,13 @@ def load_chain_csv(path: str):
     """Read a chain or particle-history CSV back into its run type.
 
     A file that is no whole run is a ``ConfigError`` naming it: one that
-    cannot be read, an unknown header, a cell that is not a number, a row
+    cannot be read as text, an unknown header, a cell that is not a number, a row
     whose column count is not the header's, no row at all, or a particle
     file cut off inside a generation (as a run killed while writing leaves
     it).
     """
-    try:
-        with open(path) as fh:
-            header = fh.readline().strip()
-            rows = [line for line in fh if line.strip()]
-    except OSError as exc:
-        raise ConfigError(f"cannot read run CSV {path}: {exc}") from exc
+    header, *rows = read_text(path, "run CSV").splitlines() or [""]
+    header, rows = header.strip(), [line for line in rows if line.strip()]
     columns = tuple(header.split(","))
     if columns not in (CHAIN_CSV_HEADER, PARTICLE_CSV_HEADER):
         raise ConfigError(f"unrecognized chain CSV header in {path}: {header!r}")

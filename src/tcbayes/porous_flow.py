@@ -143,10 +143,9 @@ def _euler_step(tf, ts, rho, rhs: tuple, dx: float, dx_fluid):
     """One explicit Euler step of (T_f, T_s, rho_f), the one statement of
     the law; ``dx_fluid`` is ``dx * a_fluid``, formed once per march.
 
-    Its augmented assignments update arrays in place (and rebind floats,
-    so an array element equals the float step bit for bit). Returns the new
-    state and the old state's density denominator phi^-2 - rho^2*T_f for
-    the caller's singularity guard.
+    Its augmented assignments update the state arrays in place. Returns
+    the new state and the old state's density denominator
+    phi^-2 - rho^2*T_f for the caller's singularity guard.
     """
     a_fluid, a_solid, source, darcy, forch, t_hg, phi_inv2 = rhs
     diff = ts - tf

@@ -19,9 +19,10 @@ posterior and the reference density. Each stage is built on first use and
 kept in one memo, which ``Scenario.with_sampler`` clones share, so a stage
 is built once however many samplers run; the sampler runs themselves are
 not kept. One batched Euler march per scenario (``Scenario._tables``)
-gives every Chebyshev table (the strip exit table, each observation group's
-forward table and its extension pieces) and the synthetic data's noise-free
-pressures. Only thetas beyond every table march alone.
+gives the strip exit table, each observation group's forward table and the
+synthetic data's noise-free pressures. A second (``Scenario.pieces``), made
+only once the posterior is asked beyond a forward table, gives the forward
+tables' extension pieces. Only thetas beyond every table march alone.
 """
 from __future__ import annotations
 
@@ -96,6 +97,16 @@ class ConfigError(ValueError):
 
 
 _MAX_REDRAWS = 100
+
+
+def read_text(path: str, what: str) -> str:
+    """The text of a user-named file; one that cannot be read, or that is
+    not UTF-8 text, is a ConfigError naming it as ``what``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _strip_notes(obj):
@@ -277,10 +288,7 @@ class ScenarioConfig:
     @staticmethod
     def load(path: str) -> "ScenarioConfig":
         try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            raw = json.loads(read_text(path, "config"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return ScenarioConfig.from_dict(raw)
@@ -486,9 +494,8 @@ def load_observations(csv_path: str, provenance_path: str | None = None) -> Obse
     if provenance_path is None:
         provenance_path = csv_path.rsplit(".", 1)[0] + ".json"
     try:
-        with open(provenance_path) as fh:
-            meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        meta = json.loads(read_text(provenance_path, "observation provenance"))
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"observation provenance {provenance_path}: {exc}") from exc
     group_list = meta.get("groups", []) if isinstance(meta, dict) else None
     if not isinstance(group_list, list) or not all(
@@ -498,11 +505,7 @@ def load_observations(csv_path: str, provenance_path: str | None = None) -> Obse
             f"observation provenance {provenance_path}: expected an object whose "
             "'groups' is a list of objects with a 'label'"
         )
-    try:
-        with open(csv_path) as fh:
-            header, *lines = fh.readlines() or [""]
-    except OSError as exc:
-        raise ConfigError(f"observation CSV {csv_path}: {exc}") from exc
+    header, *lines = read_text(csv_path, "observation CSV").splitlines() or [""]
     if header.strip() != "group,value":
         raise ConfigError(f"unexpected observation CSV header: {header.strip()!r}")
     values: dict[str, list[float]] = {}
@@ -637,61 +640,72 @@ class Scenario:
         return exit_law(tf)
 
     def _tables(self) -> tuple:
-        """The exit table, the forward tables (point -> table), their extension
-        pieces (point -> tuple of tables) and each data group's (point,
-        noise-free pressure), from one ``march_batch`` call over flat
-        (q, phi, re) elements: the strip exit law's (``_exit_law``) and the
-        evaluation points at every ``table_thetas`` theta over
-        ``theta_range()`` = (lo, hi), the points alone at those of the pieces
-        [lo/9, lo/3], [lo/3, lo] and [hi, 2*hi] and at ``data.theta_true``.
-        A table with an element that hits the guard or goes non-finite is
-        None (a forward table or piece is left out); the others are still
-        built. A truth that fails, and each one of loaded data, is None."""
+        """The exit table, the forward tables (point -> table) and each data
+        group's (point, noise-free pressure), from one ``march_batch`` call at
+        every ``table_thetas`` theta over ``theta_range()`` and, for synthetic
+        data, at ``data.theta_true``, over the strip exit law's elements
+        (``_exit_law``) and each group's evaluation point. A table with an
+        element that hits the guard or goes non-finite is None (a forward
+        one is left out); the others are still built. A truth that fails,
+        and each one of loaded data, is None."""
         cfg, data = self.config, self.config.data
-        lo, hi = theta_range = cfg.theta_range()
-        ranges = (theta_range, (lo / 9.0, lo / 3.0), (lo / 3.0, lo), (hi, 2.0 * hi))
+        theta_range = cfg.theta_range()
         if data.path is None:
             group_points = [(float(g.get("heat_flux", self.default_flux())),
                              float(g.get("porosity", cfg.params.porosity))) for g in data.groups]
         else:  # the loaded observation file
             group_points = [g.evaluation_point(cfg.params) for g in self.observations().groups]
         points = list(dict.fromkeys(group_points))
+        table = table_thetas(theta_range)
+        m = 0 if table is None else table.size
+        # the table thetas' m rows, then for synthetic data one at theta_true
+        # (a theta_true <= 0 fails alone, in ``observations``)
+        truth = data.path is None and data.theta_true > 0.0
+        thetas = np.concatenate([table if m else [], [data.theta_true] if truth else []])
         exit_q, exit_phi, exit_law = self._exit_law()
         n = exit_q.size
-        # the exit law marches the config's steps and F the default: one march
-        # in every shipped config
         q = np.concatenate([exit_q.ravel(), [p[0] for p in points]])
         phi = np.concatenate([exit_phi.ravel(), [p[1] for p in points]])
+        # the exit law marches the config's steps and F the default: one call in
+        # every shipped config
         steps = np.repeat([cfg.n_steps, DEFAULT_N_STEPS], [n, len(points)])
-        # a block of thetas per range, then the truth's: the main range's march
-        # every element, the others the points; lo > 0 gives every range its thetas
-        main_thetas = table_thetas(theta_range)
-        thetas = [] if main_thetas is None else [main_thetas, *map(table_thetas, ranges[1:])]
-        truth = [data.theta_true] if data.path is None else []
-        blocks = zip([*thetas, np.array(truth)], (0, n, n, n)[:len(thetas)] + (n,))
-        grids = [np.broadcast_arrays(t[:, None], q[k:], phi[k:], steps[k:]) for t, k in blocks]
-        re, q, phi, steps = (np.concatenate([g[i].ravel() for g in grids]) for i in range(4))
-        states, hit = np.empty((3, re.size)), np.empty(re.size, bool)
+        states, hit = np.empty((3, thetas.size, q.size)), np.empty((thetas.size, q.size), bool)
         for n_steps in set(steps.tolist()):
             k = steps == n_steps
-            states[:, k], hit[k] = march_batch(cfg.params, q[k], phi[k], re[k], n_steps)
-        ends = np.cumsum([g[0].size for g in grids])[:-1]
-        tf, pressure, failed = (  # per block, (n_thetas, n_elements)
-            [part.reshape(g[0].shape) for part, g in zip(np.split(v, ends), grids)]
-            for v in (states[0], states[0] * states[2], hit | ~np.isfinite(states).all(axis=0))
-        )
-        exit_table, forward, pieces = None, {}, {}
-        if thetas and not failed[0][:, :n].any():
-            exit_table = fit_table(theta_range, exit_law(tf[0][:, :n].reshape(-1, *exit_q.shape)))
-        for j, p in enumerate(points if thetas else ()):
-            main, *extension = (None if failed[b][:, k].any() else fit_table(r, pressure[b][:, k])
-                                for b, (r, k) in enumerate(zip(ranges, (n + j, j, j, j))))
-            if main is not None:
-                forward[p] = main
-            pieces[p] = tuple(t for t in extension if t is not None)
-        truths = {p: None if failed[-1][0, j] else float(pressure[-1][0, j])
-                  for j, p in enumerate(points) if truth}
-        return exit_table, forward, pieces, [(p, truths.get(p)) for p in group_points]
+            states[:, :, k], hit[:, k] = march_batch(cfg.params, q[k], phi[k], thetas[:, None], n_steps)
+        failed = hit | ~np.isfinite(states).all(axis=0)
+        states[:, failed] = math.nan  # so a forward fit or truth that reads a failed element fails
+        tf, _, rho = states
+        pressure = tf[:, n:] * rho[:, n:]
+        exit_table = None
+        if m and not failed[:m, :n].any():
+            exit_table = fit_table(theta_range, exit_law(tf[:m, :n].reshape(m, *exit_q.shape)))
+        forward = {p: fit_table(theta_range, pressure[:m, j]) for j, p in enumerate(points)} if m else {}
+        truths = {p: v for p, v in zip(points, pressure[-1].tolist()) if not math.isnan(v)} if truth else {}
+        forward = {p: table for p, table in forward.items() if table is not None}
+        return exit_table, forward, [(p, truths.get(p)) for p in group_points]
+
+    def pieces(self) -> dict:
+        """Each forward point's extension pieces (point -> tuple of tables):
+        tables of F over [lo/27, lo/9], [lo/9, lo/3], [lo/3, lo] and
+        [hi, 2*hi] of ``theta_range()`` = (lo, hi), from one ``march_batch``
+        call at their ``table_thetas``, built on the posterior's first theta
+        outside a forward table. A piece whose march or fit fails is left out."""
+        return self._once("pieces", self._pieces)
+
+    def _pieces(self) -> dict:
+        cfg = self.config
+        lo, hi = cfg.theta_range()
+        if not lo > 0.0:
+            return {}
+        ranges = ((lo / 27.0, lo / 9.0), (lo / 9.0, lo / 3.0), (lo / 3.0, lo), (hi, 2.0 * hi))
+        points = list(dict.fromkeys(g.evaluation_point(cfg.params) for g in self.observations().groups))
+        thetas = np.concatenate([table_thetas(r) for r in ranges])
+        states, hit = march_batch(cfg.params, *np.transpose(points), thetas[:, None])
+        states[:, hit | ~np.isfinite(states).all(axis=0)] = math.nan  # its piece's fit fails
+        pressure = (states[0] * states[2]).reshape(len(ranges), -1, len(points))  # (range, theta, point)
+        fits = {p: [fit_table(r, values[:, j]) for r, values in zip(ranges, pressure)] for j, p in enumerate(points)}
+        return {p: tuple(piece for piece in tables if piece is not None) for p, tables in fits.items()}
 
     def oracle(self) -> ChanceConstraintOracle:
         return self._once("oracle", lambda: ChanceConstraintOracle(
@@ -729,7 +743,7 @@ class Scenario:
         cfg, data = self.config, self.config.data
         if data.path is not None:
             return load_observations(data.path)
-        groups, truths = [], self._once("tables", self._tables)[3]
+        groups, truths = [], self._once("tables", self._tables)[2]
         for i, (group, (point, truth)) in enumerate(zip(data.groups, truths)):
             if truth is None:  # its march alone raises the failure
                 interface_state_batch(cfg.params, *point, data.theta_true)
@@ -746,8 +760,8 @@ class Scenario:
 
     def forward_map(self) -> dict:
         """Evaluation point -> Chebyshev table of F over ``theta_range()``
-        (``_tables``); a point without one reads its extension pieces or
-        marches."""
+        (``_tables``); beyond it, or for a point without one, the posterior
+        reads the extension ``pieces`` or marches."""
         return self._once("forward_tables", lambda: self._once("tables", self._tables)[1])
 
     def forward_tables(self) -> dict:
@@ -764,7 +778,7 @@ class Scenario:
         cfg = self.config
         return self._once("posterior", lambda: Posterior(
             self.observations(), cfg.prior, cfg.params, cfg.classic_iid, self.forward_map(),
-            self._once("tables", self._tables)[2],
+            self.pieces,
         ))
 
     def log_posterior(self, theta: float) -> float:
@@ -857,24 +871,11 @@ class Scenario:
         def per_particle(thetas: np.ndarray) -> np.ndarray:
             return np.array([grad(float(t)) for t in thetas])
 
+        sizes = (n_particles, int(sampler["n_generations"]))
+        settings = {"initial_particles": initial, "step_size": float(sampler["step_size"]), "seed": seed}
         if kind == "csvgd":
-            return run_csvgd(
-                per_particle,
-                n_particles,
-                int(sampler["n_generations"]),
-                initial_particles=initial,
-                step_size=float(sampler["step_size"]),
-                seed=seed,
-            )
-        return run_projected_svgd(
-            per_particle,
-            interval_projection(self.intervals()),
-            n_particles,
-            int(sampler["n_generations"]),
-            initial_particles=initial,
-            step_size=float(sampler["step_size"]),
-            seed=seed,
-        )
+            return run_csvgd(per_particle, *sizes, **settings)
+        return run_projected_svgd(per_particle, interval_projection(self.intervals()), *sizes, **settings)
 
     def chain_seeds(self) -> list[int]:
         n_chains = int(self.config.sampler["n_chains"])

@@ -126,13 +126,25 @@ def tiny_scenario():
 
 
 @pytest.fixture
-def scalar_forward(monkeypatch):
-    """The posterior's direct march on the frozen scalar loop of
-    ``test_porous_flow``: bit for bit the one-element batch, and far cheaper,
-    for tests that march one theta at a time in loops."""
-    from test_porous_flow import frozen_forward
-
+def marched_once(monkeypatch):
+    """The posterior's direct march, memoised: each (params, point, theta)
+    goes through the production one-element march once, and a later call
+    gets its value or its march failure again. For tests that ask many
+    posteriors at the same thetas beyond the tables."""
     from tcbayes import bayes
+    from tcbayes.porous_flow import MARCH_FAILURES
 
-    monkeypatch.setattr(bayes, "forward_pressure_at_mean", frozen_forward)
-    return frozen_forward
+    march, seen = bayes.forward_pressure_at_mean, {}
+
+    def forward(params, point, theta, *args):
+        key = (params, point, theta, args)
+        if key not in seen:
+            try:
+                seen[key] = march(params, point, theta, *args)
+            except MARCH_FAILURES as exc:
+                seen[key] = exc
+        if isinstance(seen[key], Exception):
+            raise seen[key]
+        return seen[key]
+
+    monkeypatch.setattr(bayes, "forward_pressure_at_mean", forward)

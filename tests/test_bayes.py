@@ -15,7 +15,6 @@ from tcbayes.bayes import (
     _prior_laws,
     generate_observations,
 )
-from tcbayes import bayes
 from tcbayes.porous_flow import ModelParams
 from test_porous_flow import frozen_forward as forward_pressure_at_mean
 
@@ -24,15 +23,6 @@ PARAMS = ModelParams(heat_flux_nominal=Q0)
 XI_MEAN = (Q0, PARAMS.porosity)
 SIGMA_L = 80.0
 THETA_TRUE = 700.0
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _scalar_forward():
-    """Every posterior here marches each theta alone: on the frozen scalar
-    loop, bit for bit the one-element batch and far cheaper."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bayes, "forward_pressure_at_mean", forward_pressure_at_mean)
-        yield
 
 
 def _obs(n_obs=5, seed=0, noise=SIGMA_L, theta=THETA_TRUE, xi=XI_MEAN, label="obs"):

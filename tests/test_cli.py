@@ -822,6 +822,24 @@ def test_a_missing_observation_csv_beside_its_sidecar_exits_2(
     assert not (out / "chain.csv").exists()
 
 
+@pytest.mark.parametrize("kind", ["config", "run CSV", "observation CSV"])
+def test_a_file_that_is_not_utf8_text_exits_2(kind, tiny_model1_dict, write_config, tmp_path, capsys):
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff\xfe\x00binary")
+    if kind == "config":
+        argv = ["scan-feasible", "--config", str(path)]
+    elif kind == "run CSV":
+        argv = ["diagnose", "--config", write_config(tiny_model1_dict), "--chains", str(path)]
+    else:
+        Scenario(ScenarioConfig.from_dict(tiny_model1_dict)).observations().save_provenance(
+            str(tmp_path / "binary.json")
+        )
+        tiny_model1_dict["data"] = {"path": str(path)}
+        argv = ["scan-feasible", "--config", write_config(tiny_model1_dict)]
+    assert main([*argv, "--output", str(tmp_path / "out")]) == 2
+    assert f"cannot read {kind} {path}" in capsys.readouterr().err
+
+
 def test_run_checkpoints_beyond_the_chain_exit_2(tiny_model1_dict, write_config, tmp_path, capsys):
     tiny_model1_dict["diagnostics"]["checkpoints"] = [100, 400]  # the chain has 300 samples
     path = write_config(tiny_model1_dict)
@@ -1047,12 +1065,9 @@ def test_shipped_run_marches_the_strips_once(model, tmp_path, monkeypatch, kerne
     out = str(tmp_path / "out")
     assert main(["run", "--config", f"model{model}", "--output", out, "--seed", "0"]) == 0
     # one march of every table, the exit table's and each group's forward
-    # table, over the 32 nodes, 31 midpoints and 2 ends of theta_range and of
-    # each extension piece, and of the data's truth at theta_true; no theta
-    # marches alone
-    (lo, hi), theta_true = (300.0, 1000.0), 700.0
-    ranges = ((lo, hi), (lo / 9.0, lo / 3.0), (lo / 3.0, lo), (hi, 2.0 * hi))
-    want = np.unique(np.concatenate([table_thetas(r) for r in ranges] + [[theta_true]]))
+    # table, over the 32 nodes, 31 midpoints and 2 ends of theta_range, and of
+    # the data's truth at theta_true; no extension piece, no theta alone
+    want = np.unique(np.concatenate([table_thetas((300.0, 1000.0)), [700.0]]))
     assert len(kernel_calls) == 1
     assert np.array_equal(kernel_calls[0], want)
     with open(os.path.join(out, "provenance.json")) as fh:

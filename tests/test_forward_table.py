@@ -278,7 +278,7 @@ def test_a_singular_group_leaves_the_other_tables_built(tiny_model2_dict, monkey
 # ---------------------------------------------------------------------------
 
 
-def test_crw_chain_is_unchanged_by_the_table(tiny_model1_dict, scalar_forward):
+def test_crw_chain_is_unchanged_by_the_table(tiny_model1_dict):
     config = ScenarioConfig.from_dict(tiny_model1_dict)
     tabled = Scenario(config)
     direct = Scenario(config)
@@ -349,8 +349,21 @@ def test_particle_compare_is_finite_at_seed_13(tiny_model1_dict, write_config, t
 
 
 # ---------------------------------------------------------------------------
-# the extension pieces and the truths in the one table march
+# the extension pieces, and the truths in the one table march
 # ---------------------------------------------------------------------------
+
+
+def test_a_crw_run_builds_no_extension_piece(tiny_model1_dict):
+    # cRW and the reference ask the posterior only inside the forward table
+    scenario = Scenario(ScenarioConfig.from_dict(tiny_model1_dict))
+    scenario.run_chain(seed=0)
+    scenario.reference()
+    assert "tables" in scenario._stages and "pieces" not in scenario._stages
+    # a theta below the table builds them, once, for every sampler clone
+    clone = scenario.with_sampler({"kind": "chmc", "mass": 1.0, "step": 25.0, "max_leapfrog": 4,
+                                   "n_samples": 10, "theta_init": 700.0, "delta": 0.2})
+    clone.log_posterior(200.0)
+    assert scenario._stages["pieces"] is clone.pieces()
 
 
 def test_seed0_compare_of_model1_makes_no_direct_march(monkeypatch, tmp_path):
@@ -370,11 +383,12 @@ def test_shipped_extension_pieces_are_the_march_at_their_check_points(name):
     scenario = Scenario(resolve_config(name))
     params = scenario.config.params
     lo, hi = scenario.config.theta_range()
-    pieces = scenario._once("tables", scenario._tables)[2]
+    pieces = scenario.pieces()
     points = {g.evaluation_point(params) for g in scenario.observations().groups}
     assert set(pieces) == points
     for point, tables in pieces.items():
-        assert [(t.lo, t.hi) for t in tables] == [(lo / 9.0, lo / 3.0), (lo / 3.0, lo), (hi, 2.0 * hi)]
+        want = [(lo / 27.0, lo / 9.0), (lo / 9.0, lo / 3.0), (lo / 3.0, lo), (hi, 2.0 * hi)]
+        assert [(t.lo, t.hi) for t in tables] == want
         for table in tables:
             checks = table_thetas((table.lo, table.hi))[TABLE_NODES:]
             direct = np.array([frozen_forward(params, point, theta) for theta in checks])
@@ -402,12 +416,12 @@ def _lower_piece() -> ChebyshevTable:
 
 def test_a_difference_step_that_leaves_its_piece_marches_both_ends(monkeypatch):
     posterior = Posterior(_group_obs(POINT), _PRIOR, PARAMS, tables={POINT: _table()},
-                          pieces={POINT: (_lower_piece(),)})
+                          pieces=lambda: {POINT: (_lower_piece(),)})
     marched = []
 
     def counting(params, point, theta):
         marched.append(theta)
-        return frozen_forward(params, point, theta)
+        return forward_pressure_at_mean(params, point, theta)
 
     monkeypatch.setattr(bayes, "forward_pressure_at_mean", counting)
     # inside the piece, both ends of the difference come from it

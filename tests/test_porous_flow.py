@@ -30,8 +30,9 @@ REF_PRESSURE = 595117.29470231
 
 # ---------------------------------------------------------------------------
 # the scalar Euler march on floats, frozen as it stood before every march went
-# through ``march_batch``: the reference for the batched loop, and a one-theta
-# march far cheaper than a one-element batch, for tests that march in loops
+# through ``march_batch``: the reference that the batched loop must equal bit
+# for bit, and the reference value of tests that compare a table or the
+# posterior with the march at many thetas
 # ---------------------------------------------------------------------------
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tcbayes import bayes
+from tcbayes import porous_flow
 from tcbayes.bayes import (
     DEFAULT_FD_STEP,
     ObservationGroup,
@@ -35,15 +35,6 @@ PARAMS = ModelParams()
 TABLED = (462.675, 0.111)
 MARCHED = (462.675, 0.4)
 _TABLES: dict = {}
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _scalar_forward():
-    """The posterior's direct march on the frozen scalar loop, as in the
-    references below: bit for bit the one-element batch and far cheaper."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bayes, "forward_pressure_at_mean", forward_pressure_at_mean)
-        yield
 
 
 def _tables() -> dict:
@@ -221,6 +212,18 @@ def test_closed_form_matches_per_observation_sum(groups, prior, classic_iid, the
         assert abs(grad - expected_grad) <= 1e-9 * max(1.0, abs(expected_grad))
 
 
+@pytest.mark.parametrize("theta", [5e-324, 2.2250738585e-313])
+def test_a_subnormal_theta_fails_in_the_production_march(theta):
+    # the subnormal underflows the Reynolds-number coefficients: the one-element
+    # batch ends non-finite, read as -inf and a NaN gradient
+    obs = ObservationSet((ObservationGroup("marched", np.array([6.0e5]), 50.0, *MARCHED),))
+    posterior = Posterior(obs, PriorSpec("uniform", low=300.0, high=1000.0), PARAMS)
+    with pytest.raises(NonFiniteStateError):
+        porous_flow.forward_pressure_at_mean(PARAMS, MARCHED, theta)
+    assert posterior(theta) == -math.inf
+    assert math.isnan(posterior.grad(theta))
+
+
 def test_gradient_near_the_mode_keeps_per_observation_precision():
     # 0.1 Pa readings within a few sigma of F(theta), sigma = 1: the gradient
     # is small, and a mean rounded to one double would move it by ~1e-8
@@ -247,7 +250,7 @@ def test_posterior_is_the_prior_plus_the_likelihood():
         assert math.isnan(posterior.grad(-1.0))
 
 
-def test_posterior_with_its_prior_constants_is_float_equal_to_the_sum():
+def test_posterior_with_its_prior_constants_is_float_equal_to_the_sum(marched_once):
     # the grid has theta <= 0, thetas outside a uniform support inside the
     # table's range [300, 1000], and thetas outside that range
     obs = ObservationSet((
@@ -305,7 +308,7 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
-def test_posterior_on_an_array_is_the_float_calls_bit_for_bit():
+def test_posterior_on_an_array_is_the_float_calls_bit_for_bit(marched_once):
     # thetas inside and outside the table's range [300, 1000], theta <= 0,
     # NaN and, for the uniform priors, thetas in the table's range outside
     # the support, where the floor holds; with a group without a table every
@@ -329,7 +332,7 @@ def test_posterior_on_an_array_is_the_float_calls_bit_for_bit():
                 assert _bits(posterior(thetas)) == _bits(want), (len(groups), prior, classic_iid)
 
 
-def test_float_call_and_gradient_are_the_frozen_ones_bit_for_bit():
+def test_float_call_and_gradient_are_the_frozen_ones_bit_for_bit(marched_once):
     # the array test's thetas, and thetas whose difference step crosses an
     # end of the table's range; with a group without a table, both ends are
     # marched. Three observations, so that n is not a power of two and a

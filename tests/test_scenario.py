@@ -569,7 +569,7 @@ def test_singular_table_node_leaves_every_theta_to_its_own_march(monkeypatch, ti
             assert abs(prob - want) <= 1e-11
 
 
-def test_a_failed_exit_table_is_attempted_once(monkeypatch, tiny_model1_dict, scalar_forward):
+def test_a_failed_exit_table_is_attempted_once(monkeypatch, tiny_model1_dict):
     # the synthetic singular window of the test above; the chain asks the
     # oracle at every proposal, so each one would retry an uncached failure
     builds = _singular_in_window(monkeypatch)
@@ -580,8 +580,10 @@ def test_a_failed_exit_table_is_attempted_once(monkeypatch, tiny_model1_dict, sc
     chain = scenario.run_chain(0)
     assert scenario.exit_table() is None
     # one table stage: the exit law marches the config's 400 steps, the
-    # forward model the default 1000, so the stage makes two calls
-    assert len(builds) == 2 and len(chain) == 100
+    # forward model the default 1000, so the stage makes two calls; without a
+    # forward table the chain's first posterior call builds the extension
+    # pieces, in one more
+    assert len(builds) == 3 and len(chain) == 100
 
 
 def test_a_stage_a_clone_builds_is_shared_with_its_base(tiny_model1_dict):
